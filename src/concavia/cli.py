@@ -9,10 +9,9 @@ Subcommands::
 Configuration is a single JSON file selected with ``--config PATH``; every
 field can be overridden on the command line with dotted keys, for example
 ``--knobs.eps2=0.006`` or ``--outputs report_dir``.  Exit codes: 0 all
-checks pass, 1 verification failure, 2 config/parse failure.  The env var
-``CONCAVIA_THREADS`` caps suite parallelism.  Reports are pretty-printed
-JSON written under the outputs directory; repeated runs with the same
-config and seed produce byte-identical files.
+checks pass, 1 verification failure, 2 config/parse failure.  Reports are
+pretty-printed JSON written under the outputs directory; repeated runs with
+the same config and seed produce byte-identical files.
 
 CSV headers (fixed):
 
@@ -33,7 +32,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,18 +63,11 @@ from .profiles import second_derivative_identity_check
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
 _KNOB_DEFAULTS: dict = {
-    "eps1": 0.004,
-    "eps2": 0.005,
-    "x_switch": -0.3,
-    "x_lo": -8.0,
-    "knots": 16,
-    "depth_frac": 0.30,
-    "branch_margin": 1e-3,
+    **{f.name: f.default for f in dataclasses.fields(family.Knobs)},
     "n_tau": 16,
     "n_samples": 240,
     "density": 1,
     "lambda_max": 1e4,
-    "tol": 1e-8,
 }
 
 SUITES = ("atlas", "openbook", "profiles", "levi", "family")
@@ -139,7 +130,7 @@ class RunConfig:
         unknown = set(kn) - set(_KNOB_DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown knobs: {sorted(unknown)}")
-        for key in ("eps1", "eps2", "branch_margin", "depth_frac", "tol", "lambda_max"):
+        for key in ("eps1", "eps2", "branch_margin", "depth_frac", "lambda_max"):
             if not kn[key] > 0:
                 raise ConfigError(f"knob {key} must be positive, got {kn[key]}")
         if kn["n_tau"] < 8:
@@ -186,13 +177,6 @@ def _parse_overrides(tokens: list[str]) -> dict:
         except json.JSONDecodeError:
             out[key] = raw
     return out
-
-
-def _max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("CONCAVIA_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +312,7 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
                          indent=2, sort_keys=True))
         return 2
     names = list(SUITES) if suite == "all" else [suite]
-    results: dict[str, tuple[bool, dict]] = {}
-    workers = min(_max_workers(), len(names))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {n: pool.submit(_run_suite, n, cfg, par) for n in names}
-        results = {n: f.result() for n, f in futures.items()}
-    else:
-        results = {n: _run_suite(n, cfg, par) for n in names}
+    results = {n: _run_suite(n, cfg, par) for n in names}
     ok = all(r[0] for r in results.values())
     report = {
         "suite": suite,

@@ -29,7 +29,7 @@ Coordinate conventions, fixed once:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .errors import (
     OutOfFoliation,
     VerificationError,
 )
-from .levi import ScalarField, apply_J, d_c, find_lambda, grad4, neg_ddc
+from .levi import ScalarField, apply_J, exp_jet, find_lambda, jet, jet_d_c, jet_neg_ddc
 from .profiles import (
     ContactTag,
     Profile,
@@ -102,13 +102,6 @@ class Knobs:
     knots: int = 16
     depth_frac: float = 0.30
     branch_margin: float = 1e-3
-
-    def to_dict(self) -> dict:
-        return {
-            "eps1": self.eps1, "eps2": self.eps2, "x_switch": self.x_switch,
-            "x_lo": self.x_lo, "knots": self.knots,
-            "depth_frac": self.depth_frac, "branch_margin": self.branch_margin,
-        }
 
 
 def default_knobs() -> Knobs:
@@ -922,73 +915,87 @@ def _normalize_grid(model: SphereModel, grid) -> list[tuple[complex, complex, st
     return out
 
 
-def pseudoconcavity_check(model: SphereModel, grid,
-                          u: ScalarField | None = None) -> Certificate:
+def _potential_jet(fam: FamilySpec, lam: float, z1, z2):
+    """Jet of ``u = exp(lam * (gamma - 1))``, composed exactly from one jet of
+    ``gamma``.
+
+    ``alpha = -d^C u = lam u beta`` with ``beta = -d^C gamma``, so ``alpha ^
+    d alpha = (lam u)^2 beta ^ d beta``: the sweeps' signs cannot depend on
+    ``lam``, and differencing the exponential itself would let them.
+    """
+    return exp_jet(jet(fam.fol.gamma, z1, z2), lam, 1.0)
+
+
+def _sample_frames(model: SphereModel, samples):
+    """Angular frames ``e1``, ``e2`` and profile tangents ``V`` as ``[N, 4]``
+    arrays, one row per normalized sample."""
+    rows = [(*_angular_frames(z1, z2), _profile_tangent(model, z1, z2, tag))
+            for z1, z2, tag in samples]
+    return tuple(np.array(col) for col in zip(*rows))
+
+
+def _contact_volumes(fam: FamilySpec, lam: float, samples):
+    """``alpha ^ d alpha`` on each sample's oriented tangent frame.
+
+    Returns the values and the same 3-form with two frame legs swapped.
+    ``samples`` are normalized triples (see :func:`_normalize_grid`).
+    """
+    z1 = np.array([s[0] for s in samples])
+    z2 = np.array([s[1] for s in samples])
+    _, g, H = _potential_jet(fam, lam, z1, z2)
+    nu = -g / np.linalg.norm(g, axis=1, keepdims=True)  # outward from the compact side
+    e1, e2, e3 = _sample_frames(fam.model, samples)
+    swap = (np.linalg.det(np.stack([nu, e1, e2, e3], axis=2)) < 0)[:, None]
+    e2, e3 = np.where(swap, e3, e2), np.where(swap, e2, e3)
+    al = [-jet_d_c(g, v) for v in (e1, e2, e3)]
+    da = [jet_neg_ddc(H, e2, e3), jet_neg_ddc(H, e1, e3), jet_neg_ddc(H, e1, e2)]
+    vals = al[0] * da[0] - al[1] * da[1] + al[2] * da[2]
+    flipped = al[0] * jet_neg_ddc(H, e3, e2) \
+        - al[2] * jet_neg_ddc(H, e1, e2) + al[1] * jet_neg_ddc(H, e1, e3)
+    return vals, flipped
+
+
+def pseudoconcavity_check(fam: FamilySpec, lam: float, grid) -> Certificate:
     """Certify the sphere's contact sign: ``alpha ^ d alpha`` constant
     negative in the fixed orientation, agreeing with the per-piece profile
     classification at every sample.
 
-    ``grid`` is a list of model samples (as produced by :func:`sample_M1`);
-    samples closer than the corner margin to a seam corner are skipped.
-    When ``u`` is not supplied the default collar pipeline is run to
-    produce it.
+    ``alpha = -d^C u`` for the potential ``u = exp(lam * (gamma - 1))`` of
+    the family ``fam``.  ``grid`` is a list of model samples (as produced by
+    :func:`sample_M1`); samples closer than the corner margin to a seam
+    corner are skipped.
     """
-    if u is None:
-        fam = build_family(model.params, 16, model.knobs)
-        lam, _ = find_lambda(gamma_field(fam), verification_grid(fam, 1))
-        u = normalized_potential(fam, lam)
+    model = fam.model
     samples = _normalize_grid(model, grid)
-    vals = []
-    agree = 0
-    flip_ok = True
-    worst = None
-    worst_val = -float("inf")
-    per_piece: dict[str, list] = {"H1": [], "H2": [], "S": []}
-    for i, (z1, z2, tag) in enumerate(samples):
-        p = (z1, z2)
-        g = grad4(u, p)
-        nu = -_unit(g)          # outward from the compact side
-        e1, e2 = _angular_frames(z1, z2)
-        e3 = _profile_tangent(model, z1, z2, tag)
-        if float(np.linalg.det(np.stack([nu, e1, e2, e3], axis=1))) < 0:
-            e2, e3 = e3, e2
-        al = [-d_c(u, p, v) for v in (e1, e2, e3)]
-        da = [neg_ddc(u, p, e2, e3), neg_ddc(u, p, e1, e3), neg_ddc(u, p, e1, e2)]
-        val = al[0] * da[0] - al[1] * da[1] + al[2] * da[2]
-        vals.append(val)
-        per_piece[tag].append(val)
-        kappa = _oriented_curvature(model, z1, tag, math.log(abs(z2)))
-        if (kappa > 0) and (val < 0):
-            agree += 1
-        if val > worst_val:
-            worst_val = val
-            worst = (z1, z2)
-        if i < 5:
-            # swapping two frame legs must flip the 3-form value
-            flipped = al[0] * neg_ddc(u, p, e3, e2) \
-                - al[2] * neg_ddc(u, p, e1, e2) + al[1] * neg_ddc(u, p, e1, e3)
-            flip_ok &= (flipped * val) < 0
-    vals_arr = np.asarray(vals)
-    passed = bool(np.all(vals_arr < 0)) and agree == len(samples) and flip_ok
+    vals, flipped = _contact_volumes(fam, lam, samples)
+    tags = np.array([tag for _, _, tag in samples])
+    kappa = np.array([_oriented_curvature(model, z1, tag, math.log(abs(z2)))
+                      for z1, z2, tag in samples])
+    agree = int(np.sum((kappa > 0) & (vals < 0)))
+    # swapping two frame legs must flip the 3-form value
+    flip_ok = bool(np.all(flipped * vals < 0))
+    per_piece = {t: vals[tags == t] for t in ("H1", "H2", "S")}
+    i = int(np.argmax(vals))
+    passed = bool(np.all(vals < 0)) and agree == len(samples) and flip_ok
     return Certificate(
         name="pseudoconcavity",
         grid=f"{len(samples)} samples "
              f"(H1 {len(per_piece['H1'])}, H2 {len(per_piece['H2'])}, S {len(per_piece['S'])})",
-        margin=float(-vals_arr.max()),
-        passed=passed, worst_point=worst,
+        margin=float(-vals[i]),
+        passed=passed, worst_point=(samples[i][0], samples[i][1]),
         details={
-            "min_abs_volume": float(np.min(np.abs(vals_arr))),
+            "min_abs_volume": float(np.min(np.abs(vals))),
             "classification_agreements": agree,
             "disagreements": len(samples) - agree,
-            "orientation_flip_sanity": bool(flip_ok),
-            "per_piece_max": {t: (float(np.max(v)) if v else None)
+            "orientation_flip_sanity": flip_ok,
+            "per_piece_max": {t: (float(np.max(v)) if v.size else None)
                               for t, v in per_piece.items()},
         })
 
 
-def compatibility_check(model: SphereModel, u: ScalarField,
-                        grid) -> Certificate:
-    """Certify the open-book compatibility of the contact form.
+def compatibility_check(fam: FamilySpec, lam: float, grid) -> Certificate:
+    """Certify the open-book compatibility of the contact form
+    ``alpha = -d^C u``, ``u = exp(lam * (gamma - 1))``.
 
     Three sub-certificates: (i) the binding pairing ``alpha(d/d theta1)``
     is constant and nonzero on each binding circle (opposite signs across
@@ -1005,17 +1012,16 @@ def compatibility_check(model: SphereModel, u: ScalarField,
     tangent space at every off-binding sample, with the theta2-component
     of the Reeb direction positive.
     """
+    model = fam.model
     p_par = model.params
     samples = _normalize_grid(model, grid)
 
     # (i) binding circles
-    bind_vals = {"c1": [], "c2": []}
-    for name, r1 in (("c1", p_par.c1), ("c2", p_par.c2)):
-        for j in range(32):
-            z1 = r1 * np.exp(2j * math.pi * j / 32)
-            v = np.array([-z1.imag, z1.real, 0.0, 0.0])
-            bind_vals[name].append(-d_c(u, (complex(z1), 0.0 + 0.0j), v))
-    b1, b2 = np.asarray(bind_vals["c1"]), np.asarray(bind_vals["c2"])
+    circle = np.exp(2j * math.pi * np.arange(32) / 32)
+    z1 = np.concatenate([p_par.c1 * circle, p_par.c2 * circle])
+    _, g, _ = _potential_jet(fam, lam, z1, np.zeros_like(z1))
+    zero = np.zeros(z1.shape)
+    b1, b2 = np.split(-jet_d_c(g, np.stack([-z1.imag, z1.real, zero, zero], axis=1)), 2)
     bind_ok = (np.all(b1 < 0) or np.all(b1 > 0)) and \
         (np.all(b2 < 0) or np.all(b2 > 0)) and \
         (float(np.sign(b1[0])) != float(np.sign(b2[0])))
@@ -1028,47 +1034,33 @@ def compatibility_check(model: SphereModel, u: ScalarField,
                  "range_c2": [float(b2.min()), float(b2.max())]})
 
     # (ii) pages and (iii) span, on off-binding samples
-    page_vals = []
-    page_tags = []
-    dets = []
-    th2_comps = []
-    worst_pg = None
-    best = float("inf")
-    for z1, z2, tag in samples:
-        p = (z1, z2)
-        e1, e2 = _angular_frames(z1, z2)
-        V = _profile_tangent(model, z1, z2, tag)
-        # Page-plane orientation: the traversal vector V runs from the
-        # left binding toward the right one.  On the wall pieces that is
-        # the fibration-positive direction; on the cap the complex
-        # orientation of the (nearly complex) page plane reverses it.
-        W = -V if tag == "S" else V
-        pv = neg_ddc(u, p, e1, W)
-        page_vals.append(pv)
-        page_tags.append(tag)
-        if pv < best:
-            best = pv
-            worst_pg = (z1, z2)
-        g = grad4(u, p)
-        R = apply_J(_unit(g))
-        # (e1, e2, V) is an orthonormal tangent frame: angular directions are
-        # exactly orthogonal to the radial profile tangent
-        basis = np.stack([e1, e2, V], axis=0)
-        M = np.stack([basis @ e1, basis @ V, basis @ R], axis=1)
-        dets.append(float(np.linalg.det(M)))
-        th2_comps.append(float(e2 @ R))
-    page_arr = np.asarray(page_vals)
-    det_arr = np.abs(np.asarray(dets))
-    th2_arr = np.asarray(th2_comps)
+    z1 = np.array([s[0] for s in samples])
+    z2 = np.array([s[1] for s in samples])
+    tags = np.array([tag for _, _, tag in samples])
+    _, g, H = _potential_jet(fam, lam, z1, z2)
+    e1, e2, V = _sample_frames(model, samples)
+    # Page-plane orientation: the traversal vector V runs from the left
+    # binding toward the right one.  On the wall pieces that is the
+    # fibration-positive direction; on the cap the complex orientation of
+    # the (nearly complex) page plane reverses it.
+    W = np.where((tags == "S")[:, None], -V, V)
+    page_arr = jet_neg_ddc(H, e1, W)
+    k = int(np.argmin(page_arr))
+    R = apply_J(g / np.linalg.norm(g, axis=1, keepdims=True))
+    # (e1, e2, V) is an orthonormal tangent frame: angular directions are
+    # exactly orthogonal to the radial profile tangent
+    basis = np.stack([e1, e2, V], axis=1)
+    det_arr = np.abs(np.linalg.det(basis @ np.stack([e1, V, R], axis=2)))
+    th2_arr = np.sum(e2 * R, axis=1)
     piece_ranges = {}
     for t in ("H1", "S", "H2"):
-        sel = page_arr[[pt == t for pt in page_tags]]
+        sel = page_arr[tags == t]
         if sel.size:
             piece_ranges[t] = [float(sel.min()), float(sel.max())]
     cert_pages = Certificate(
         name="page_area_form", grid=f"{len(samples)} off-binding samples",
-        margin=float(page_arr.min()), passed=bool(np.all(page_arr > 0)),
-        worst_point=worst_pg,
+        margin=float(page_arr[k]), passed=bool(np.all(page_arr > 0)),
+        worst_point=(samples[k][0], samples[k][1]),
         details={"max": float(page_arr.max()),
                  "per_piece_range": piece_ranges,
                  "orientation": "fibration on walls, complex on cap"})
@@ -1104,15 +1096,17 @@ def run_verification(params: Params, knobs: Knobs | None = None, *,
     lam, cert_lam = find_lambda(gam, grid, lambda_max=lambda_max,
                                 refine=lambda: verification_grid(fam, 2))
     # level-function regularity on the search grid
-    norms = [float(np.linalg.norm(grad4(gam, p))) for p in grid[:: max(1, len(grid) // 64)]]
+    reg = grid[:: max(1, len(grid) // 64)]
+    _, g, _ = jet(gam, [p[0] for p in reg], [p[1] for p in reg])
+    norms = np.linalg.norm(g, axis=1)
     cert_reg = Certificate(
         name="gamma_regularity", grid=f"{len(norms)} grid points",
-        margin=min(norms) - 1e-6, passed=min(norms) > 1e-6,
-        details={"min_gradient_norm": min(norms), "max_gradient_norm": max(norms)})
-    u = normalized_potential(fam, lam)
+        margin=float(norms.min()) - 1e-6, passed=bool(norms.min() > 1e-6),
+        details={"min_gradient_norm": float(norms.min()),
+                 "max_gradient_norm": float(norms.max())})
     samples = sample_M1(model, n_samples)
-    cert_pc = pseudoconcavity_check(model, samples, u)
-    cert_cp = compatibility_check(model, u, samples)
+    cert_pc = pseudoconcavity_check(fam, lam, samples)
+    cert_cp = compatibility_check(fam, lam, samples)
 
     certs = {
         "find_lambda": cert_lam,
@@ -1125,7 +1119,7 @@ def run_verification(params: Params, knobs: Knobs | None = None, *,
         and all(c.passed for c in fam.certificates.values())
     report = {
         "params": params.to_dict(),
-        "knobs": knobs.to_dict(),
+        "knobs": asdict(knobs),
         "lambda": lam,
         "model": model.summary(),
         "family": {k: c.to_dict() for k, c in sorted(fam.certificates.items())},

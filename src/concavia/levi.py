@@ -14,13 +14,19 @@ Conventions (fixed here, tested, and used everywhere downstream):
   ``-(dgamma ^ d^C gamma)(v, Jv) = ((dgamma v)^2 + (dgamma Jv)^2) / 2``
   holds exactly in this convention and is under test.
 
-All derivatives are central differences with relative step ``1e-5`` (nested
-second-difference forms use a larger outer step); no symbolic engine.
+There is one derivative stencil, :func:`jet`: a batched 33-point central
+difference with relative step ``1e-5`` that returns value, real gradient and
+real Hessian.  Everything else is linear algebra on jets: ``d^C u(v) =
+g . Jv``, ``-dd^C u(v, w) = -(H(v, Jw) - H(w, Jv)) / 2`` and the Levi 2x2.
+:func:`exp_jet` composes ``exp(lam * (f - shift))`` exactly from a jet of
+``f``, so exponentials are never differenced.  The scalar helpers
+:func:`grad4`, :func:`d_c` and the nested-difference :func:`neg_ddc` share
+no code with the jet; they are kept only as the independent reference behind
+the quadratic and composition identity checks.  No symbolic engine.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +42,10 @@ __all__ = [
     "d_c",
     "grad4",
     "neg_ddc",
+    "jet",
+    "exp_jet",
+    "jet_d_c",
+    "jet_neg_ddc",
     "levi_matrix",
     "levi_min_eig_batch",
     "is_strictly_psh",
@@ -56,8 +66,9 @@ J_mat = np.array([
 
 
 def apply_J(v: np.ndarray) -> np.ndarray:
+    """``J`` on a vector, or row by row on a stack of vectors."""
     v = np.asarray(v, dtype=float)
-    return np.array([-v[1], v[0], -v[3], v[2]])
+    return np.stack([-v[..., 1], v[..., 0], -v[..., 3], v[..., 2]], axis=-1)
 
 
 def _to_z(p) -> tuple[complex, complex]:
@@ -122,7 +133,7 @@ class HermitianForm:
 
 
 # ---------------------------------------------------------------------------
-# First-order operators
+# Scalar reference operators (independent of the jet; identity checks only)
 # ---------------------------------------------------------------------------
 
 def _dir_deriv(u, p, v, h: float) -> float:
@@ -166,45 +177,16 @@ def neg_ddc(u, p, v, w, h_rel: float = 1e-4, inner_rel: float = 1e-5) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Levi matrices
+# Jets: the one derivative stencil
 # ---------------------------------------------------------------------------
 
-_OFFSETS = np.eye(4)
+def jet(fn, z1, z2, h_rel: float = 1e-5):
+    """Value, real gradient and real Hessian of ``fn`` at each point.
 
-
-def levi_matrix(u: ScalarField, point, h_rel: float = 1e-5) -> HermitianForm:
-    """Complex Hessian ``[d^2 u / dz_i dzbar_j]`` by central differences.
-
-    Under the module's 1/2 convention, ``-d d^C u(v, Jv) = 2 v* L v``.
-    """
-    if isinstance(u, ScalarField):
-        u.check(point)
-    h = _step(point, h_rel)
-    u0 = u(*_to_z(point))
-    H = np.empty((4, 4))
-    for i in range(4):
-        up = u(*_shift(point, _OFFSETS[i], h))
-        dn = u(*_shift(point, _OFFSETS[i], -h))
-        H[i, i] = (up - 2.0 * u0 + dn) / (h * h)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            pp = u(*_shift(_shift(point, _OFFSETS[i], h), _OFFSETS[j], h))
-            pm = u(*_shift(_shift(point, _OFFSETS[i], h), _OFFSETS[j], -h))
-            mp = u(*_shift(_shift(point, _OFFSETS[i], -h), _OFFSETS[j], h))
-            mm = u(*_shift(_shift(point, _OFFSETS[i], -h), _OFFSETS[j], -h))
-            H[i, j] = H[j, i] = (pp - pm - mp + mm) / (4.0 * h * h)
-    L11 = 0.25 * (H[0, 0] + H[1, 1])
-    L22 = 0.25 * (H[2, 2] + H[3, 3])
-    L12 = 0.25 * ((H[0, 2] + H[1, 3]) + 1j * (H[0, 3] - H[1, 2]))
-    return HermitianForm.from_matrix(np.array([[L11, L12], [np.conj(L12), L22]]))
-
-
-def levi_min_eig_batch(fn, z1, z2, h_rel: float = 1e-5) -> np.ndarray:
-    """Smallest Levi eigenvalue at each point of two complex arrays.
-
-    One vectorized stencil evaluation (33 shifts) instead of per-point
-    calls; the closed-form 2x2 Hermitian eigenvalue avoids per-point
-    linear algebra.
+    One vectorized 33-point central-difference stencil on ``(x1, y1, x2,
+    y2)`` with step ``h_rel * max(1, |z1|, |z2|)``: the 8 axis shifts give
+    the gradient and the Hessian diagonal, the 24 diagonal shifts the mixed
+    second derivatives.  Returns ``(value[N], grad[N, 4], hess[N, 4, 4])``.
     """
     z1 = np.asarray(z1, dtype=complex).ravel()
     z2 = np.asarray(z2, dtype=complex).ravel()
@@ -215,18 +197,79 @@ def levi_min_eig_batch(fn, z1, z2, h_rel: float = 1e-5) -> np.ndarray:
         return np.asarray(fn(z1 + s1, z2 + s2), dtype=float)
 
     u0 = ev(0, 0)
-    H = {}
+    grad = np.empty((z1.size, 4))
+    hess = np.empty((z1.size, 4, 4))
     for i in range(4):
-        H[(i, i)] = (ev(*d[i]) - 2 * u0 + ev(-d[i][0], -d[i][1])) / (h * h)
+        up, dn = ev(*d[i]), ev(-d[i][0], -d[i][1])
+        grad[:, i] = (up - dn) / (2 * h)
+        hess[:, i, i] = (up - 2 * u0 + dn) / (h * h)
     for i in range(4):
         for j in range(i + 1, 4):
             s1, s2 = d[i][0] + d[j][0], d[i][1] + d[j][1]
             t1, t2 = d[i][0] - d[j][0], d[i][1] - d[j][1]
-            H[(i, j)] = (ev(s1, s2) - ev(t1, t2) - ev(-t1, -t2) + ev(-s1, -s2)) / (4 * h * h)
-    a = 0.25 * (H[(0, 0)] + H[(1, 1)])
-    c = 0.25 * (H[(2, 2)] + H[(3, 3)])
-    b2 = (0.25 * (H[(0, 2)] + H[(1, 3)])) ** 2 + (0.25 * (H[(0, 3)] - H[(1, 2)])) ** 2
-    return (a + c) / 2.0 - np.sqrt(((a - c) / 2.0) ** 2 + b2)
+            hess[:, i, j] = hess[:, j, i] = (
+                ev(s1, s2) - ev(t1, t2) - ev(-t1, -t2) + ev(-s1, -s2)) / (4 * h * h)
+    return u0, grad, hess
+
+
+def exp_jet(jet, lam: float, shift: float = 0.0):
+    """Jet of ``u = exp(lam * (f - shift))`` composed exactly from a jet of ``f``.
+
+    Returns ``(u, lam u g, lam u (H + lam g g^T))``.  The exponential itself
+    is never differenced, so its steep growth at large ``lam`` adds no
+    stencil error.
+    """
+    f, g, H = jet
+    u = np.exp(lam * (f - shift))
+    lu = lam * u
+    return u, lu[:, None] * g, lu[:, None, None] * (H + lam * g[:, :, None] * g[:, None, :])
+
+
+def jet_d_c(grad, v):
+    """``d^C u(v) = du(Jv)`` from jet gradients; rows of ``grad`` and ``v`` pair up."""
+    return np.sum(grad * apply_J(v), axis=-1)
+
+
+def jet_neg_ddc(hess, v, w):
+    """``-d(d^C u)(v, w) = -(H(v, Jw) - H(w, Jv)) / 2`` from jet Hessians."""
+    def form(a, b):
+        return np.einsum("...i,...ij,...j->...", a, hess, b)
+    return -0.5 * (form(v, apply_J(w)) - form(w, apply_J(v)))
+
+
+def _levi_entries(hess):
+    """``(L11, L22, L12)`` of the complex Hessian, from real Hessians ``[N, 4, 4]``."""
+    L11 = 0.25 * (hess[:, 0, 0] + hess[:, 1, 1])
+    L22 = 0.25 * (hess[:, 2, 2] + hess[:, 3, 3])
+    L12 = 0.25 * (hess[:, 0, 2] + hess[:, 1, 3]) + 0.25j * (hess[:, 0, 3] - hess[:, 1, 2])
+    return L11, L22, L12
+
+
+def _min_eig(a, c, b):
+    """Smallest eigenvalue of the Hermitian ``[[a, b], [conj(b), c]]``, closed form."""
+    return (a + c) / 2.0 - np.sqrt(((a - c) / 2.0) ** 2 + (b.real ** 2 + b.imag ** 2))
+
+
+def levi_matrix(u: ScalarField, point, h_rel: float = 1e-5) -> HermitianForm:
+    """Complex Hessian ``[d^2 u / dz_i dzbar_j]`` at one point, from its jet.
+
+    Under the module's 1/2 convention, ``-d d^C u(v, Jv) = 2 v* L v``.
+    """
+    if isinstance(u, ScalarField):
+        u.check(point)
+    _, _, hess = jet(u, [point[0]], [point[1]], h_rel)
+    L11, L22, L12 = (x[0] for x in _levi_entries(hess))
+    return HermitianForm.from_matrix(np.array([[L11, L12], [np.conj(L12), L22]]))
+
+
+def levi_min_eig_batch(fn, z1, z2, h_rel: float = 1e-5) -> np.ndarray:
+    """Smallest Levi eigenvalue at each point of two complex arrays.
+
+    One batched :func:`jet`; the closed-form 2x2 Hermitian eigenvalue avoids
+    per-point linear algebra.
+    """
+    _, _, hess = jet(fn, z1, z2, h_rel)
+    return _min_eig(*_levi_entries(hess))
 
 
 def is_strictly_psh(u, grid, tol: float = 1e-8, h_rel: float = 1e-5,
@@ -264,24 +307,20 @@ def hartogs_boundary_test(psi, grid, tol: float = 1e-5,
     pointwise; the certificate notes the common regime.
     """
     zs = np.asarray(list(grid), dtype=complex).ravel()
+    z2 = np.exp(-np.asarray(psi(zs), dtype=float))  # boundary samples at angle 0
 
     def rho(z1, z2):
         return np.log(np.abs(z2)) + np.asarray(psi(z1), dtype=float)
 
-    lap = np.empty(zs.size)
-    levi_t = np.empty(zs.size)
-    for k, z in enumerate(zs):
-        h = h_rel * max(1.0, abs(z))
-        lap[k] = (psi(z + h) + psi(z - h) + psi(z + 1j * h) + psi(z - 1j * h)
-                  - 4.0 * psi(z)) / (h * h)
-        z2 = math.exp(-float(psi(z)))  # boundary sample at angle 0
-        L = levi_matrix(rho, (z, z2), h_rel=h_rel)
-        g = grad4(rho, (z, z2))
-        dz = np.array([0.5 * (g[0] - 1j * g[1]), 0.5 * (g[2] - 1j * g[3])])
-        # complex tangent direction: w . (d rho / dz) = 0
-        w = np.array([-dz[1], dz[0]])
-        w = w / np.linalg.norm(w)
-        levi_t[k] = L.quad(w)
+    _, _, hess_psi = jet(lambda z1, z2: psi(z1), zs, np.zeros_like(zs), h_rel)
+    lap = hess_psi[:, 0, 0] + hess_psi[:, 1, 1]
+    _, g, hess = jet(rho, zs, z2, h_rel)
+    L11, L22, L12 = _levi_entries(hess)
+    dz1 = 0.5 * (g[:, 0] - 1j * g[:, 1])
+    dz2 = 0.5 * (g[:, 2] - 1j * g[:, 3])
+    # Levi form on the complex tangent direction w = (-dz2, dz1) / |dz|
+    levi_t = (L11 * np.abs(dz2) ** 2 + L22 * np.abs(dz1) ** 2
+              - 2.0 * np.real(L12 * dz1 * np.conj(dz2))) / (np.abs(dz1) ** 2 + np.abs(dz2) ** 2)
 
     sign_i = np.where(np.abs(lap) <= tol, 0, np.sign(lap))
     sign_ii = np.where(np.abs(levi_t) <= tol, 0, np.sign(levi_t))
@@ -416,47 +455,10 @@ def _psh_probe(gamma_fn, lam, z1, z2, h_rel, direct_cap=50.0, gmax=1.0):
             return np.exp(lam * np.asarray(gamma_fn(a, b), dtype=float))
         return levi_min_eig_batch(fn, z1, z2, h_rel), "direct"
 
-    h = h_rel * np.maximum(1.0, np.maximum(np.abs(z1), np.abs(z2)))
-
-    def ev(s1, s2):
-        return np.asarray(gamma_fn(z1 + s1, z2 + s2), dtype=float)
-
-    gx1 = (ev(h, 0) - ev(-h, 0)) / (2 * h)
-    gy1 = (ev(1j * h, 0) - ev(-1j * h, 0)) / (2 * h)
-    gx2 = (ev(0, h) - ev(0, -h)) / (2 * h)
-    gy2 = (ev(0, 1j * h) - ev(0, -1j * h)) / (2 * h)
-    dz1 = 0.5 * (gx1 - 1j * gy1)
-    dz2 = 0.5 * (gx2 - 1j * gy2)
-    # min eig of Levi(gamma) + lam * (dgamma/dz)(dgamma/dz)*
-    L11, L22, L12 = _levi_entries_batch(gamma_fn, z1, z2, h_rel)
-    A11 = L11 + lam * np.abs(dz1) ** 2
-    A22 = L22 + lam * np.abs(dz2) ** 2
-    A12 = L12 + lam * dz1 * np.conj(dz2)
-    tr2 = (A11 + A22) / 2.0
-    disc = np.sqrt(((A11 - A22) / 2.0) ** 2 + np.abs(A12) ** 2)
-    return tr2 - disc, "factored"
-
-
-def _levi_entries_batch(fn, z1, z2, h_rel):
-    h = h_rel * np.maximum(1.0, np.maximum(np.abs(z1), np.abs(z2)))
-    d = [(h, 0), (1j * h, 0), (0, h), (0, 1j * h)]
-
-    def ev(s1, s2):
-        return np.asarray(fn(z1 + s1, z2 + s2), dtype=float)
-
-    u0 = ev(0, 0)
-    H = {}
-    for i in range(4):
-        H[(i, i)] = (ev(*d[i]) - 2 * u0 + ev(-d[i][0], -d[i][1])) / (h * h)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            s1, s2 = d[i][0] + d[j][0], d[i][1] + d[j][1]
-            t1, t2 = d[i][0] - d[j][0], d[i][1] - d[j][1]
-            H[(i, j)] = (ev(s1, s2) - ev(t1, t2) - ev(-t1, -t2) + ev(-s1, -s2)) / (4 * h * h)
-    L11 = 0.25 * (H[(0, 0)] + H[(1, 1)])
-    L22 = 0.25 * (H[(2, 2)] + H[(3, 3)])
-    L12 = 0.25 * (H[(0, 2)] + H[(1, 3)]) + 0.25j * (H[(0, 3)] - H[(1, 2)])
-    return L11, L22, L12
+    # Levi(gamma) + lam * (dgamma/dz)(dgamma/dz)* is the Levi form of the
+    # real Hessian H + lam g g^T
+    _, g, hess = jet(gamma_fn, z1, z2, h_rel)
+    return _min_eig(*_levi_entries(hess + lam * g[:, :, None] * g[:, None, :])), "factored"
 
 
 def find_lambda(gamma, grid, lambda_max: float = 1e4, tol: float = 1e-8,
@@ -477,16 +479,15 @@ def find_lambda(gamma, grid, lambda_max: float = 1e4, tol: float = 1e-8,
     z1 = np.array([p[0] for p in pts], dtype=complex)
     z2 = np.array([p[1] for p in pts], dtype=complex)
 
-    gvals = np.asarray(fn(z1, z2), dtype=float)
+    gvals, grads, hess = jet(fn, z1, z2, h_rel)
     gmax = float(np.abs(gvals).max())
 
-    for p in pts:
-        g = grad4(fn, p, h_rel)
+    for p, g, H in zip(pts, grads, hess):
         gn = np.linalg.norm(g)
         if gn < 1e-6:
             raise NotRegular(f"|grad gamma| = {gn:.3g} < 1e-6 at {p!r}")
         v = _complex_tangent_vector(g)
-        tangency = neg_ddc(fn, p, v, apply_J(v))
+        tangency = jet_neg_ddc(H, v, apply_J(v))
         if tangency <= 0:
             raise NotContact(
                 f"tangency term {tangency:.3g} <= 0 at {p!r}", witness=p)

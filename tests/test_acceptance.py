@@ -13,7 +13,8 @@ so a bare ``pytest -s tests/test_acceptance.py`` reads as a checklist:
   6. Levi composition and quadratic identities,
   7. the full default pipeline (model, family, lambda search, concavity
      and page/binding compatibility),
-  8. the same pipeline on a perturbed parameter set.
+  8. the same pipeline on a perturbed parameter set, under two knob
+     settings, and the lambda-independence of its contact sign.
 """
 from __future__ import annotations
 
@@ -483,8 +484,9 @@ def test_perturbed_parameter_set_passes_full_suite():
         for k in (-2, 2)
     )
 
-    knobs = dataclasses.replace(family.default_knobs(), eps1=0.003, eps2=0.005)
-    ok_run, rep = family.run_verification(par, knobs)
+    runs = {eps1: family.run_verification(
+        par, dataclasses.replace(family.default_knobs(), eps1=eps1, eps2=0.005))
+        for eps1 in (0.003, 0.004)}
     elapsed = time.perf_counter() - t0
 
     ok = (
@@ -495,14 +497,42 @@ def test_perturbed_parameter_set_passes_full_suite():
         and seam.passed
         and seam.details["psi2_shifts"] == [1]
         and branch_ok
-        and ok_run
-        and 0.0 < rep["lambda"] <= 1e4
+        and all(ok_run for ok_run, _ in runs.values())
+        and all(0.0 < rep["lambda"] <= 1e4 for _, rep in runs.values())
         and elapsed < 300.0
     )
+    pipelines = ", ".join(f"eps1={eps1}: lambda={rep['lambda']:.1f} passed={ok_run}"
+                          for eps1, (ok_run, rep) in runs.items())
     _report(
         "perturbed parameters",
         ok,
         f"chain margins ({m_product:.4f}, {m_ratio:.4f}), open book + gluing pass, "
-        f"pipeline lambda={rep['lambda']:.1f} passed={ok_run}, {elapsed:.0f} s",
+        f"pipelines {pipelines}, {elapsed:.0f} s",
+    )
+    assert ok
+
+
+def test_contact_sign_is_independent_of_lambda():
+    # alpha = -d^C exp(lam (gamma - 1)) = lam u beta with beta = -d^C gamma,
+    # so alpha ^ d alpha = (lam u)^2 beta ^ d beta: per-sample signs cannot
+    # depend on lam, and on M1 (gamma = 1 to the family's level-consistency
+    # bound 1e-8, so |u^2 - 1| < 3e-6 here) the values scale as lam^2.
+    fam = family.build_family(validate_params(_PERTURBED), 16, family.default_knobs())
+    samples = family.sample_M1(fam.model, 240)
+    frames = family._normalize_grid(fam.model, samples)
+    lams = (10.0, 50.0, 146.6925048828125)
+    scaled = []
+    for lam in lams:
+        vals, _ = family._contact_volumes(fam, lam, frames)
+        scaled.append(vals / lam ** 2)
+        cert = family.pseudoconcavity_check(fam, lam, samples)
+        assert cert.passed and cert.details["disagreements"] == 0, (lam, cert.to_dict())
+    worst = max(float(np.max(np.abs(s / scaled[0] - 1.0))) for s in scaled)
+    ok = all(np.array_equal(np.sign(s), np.sign(scaled[0])) for s in scaled) and worst < 1e-5
+    _report(
+        "lambda-independent contact sign",
+        ok,
+        f"{len(frames)} samples at lambda in {lams}: identical signs, "
+        f"alpha ^ d alpha / lambda^2 agrees to {worst:.1e}",
     )
     assert ok

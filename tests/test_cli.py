@@ -45,8 +45,12 @@ def test_unreadable_config_exits_2(tmp_path, capsys):
 
 
 def test_unknown_knob_exits_2(capsys):
-    code, _ = _run(capsys, ["verify", "--suite", "atlas", "--knobs.bogus=1"])
-    assert code == 2
+    for knob in ("bogus", "tol"):
+        code, out = _run(capsys, ["verify", "--suite", "atlas", f"--knobs.{knob}=1"])
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"] == "ConfigError"
+        assert f"unknown knobs: ['{knob}']" in doc["message"]
 
 
 # ---------------------------------------------------------------------------

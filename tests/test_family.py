@@ -27,12 +27,11 @@ def _family16():
 
 
 @functools.lru_cache(maxsize=None)
-def _lambda_u():
+def _lambda():
     fam = _family16()
     gam = family.gamma_field(fam)
-    lam, cert = find_lambda(gam, family.verification_grid(fam, 1),
-                            refine=lambda: family.verification_grid(fam, 2))
-    return lam, cert, family.normalized_potential(fam, lam)
+    return find_lambda(gam, family.verification_grid(fam, 1),
+                       refine=lambda: family.verification_grid(fam, 2))
 
 
 @functools.lru_cache(maxsize=None)
@@ -275,7 +274,7 @@ def test_verification_grid_shape_and_determinism():
 
 
 def test_find_lambda_on_the_family_grid():
-    lam, cert, _ = _lambda_u()
+    lam, cert = _lambda()
     assert cert.passed
     assert lam == pytest.approx(9.597103873471497, rel=1e-9)
     assert lam <= 1e4
@@ -283,8 +282,8 @@ def test_find_lambda_on_the_family_grid():
 
 
 def test_pseudoconcavity_certificate():
-    lam, _, u = _lambda_u()
-    cert = family.pseudoconcavity_check(_model(), _samples240(), u)
+    lam, _ = _lambda()
+    cert = family.pseudoconcavity_check(_family16(), lam, _samples240())
     assert cert.passed
     assert cert.margin > 0
     d = cert.details
@@ -293,8 +292,8 @@ def test_pseudoconcavity_certificate():
 
 
 def test_compatibility_three_subcertificates():
-    lam, _, u = _lambda_u()
-    cert = family.compatibility_check(_model(), u, _samples240())
+    lam, _ = _lambda()
+    cert = family.compatibility_check(_family16(), lam, _samples240())
     assert cert.passed
     parts = {c["name"]: c for c in cert.details["parts"]}
     assert set(parts) == {"binding_pairing", "page_area_form", "frame_span"}

@@ -12,11 +12,15 @@ from concavia.levi import (
     apply_J,
     composition_identity_check,
     d_c,
+    exp_jet,
     fd_consistency,
     find_lambda,
     grad4,
     hartogs_boundary_test,
     is_strictly_psh,
+    jet,
+    jet_d_c,
+    jet_neg_ddc,
     levi_matrix,
     levi_min_eig_batch,
     neg_ddc,
@@ -90,6 +94,40 @@ def test_fd_consistency_richardson():
 
 
 # ---------------------------------------------------------------------------
+# Jets: closed forms and exact composition
+# ---------------------------------------------------------------------------
+
+def test_jet_matches_closed_form():
+    rng = np.random.default_rng(9)
+    pts = _shell_points(rng, 12)
+    z1 = np.array([p[0] for p in pts])
+    z2 = np.array([p[1] for p in pts])
+    x = np.stack([z1.real, z1.imag, z2.real, z2.imag], axis=1)
+    for fn, diag in ((sq_norm, [2.0, 2.0, 2.0, 2.0]), (mixed_sig, [2.0, 2.0, -4.0, -4.0])):
+        val, g, H = jet(fn, z1, z2)
+        np.testing.assert_allclose(val, fn(z1, z2), rtol=1e-15)
+        np.testing.assert_allclose(g, np.array(diag) * x, atol=1e-8)
+        np.testing.assert_allclose(H, np.broadcast_to(np.diag(diag), H.shape), atol=1e-5)
+
+
+def test_exp_jet_matches_jet_of_the_exponential():
+    rng = np.random.default_rng(37)
+    pts = _shell_points(rng, 12)
+    z1 = np.array([p[0] for p in pts])
+    z2 = np.array([p[1] for p in pts])
+
+    def wavy(a, b):
+        return sq_norm(a, b) + 0.3 * np.real(a ** 2) + 0.1 * np.real(a * np.conj(b))
+
+    for lam, shift in ((0.5, 0.0), (1.0, 1.0), (2.0, 0.7)):
+        got = exp_jet(jet(wavy, z1, z2), lam, shift)
+        ref = jet(lambda a, b: np.exp(lam * (wavy(a, b) - shift)), z1, z2)
+        np.testing.assert_allclose(got[0], ref[0], rtol=1e-14)
+        np.testing.assert_allclose(got[1], ref[1], rtol=1e-8, atol=1e-8)
+        np.testing.assert_allclose(got[2], ref[2], rtol=1e-4, atol=1e-4)
+
+
+# ---------------------------------------------------------------------------
 # Levi matrices: closed forms
 # ---------------------------------------------------------------------------
 
@@ -150,20 +188,29 @@ def test_bridge_factor_two_hand_case():
 
 
 def test_bridge_factor_two_random_sweep():
+    # the bridge -dd^C u(v, Jv) = 2 v* L v, and the jet forms of d^C u(v) and
+    # -dd^C u(v, w) on independent (v, w) against the nested references
     rng = np.random.default_rng(23)
     fields = [ScalarField(sq_norm), ScalarField(re_z1_sq), ScalarField(mixed_sig)]
-    worst = 0.0
+    worst = worst_jet = 0.0
     for _ in range(50):
         u = fields[rng.integers(len(fields))]
         p = _shell_points(rng, 1)[0]
-        v = rng.normal(size=4)
+        v, w = rng.normal(size=(2, 4))
         v /= np.linalg.norm(v)
+        w /= np.linalg.norm(w)
         direct = neg_ddc(u, p, v, apply_J(v))
         L = levi_matrix(u, p)
         vc = np.array([v[0] + 1j * v[1], v[2] + 1j * v[3]])
         bridged = 2.0 * L.quad(vc)
         worst = max(worst, abs(direct - bridged) / max(1.0, abs(bridged)))
+        _, g, H = jet(u, [p[0]], [p[1]])
+        ref = neg_ddc(u, p, v, w)
+        worst_jet = max(worst_jet,
+                        abs(jet_neg_ddc(H[0], v, w) - ref) / max(1.0, abs(ref)),
+                        abs(jet_d_c(g[0], w) - d_c(u, p, w)))
     assert worst < 1e-5
+    assert worst_jet < 1e-5
 
 
 # ---------------------------------------------------------------------------
