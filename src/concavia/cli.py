@@ -52,9 +52,12 @@ from .errors import (
 )
 from .levi import (
     ScalarField,
+    exp_jet,
+    find_lambda,
     hartogs_boundary_test,
     is_strictly_psh,
-    levi_min_eig_batch,
+    jet,
+    levi_min_eig,
     quadratic_identity_check,
 )
 from .openbook import TwistSpec, check_disjointness, conjugation_check, corner_tori, welldef_check
@@ -437,16 +440,14 @@ def _export_family(cfg: RunConfig, par, outdir: str) -> list[str]:
 def _export_levi_field(cfg: RunConfig, par, outdir: str) -> list[str]:
     kn = cfg.knobs
     fam = family.build_family(par, kn["n_tau"], cfg.family_knobs())
-    gam = family.gamma_field(fam)
-    from .levi import find_lambda
-    lam, _ = find_lambda(gam, family.verification_grid(fam, kn["density"]),
-                         lambda_max=kn["lambda_max"],
-                         refine=lambda: family.verification_grid(fam, 2 * kn["density"]))
-    u = family.normalized_potential(fam, lam)
+    lam, _ = find_lambda(family.gamma_field(fam),
+                         family.verification_grid(fam, 1) + family.verification_grid(fam, 2),
+                         lambda_max=kn["lambda_max"])
     pts = family.verification_grid(fam, kn["density"])
     z1 = np.array([p[0] for p in pts])
     z2 = np.array([p[1] for p in pts])
-    eigs = levi_min_eig_batch(u.fn, z1, z2)
+    # Levi form of u = exp(lam (gamma - 1)), composed from a jet of gamma
+    eigs = levi_min_eig(exp_jet(jet(fam.fol.gamma, z1, z2), lam, 1.0)[2])
     rows = [(float(a.real), float(a.imag), float(b.real), float(b.imag), float(e))
             for a, b, e in zip(z1, z2, eigs)]
     path = os.path.join(outdir, "levi_field.csv")

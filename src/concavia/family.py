@@ -20,7 +20,7 @@ Coordinate conventions, fixed once:
   (the side swept by the interior slices, where ``gamma < 1``).  Frames are
   listed normal-first.  "Negative contact" is certified as ``alpha ^ d alpha
   < 0`` in this orientation; flipping the co-orientation flips the sign
-  uniformly (checked).
+  uniformly, since the 3-form is alternating.
 * ``u = exp(lambda * (gamma - 1))`` maps the collar into ``(0, 1]`` with
   ``u = 1`` exactly on ``M1``; it is a positive multiple of
   ``exp(lambda*gamma)``, so plurisubharmonicity certificates transfer.
@@ -816,7 +816,8 @@ def verification_grid(fam: FamilySpec, density: int = 1) -> list[tuple]:
 
     Covers both walls at several depths and levels, the dome cap away from
     its corners, and points adjacent to the binding plane.  ``density``
-    scales the per-sector counts (2 doubles the grid for re-verification).
+    scales the per-sector counts; the lambda grid is the union of densities 1
+    and 2 (62 + 191 points).
     """
     fol = fam.fol
     pts = []
@@ -937,7 +938,6 @@ def _sample_frames(model: SphereModel, samples):
 def _contact_volumes(fam: FamilySpec, lam: float, samples):
     """``alpha ^ d alpha`` on each sample's oriented tangent frame.
 
-    Returns the values and the same 3-form with two frame legs swapped.
     ``samples`` are normalized triples (see :func:`_normalize_grid`).
     """
     z1 = np.array([s[0] for s in samples])
@@ -949,10 +949,7 @@ def _contact_volumes(fam: FamilySpec, lam: float, samples):
     e2, e3 = np.where(swap, e3, e2), np.where(swap, e2, e3)
     al = [-jet_d_c(g, v) for v in (e1, e2, e3)]
     da = [jet_neg_ddc(H, e2, e3), jet_neg_ddc(H, e1, e3), jet_neg_ddc(H, e1, e2)]
-    vals = al[0] * da[0] - al[1] * da[1] + al[2] * da[2]
-    flipped = al[0] * jet_neg_ddc(H, e3, e2) \
-        - al[2] * jet_neg_ddc(H, e1, e2) + al[1] * jet_neg_ddc(H, e1, e3)
-    return vals, flipped
+    return al[0] * da[0] - al[1] * da[1] + al[2] * da[2]
 
 
 def pseudoconcavity_check(fam: FamilySpec, lam: float, grid) -> Certificate:
@@ -967,16 +964,14 @@ def pseudoconcavity_check(fam: FamilySpec, lam: float, grid) -> Certificate:
     """
     model = fam.model
     samples = _normalize_grid(model, grid)
-    vals, flipped = _contact_volumes(fam, lam, samples)
+    vals = _contact_volumes(fam, lam, samples)
     tags = np.array([tag for _, _, tag in samples])
     kappa = np.array([_oriented_curvature(model, z1, tag, math.log(abs(z2)))
                       for z1, z2, tag in samples])
     agree = int(np.sum((kappa > 0) & (vals < 0)))
-    # swapping two frame legs must flip the 3-form value
-    flip_ok = bool(np.all(flipped * vals < 0))
     per_piece = {t: vals[tags == t] for t in ("H1", "H2", "S")}
     i = int(np.argmax(vals))
-    passed = bool(np.all(vals < 0)) and agree == len(samples) and flip_ok
+    passed = bool(np.all(vals < 0)) and agree == len(samples)
     return Certificate(
         name="pseudoconcavity",
         grid=f"{len(samples)} samples "
@@ -987,7 +982,6 @@ def pseudoconcavity_check(fam: FamilySpec, lam: float, grid) -> Certificate:
             "min_abs_volume": float(np.min(np.abs(vals))),
             "classification_agreements": agree,
             "disagreements": len(samples) - agree,
-            "orientation_flip_sanity": flip_ok,
             "per_piece_max": {t: (float(np.max(v)) if v.size else None)
                               for t, v in per_piece.items()},
         })
@@ -1092,18 +1086,14 @@ def run_verification(params: Params, knobs: Knobs | None = None, *,
     fam = build_family(params, n_tau, knobs)
     model = fam.model
     gam = gamma_field(fam)
-    grid = verification_grid(fam, 1)
-    lam, cert_lam = find_lambda(gam, grid, lambda_max=lambda_max,
-                                refine=lambda: verification_grid(fam, 2))
-    # level-function regularity on the search grid
-    reg = grid[:: max(1, len(grid) // 64)]
-    _, g, _ = jet(gam, [p[0] for p in reg], [p[1] for p in reg])
-    norms = np.linalg.norm(g, axis=1)
+    grid = verification_grid(fam, 1) + verification_grid(fam, 2)
+    lam, cert_lam = find_lambda(gam, grid, lambda_max=lambda_max)
+    # level-function regularity, read off find_lambda's jet of gamma
+    lo, hi = cert_lam.details["gradient_norm_range"]
     cert_reg = Certificate(
-        name="gamma_regularity", grid=f"{len(norms)} grid points",
-        margin=float(norms.min()) - 1e-6, passed=bool(norms.min() > 1e-6),
-        details={"min_gradient_norm": float(norms.min()),
-                 "max_gradient_norm": float(norms.max())})
+        name="gamma_regularity", grid=f"{len(grid)} grid points",
+        margin=lo - 1e-6, passed=lo > 1e-6,
+        details={"min_gradient_norm": lo, "max_gradient_norm": hi})
     samples = sample_M1(model, n_samples)
     cert_pc = pseudoconcavity_check(fam, lam, samples)
     cert_cp = compatibility_check(fam, lam, samples)

@@ -23,6 +23,12 @@ g . Jv``, ``-dd^C u(v, w) = -(H(v, Jw) - H(w, Jv)) / 2`` and the Levi 2x2.
 :func:`grad4`, :func:`d_c` and the nested-difference :func:`neg_ddc` share
 no code with the jet; they are kept only as the independent reference behind
 the quadratic and composition identity checks.  No symbolic engine.
+
+:func:`find_lambda` has no search: ``Levi(gamma) + lam dgamma dgamma*`` is a
+rank-one update whose 2x2 determinant is linear in ``lam``, so each point's
+smallest ``lam`` is a closed-form root, taken from one jet of ``gamma`` at
+``h_rel`` and one at ``2 h_rel``; their difference is the Richardson error
+the returned ``lam`` is padded by.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certs import Certificate
-from .errors import Exhausted, NotContact, NotRegular, RegionError
+from .errors import DomainError, Exhausted, NotContact, NotRegular, RegionError
 
 __all__ = [
     "ScalarField",
@@ -47,6 +53,7 @@ __all__ = [
     "jet_d_c",
     "jet_neg_ddc",
     "levi_matrix",
+    "levi_min_eig",
     "levi_min_eig_batch",
     "is_strictly_psh",
     "hartogs_boundary_test",
@@ -262,14 +269,19 @@ def levi_matrix(u: ScalarField, point, h_rel: float = 1e-5) -> HermitianForm:
     return HermitianForm.from_matrix(np.array([[L11, L12], [np.conj(L12), L22]]))
 
 
-def levi_min_eig_batch(fn, z1, z2, h_rel: float = 1e-5) -> np.ndarray:
-    """Smallest Levi eigenvalue at each point of two complex arrays.
+def levi_min_eig(hess) -> np.ndarray:
+    """Smallest Levi eigenvalue from real Hessians ``[N, 4, 4]``.
 
-    One batched :func:`jet`; the closed-form 2x2 Hermitian eigenvalue avoids
-    per-point linear algebra.
+    The closed-form 2x2 Hermitian eigenvalue avoids per-point linear algebra.
     """
-    _, _, hess = jet(fn, z1, z2, h_rel)
     return _min_eig(*_levi_entries(hess))
+
+
+def levi_min_eig_batch(fn, z1, z2, h_rel: float = 1e-5) -> np.ndarray:
+    """Smallest Levi eigenvalue at each point of two complex arrays, from one
+    batched :func:`jet`."""
+    _, _, hess = jet(fn, z1, z2, h_rel)
+    return levi_min_eig(hess)
 
 
 def is_strictly_psh(u, grid, tol: float = 1e-8, h_rel: float = 1e-5,
@@ -426,144 +438,92 @@ def composition_identity_check(gamma, gfun, samples, seed: int = 20240602,
 
 
 # ---------------------------------------------------------------------------
-# Lambda search for exp(lambda * gamma)
+# Closed-form lambda for exp(lambda * gamma)
 # ---------------------------------------------------------------------------
 
-def _complex_tangent_vector(n: np.ndarray) -> np.ndarray:
-    """A unit vector orthogonal to both ``n`` and ``Jn`` (deterministic)."""
-    Jn = apply_J(n)
-    best, best_norm = None, -1.0
-    for i in range(4):
-        e = np.zeros(4)
-        e[i] = 1.0
-        w = e - (e @ n) * n / (n @ n) - (e @ Jn) * Jn / (Jn @ Jn)
-        nw = np.linalg.norm(w)
-        if nw > best_norm:
-            best, best_norm = w, nw
-    return best / best_norm
+def _rank_one_terms(g, hess, tol):
+    """``(det A, c)`` such that ``det(A + lam B) = det A + lam c`` per point.
 
-
-def _psh_probe(gamma_fn, lam, z1, z2, h_rel, direct_cap=50.0, gmax=1.0):
-    """Min Levi eigenvalue of exp(lam*gamma): direct when safe, else factored.
-
-    For large ``lam`` the exponential overflows / loses precision, so the
-    equivalent positivity of ``Levi(gamma) + lam * dgamma dgamma*`` is used
-    (same sign since ``lam e^{lam g} > 0``).
+    ``A = Levi(H) - tol I`` and ``B = Levi(g g^T) = dgamma dgamma*`` has rank
+    one, so ``det B = 0`` and the determinant is linear in ``lam``; ``c =
+    A11 B22 + A22 B11 - 2 Re(A12 conj(B12))`` is ``A`` on the complex tangent
+    of the level set, scaled by ``|dgamma|^2``.
     """
-    if lam * gmax <= direct_cap:
-        def fn(a, b):
-            return np.exp(lam * np.asarray(gamma_fn(a, b), dtype=float))
-        return levi_min_eig_batch(fn, z1, z2, h_rel), "direct"
-
-    # Levi(gamma) + lam * (dgamma/dz)(dgamma/dz)* is the Levi form of the
-    # real Hessian H + lam g g^T
-    _, g, hess = jet(gamma_fn, z1, z2, h_rel)
-    return _min_eig(*_levi_entries(hess + lam * g[:, :, None] * g[:, None, :])), "factored"
+    A11, A22, A12 = _levi_entries(hess)
+    A11, A22 = A11 - tol, A22 - tol
+    B11, B22, B12 = _levi_entries(g[:, :, None] * g[:, None, :])
+    return (A11 * A22 - (A12.real ** 2 + A12.imag ** 2),
+            A11 * B22 + A22 * B11 - 2.0 * np.real(A12 * np.conj(B12)))
 
 
 def find_lambda(gamma, grid, lambda_max: float = 1e4, tol: float = 1e-8,
-                h_rel: float = 1e-5, refine=None) -> tuple[float, Certificate]:
-    """Smallest doubling/bisection probe ``lam`` making ``e^{lam gamma}`` psh.
+                h_rel: float = 1e-5) -> tuple[float, Certificate]:
+    """Closed-form ``lam`` making ``e^{lam gamma}`` strictly psh on ``grid``.
 
-    Preconditions checked on the grid: the finite-difference gradient of
-    ``gamma`` stays above ``1e-6`` (else ``NotRegular``), and the Levi form
-    of ``gamma`` is positive on the measured complex tangency of its level
-    set (else ``NotContact`` with a witness) — the exponential cannot repair
-    a tangency defect, only the complementary directions.
+    ``e^{lam gamma}`` is strictly psh exactly where ``Levi(gamma) + lam
+    dgamma dgamma*`` is positive definite.  With ``c > 0`` that holds above
+    the root ``-det A / c`` of the linear determinant (see
+    :func:`_rank_one_terms`), so each point's ``lam`` is ``max(0, -det A /
+    c)``: ``a`` from a jet at ``h_rel`` and ``b`` from one at ``2 h_rel``.
+    The returned ``lam = max_p [max(a, b) + |a - b|]`` passes at both steps
+    plus its own Richardson error, and can only grow with the grid.
 
-    The certificate re-verifies the returned ``lam`` on the 2x refined grid
-    produced by ``refine()`` when given, else on the search grid.
+    Preconditions, named at the first failing point in grid order: a finite
+    Levi form and gradient at both steps (else ``DomainError``; the unused
+    mixed entries ``H[0, 1]``, ``H[2, 3]`` may be NaN where the stencil's
+    diagonal corners leave the domain), ``|grad gamma| >= 1e-6`` (else
+    ``NotRegular``) and ``c > 0`` (else ``NotContact`` with a witness) — the
+    exponential cannot repair the complex tangency of the level set.  A
+    ``lam`` above ``lambda_max`` raises ``Exhausted``.
+
+    The margin is ``min_p`` of the smallest eigenvalue of ``Levi(H + lam g
+    g^T)`` at ``h_rel``, the potential's Levi form divided by ``lam
+    e^{lam gamma}``; ``error_estimate`` is ``|a - b|`` at the point that sets
+    ``lam``.
     """
     pts = list(grid)
     fn = gamma.fn if isinstance(gamma, ScalarField) else gamma
     z1 = np.array([p[0] for p in pts], dtype=complex)
     z2 = np.array([p[1] for p in pts], dtype=complex)
+    jets = [jet(fn, z1, z2, s) for s in (h_rel, 2.0 * h_rel)]
+    (det_a, c_a), (det_b, c_b) = (_rank_one_terms(g, H, tol) for _, g, H in jets)
 
-    gvals, grads, hess = jet(fn, z1, z2, h_rel)
-    gmax = float(np.abs(gvals).max())
+    finite = np.isfinite(det_a) & np.isfinite(c_a) & np.isfinite(det_b) & np.isfinite(c_b)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise DomainError(f"Levi form of gamma is not finite at {pts[i]!r} "
+                          f"(h_rel {h_rel:g} or {2.0 * h_rel:g})")
+    gnorm = np.linalg.norm(jets[0][1], axis=1)
+    irregular = np.minimum(gnorm, np.linalg.norm(jets[1][1], axis=1)) < 1e-6
+    c = np.minimum(c_a, c_b)
+    bad = irregular | (c <= 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if irregular[i]:
+            raise NotRegular(f"|grad gamma| = {gnorm[i]:.3g} < 1e-6 at {pts[i]!r}")
+        raise NotContact(f"contact term {c[i]:.3g} <= 0 at {pts[i]!r}", witness=pts[i])
 
-    for p, g, H in zip(pts, grads, hess):
-        gn = np.linalg.norm(g)
-        if gn < 1e-6:
-            raise NotRegular(f"|grad gamma| = {gn:.3g} < 1e-6 at {p!r}")
-        v = _complex_tangent_vector(g)
-        tangency = jet_neg_ddc(H, v, apply_J(v))
-        if tangency <= 0:
-            raise NotContact(
-                f"tangency term {tangency:.3g} <= 0 at {p!r}", witness=p)
+    a = np.maximum(0.0, -det_a / c_a)
+    b = np.maximum(0.0, -det_b / c_b)
+    per_point = np.maximum(a, b) + np.abs(a - b)
+    k = int(np.argmax(per_point))
+    lam = float(per_point[k])
+    if lam > lambda_max:
+        raise Exhausted(f"lambda {lam:.6g} > {lambda_max:g} needed at {pts[k]!r}")
 
-    def passes(lam):
-        eigs, mode = _psh_probe(fn, lam, z1, z2, h_rel, gmax=gmax)
-        return float(eigs.min()) > tol, mode
-
-    lam = 1.0
-    ok, mode = passes(lam)
-    if ok:
-        # halve toward a failing bracket; stop at a resolution floor above
-        # the finite-difference noise level
-        lo, hi = 0.0, lam
-        while hi > 1e-3:
-            cand = hi / 2.0
-            got, _ = passes(cand)
-            if got:
-                hi = cand
-            else:
-                lo = cand
-                break
-        lam_pass = hi
-    else:
-        while not ok:
-            lam *= 2.0
-            if lam > lambda_max:
-                raise Exhausted(f"no lambda <= {lambda_max} makes exp(lambda*gamma) psh")
-            ok, mode = passes(lam)
-        lo, lam_pass = lam / 2.0, lam
-    if lo > 0.0:
-        for _ in range(20):
-            mid = 0.5 * (lo + lam_pass)
-            if mid <= lo or mid >= lam_pass:
-                break
-            got, _ = passes(mid)
-            if got:
-                lam_pass = mid
-            else:
-                lo = mid
-
-    check_pts = list(refine()) if refine is not None else pts
-    cz1 = np.array([p[0] for p in check_pts], dtype=complex)
-    cz2 = np.array([p[1] for p in check_pts], dtype=complex)
-    eigs, mode = _psh_probe(fn, lam_pass, cz1, cz2, h_rel, gmax=gmax)
-    if float(eigs.min()) <= tol:
-        # the refined grid exposed harder points: lift lambda on it
-        lo2, hi2 = lam_pass, 2.0 * lam_pass
-        while True:
-            if hi2 > lambda_max:
-                raise Exhausted(
-                    f"no lambda <= {lambda_max} passes on the refined grid")
-            eigs, mode = _psh_probe(fn, hi2, cz1, cz2, h_rel, gmax=gmax)
-            if float(eigs.min()) > tol:
-                break
-            hi2 *= 2.0
-        for _ in range(20):
-            mid = 0.5 * (lo2 + hi2)
-            if mid <= lo2 or mid >= hi2:
-                break
-            got, _ = _psh_probe(fn, mid, cz1, cz2, h_rel, gmax=gmax)
-            if float(got.min()) > tol:
-                hi2 = mid
-            else:
-                lo2 = mid
-        lam_pass = hi2
-        eigs, mode = _psh_probe(fn, lam_pass, cz1, cz2, h_rel, gmax=gmax)
+    _, g, H = jets[0]
+    eigs = levi_min_eig(H + lam * g[:, :, None] * g[:, None, :])
     i = int(np.argmin(eigs))
     cert = Certificate(
         name="find_lambda",
-        grid=f"search {len(pts)} pts, verify {len(check_pts)} pts",
+        grid=f"{len(pts)} pts",
         margin=float(eigs[i]),
         passed=bool(eigs[i] > tol),
-        worst_point=(complex(cz1[i]), complex(cz2[i])),
-        details={"lambda": lam_pass, "probe_mode": mode, "tol": tol})
-    return lam_pass, cert
+        worst_point=(complex(z1[i]), complex(z2[i])),
+        details={"lambda": lam, "method": "closed_form", "h_rel": h_rel,
+                 "error_estimate": float(abs(a[k] - b[k])), "tol": tol,
+                 "gradient_norm_range": [float(gnorm.min()), float(gnorm.max())]})
+    return lam, cert
 
 
 # ---------------------------------------------------------------------------

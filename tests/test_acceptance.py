@@ -421,14 +421,16 @@ def test_default_pipeline_certifies_model_family_and_potential():
     lam = rep["lambda"]
 
     # independent re-check of the returned lambda on a doubled grid; probe
-    # exp(lam*gamma), whose Levi form is the potential's times e^lam > 0
+    # exp(lam*gamma), whose Levi form is the potential's times e^lam > 0, at
+    # two steps and remove the O(h^2) error per point before the minimum
     gam = family.gamma_field(fam)
     grid2 = family.verification_grid(fam, 2)
     z1 = np.array([p[0] for p in grid2], dtype=complex)
     z2 = np.array([p[1] for p in grid2], dtype=complex)
-    refined_min = float(levi_min_eig_batch(
+    m1, m3 = (levi_min_eig_batch(
         lambda a, b: np.exp(lam * np.asarray(gam.fn(a, b), dtype=float)),
-        z1, z2).min())
+        z1, z2, h_rel) for h_rel in (1e-5, 3e-5))
+    refined_min = float((m1 + (m1 - m3) / 8.0).min())
 
     model_margins = {k: c["margin"] for k, c in rep["model"]["certificates"].items()}
     parts = rep["checks"]["compatibility"]["details"]["parts"]
@@ -523,7 +525,7 @@ def test_contact_sign_is_independent_of_lambda():
     lams = (10.0, 50.0, 146.6925048828125)
     scaled = []
     for lam in lams:
-        vals, _ = family._contact_volumes(fam, lam, frames)
+        vals = family._contact_volumes(fam, lam, frames)
         scaled.append(vals / lam ** 2)
         cert = family.pseudoconcavity_check(fam, lam, samples)
         assert cert.passed and cert.details["disagreements"] == 0, (lam, cert.to_dict())

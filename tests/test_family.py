@@ -30,8 +30,7 @@ def _family16():
 def _lambda():
     fam = _family16()
     gam = family.gamma_field(fam)
-    return find_lambda(gam, family.verification_grid(fam, 1),
-                       refine=lambda: family.verification_grid(fam, 2))
+    return find_lambda(gam, family.verification_grid(fam, 1) + family.verification_grid(fam, 2))
 
 
 @functools.lru_cache(maxsize=None)
@@ -276,7 +275,7 @@ def test_verification_grid_shape_and_determinism():
 def test_find_lambda_on_the_family_grid():
     lam, cert = _lambda()
     assert cert.passed
-    assert lam == pytest.approx(9.597103873471497, rel=1e-9)
+    assert lam == pytest.approx(9.592854823272186, rel=1e-9)
     assert lam <= 1e4
     assert cert.margin > 0
 
@@ -317,6 +316,6 @@ def test_run_verification_is_deterministic():
     ok2, rep2 = family.run_verification(default_params())
     assert ok1 and ok2
     assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
-    assert rep1["lambda"] == pytest.approx(9.597103873471497, rel=1e-9)
+    assert rep1["lambda"] == pytest.approx(9.592854823272186, rel=1e-9)
     for cert in rep1["checks"].values():
         assert cert["passed"]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from concavia.errors import Exhausted, NotContact, NotRegular, RegionError
+from concavia.errors import ConcaviaError, Exhausted, NotContact, NotRegular, RegionError
 from concavia.levi import (
     HermitianForm,
     ScalarField,
@@ -22,6 +22,7 @@ from concavia.levi import (
     jet_d_c,
     jet_neg_ddc,
     levi_matrix,
+    levi_min_eig,
     levi_min_eig_batch,
     neg_ddc,
     quadratic_identity_check,
@@ -209,6 +210,8 @@ def test_bridge_factor_two_random_sweep():
         worst_jet = max(worst_jet,
                         abs(jet_neg_ddc(H[0], v, w) - ref) / max(1.0, abs(ref)),
                         abs(jet_d_c(g[0], w) - d_c(u, p, w)))
+        # swapping the legs of the 2-form negates it bitwise
+        assert jet_neg_ddc(H[0], w, v) == -jet_neg_ddc(H[0], v, w)
     assert worst < 1e-5
     assert worst_jet < 1e-5
 
@@ -389,10 +392,56 @@ def test_find_lambda_doubling_is_monotone():
 
 
 def test_find_lambda_refined_grid_verification():
-    lam, cert = find_lambda(indefinite_gamma, _patch_points(40),
-                            refine=lambda: _patch_points(80, seed=29))
+    coarse, fine = _patch_points(40), _patch_points(80, seed=29)
+    lam, cert = find_lambda(indefinite_gamma, coarse + fine)
     assert cert.passed
-    assert "verify 80" in cert.grid
+    assert cert.grid == "120 pts"
+    # lambda is a maximum of per-point values, so it can only grow with the grid
+    assert lam >= find_lambda(indefinite_gamma, coarse)[0]
+    assert lam >= find_lambda(indefinite_gamma, fine)[0]
+
+
+def test_find_lambda_closed_form_matches_bisection():
+    # 60 bisection steps on the factored minimum eigenvalue, required to pass
+    # at both steps, find max_p max(a_p, b_p); the closed form adds the
+    # Richardson difference |a_p - b_p| at the point that sets lambda
+    pts = _patch_points()
+    z1 = np.array([p[0] for p in pts])
+    z2 = np.array([p[1] for p in pts])
+    jets = [jet(indefinite_gamma, z1, z2, h) for h in (1e-5, 2e-5)]
+
+    def passes(lam):
+        return all(levi_min_eig(H + lam * g[:, :, None] * g[:, None, :]).min() > 1e-8
+                   for _, g, H in jets)
+
+    lo, hi = 0.0, 10.0
+    assert not passes(lo) and passes(hi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if passes(mid) else (mid, hi)
+    lam, cert = find_lambda(indefinite_gamma, pts)
+    assert cert.details["method"] == "closed_form"
+    assert lam - cert.details["error_estimate"] == pytest.approx(hi, rel=1e-12)
+    # gamma is quadratic, so the two steps differ by rounding only
+    assert cert.details["error_estimate"] < 1e-4 * lam
+
+
+@pytest.mark.parametrize("slab", [(1.5, 2.5), (0.5, 2.5)])
+def test_find_lambda_nan_jet_is_a_named_error(slab):
+    # gamma is NaN on a thin slab in x2 beside one patch point, ``slab``
+    # steps of h = 1e-5 away: (1.5, 2.5) reaches only the 2h jet, (0.5, 2.5)
+    # both jets
+    pts = _patch_points()
+    p1, p2 = pts[7]
+    lo, hi = (p2.real + s * 1e-5 for s in slab)
+
+    def holed(z1, z2):
+        hole = (np.abs(z1 - p1) < 1e-4) & (np.real(z2) > lo) & (np.real(z2) < hi)
+        return np.where(hole, np.nan, indefinite_gamma(z1, z2))
+
+    with pytest.raises(ConcaviaError, match="not finite") as ei:
+        find_lambda(holed, pts)
+    assert repr(pts[7]) in str(ei.value)
 
 
 def test_find_lambda_not_regular_at_critical_point():
