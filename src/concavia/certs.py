@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 __all__ = ["Certificate"]
 
 
@@ -65,6 +67,24 @@ class Certificate:
             "worst_point": _jsonable(self.worst_point),
             "details": _jsonable(self.details),
         }
+
+    @staticmethod
+    def sup_error(errors) -> tuple[int | None, float]:
+        """Index and value of the largest of the per-sample ``errors``;
+        ``(None, 0.0)`` if no error is positive.
+
+        A non-finite error counts as ``inf``, so the certificate fails: a
+        running ``max`` drops NaN (``max(0.0, nan)`` is ``0.0``) and ``np.max``
+        propagates it, which would pass over a NaN error or leave a NaN
+        margin.  Combine several error terms per sample with ``np.maximum``,
+        which keeps NaN.
+        """
+        e = np.asarray(errors, dtype=float)
+        e = np.where(np.isfinite(e), e, np.inf)
+        if not np.any(e > 0):
+            return None, 0.0
+        k = int(np.argmax(e))
+        return k, float(e[k])
 
     @staticmethod
     def merge(name: str, certs: list["Certificate"]) -> "Certificate":

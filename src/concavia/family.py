@@ -753,19 +753,20 @@ def build_family(params: Params, n_tau: int, knobs: Knobs | None = None,
         margin=1e-10 - res, passed=res < 1e-10,
         details={"wall1": e_w1, "wall2": e_w2, "dome": e_dome})
 
-    # level consistency: gamma returns tau on each slice
-    worst_dev = 0.0
+    # level consistency: gamma returns tau on each slice; 9 points per slice
+    # (both walls at three heights, the dish at three abscissae), all
+    # evaluated in one call
+    pts = []
     for t in taus[:: max(1, n_tau // 8)] + (1.0,):
         for q2 in (-1.5, -0.2, float(fol.y_cut(t)) - 0.004):
-            z1 = fol.wall1(t, math.exp(q2)) * np.exp(0.9j)
-            worst_dev = max(worst_dev, abs(fol.gamma(z1, math.exp(q2) + 0j) - t))
-            z1b = fol.wall2(t, q2) * np.exp(-1.7j)
-            worst_dev = max(worst_dev, abs(fol.gamma(z1b, math.exp(q2) + 0j) - t))
+            pts.append((t, fol.wall1(t, math.exp(q2)) * np.exp(0.9j), math.exp(q2) + 0j))
+            pts.append((t, fol.wall2(t, q2) * np.exp(-1.7j), math.exp(q2) + 0j))
         for s in (0.1, 0.5, 0.9):
             q1 = float(fol.Xl(t)) + s * (float(fol.Xr(t)) - float(fol.Xl(t)))
             q2 = float(fol.dish(t, q1))
-            worst_dev = max(worst_dev, abs(fol.gamma(np.exp(q1 + 0.3j),
-                                                     np.exp(q2 - 1.1j)) - t))
+            pts.append((t, np.exp(q1 + 0.3j), np.exp(q2 - 1.1j)))
+    t, z1, z2 = (np.array(col) for col in zip(*pts))
+    _, worst_dev = Certificate.sup_error(np.abs(fol.gamma(z1, z2) - t))
     certs["level_consistency"] = Certificate(
         name="level_consistency", grid="9 slices x 9 points",
         margin=1e-8 - worst_dev, passed=worst_dev < 1e-8,

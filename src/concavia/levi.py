@@ -193,30 +193,39 @@ def jet(fn, z1, z2, h_rel: float = 1e-5):
     One vectorized 33-point central-difference stencil on ``(x1, y1, x2,
     y2)`` with step ``h_rel * max(1, |z1|, |z2|)``: the 8 axis shifts give
     the gradient and the Hessian diagonal, the 24 diagonal shifts the mixed
-    second derivatives.  Returns ``(value[N], grad[N, 4], hess[N, 4, 4])``.
+    second derivatives.  ``fn`` is called once, on all ``33 N`` shifted
+    points stacked shift by shift, so it must be elementwise: a point's
+    value may not depend on the other points in the batch.  A scalar result
+    is broadcast.  Returns ``(value[N], grad[N, 4], hess[N, 4, 4])``.
     """
     z1 = np.asarray(z1, dtype=complex).ravel()
     z2 = np.asarray(z2, dtype=complex).ravel()
     h = h_rel * np.maximum(1.0, np.maximum(np.abs(z1), np.abs(z2)))
     d = [(h, 0), (1j * h, 0), (0, h), (0, 1j * h)]
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    shifts = [(0, 0)]
+    for s1, s2 in d:
+        shifts += [(s1, s2), (-s1, -s2)]
+    for i, j in pairs:
+        s1, s2 = d[i][0] + d[j][0], d[i][1] + d[j][1]
+        t1, t2 = d[i][0] - d[j][0], d[i][1] - d[j][1]
+        shifts += [(s1, s2), (t1, t2), (-t1, -t2), (-s1, -s2)]
+    Z1 = np.concatenate([z1 + s1 for s1, _ in shifts])
+    Z2 = np.concatenate([z2 + s2 for _, s2 in shifts])
+    vals = np.broadcast_to(np.asarray(fn(Z1, Z2), dtype=float), Z1.shape)
+    rows = iter(vals.reshape(len(shifts), z1.size))
 
-    def ev(s1, s2):
-        return np.asarray(fn(z1 + s1, z2 + s2), dtype=float)
-
-    u0 = ev(0, 0)
+    u0 = next(rows)
     grad = np.empty((z1.size, 4))
     hess = np.empty((z1.size, 4, 4))
     for i in range(4):
-        up, dn = ev(*d[i]), ev(-d[i][0], -d[i][1])
+        up, dn = next(rows), next(rows)
         grad[:, i] = (up - dn) / (2 * h)
         hess[:, i, i] = (up - 2 * u0 + dn) / (h * h)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            s1, s2 = d[i][0] + d[j][0], d[i][1] + d[j][1]
-            t1, t2 = d[i][0] - d[j][0], d[i][1] - d[j][1]
-            hess[:, i, j] = hess[:, j, i] = (
-                ev(s1, s2) - ev(t1, t2) - ev(-t1, -t2) + ev(-s1, -s2)) / (4 * h * h)
-    return u0, grad, hess
+    for i, j in pairs:
+        pp, pm, mp, mm = next(rows), next(rows), next(rows), next(rows)
+        hess[:, i, j] = hess[:, j, i] = (pp - pm - mp + mm) / (4 * h * h)
+    return np.array(u0), grad, hess
 
 
 def exp_jet(jet, lam: float, shift: float = 0.0):

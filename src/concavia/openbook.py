@@ -249,14 +249,15 @@ def conjugation_check(spec: TwistSpec, samples=None, n: int = 10 ** 4,
         rng = np.random.default_rng(seed)
         samples = [(cmath.exp(2j * math.pi * th), float(t))
                    for th, t in zip(rng.uniform(0, 1, n), rng.uniform(0, 1, n))]
-    worst, worst_at = 0.0, None
+    err_w, err_t = [], []
     for w, t in samples:
         z = q_inverse(spec, w, t)
         w_out, t_out = q_chart(spec, monodromy_delta(spec, z))
         w_ref = w * cmath.exp(-2j * math.pi * t)
-        err = max(abs(w_out - w_ref), abs(t_out - t))
-        if err > worst:
-            worst, worst_at = err, (w, t)
+        err_w.append(abs(w_out - w_ref))
+        err_t.append(abs(t_out - t))
+    k, worst = Certificate.sup_error(np.maximum(err_w, err_t))
+    worst_at = None if k is None else samples[k]
     return Certificate(
         name="left_twist_conjugation",
         grid=f"{len(samples)} samples on S^1 x [0,1]",
@@ -368,7 +369,7 @@ def welldef_check(params: Params, seam_samples=None, tol: float = 1e-8) -> Certi
     """
     if seam_samples is None:
         seam_samples = default_seam_samples(params)
-    worst, worst_at = 0.0, None
+    err_1, err_2 = [], []  # per sample: annulus (relative) and fiber coordinate errors
     n_a = n_b = 0
     shifts = set()
     for p in seam_samples:
@@ -380,7 +381,8 @@ def welldef_check(params: Params, seam_samples=None, tol: float = 1e-8) -> Certi
             collar_img = embed_g(params, p)
             torus_img = map_Phi_prime(params, p.u1, p.u2)  # psi_1 = identity
             ok = same_point(params, collar_img, torus_img, tol)
-            err = 0.0 if ok else float("inf")
+            err_1.append(0.0 if ok else math.inf)
+            err_2.append(0.0)
         else:
             n_b += 1
             # collar side, pushed through the V -> annulus transition
@@ -391,9 +393,10 @@ def welldef_check(params: Params, seam_samples=None, tol: float = 1e-8) -> Certi
             c1, _, n1 = canonical_rep(wc1, wc2)
             c2, _, n2 = canonical_rep(wt1, wt2)
             shifts.add(n2 - n1)
-            err = max(abs(c1 - c2) / max(1.0, abs(c2)), abs(wc2 - wt2))
-        if err > worst:
-            worst, worst_at = err, (p.u1, p.u2)
+            err_1.append(abs(c1 - c2) / max(1.0, abs(c2)))
+            err_2.append(abs(wc2 - wt2))
+    k, worst = Certificate.sup_error(np.maximum(err_1, err_2))
+    worst_at = None if k is None else (seam_samples[k].u1, seam_samples[k].u2)
     shift_ok = shifts == {1}
     return Certificate(
         name="seam_welldefinedness",

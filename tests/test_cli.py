@@ -1,7 +1,10 @@
 import json
+import math
 import subprocess
 import sys
 
+from concavia import cli
+from concavia.atlas import phi
 from concavia.cli import main
 
 
@@ -67,6 +70,23 @@ def test_verify_atlas_writes_passing_report(tmp_path, capsys):
     assert certs["params_chain"]["passed"]
     assert certs["phi_branch_law"]["passed"]
     assert certs["Phi_branch_independence"]["passed"]
+
+
+def test_phi_branch_law_fails_on_a_nan_error(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def nan_once(w, k):
+        calls.append(k)
+        return complex("nan") if len(calls) == 9 else phi(w, k)
+
+    monkeypatch.setattr(cli, "phi", nan_once)
+    code, _ = _run(capsys, ["verify", "--suite", "atlas", "--outputs", str(tmp_path)])
+    assert code == 1
+    rep = json.loads((tmp_path / "report_atlas.json").read_text())
+    cert = rep["suites"]["atlas"]["certificates"]["phi_branch_law"]
+    assert cert["passed"] is False
+    assert cert["margin"] == -math.inf
+    assert cert["details"]["max_rel_err"] == math.inf
 
 
 def test_verify_openbook_reports_conjugation_margin(tmp_path, capsys):

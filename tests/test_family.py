@@ -12,6 +12,7 @@ from concavia.errors import (
     FeasibilityError,
     FoliationError,
     OutOfFoliation,
+    VerificationError,
 )
 from concavia.levi import find_lambda
 
@@ -171,6 +172,23 @@ def test_family_certificates_pass():
     assert fam.taus[-1] == 1.0
 
 
+def test_level_consistency_fails_on_a_nan_level(monkeypatch):
+    gamma = family._Foliation.gamma
+
+    def one_nan(self, z1, z2):
+        out = gamma(self, z1, z2)
+        out[40] = np.nan
+        return out
+
+    monkeypatch.setattr(family._Foliation, "gamma", one_nan)
+    with pytest.raises(VerificationError) as err:
+        family.build_family(default_params(), 16)
+    cert = err.value.certificate
+    assert cert.name == "level_consistency" and not cert.passed
+    assert cert.margin == -math.inf
+    assert cert.details["max_deviation"] == math.inf
+
+
 def test_top_slice_reproduces_model():
     fam = _family16()
     fol = fam.fol
@@ -319,3 +337,19 @@ def test_run_verification_is_deterministic():
     assert rep1["lambda"] == pytest.approx(9.592854823272186, rel=1e-9)
     for cert in rep1["checks"].values():
         assert cert["passed"]
+
+
+def test_pipeline_evaluates_gamma_once_per_point_set(monkeypatch):
+    # one call for level_consistency, two jets in find_lambda, one in the
+    # pseudoconcavity sweep and two in the compatibility sweep
+    gamma = family._Foliation.gamma
+    calls = []
+
+    def counted(self, z1, z2):
+        calls.append(np.size(z1))
+        return gamma(self, z1, z2)
+
+    monkeypatch.setattr(family._Foliation, "gamma", counted)
+    ok, _ = family.run_verification(default_params())
+    assert ok
+    assert len(calls) == 6

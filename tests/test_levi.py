@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from concavia import family
+from concavia.atlas import default_params
 from concavia.errors import ConcaviaError, Exhausted, NotContact, NotRegular, RegionError
 from concavia.levi import (
     HermitianForm,
@@ -111,18 +113,92 @@ def test_jet_matches_closed_form():
         np.testing.assert_allclose(H, np.broadcast_to(np.diag(diag), H.shape), atol=1e-5)
 
 
+def _per_shift_jet(fn, z1, z2, h_rel=1e-5):
+    """The 33-point stencil with one call of ``fn`` per shift: an oracle for
+    :func:`jet`, which makes a single call on all shifts stacked."""
+    z1 = np.asarray(z1, dtype=complex).ravel()
+    z2 = np.asarray(z2, dtype=complex).ravel()
+    h = h_rel * np.maximum(1.0, np.maximum(np.abs(z1), np.abs(z2)))
+    d = [(h, 0), (1j * h, 0), (0, h), (0, 1j * h)]
+
+    def ev(s1, s2):
+        return np.asarray(fn(z1 + s1, z2 + s2), dtype=float)
+
+    u0 = ev(0, 0)
+    grad = np.empty((z1.size, 4))
+    hess = np.empty((z1.size, 4, 4))
+    for i in range(4):
+        up, dn = ev(*d[i]), ev(-d[i][0], -d[i][1])
+        grad[:, i] = (up - dn) / (2 * h)
+        hess[:, i, i] = (up - 2 * u0 + dn) / (h * h)
+    for i in range(4):
+        for j in range(i + 1, 4):
+            s1, s2 = d[i][0] + d[j][0], d[i][1] + d[j][1]
+            t1, t2 = d[i][0] - d[j][0], d[i][1] - d[j][1]
+            hess[:, i, j] = hess[:, j, i] = (
+                ev(s1, s2) - ev(t1, t2) - ev(-t1, -t2) + ev(-s1, -s2)) / (4 * h * h)
+    return u0, grad, hess
+
+
+def _wavy(a, b):
+    return sq_norm(a, b) + 0.3 * np.real(a ** 2) + 0.1 * np.real(a * np.conj(b))
+
+
+def test_jet_calls_fn_once_on_all_shifts():
+    pts = _shell_points(np.random.default_rng(5), 10)
+    sizes = []
+
+    def counted(a, b):
+        sizes.append(a.size)
+        return _wavy(a, b)
+
+    jet(counted, [p[0] for p in pts], [p[1] for p in pts])
+    assert sizes == [33 * len(pts)]
+
+
+def _assert_same_bits(got, ref):
+    for a, b in zip(got, ref):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def test_jet_is_bit_identical_to_per_shift_stencil():
+    pts = _shell_points(np.random.default_rng(21), 30)
+    z1 = np.array([p[0] for p in pts])
+    z2 = np.array([p[1] for p in pts])
+    for h_rel in (1e-5, 2e-5):
+        _assert_same_bits(jet(_wavy, z1, z2, h_rel), _per_shift_jet(_wavy, z1, z2, h_rel))
+
+
+def test_jet_of_family_gamma_is_bit_identical_to_per_shift_stencil():
+    fam = family.build_family(default_params(), 16)
+    grid = family.verification_grid(fam, 1) + family.verification_grid(fam, 2)
+    assert len(grid) == 253
+    z1 = np.array([p[0] for p in grid])
+    z2 = np.array([p[1] for p in grid])
+    for h_rel in (1e-5, 2e-5):
+        got = jet(fam.fol.gamma, z1, z2, h_rel)
+        assert np.all(np.isfinite(got[0])) and np.all(np.isfinite(got[1]))
+        _assert_same_bits(got, _per_shift_jet(fam.fol.gamma, z1, z2, h_rel))
+
+
+def test_jet_of_a_constant_scalar_is_flat():
+    pts = _shell_points(np.random.default_rng(3), 7)
+    val, g, H = jet(lambda a, b: 2.5, [p[0] for p in pts], [p[1] for p in pts])
+    np.testing.assert_array_equal(val, np.full(7, 2.5))
+    np.testing.assert_array_equal(g, np.zeros((7, 4)))
+    np.testing.assert_array_equal(H, np.zeros((7, 4, 4)))
+
+
 def test_exp_jet_matches_jet_of_the_exponential():
     rng = np.random.default_rng(37)
     pts = _shell_points(rng, 12)
     z1 = np.array([p[0] for p in pts])
     z2 = np.array([p[1] for p in pts])
 
-    def wavy(a, b):
-        return sq_norm(a, b) + 0.3 * np.real(a ** 2) + 0.1 * np.real(a * np.conj(b))
-
     for lam, shift in ((0.5, 0.0), (1.0, 1.0), (2.0, 0.7)):
-        got = exp_jet(jet(wavy, z1, z2), lam, shift)
-        ref = jet(lambda a, b: np.exp(lam * (wavy(a, b) - shift)), z1, z2)
+        got = exp_jet(jet(_wavy, z1, z2), lam, shift)
+        ref = jet(lambda a, b: np.exp(lam * (_wavy(a, b) - shift)), z1, z2)
         np.testing.assert_allclose(got[0], ref[0], rtol=1e-14)
         np.testing.assert_allclose(got[1], ref[1], rtol=1e-8, atol=1e-8)
         np.testing.assert_allclose(got[2], ref[2], rtol=1e-4, atol=1e-4)

@@ -9,6 +9,7 @@ import pytest
 
 from concavia.atlas import ChartPoint, Chart, Params, canonical_rep, default_params, \
     fibration_f, map_Phi, phi, same_point
+from concavia import openbook
 from concavia.errors import ConfigError, DomainError
 from concavia.openbook import (
     MPoint,
@@ -171,6 +172,21 @@ def test_conjugation_certificate_10k():
     assert "10000" in cert.grid
 
 
+def test_conjugation_fails_on_a_nan_error(monkeypatch):
+    calls = []
+
+    def nan_level(spec, z):
+        calls.append(z)
+        w, t = q_chart(spec, z)
+        return (w, math.nan) if len(calls) == 2 else (w, t)
+
+    monkeypatch.setattr(openbook, "q_chart", nan_level)
+    cert = conjugation_check(SPEC, n=5)
+    assert not cert.passed
+    assert cert.margin == -math.inf
+    assert cert.details["sup_error"] == math.inf
+
+
 def test_conjugation_invariant_under_reparametrization():
     cert = conjugation_check(wiggly_spec(), n=2000)
     assert cert.passed
@@ -270,6 +286,21 @@ def test_welldef_certificate_both_seams():
     assert cert.passed
     assert cert.details["psi2_shifts"] == [1]
     assert "500 inner" in cert.grid and "500 outer" in cert.grid
+
+
+def test_welldef_fails_on_a_nan_error(monkeypatch):
+    calls = []
+
+    def nan_rep(w1, w2):
+        calls.append(w1)
+        c, w, n = canonical_rep(w1, w2)
+        return (complex("nan") if len(calls) == 3 else c), w, n
+
+    monkeypatch.setattr(openbook, "canonical_rep", nan_rep)
+    cert = welldef_check(P)
+    assert not cert.passed
+    assert cert.margin == -math.inf
+    assert cert.details["sup_error"] == math.inf
 
 
 def test_welldef_rejects_non_seam_samples():
