@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PPoly
 
+from ._numerics import PPoly
 from .errors import CorridorViolation, FeasibilityError, Infeasible
 
 __all__ = [
@@ -160,14 +160,13 @@ def _integrate_density(breaks: np.ndarray, values: np.ndarray,
                        x_lo: float, v_lo: float, d_lo: float) -> PPoly:
     """Second antiderivative of a PL density, seeded with a linear jet."""
     slopes = np.diff(values) / np.diff(breaks)
-    coeffs = np.vstack([slopes, values[:-1]])
-    dens = PPoly(coeffs, breaks)
-    F = dens.antiderivative(2)
+    dens = PPoly(np.vstack([slopes, values[:-1]]), breaks)
+    c = dens.antiderivative(2).c.copy()
     # antiderivative(2) vanishes to first order at breaks[0] == x_lo; add the
     # linear seed piecewise so the representation stays a plain PPoly.
-    F.c[-1, :] += v_lo + d_lo * (breaks[:-1] - x_lo)
-    F.c[-2, :] += d_lo
-    return F
+    c[-1, :] += v_lo + d_lo * (breaks[:-1] - x_lo)
+    c[-2, :] += d_lo
+    return PPoly(c, breaks)
 
 def _wall_density(x_lo: float, x_hi: float, h_l: float, h_r: float,
                   eps_mid: float, A: float, B: float, knots: int):

@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._numerics import brentq
 from .atlas import (
     ChartPoint,
     Params,

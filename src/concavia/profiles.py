@@ -24,8 +24,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._numerics import brentq
 from .certs import Certificate
 from .convexjoin import SplineC2, extend_concave
 from .errors import BranchError, DomainError, FeasibilityError
@@ -68,7 +68,13 @@ class Profile:
 
     def _check(self, x):
         x = np.asarray(x, dtype=float)
-        if np.any(x < self.x_lo - _DOMAIN_SLACK) or np.any(x > self.x_hi + _DOMAIN_SLACK):
+        if x.ndim == 0:
+            lo = hi = float(x)
+        else:
+            # fmin/fmax skip NaN, which passes the check
+            lo = np.fmin.reduce(x, axis=None, initial=math.inf)
+            hi = np.fmax.reduce(x, axis=None, initial=-math.inf)
+        if lo < self.x_lo - _DOMAIN_SLACK or hi > self.x_hi + _DOMAIN_SLACK:
             raise DomainError(
                 f"x outside profile domain [{self.x_lo}, {self.x_hi}]")
         return x

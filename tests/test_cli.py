@@ -168,3 +168,22 @@ def test_module_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["a"] == 1.04
+
+
+_NO_SCIPY = """
+import sys
+from concavia import cli
+code = cli.main(sys.argv[1:])
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(loaded, file=sys.stderr)
+sys.exit(code if not loaded else 99)
+"""
+
+
+def test_cli_runs_without_loading_scipy(tmp_path):
+    # fresh interpreters, so no other test's import can hide a load
+    for argv in (["params"], ["verify", "--suite", "all", "--outputs", str(tmp_path)]):
+        proc = subprocess.run([sys.executable, "-c", _NO_SCIPY, *argv],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert proc.stderr.strip() == "[]"

@@ -189,6 +189,25 @@ def test_level_consistency_fails_on_a_nan_level(monkeypatch):
     assert cert.details["max_deviation"] == math.inf
 
 
+@pytest.mark.parametrize("n_tau, n_slices", [(8, 8), (12, 12), (16, 9)])
+def test_level_consistency_checks_each_slice_once(monkeypatch, n_tau, n_slices):
+    gamma = family._Foliation.gamma
+    taus = []
+
+    def recording(self, z1, z2):
+        out = gamma(self, z1, z2)
+        taus.extend(np.round(out, 6).tolist())
+        return out
+
+    monkeypatch.setattr(family._Foliation, "gamma", recording)
+    fam = family.build_family(default_params(), n_tau)
+    cert = fam.certificates["level_consistency"]
+    assert cert.passed
+    assert cert.grid == f"{n_slices} slices x 9 points"
+    assert len(taus) == 9 * n_slices
+    assert len(set(taus)) == n_slices and max(taus) == 1.0
+
+
 def test_top_slice_reproduces_model():
     fam = _family16()
     fol = fam.fol

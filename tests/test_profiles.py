@@ -1,8 +1,11 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from concavia import _numerics
+from concavia._numerics import brentq
 from concavia.atlas import default_params
 from concavia.errors import BranchError, DomainError, FeasibilityError
 from concavia.profiles import (
@@ -102,6 +105,15 @@ def test_eval_exp_profile_fd_oracle():
 def test_eval_domain_error():
     with pytest.raises(DomainError):
         eval_profile(_affine(1), math.exp(5.0))
+
+
+def test_domain_check_passes_nan_but_not_a_point_beside_it():
+    p = _affine(1)
+    for x in (math.nan, np.array([]), np.array([[np.nan, 1.0], [2.0, np.nan]])):
+        assert np.array_equal(p.L(x), x, equal_nan=True)
+    for x in (3.1, -math.inf, np.array([np.nan, 4.0]), np.array([[np.nan], [-4.0]])):
+        with pytest.raises(DomainError):
+            p.L(x)
 
 
 def test_slope_power_profiles():
@@ -376,3 +388,53 @@ def test_profile_serialization(f2):
     assert blob["kind"] == "f2"
     assert "spline" in blob and "coefficients" in blob["spline"]
     assert blob["x_switch"] == -0.3
+
+
+# ---------------------------------------------------------------------------
+# brentq against scipy.optimize.brentq, the reference it reproduces
+# ---------------------------------------------------------------------------
+
+def _solve_both(f, a, b, **kw):
+    opt = pytest.importorskip("scipy.optimize")
+    ours, ref = brentq(f, a, b, **kw), opt.brentq(f, a, b, **kw)
+    assert isinstance(ours, float)
+    assert np.float64(ours).tobytes() == np.float64(ref).tobytes(), (a, b, kw)
+    return ours
+
+
+@pytest.mark.parametrize("xtol", [1e-14, 2e-12])
+def test_brentq_matches_scipy_on_the_profile_inversions(f1, f2, xtol):
+    y_lo, y_hi = -2.0, f1.x_hi
+    for t in np.linspace(float(f1.L(y_lo)), float(f1.L(y_hi)), 97)[1:-1]:
+        _solve_both(lambda y: f1.L(y) - t, y_lo, y_hi, xtol=xtol)
+    for m in (1e-3, 0.02, 0.04):
+        _solve_both(lambda y: float(f2.dL(y)) + 1.0 + m, f2.x_lo, f2.x_hi, xtol=xtol)
+
+
+@pytest.mark.parametrize("xtol", [1e-14, 2e-12])
+def test_brentq_matches_scipy_on_random_brackets(xtol):
+    rng = np.random.default_rng(1973)
+    for _ in range(300):
+        r, k, w = rng.uniform(-2, 2), rng.uniform(0.1, 30), rng.uniform(-3, 3)
+        a, b = r - rng.uniform(1e-3, 3), r + rng.uniform(1e-3, 3)
+        kind = rng.integers(3)
+        if kind == 0:
+            f = lambda x: math.tanh(k * (x - r)) + 0.1 * abs(w) * (x - r) ** 3  # noqa: E731
+        elif kind == 1:
+            f = lambda x: math.expm1(k * (x - r)) * (1 + 0.5 * math.sin(w * x) ** 2)  # noqa: E731
+        else:
+            f = lambda x: (x - r) ** 3 + w * w * (x - r)  # noqa: E731
+        _solve_both(f, a, b, xtol=xtol)
+
+
+def test_brentq_errors_match_scipy(monkeypatch):
+    opt = pytest.importorskip("scipy.optimize")
+    monkeypatch.setattr(_numerics, "_MAXITER", 3)
+    for solver in (brentq, functools.partial(opt.brentq, maxiter=3)):
+        with pytest.raises(ValueError, match="different signs"):
+            solver(lambda x: x * x + 1.0, -1.0, 1.0, xtol=2e-12)
+        with pytest.raises(ValueError, match="NaN"):
+            solver(lambda x: math.nan if x > 0 else -1.0, -1.0, 1.0, xtol=2e-12)
+        with pytest.raises(RuntimeError, match="Failed to converge after 3 iterations"):
+            solver(lambda x: math.atan(50.0 * x) - 0.4, -1.0, 1.0, xtol=2e-12)
+    assert brentq(lambda x: x, 0.0, 1.0, xtol=2e-12) == 0.0
