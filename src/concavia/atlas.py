@@ -246,23 +246,43 @@ def z_action(n: int, w1: complex, w2: complex) -> tuple[complex, complex]:
     return w1 * w2 ** n, w2
 
 
-def canonical_rep(w1: complex, w2: complex) -> tuple[complex, complex, int]:
+def _require(ok, msg: str, got) -> None:
+    """Raise ``DomainError(msg)`` naming the first sample (flat index) where
+    the numpy bool(s) ``ok`` fail; ``got`` holds the offending values."""
+    if ok.all() if ok.ndim else ok:  # bool() of a 0-d value skips the reduction
+        return
+    i = int(np.argmin(ok))
+    where = f" at sample {i}" if ok.ndim else ""
+    raise DomainError(f"{msg}{where}, got {np.broadcast_to(got, ok.shape).flat[i]}")
+
+
+def _values(x, dtype):
+    """``x`` as an array, or as a numpy scalar when 0-d (cheaper to compute on)."""
+    return np.asarray(x, dtype=dtype)[()]
+
+
+def _py(x):
+    """A numpy scalar result as a Python scalar; an array result unchanged."""
+    return x if x.ndim else x.item()
+
+
+def canonical_rep(w1, w2):
     """Canonical orbit representative of ``(w1, w2)`` under the integer action.
 
     Returns ``(w1', w2, n)`` where ``w1' = w1 * w2**n`` and
     ``|w2|**(1/2) <= |w1'| < |w2|**(-1/2)``.  The shift ``n`` is unique
-    because each orbit meets the band exactly once.
+    because each orbit meets the band exactly once.  Elementwise on arrays;
+    scalars give ``(complex, complex, int)``.
     """
-    if w1 == 0:
-        raise DomainError("canonical_rep needs w1 != 0")
+    w1, w2 = _values(w1, complex), _values(w2, complex)
     r2 = abs(w2)
-    if not (0.0 < r2 < 1.0):
-        raise DomainError(f"canonical_rep needs 0 < |w2| < 1, got {r2}")
-    u = math.log(abs(w1)) / (-math.log(r2))
-    n = math.floor(u + 0.5)
-    if abs(n) > MAX_ORBIT_SHIFT:
-        raise DomainError(f"orbit shift {n} exceeds supported range {MAX_ORBIT_SHIFT}")
-    return w1 * w2 ** n, w2, n
+    _require(w1 != 0, "canonical_rep needs w1 != 0", w1)
+    _require((0.0 < r2) & (r2 < 1.0), "canonical_rep needs 0 < |w2| < 1", r2)
+    n = np.floor(0.5 - np.log(abs(w1)) / np.log(r2))
+    _require(abs(n) <= MAX_ORBIT_SHIFT,
+             f"orbit shift exceeds supported range {MAX_ORBIT_SHIFT}", n)
+    # a float n takes numpy's integer-power path too; int() skips astype's cost
+    return _py(w1 * w2 ** n), _py(w2), n.astype(int) if n.ndim else int(n)
 
 
 # ---------------------------------------------------------------------------

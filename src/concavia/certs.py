@@ -79,7 +79,7 @@ class Certificate:
         margin.  Combine several error terms per sample with ``np.maximum``,
         which keeps NaN.
         """
-        e = np.asarray(errors, dtype=float)
+        e = np.asarray(errors, dtype=float).ravel()  # k is a flat index
         e = np.where(np.isfinite(e), e, np.inf)
         if not np.any(e > 0):
             return None, 0.0

@@ -198,19 +198,16 @@ def _suite_atlas(cfg: RunConfig, par) -> dict[str, Certificate]:
         details={"rho1_b": par.rho1 * par.b, "a": par.a,
                  "a_over_rho1": par.a / par.rho1, "b": par.b})
 
+    w = np.outer(np.linspace(0.2, 0.95, 12),
+                 np.exp(1j * np.linspace(-math.pi, math.pi, 11)[:-1])).ravel()
+    base = phi(w, 0)
     errs = []
-    npts = 0
-    for r in np.linspace(0.2, 0.95, 12):
-        for th in np.linspace(-math.pi, math.pi, 11)[:-1]:
-            w = float(r) * cmath.exp(1j * float(th))
-            base = phi(w, 0)
-            npts += 1
-            for k in (-3, -2, -1, 1, 2, 3):
-                val = phi(w, k)
-                errs.append(abs(val - w ** k * base) / abs(val))
+    for k in (-3, -2, -1, 1, 2, 3):
+        val = phi(w, k)
+        errs.append(abs(val - w ** k * base) / abs(val))
     _, worst = Certificate.sup_error(errs)
     certs["phi_branch_law"] = Certificate(
-        name="phi_branch_law", grid=f"{npts} points x |k|<=3",
+        name="phi_branch_law", grid=f"{w.size} points x |k|<=3",
         margin=1e-9 - worst, passed=worst < 1e-9,
         details={"max_rel_err": worst})
 

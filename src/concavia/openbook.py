@@ -10,6 +10,10 @@ mapping-torus part along the seams ``S^1(a) x S^1`` (by the identity) and
 certifies numerically.  ``embed_g`` places the model inside the surface
 atlas; ``welldef_check`` confirms the seams close up in the quotient, the
 outer seam through exactly one integer shift.
+
+The twist and chart maps are elementwise (a scalar in gives a Python scalar
+out), and so must be a ``TwistSpec``'s profiles; both sweeps call each map
+once on their whole sample arrays.
 """
 
 from __future__ import annotations
@@ -26,10 +30,12 @@ from ._numerics import brentq
 from .atlas import (
     ChartPoint,
     Params,
+    _py,
+    _require,
+    _values,
     canonical_rep,
     map_Phi,
     phi,
-    same_point,
 )
 from .certs import Certificate
 from .errors import ConfigError, DomainError
@@ -110,7 +116,8 @@ class TwistSpec:
 
     ``tau`` must be an increasing diffeomorphism with ``tau(a) = 0`` and
     ``tau(b) = 1``; ``dtau`` is its derivative, ``tau_inv`` an optional
-    closed-form inverse (numeric bisection is used when absent).
+    closed-form inverse (Brent's method per sample is used when absent).
+    All three must be elementwise: an array in gives the array of values.
     """
 
     a: float
@@ -122,38 +129,47 @@ class TwistSpec:
     def __post_init__(self):
         if not (0 < self.a < self.b):
             raise ConfigError(f"need 0 < a < b, got a={self.a}, b={self.b}")
-        if abs(self.tau(self.a)) > _MTOL or abs(self.tau(self.b) - 1.0) > _MTOL:
+        r = np.linspace(self.a, self.b, 33)
+        try:  # one call each: a scalar-only tau or dtau fails here
+            tau, dtau = (np.asarray(f(r), dtype=float) for f in (self.tau, self.dtau))
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"tau and dtau must be elementwise: {err}") from err
+        if tau.shape != r.shape or dtau.shape != r.shape:
+            raise ConfigError("tau and dtau must be elementwise: one value per entry")
+        if abs(tau[0]) > _MTOL or abs(tau[-1] - 1.0) > _MTOL:
             raise ConfigError("tau must satisfy tau(a) = 0 and tau(b) = 1")
-        for r in np.linspace(self.a, self.b, 33):
-            if self.dtau(float(r)) <= 0:
-                raise ConfigError(f"tau must be strictly increasing; dtau <= 0 at r={r}")
+        if not np.all(dtau > 0):
+            bad = r[np.argmin(dtau > 0)]
+            raise ConfigError(f"tau must be strictly increasing; dtau <= 0 at r={bad}")
 
     @classmethod
     def affine(cls, a: float, b: float) -> "TwistSpec":
         span = b - a
         return cls(a=a, b=b,
                    tau=lambda r: (r - a) / span,
-                   dtau=lambda r: 1.0 / span,
+                   dtau=lambda r: np.full(np.shape(r), 1.0 / span),
                    tau_inv=lambda t: a + t * span)
 
     @classmethod
     def from_params(cls, params: Params) -> "TwistSpec":
         return cls.affine(params.a, params.b)
 
-    def invert(self, t: float) -> float:
+    def invert(self, t):
+        """``tau^{-1}(t)``, elementwise; a Python float for a scalar ``t``."""
+        t = _values(t, float)
         if self.tau_inv is not None:
-            return float(self.tau_inv(t))
-        if t <= 0.0:
-            return self.a
-        if t >= 1.0:
-            return self.b
-        return float(brentq(lambda r: self.tau(r) - t, self.a, self.b, xtol=1e-15))
+            return _py(_values(self.tau_inv(t), float))
+        r = np.where(t <= 0.0, self.a, self.b)
+        for i in np.flatnonzero((0.0 < t) & (t < 1.0)):
+            s = float(t.flat[i])
+            r.flat[i] = brentq(lambda x: self.tau(x) - s, self.a, self.b, xtol=1e-15)
+        return _py(r[()])
 
 
-def _check_page_radius(spec: TwistSpec, z: complex) -> float:
-    r = abs(z)
-    if not (spec.a - _MTOL <= r <= spec.b + _MTOL):
-        raise DomainError(f"|z| = {r} outside the page annulus [{spec.a}, {spec.b}]")
+def _check_page_radius(spec: TwistSpec, z):
+    r = np.hypot(z.real, z.imag)  # numpy's complex-array abs can be an ulp off
+    _require((spec.a - _MTOL <= r) & (r <= spec.b + _MTOL),
+             f"|z| outside the page annulus [{spec.a}, {spec.b}]", r)
     return r
 
 
@@ -198,25 +214,26 @@ def check_disjointness(params: Params, k_range: int = 8) -> Certificate:
 # Monodromy and its conjugate normal form
 # ---------------------------------------------------------------------------
 
-def monodromy_delta(spec: TwistSpec, z: complex) -> complex:
+def monodromy_delta(spec: TwistSpec, z):
     """``delta(z) = z e^{2 pi i tau(|z|)}`` — modulus-preserving page twist."""
+    z = _values(z, complex)
     r = _check_page_radius(spec, z)
-    return z * cmath.exp(2j * math.pi * spec.tau(r))
+    return _py(z * np.exp(2j * np.pi * spec.tau(r)))
 
 
-def q_chart(spec: TwistSpec, z: complex) -> tuple[complex, float]:
+def q_chart(spec: TwistSpec, z):
     """``q(z) = (zbar/|z|, tau(|z|))`` onto ``S^1 x [0, 1]``."""
+    z = _values(z, complex)
     r = _check_page_radius(spec, z)
-    return z.conjugate() / r, float(spec.tau(r))
+    return _py(z.conjugate() / r), _py(_values(spec.tau(r), float))
 
 
-def q_inverse(spec: TwistSpec, w: complex, t: float) -> complex:
+def q_inverse(spec: TwistSpec, w, t):
     """``q^{-1}(w, t) = tau^{-1}(t) * wbar``."""
-    if abs(abs(w) - 1.0) > 1e-9:
-        raise DomainError(f"q_inverse needs |w| = 1, got {abs(w)}")
-    if not (-1e-12 <= t <= 1.0 + 1e-12):
-        raise DomainError(f"q_inverse needs t in [0, 1], got {t}")
-    return spec.invert(min(max(t, 0.0), 1.0)) * w.conjugate()
+    w, t = _values(w, complex), _values(t, float)
+    _require(abs(abs(w) - 1.0) <= 1e-9, "q_inverse needs |w| = 1", abs(w))
+    _require((-1e-12 <= t) & (t <= 1.0 + 1e-12), "q_inverse needs t in [0, 1]", t)
+    return _py(spec.invert(np.clip(t, 0.0, 1.0)) * w.conjugate())
 
 
 def q_jacobian_det(spec: TwistSpec, z: complex, h: float = 1e-6) -> float:
@@ -247,50 +264,39 @@ def conjugation_check(spec: TwistSpec, samples=None, n: int = 10 ** 4,
     """
     if samples is None:
         rng = np.random.default_rng(seed)
-        samples = [(cmath.exp(2j * math.pi * th), float(t))
-                   for th, t in zip(rng.uniform(0, 1, n), rng.uniform(0, 1, n))]
-    err_w, err_t = [], []
-    for w, t in samples:
-        z = q_inverse(spec, w, t)
-        w_out, t_out = q_chart(spec, monodromy_delta(spec, z))
-        w_ref = w * cmath.exp(-2j * math.pi * t)
-        err_w.append(abs(w_out - w_ref))
-        err_t.append(abs(t_out - t))
-    k, worst = Certificate.sup_error(np.maximum(err_w, err_t))
-    worst_at = None if k is None else samples[k]
+        w = np.exp(2j * np.pi * rng.uniform(0, 1, n))
+        t = rng.uniform(0, 1, n)
+    else:
+        w = np.array([s[0] for s in samples], dtype=complex)
+        t = np.array([s[1] for s in samples], dtype=float)
+    w_out, t_out = q_chart(spec, monodromy_delta(spec, q_inverse(spec, w, t)))
+    w_ref = w * np.exp(-2j * np.pi * t)
+    k, worst = Certificate.sup_error(np.maximum(abs(w_out - w_ref), abs(t_out - t)))
+    worst_at = None if k is None else (w[k].item(), t[k].item())
     return Certificate(
         name="left_twist_conjugation",
-        grid=f"{len(samples)} samples on S^1 x [0,1]",
+        grid=f"{t.size} samples on S^1 x [0,1]",
         margin=tol - worst,
         passed=bool(worst < tol),
         worst_point=worst_at,
         details={"sup_error": worst, "tol": tol})
 
 
-def mapping_torus_k(spec: TwistSpec, z: complex, t: float) -> tuple[complex, complex]:
+def mapping_torus_k(spec: TwistSpec, z, t):
     """``k([(z, t)]) = (z e^{2 pi i tau(|z|)(t - 1)}, e^{2 pi i t})``."""
+    z, t = _values(z, complex), _values(t, float)
     r = _check_page_radius(spec, z)
-    if not (-1e-12 <= t <= 1.0 + 1e-12):
-        raise DomainError(f"mapping torus parameter t = {t} outside [0, 1]")
-    return (z * cmath.exp(2j * math.pi * spec.tau(r) * (t - 1.0)),
-            cmath.exp(2j * math.pi * t))
+    _require((-1e-12 <= t) & (t <= 1.0 + 1e-12),
+             "mapping torus parameter t outside [0, 1]", t)
+    return (_py(z * np.exp(2j * np.pi * spec.tau(r) * (t - 1.0))),
+            _py(np.exp(2j * np.pi * t)))
 
 
 def twist_winding(spec: TwistSpec, n: int = 256) -> int:
     """Winding number of ``e^{2 pi i tau(r)}`` as ``r`` runs ``a -> b``."""
-    rs = np.linspace(spec.a, spec.b, n)
-    total = 0.0
-    prev = 0.0
-    for r in rs:
-        ang = 2.0 * math.pi * spec.tau(float(r))
-        d = ang - prev
-        while d > math.pi:
-            d -= 2 * math.pi
-        while d < -math.pi:
-            d += 2 * math.pi
-        total += d
-        prev = ang
-    return round(total / (2 * math.pi))
+    ang = 2.0 * np.pi * np.asarray(spec.tau(np.linspace(spec.a, spec.b, n)))
+    steps = (np.diff(ang, prepend=0.0) + np.pi) % (2 * np.pi) - np.pi  # into [-pi, pi)
+    return round(steps.sum() / (2 * np.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -345,66 +351,71 @@ def embed_g(params: Params, p: MPoint) -> ChartPoint:
     return ChartPoint.v(params, params.c * p.u1, p.u2 / params.c)
 
 
+def _seam_arrays(params: Params, n: int = 1000,
+                 seed: int = 20240605) -> tuple[np.ndarray, np.ndarray]:
+    """``(u1, u2)`` of ``n`` random seam samples, alternately on ``|u1| = a, b``."""
+    th = np.random.default_rng(seed).uniform(0, 2 * math.pi, (n, 2))
+    r = np.where(np.arange(n) % 2 == 0, params.a, params.b)
+    return r * np.exp(1j * th[:, 0]), np.exp(1j * th[:, 1])
+
+
 def default_seam_samples(params: Params, n: int = 1000,
                          seed: int = 20240605) -> list[MPoint]:
     """Random collar-boundary samples, half on each seam circle."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for k in range(n):
-        r = params.a if k % 2 == 0 else params.b
-        th1, th2 = rng.uniform(0, 2 * math.pi, 2)
-        out.append(MPoint.collar(params, r * cmath.exp(1j * th1),
-                                 cmath.exp(1j * th2)))
-    return out
+    return [MPoint.collar(params, u1, u2)
+            for u1, u2 in zip(*_seam_arrays(params, n, seed))]
 
 
 def welldef_check(params: Params, seam_samples=None, tol: float = 1e-8) -> Certificate:
     """Both seams close up in the quotient atlas.
 
-    Seam ``|u1| = a``: the collar and torus placements agree directly (the
-    gluing is the identity).  Seam ``|u1| = b``: after ``psi_2(u1, u2) =
-    (u1 u2, u2)`` the two raw annulus representatives differ by *exactly one*
-    integer shift — the certificate asserts the shift value, matching
-    ``w1_collar = w2 * w1_torus`` in raw coordinates.
+    Seam ``|u1| = a``: the gluing is the identity, and the collar's ``V``
+    point ``(u1, c^{-1} u2)`` and ``Phi'(u1, u2)`` agree by construction
+    (``same_point`` carries the ``V`` point through the same ``map_Phi``), so
+    only their domains are checked: the seam radii, the ``V`` chart, the
+    ``phi`` band and the orbit-shift range.  Seam ``|u1| = b``: after
+    ``psi_2(u1, u2) = (u1 u2, u2)`` the two raw annulus representatives
+    differ by *exactly one* integer shift — the certificate asserts the
+    shift value, matching ``w1_collar = w2 * w1_torus`` in raw coordinates.
+    Default samples are ``default_seam_samples``' points, as arrays.
     """
     if seam_samples is None:
-        seam_samples = default_seam_samples(params)
-    err_1, err_2 = [], []  # per sample: annulus (relative) and fiber coordinate errors
-    n_a = n_b = 0
-    shifts = set()
-    for p in seam_samples:
-        if p.part is not Part.COLLAR or abs(abs(p.u2) - 1.0) > _MTOL:
-            raise DomainError("welldef_check needs collar-boundary samples (|u2| = 1)")
-        on_a = abs(abs(p.u1) - params.a) <= _MTOL
-        if on_a:
-            n_a += 1
-            collar_img = embed_g(params, p)
-            torus_img = map_Phi_prime(params, p.u1, p.u2)  # psi_1 = identity
-            ok = same_point(params, collar_img, torus_img, tol)
-            err_1.append(0.0 if ok else math.inf)
-            err_2.append(0.0)
-        else:
-            n_b += 1
-            # collar side, pushed through the V -> annulus transition
-            wc1, wc2 = (params.c * p.u1 * phi(params.c / p.u2, 0),
-                        params.c / p.u2)
-            # torus side after psi_2
-            wt1, wt2 = _phi_prime_raw(params, p.u1 * p.u2, p.u2)
-            c1, _, n1 = canonical_rep(wc1, wc2)
-            c2, _, n2 = canonical_rep(wt1, wt2)
-            shifts.add(n2 - n1)
-            err_1.append(abs(c1 - c2) / max(1.0, abs(c2)))
-            err_2.append(abs(wc2 - wt2))
-    k, worst = Certificate.sup_error(np.maximum(err_1, err_2))
-    worst_at = None if k is None else (seam_samples[k].u1, seam_samples[k].u2)
-    shift_ok = shifts == {1}
+        u1, u2 = _seam_arrays(params)
+    elif any(p.part is not Part.COLLAR for p in seam_samples):
+        raise DomainError("welldef_check needs collar-boundary samples")
+    else:
+        u1 = np.array([p.u1 for p in seam_samples], dtype=complex)
+        u2 = np.array([p.u2 for p in seam_samples], dtype=complex)
+    r1, c = abs(u1), params.c
+    on_a = abs(r1 - params.a) <= _MTOL
+    _require(on_a | (abs(r1 - params.b) <= _MTOL), "seam samples need |u1| in {a, b}", r1)
+    _require(abs(abs(u2) - 1.0) <= _MTOL, "seam samples need |u2| = 1", abs(u2))
+    f = c / u2  # the fiber coordinate w2 = 1/z2 of every placement
+    z1 = np.where(on_a, u1, c * u1)  # embed_g's V point (z1, u2/c)
+    rz1 = abs(z1)
+    _require((1.0 < rz1) & (rz1 < params.rho2), "V chart needs 1 < |z1| < rho2", rz1)
+    rz2 = abs(u2) / c
+    _require((1.0 / params.rho1 < rz2) & (rz2 < 1.0 / params.rho0),
+             "phi band needs 1/rho1 < |z2| < 1/rho0", rz2)
+    p = phi(f, 0)
+    # collar side pushed into the annulus: Phi'(u1, u2) on the inner seam
+    c1, _, n1 = canonical_rep(z1 * p, f)
+    # outer seam, torus side after psi_2
+    b = ~on_a
+    c2, _, n2 = canonical_rep(u1[b] * u2[b] * p[b], f[b])
+    err = np.zeros(u1.size)
+    err[b] = abs(c1[b] - c2) / np.maximum(1.0, abs(c2))
+    shifts = sorted(set((n2 - n1[b]).tolist()))
+    k, worst = Certificate.sup_error(err)
+    worst_at = None if k is None else (u1[k].item(), u2[k].item())
+    n_a = int(on_a.sum())
     return Certificate(
         name="seam_welldefinedness",
-        grid=f"{n_a} inner + {n_b} outer seam samples",
+        grid=f"{n_a} inner + {u1.size - n_a} outer seam samples",
         margin=tol - worst,
-        passed=bool(worst < tol and shift_ok),
+        passed=bool(worst < tol and shifts == [1]),
         worst_point=worst_at,
-        details={"sup_error": worst, "psi2_shifts": sorted(shifts), "tol": tol})
+        details={"sup_error": worst, "psi2_shifts": shifts, "tol": tol})
 
 
 # ---------------------------------------------------------------------------

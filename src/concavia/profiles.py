@@ -121,16 +121,17 @@ class Profile:
 
         def _dispatch(g, s):
             def f(x):
-                x = np.asarray(x, dtype=float)
-                if x.ndim == 0:
-                    return g(x) if x <= x_switch else s(x)
-                out = np.empty_like(x)
-                m = x <= x_switch
-                if m.any():
-                    out[m] = g(x[m])
-                if (~m).any():
-                    out[~m] = s(x[~m])
-                return out
+                if not isinstance(x, float):  # a float skips the 0-d array
+                    x = np.asarray(x, dtype=float)
+                    if x.ndim:
+                        out = np.empty_like(x)
+                        m = x <= x_switch
+                        if m.any():
+                            out[m] = g(x[m])
+                        if (~m).any():
+                            out[~m] = s(x[~m])
+                        return out
+                return g(x) if x <= x_switch else s(x)
             return f
 
         m = dict(meta or {})

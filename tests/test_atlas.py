@@ -159,6 +159,43 @@ def test_canonical_rep_band_and_idempotence():
         assert hits == [n]
 
 
+def test_canonical_rep_arrays_match_scalar_calls():
+    rng = np.random.default_rng(19)
+    w2 = rng.uniform(0.3, 0.9, 200) * np.exp(1j * rng.uniform(-math.pi, math.pi, 200))
+    w1 = rng.uniform(0.05, 20.0, 200) * np.exp(1j * rng.uniform(-math.pi, math.pi, 200))
+    c, w, n = canonical_rep(w1, w2)
+    for i in range(200):
+        ci, wi, ni = canonical_rep(complex(w1[i]), complex(w2[i]))
+        assert (type(ci), type(wi), type(ni)) == (complex, complex, int)
+        assert ni == n[i] and wi == w[i]
+        assert abs(ci - c[i]) <= 1e-15 * abs(ci)
+
+
+def test_canonical_rep_names_the_bad_sample():
+    w2 = np.full(5, 0.5 + 0j)
+    w2[2] = 1.5
+    with pytest.raises(DomainError, match="at sample 2, got 1.5"):
+        canonical_rep(np.ones(5), w2)
+    with pytest.raises(DomainError, match="at sample 1"):
+        canonical_rep(np.array([1.0, 0.0]), 0.5)
+    with pytest.raises(DomainError, match="orbit shift"):
+        canonical_rep(1e300, 0.5)
+
+
+def test_phi_branch_law_calls_phi_once_per_branch(monkeypatch):
+    from concavia import cli
+    calls = []
+
+    def counted(w, k=0):
+        calls.append((np.shape(w), k))
+        return phi(w, k)
+
+    monkeypatch.setattr(cli, "phi", counted)
+    certs = cli._suite_atlas(None, default_params())
+    assert certs["phi_branch_law"].passed
+    assert calls == [((120,), k) for k in (0, -3, -2, -1, 1, 2, 3)]
+
+
 # ---------------------------------------------------------------------------
 # Chart membership
 # ---------------------------------------------------------------------------

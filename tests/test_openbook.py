@@ -1,6 +1,7 @@
 """Open-book model: monodromy normal form, seams, atlas embedding."""
 
 import cmath
+import collections
 import csv
 import math
 
@@ -43,11 +44,11 @@ def wiggly_spec() -> TwistSpec:
 
     def tau(r):
         s = (r - a) / span
-        return s + 0.05 * math.sin(2 * math.pi * s)
+        return s + 0.05 * np.sin(2 * np.pi * s)
 
     def dtau(r):
         s = (r - a) / span
-        return (1 + 0.1 * math.pi * math.cos(2 * math.pi * s)) / span
+        return (1 + 0.1 * np.pi * np.cos(2 * np.pi * s)) / span
 
     return TwistSpec(a=a, b=b, tau=tau, dtau=dtau)
 
@@ -77,14 +78,14 @@ def test_twist_spec_validation():
     TwistSpec.affine(P.a, P.b)
     wiggly_spec()
     with pytest.raises(ConfigError):
-        TwistSpec(a=P.a, b=P.b, tau=lambda r: (r - P.a), dtau=lambda r: 1.0)
-    with pytest.raises(ConfigError):
+        TwistSpec(a=P.a, b=P.b, tau=lambda r: (r - P.a), dtau=lambda r: 1.0 + 0 * r)
+    with pytest.raises(ConfigError, match="strictly increasing"):
         span = P.b - P.a
         TwistSpec(a=P.a, b=P.b,
                   tau=lambda r: ((r - P.a) / span) ** 0.5 * 0 + (r - P.a) / span
-                  + 0.4 * math.sin(2 * math.pi * (r - P.a) / span),
-                  dtau=lambda r: (1 + 0.8 * math.pi * math.cos(
-                      2 * math.pi * (r - P.a) / span)) / span)
+                  + 0.4 * np.sin(2 * np.pi * (r - P.a) / span),
+                  dtau=lambda r: (1 + 0.8 * np.pi * np.cos(
+                      2 * np.pi * (r - P.a) / span)) / span)
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +174,10 @@ def test_conjugation_certificate_10k():
 
 
 def test_conjugation_fails_on_a_nan_error(monkeypatch):
-    calls = []
-
     def nan_level(spec, z):
-        calls.append(z)
         w, t = q_chart(spec, z)
-        return (w, math.nan) if len(calls) == 2 else (w, t)
+        t[1] = math.nan
+        return w, t
 
     monkeypatch.setattr(openbook, "q_chart", nan_level)
     cert = conjugation_check(SPEC, n=5)
@@ -190,6 +189,103 @@ def test_conjugation_fails_on_a_nan_error(monkeypatch):
 def test_conjugation_invariant_under_reparametrization():
     cert = conjugation_check(wiggly_spec(), n=2000)
     assert cert.passed
+
+
+def _conjugation_errors_by_loop(spec, w, t):
+    """Per-sample errors of the scalar cmath sweep conjugation_check once ran."""
+    out = []
+    for wi, ti in zip(w.tolist(), t.tolist()):
+        z = spec.invert(min(max(ti, 0.0), 1.0)) * wi.conjugate()
+        zd = z * cmath.exp(2j * math.pi * float(spec.tau(abs(z))))
+        w_out, t_out = zd.conjugate() / abs(zd), float(spec.tau(abs(zd)))
+        out.append(max(abs(w_out - wi * cmath.exp(-2j * math.pi * ti)), abs(t_out - ti)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("spec, n", [(SPEC, 10 ** 4), (wiggly_spec(), 2000)],
+                         ids=["affine", "wiggly"])
+def test_conjugation_arrays_match_the_scalar_loop(spec, n):
+    rng = np.random.default_rng(20240604)  # conjugation_check's default stream
+    w = np.exp(2j * np.pi * rng.uniform(0, 1, n))
+    t = rng.uniform(0, 1, n)
+    oracle = _conjugation_errors_by_loop(spec, w, t)
+    w_out, t_out = q_chart(spec, monodromy_delta(spec, q_inverse(spec, w, t)))
+    errs = np.maximum(abs(w_out - w * np.exp(-2j * np.pi * t)), abs(t_out - t))
+    # numpy's array product and modulus may each round |delta(z)| one ulp
+    # away from the scalar ones, and t_out = tau(|delta(z)|) carries that
+    # through dtau: about 2.4e-15 per ulp for the affine spec
+    ulps = 2 * np.spacing(P.b) * np.max(spec.dtau(np.linspace(P.a, P.b, 33)))
+    assert np.max(abs(errs - oracle)) <= ulps
+    cert = conjugation_check(spec, n=n)
+    assert abs(cert.details["sup_error"] - oracle.max()) <= ulps
+    assert cert.passed == bool(oracle.max() < 1e-9)
+
+
+def test_elementwise_maps_match_scalar_calls():
+    rng = np.random.default_rng(17)
+    z = rng.uniform(P.a, P.b, 40) * np.exp(2j * np.pi * rng.uniform(size=40))
+    w = np.exp(2j * np.pi * rng.uniform(size=40))
+    t = rng.uniform(size=40)
+    for spec in (SPEC, wiggly_spec()):
+        cases = [(lambda x: monodromy_delta(spec, x), (z,), complex),
+                 (lambda x: q_chart(spec, x)[0], (z,), complex),
+                 (lambda x: q_chart(spec, x)[1], (z,), float),
+                 (lambda x, y: q_inverse(spec, x, y), (w, t), complex),
+                 (spec.invert, (t,), float),
+                 (lambda x, y: mapping_torus_k(spec, x, y)[0], (z, t), complex)]
+        for fn, args, kind in cases:
+            arr = fn(*args)
+            one = [fn(*(a[i].item() for a in args)) for i in range(40)]
+            assert all(type(v) is kind for v in one)
+            assert np.max(abs(arr - np.array(one))) <= 1e-15
+
+
+def test_out_of_annulus_sample_is_named():
+    z = np.full(6, 1.1 + 0j)
+    z[3] = 0.9j
+    for fn in (monodromy_delta, q_chart):
+        with pytest.raises(DomainError, match="at sample 3, got 0.9"):
+            fn(SPEC, z)
+    with pytest.raises(DomainError, match="at sample 2"):
+        conjugation_check(SPEC, samples=[(1.0, 0.5), (1j, 0.1), (1.1, 0.2)])
+
+
+def test_twist_spec_checks_profiles_with_one_array_call():
+    a, b = P.a, P.b
+    span = b - a
+    shapes = []
+
+    def dtau(r):
+        shapes.append(np.shape(r))
+        return np.full(np.shape(r), 1.0 / span)
+
+    TwistSpec(a=a, b=b, tau=lambda r: (r - a) / span, dtau=dtau)
+    assert shapes == [(33,)]
+    # scalar-only profiles fail at construction, not inside a sweep
+    with pytest.raises(ConfigError, match="elementwise"):
+        TwistSpec(a=a, b=b, tau=lambda r: (r - a) / span + 0.05 * math.sin(
+            2 * math.pi * (r - a) / span), dtau=dtau)
+    with pytest.raises(ConfigError, match="elementwise"):
+        TwistSpec(a=a, b=b, tau=lambda r: (r - a) / span, dtau=lambda r: 1.0 / span)
+
+
+@pytest.mark.parametrize("n", [10, 10 ** 4])
+def test_sweeps_call_each_map_a_fixed_number_of_times(monkeypatch, n):
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("q_inverse", "q_chart", "monodromy_delta", "canonical_rep", "phi"):
+        monkeypatch.setattr(openbook, name, counted(name, getattr(openbook, name)))
+    assert conjugation_check(SPEC, n=n).passed
+    assert counts == {"q_inverse": 1, "q_chart": 1, "monodromy_delta": 1}
+    counts.clear()
+    assert welldef_check(P, seam_samples=default_seam_samples(P, n=n)).passed
+    assert counts == {"canonical_rep": 2, "phi": 1}
 
 
 def test_mapping_torus_k_values():
@@ -289,18 +385,41 @@ def test_welldef_certificate_both_seams():
 
 
 def test_welldef_fails_on_a_nan_error(monkeypatch):
-    calls = []
-
     def nan_rep(w1, w2):
-        calls.append(w1)
         c, w, n = canonical_rep(w1, w2)
-        return (complex("nan") if len(calls) == 3 else c), w, n
+        c[1] = complex("nan")  # an outer-seam sample in both calls
+        return c, w, n
 
     monkeypatch.setattr(openbook, "canonical_rep", nan_rep)
     cert = welldef_check(P)
     assert not cert.passed
     assert cert.margin == -math.inf
     assert cert.details["sup_error"] == math.inf
+
+
+def test_welldef_matches_the_scalar_seam_loop():
+    # the per-sample outer-seam comparison welldef_check once made, point by point
+    samples = default_seam_samples(P)
+    errs, shifts = [], set()
+    for p in samples[1::2]:
+        f = P.c / p.u2
+        c1, _, n1 = canonical_rep(P.c * p.u1 * phi(f, 0), f)
+        c2, _, n2 = canonical_rep(p.u1 * p.u2 * phi(f, 0), f)
+        errs.append(abs(c1 - c2) / max(1.0, abs(c2)))
+        shifts.add(n2 - n1)
+    cert = welldef_check(P)
+    assert cert == welldef_check(P, seam_samples=samples)
+    assert abs(cert.details["sup_error"] - max(errs)) <= 1e-15
+    assert cert.details["psi2_shifts"] == sorted(shifts) == [1]
+    assert all(type(k) is int for k in cert.details["psi2_shifts"])
+
+
+def test_default_seam_samples_keep_the_scalar_stream():
+    rng = np.random.default_rng(20240605)
+    for k, p in enumerate(default_seam_samples(P, n=200)):
+        th1, th2 = rng.uniform(0, 2 * math.pi, 2)
+        r = P.a if k % 2 == 0 else P.b
+        assert (p.u1, p.u2) == (r * cmath.exp(1j * th1), cmath.exp(1j * th2))
 
 
 def test_welldef_rejects_non_seam_samples():

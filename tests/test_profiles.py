@@ -210,6 +210,17 @@ def test_f2_conditions(P, f2):
     assert vals.min() > 1.0 and vals.max() < P.rho2
 
 
+def test_f2_scalar_path_is_bit_identical_to_arrays(f2):
+    # a Python float skips the 0-d array; its value must not move by a bit
+    x_sw = f2.meta["x_switch"]
+    for x in (x_sw - 0.25, np.nextafter(x_sw, -np.inf), x_sw,
+              np.nextafter(x_sw, np.inf), x_sw + 0.25):
+        for fn in (f2.L, f2.dL, f2.d2L):
+            one = np.float64(fn(float(x)))
+            assert one.tobytes() == np.float64(fn(np.asarray(x))).tobytes()
+            assert one.tobytes() == fn(np.array([x]))[0].tobytes()
+
+
 def test_f2_c2_contact_at_switch(f2):
     x_sw = f2.meta["x_switch"]
     h = 1e-9
