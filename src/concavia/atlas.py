@@ -119,7 +119,10 @@ def validate_params(values: dict) -> Params:
         raise ConfigError(f"missing parameter fields: {', '.join(missing)}")
     vals = {}
     for name in _RAW_FIELDS:
-        v = float(values[name])
+        try:
+            v = float(values[name])
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"parameter {name} must be a number, got {values[name]!r}") from err
         if not math.isfinite(v) or v <= 0.0:
             raise ConfigError(f"parameter {name} must be finite and positive, got {v!r}")
         vals[name] = v

@@ -39,6 +39,7 @@ import numpy as np
 
 from . import family
 from .atlas import (
+    _RAW_FIELDS,
     default_params,
     map_Phi,
     phi,
@@ -54,7 +55,6 @@ from .errors import (
 from .levi import (
     ScalarField,
     exp_jet,
-    find_lambda,
     hartogs_boundary_test,
     is_strictly_psh,
     jet,
@@ -76,6 +76,9 @@ _KNOB_DEFAULTS: dict = {
     "density": 1,
 }
 
+# knobs that count or size something; every other knob is a finite real
+_INT_KNOBS = ("n_tau", "n_samples", "knots", "density")
+
 SUITES = ("atlas", "openbook", "profiles", "levi", "family")
 
 
@@ -94,12 +97,14 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: str | None = None, overrides: dict | None = None) -> "RunConfig":
-        base: dict = {
-            "params": default_params().raw_dict(),
-            "knobs": dict(_KNOB_DEFAULTS),
-            "outputs": "out",
-            "seed": 0,
-        }
+        """Merge the defaults, the config file and the dotted overrides, then
+        validate the result once.
+
+        A ``params`` block replaces the default parameters (so a missing
+        field is a config error); a ``knobs`` block is a partial override.
+        """
+        cfg: dict = {"params": default_params().raw_dict(), "knobs": {},
+                     "outputs": "out", "seed": 0}
         if path is not None:
             try:
                 with open(path, "r", encoding="utf-8") as fh:
@@ -110,32 +115,36 @@ class RunConfig:
                 raise ConfigError(f"config {path!r} is not valid JSON: {err}") from err
             if not isinstance(loaded, dict):
                 raise ConfigError(f"config {path!r} must hold a JSON object")
-            for key, val in loaded.items():
-                if key in ("params", "knobs"):
-                    if not isinstance(val, dict):
-                        raise ConfigError(f"config field {key!r} must be an object")
-                    # a params block replaces the defaults (so a missing field
-                    # is a config error); knob blocks are partial overrides
-                    if key == "params":
-                        base[key] = dict(val)
-                    else:
-                        base[key].update(val)
-                elif key in ("outputs", "seed"):
-                    base[key] = val
-                else:
-                    raise ConfigError(f"unknown config field {key!r}")
+            cfg.update(loaded)
         for key, val in (overrides or {}).items():
-            _apply_dotted(base, key, val)
-        cfg = cls(params=base["params"], knobs=base["knobs"],
-                  outputs=str(base["outputs"]), seed=int(base["seed"]))
-        cfg._check_knobs()
-        return cfg
+            _apply_dotted(cfg, key, val)
+
+        unknown = set(cfg) - {"params", "knobs", "outputs", "seed"}
+        if unknown:
+            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        for key in ("params", "knobs"):
+            if not isinstance(cfg[key], dict):
+                raise ConfigError(f"config field {key!r} must be an object")
+        unknown = set(cfg["params"]) - set(_RAW_FIELDS)
+        if unknown:
+            raise ConfigError(f"unknown parameter fields: {sorted(unknown)}")
+        if not _is_int(cfg["seed"]):
+            raise ConfigError(f"seed must be an integer, got {cfg['seed']!r}")
+        run = cls(params=cfg["params"], knobs={**_KNOB_DEFAULTS, **cfg["knobs"]},
+                  outputs=str(cfg["outputs"]), seed=cfg["seed"])
+        run._check_knobs()
+        return run
 
     def _check_knobs(self) -> None:
         kn = self.knobs
         unknown = set(kn) - set(_KNOB_DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown knobs: {sorted(unknown)}")
+        for key, val in kn.items():
+            if key in _INT_KNOBS and not _is_int(val):
+                raise ConfigError(f"knob {key} must be an integer, got {val!r}")
+            if not (_is_int(val) or isinstance(val, float) and math.isfinite(val)):
+                raise ConfigError(f"knob {key} must be a finite number, got {val!r}")
         for key in ("eps1", "eps2", "branch_margin", "depth_frac", "lambda_max"):
             if not kn[key] > 0:
                 raise ConfigError(f"knob {key} must be positive, got {kn[key]}")
@@ -149,6 +158,11 @@ class RunConfig:
     def family_knobs(self) -> family.Knobs:
         fields = (f.name for f in dataclasses.fields(family.Knobs))
         return family.Knobs(**{name: self.knobs[name] for name in fields})
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: ``True`` and ``16.0`` are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _apply_dotted(cfg: dict, key: str, value) -> None:
@@ -441,9 +455,7 @@ def _export_family(cfg: RunConfig, par, outdir: str) -> list[str]:
 def _export_levi_field(cfg: RunConfig, par, outdir: str) -> list[str]:
     kn = cfg.knobs
     fam = family.build_family(par, kn["n_tau"], cfg.family_knobs())
-    lam, _ = find_lambda(family.gamma_field(fam),
-                         family.verification_grid(fam, 1) + family.verification_grid(fam, 2),
-                         lambda_max=kn["lambda_max"])
+    lam, _ = family.find_collar_lambda(fam, kn["lambda_max"])
     pts = family.verification_grid(fam, kn["density"])
     z1 = np.array([p[0] for p in pts])
     z2 = np.array([p[1] for p in pts])

@@ -90,10 +90,6 @@ class SplineC2:
         object.__setattr__(self, "_d1", self.ppoly.derivative())
         object.__setattr__(self, "_d2", self.ppoly.derivative(2))
 
-    @property
-    def domain(self) -> tuple[float, float]:
-        return (self.x_lo, self.x_hi)
-
     def f(self, x):
         return self.ppoly(x)
 

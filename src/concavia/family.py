@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .atlas import ChartPoint, Params, in_complement_C, validate_params
+from .atlas import ChartPoint, Params, in_complement_C
 from .certs import Certificate
 from .convexjoin import EndpointData, JoinProblem, Sign, SplineC2, feasible, solve
 from .errors import (
@@ -68,6 +68,7 @@ __all__ = [
     "pseudoconcavity_check",
     "compatibility_check",
     "verification_grid",
+    "find_collar_lambda",
     "run_verification",
 ]
 
@@ -141,22 +142,9 @@ class SphereModel:
         return math.log(1.0 / self.params.rho1)
 
     @property
-    def budget(self) -> float:
-        return math.log(self.params.rho1 / self.params.rho0)
-
-    @property
     def window(self) -> tuple[float, float]:
         """Dome abscissa range in the gluing frame."""
         return self.htilde.x_lo, self.htilde.x_hi
-
-    @property
-    def corners(self) -> dict:
-        """Log-radius coordinates of the seam corners and binding radii."""
-        return {
-            "left": (self.htilde.x_lo, self.y_star),
-            "right": (self.htilde.x_hi, self.y_star),
-            "binding_radii": (self.params.c1, self.params.c2),
-        }
 
     def summary(self) -> dict:
         s = {
@@ -609,23 +597,6 @@ class FamilySpec:
     fol: _Foliation = field(repr=False)
     certificates: dict = field(default_factory=dict, repr=False)
 
-    #: half-open parameter range, top slice included
-    tau_range: tuple = (0.0, 1.0)
-
-    def curve(self, tau: float) -> dict:
-        """Parameter curves of the slice through ``tau``."""
-        fol = self.fol
-        g1, g2 = float(fol.g1(tau)), float(fol.g2(tau))
-        e1 = self.model.knobs.eps1 * g1
-        e2 = self.model.knobs.eps2 * g2
-        r2b = math.exp(fol.y_cut(tau))
-        c1t, c2t = float(fol.c1(tau)), float(fol.c2(tau))
-        return {
-            "c1": c1t, "c2": c2t, "eps1": e1, "eps2": e2,
-            "end_slope1": 2.0 * e1 * r2b ** 2 / (c1t + e1 * r2b ** 2),
-            "end_slope2": -2.0 * e2 * r2b ** 2 / (c2t - e2 * r2b ** 2),
-        }
-
 
 def _nesting_rays(fol: _Foliation, taus) -> list[tuple[str, float, np.ndarray]]:
     """64 radial sweeps: 28 per wall plus 8 through the dome cap.
@@ -820,8 +791,8 @@ def verification_grid(fam: FamilySpec, density: int = 1) -> list[tuple]:
 
     Covers both walls at several depths and levels, the dome cap away from
     its corners, and points adjacent to the binding plane.  ``density``
-    scales the per-sector counts; the lambda grid is the union of densities 1
-    and 2 (62 + 191 points).
+    scales the per-sector counts; :func:`find_collar_lambda` uses the union of
+    densities 1 and 2 (62 + 191 points).
     """
     fol = fam.fol
     pts = []
@@ -848,6 +819,14 @@ def verification_grid(fam: FamilySpec, density: int = 1) -> list[tuple]:
         pts.append((float(fol.wall1(t, 1e-4)) * ang(k), 1e-4 + 0j))
         k += 1
     return pts
+
+
+def find_collar_lambda(fam: FamilySpec, lambda_max: float) -> tuple[float, Certificate]:
+    """:func:`find_lambda` for the family's ``gamma`` on the lambda grid, the
+    union of :func:`verification_grid` at densities 1 and 2."""
+    return find_lambda(gamma_field(fam),
+                       verification_grid(fam, 1) + verification_grid(fam, 2),
+                       lambda_max=lambda_max)
 
 
 # ---------------------------------------------------------------------------
@@ -1089,22 +1068,13 @@ def run_verification(params: Params, knobs: Knobs | None = None, *,
     knobs = knobs or default_knobs()
     fam = build_family(params, n_tau, knobs)
     model = fam.model
-    gam = gamma_field(fam)
-    grid = verification_grid(fam, 1) + verification_grid(fam, 2)
-    lam, cert_lam = find_lambda(gam, grid, lambda_max=lambda_max)
-    # level-function regularity, read off find_lambda's jet of gamma
-    lo, hi = cert_lam.details["gradient_norm_range"]
-    cert_reg = Certificate(
-        name="gamma_regularity", grid=f"{len(grid)} grid points",
-        margin=lo - 1e-6, passed=lo > 1e-6,
-        details={"min_gradient_norm": lo, "max_gradient_norm": hi})
+    lam, cert_lam = find_collar_lambda(fam, lambda_max)
     samples = sample_M1(model, n_samples)
     cert_pc = pseudoconcavity_check(fam, lam, samples)
     cert_cp = compatibility_check(fam, lam, samples)
 
     certs = {
         "find_lambda": cert_lam,
-        "gamma_regularity": cert_reg,
         "pseudoconcavity": cert_pc,
         "compatibility": cert_cp,
     }

@@ -21,8 +21,10 @@ g . Jv``, ``-dd^C u(v, w) = -(H(v, Jw) - H(w, Jv)) / 2`` and the Levi 2x2.
 :func:`exp_jet` composes ``exp(lam * (f - shift))`` exactly from a jet of
 ``f``, so exponentials are never differenced.  The scalar helpers
 :func:`grad4`, :func:`d_c` and the nested-difference :func:`neg_ddc` share
-no code with the jet; they are kept only as the independent reference behind
-the quadratic and composition identity checks.  No symbolic engine.
+no code with the jet; they are kept as the independent reference that the
+composition identity check and the acceptance tests' scalar contact-volume
+oracle (``alpha ^ d alpha`` on a hypersurface frame) are built from.  No
+symbolic engine.
 
 :func:`find_lambda` has no search: ``Levi(gamma) + lam dgamma dgamma*`` is a
 rank-one update whose 2x2 determinant is linear in ``lam``, so each point's
@@ -33,7 +35,7 @@ the returned ``lam`` is padded by.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +45,6 @@ from .errors import DomainError, Exhausted, NotContact, NotRegular, RegionError
 __all__ = [
     "ScalarField",
     "HermitianForm",
-    "J_mat",
     "apply_J",
     "d_c",
     "grad4",
@@ -60,16 +61,7 @@ __all__ = [
     "composition_identity_check",
     "quadratic_identity_check",
     "find_lambda",
-    "fd_consistency",
 ]
-
-#: J on (x1, y1, x2, y2)
-J_mat = np.array([
-    [0, -1, 0, 0],
-    [1, 0, 0, 0],
-    [0, 0, 0, -1],
-    [0, 0, 1, 0],
-], dtype=float)
 
 
 def apply_J(v: np.ndarray) -> np.ndarray:
@@ -384,7 +376,7 @@ def quadratic_identity_check(gamma, samples, seed: int = 20240601,
     """``-(dgamma ^ d^C gamma)(v, Jv) = ((dgamma v)^2 + (dgamma Jv)^2)/2``."""
     rng = np.random.default_rng(seed)
     pts = list(samples)
-    worst_err, worst = 0.0, None
+    errs = []
     for p in pts:
         v = _rand_vector(rng)
         Jv = apply_J(v)
@@ -395,15 +387,14 @@ def quadratic_identity_check(gamma, samples, seed: int = 20240601,
         lhs = -0.5 * (dv * _dir_deriv(gamma, p, apply_J(Jv), h)
                       - dJv * _dir_deriv(gamma, p, apply_J(v), h))
         rhs = 0.5 * (dv * dv + dJv * dJv)
-        err = abs(lhs - rhs) / max(1.0, abs(rhs))
-        if err > worst_err:
-            worst_err, worst = err, p
+        errs.append(abs(lhs - rhs) / max(1.0, abs(rhs)))
+    k, worst_err = Certificate.sup_error(errs)
     return Certificate(
         name="quadratic_identity",
         grid=f"{len(pts)} sample/vector pairs",
         margin=tol - worst_err,
         passed=bool(worst_err < tol),
-        worst_point=worst,
+        worst_point=None if k is None else pts[k],
         details={"max_rel_err": worst_err})
 
 
@@ -534,14 +525,3 @@ def find_lambda(gamma, grid, lambda_max: float = 1e4, tol: float = 1e-8,
                  "gradient_norm_range": [float(gnorm.min()), float(gnorm.max())]})
     return lam, cert
 
-
-# ---------------------------------------------------------------------------
-# Utilities
-# ---------------------------------------------------------------------------
-
-def fd_consistency(u, p, v, h_rel: float = 1e-5) -> float:
-    """Richardson-style consistency: halving the step should agree ~O(h^2)."""
-    h = _step(p, h_rel)
-    d1 = _dir_deriv(u, p, v, h)
-    d2 = _dir_deriv(u, p, v, h / 2.0)
-    return abs(d1 - d2) / max(1.0, abs(d2))

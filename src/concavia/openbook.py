@@ -19,7 +19,6 @@ once on their whole sample arrays.
 from __future__ import annotations
 
 import cmath
-import csv
 import enum
 import math
 from dataclasses import dataclass
@@ -50,16 +49,13 @@ __all__ = [
     "q_inverse",
     "q_jacobian_det",
     "conjugation_check",
-    "mapping_torus_k",
     "map_Phi_prime",
     "phi_prime_cr_residual",
     "embed_g",
     "welldef_check",
     "default_seam_samples",
-    "sample_page",
     "corner_tori",
     "twist_winding",
-    "export_point_cloud",
 ]
 
 _MTOL = 1e-12
@@ -282,16 +278,6 @@ def conjugation_check(spec: TwistSpec, samples=None, n: int = 10 ** 4,
         details={"sup_error": worst, "tol": tol})
 
 
-def mapping_torus_k(spec: TwistSpec, z, t):
-    """``k([(z, t)]) = (z e^{2 pi i tau(|z|)(t - 1)}, e^{2 pi i t})``."""
-    z, t = _values(z, complex), _values(t, float)
-    r = _check_page_radius(spec, z)
-    _require((-1e-12 <= t) & (t <= 1.0 + 1e-12),
-             "mapping torus parameter t outside [0, 1]", t)
-    return (_py(z * np.exp(2j * np.pi * spec.tau(r) * (t - 1.0))),
-            _py(np.exp(2j * np.pi * t)))
-
-
 def twist_winding(spec: TwistSpec, n: int = 256) -> int:
     """Winding number of ``e^{2 pi i tau(r)}`` as ``r`` runs ``a -> b``."""
     ang = 2.0 * np.pi * np.asarray(spec.tau(np.linspace(spec.a, spec.b, n)))
@@ -419,20 +405,8 @@ def welldef_check(params: Params, seam_samples=None, tol: float = 1e-8) -> Certi
 
 
 # ---------------------------------------------------------------------------
-# Pages, binding, corners
+# Corners
 # ---------------------------------------------------------------------------
-
-def sample_page(params: Params, theta: float, n: int) -> list[ChartPoint]:
-    """``n`` embedded points of the page over the circle angle ``theta``."""
-    if n < 2:
-        raise DomainError("sample_page needs n >= 2")
-    u2 = cmath.exp(1j * theta)
-    out = []
-    for j, r in enumerate(np.linspace(params.a, params.b, n)):
-        u1 = float(r) * cmath.exp(2j * math.pi * j / n)
-        out.append(embed_g(params, MPoint.torus(params, u1, u2)))
-    return out
-
 
 def corner_tori(params: Params, n: int = 16) -> dict[str, list[ChartPoint]]:
     """Images of the two boundary tori ``dA x S^1`` (the corner locus)."""
@@ -447,40 +421,3 @@ def corner_tori(params: Params, n: int = 16) -> dict[str, list[ChartPoint]]:
         out[tag] = pts
     return out
 
-
-def export_point_cloud(params: Params, path: str, n_pages: int = 8,
-                       per_page: int = 24, n_binding: int = 64,
-                       n_corner: int = 12) -> int:
-    """CSV dump of pages, binding circles, and corner tori; returns row count."""
-    rows = []
-
-    def add(part: str, u1: complex, u2: complex, cp: ChartPoint) -> None:
-        rows.append([part, u1.real, u1.imag, u2.real, u2.imag, cp.chart.value,
-                     cp.z1.real, cp.z1.imag, cp.z2.real, cp.z2.imag])
-
-    for i in range(n_pages):
-        theta = 2 * math.pi * i / n_pages
-        u2 = cmath.exp(1j * theta)
-        for j, r in enumerate(np.linspace(params.a, params.b, per_page)):
-            u1 = float(r) * cmath.exp(2j * math.pi * j / per_page)
-            add("Torus", u1, u2, embed_g(params, MPoint.torus(params, u1, u2)))
-    for r in (params.a, params.b):
-        for i in range(n_binding):
-            u1 = r * cmath.exp(2j * math.pi * i / n_binding)
-            p = MPoint.collar(params, u1, 0.0)
-            add("Collar", u1, 0.0, embed_g(params, p))
-    for tag, pts in corner_tori(params, n_corner).items():
-        k = 0
-        for i in range(n_corner):
-            for j in range(n_corner):
-                r = params.a if tag == "inner" else params.b
-                u1 = r * cmath.exp(2j * math.pi * i / n_corner)
-                u2 = cmath.exp(2j * math.pi * j / n_corner)
-                add("Torus", u1, u2, pts[k])
-                k += 1
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["part", "u1_re", "u1_im", "u2_re", "u2_im", "chart",
-                    "z1_re", "z1_im", "z2_re", "z2_im"])
-        w.writerows(rows)
-    return len(rows)

@@ -18,7 +18,6 @@ signs — the configuration that makes the connecting convex join feasible.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass, field
@@ -43,9 +42,6 @@ __all__ = [
     "make_f2",
     "pushforward_h1",
     "pushforward_h2",
-    "angle_matrix",
-    "transform_slope",
-    "export_csv",
 ]
 
 _DOMAIN_SLACK = 1e-12
@@ -93,10 +89,6 @@ class Profile:
         x = self._check(x)
         out = self.d2L_fn(x)
         return float(out) if np.ndim(out) == 0 else np.asarray(out, dtype=float)
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        return (self.x_lo, self.x_hi)
 
     def grid(self, n: int, margin: float = 0.0) -> np.ndarray:
         return np.linspace(self.x_lo + margin, self.x_hi - margin, n)
@@ -448,51 +440,3 @@ def pushforward_h2(f2: Profile, branch_margin: float = 1e-3) -> Profile:
         X_lo, X_hi, Lh, dLh, d2Lh,
         meta={"kind": "h2", "branch": (y_lo, y_hi), "branch_margin": branch_margin})
 
-
-# ---------------------------------------------------------------------------
-# Angular coordinate changes
-# ---------------------------------------------------------------------------
-
-class NearCorner(enum.Enum):
-    NearH1 = "NearH1"
-    NearH2 = "NearH2"
-
-
-def angle_matrix(which) -> np.ndarray:
-    """Integer matrix sending graph-frame angles to annulus-frame angles.
-
-    ``(w1, w2) = (z1, 1/z2)`` near the convex-curve corner and
-    ``(w1, w2) = (z1 z2, 1/z2)`` near the concave one; both have
-    determinant -1 (orientation flip of the torus).
-    """
-    which = NearCorner(which) if not isinstance(which, NearCorner) else which
-    if which is NearCorner.NearH1:
-        return np.array([[1, 0], [0, -1]], dtype=int)
-    return np.array([[1, 1], [0, -1]], dtype=int)
-
-
-def transform_slope(M: np.ndarray, sigma: float) -> float:
-    """Image of the direction ``(1, sigma)`` under ``M``, as a slope."""
-    num = M[1, 0] + M[1, 1] * sigma
-    den = M[0, 0] + M[0, 1] * sigma
-    if den == 0:
-        raise ZeroDivisionError("direction maps to the vertical")
-    return num / den
-
-
-# ---------------------------------------------------------------------------
-# Export
-# ---------------------------------------------------------------------------
-
-def export_csv(p: Profile, path: str, n: int = 256) -> None:
-    """Write an ``(r, p, p', p'', slope, L'')`` sweep of the profile."""
-    xs = p.grid(n)
-    r = np.exp(xs)
-    val, first, second = eval_profile(p, r)
-    sl = p.dL(xs)
-    d2 = p.d2L(xs)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["r", "p", "dp", "d2p", "slope", "d2L"])
-        for row in zip(r, val, first, second, sl, d2):
-            w.writerow([f"{v:.17g}" for v in row])

@@ -1,8 +1,13 @@
+import importlib
 import json
 import math
+import pkgutil
 import subprocess
 import sys
 
+import pytest
+
+import concavia
 from concavia import cli
 from concavia.atlas import phi
 from concavia.cli import main
@@ -54,6 +59,44 @@ def test_unknown_knob_exits_2(capsys):
         doc = json.loads(out)
         assert doc["error"] == "ConfigError"
         assert f"unknown knobs: ['{knob}']" in doc["message"]
+
+
+@pytest.mark.parametrize("args, file_blob, fragment", [
+    (["--knobs=5"], None, "config field 'knobs' must be an object"),
+    (["--params=3"], None, "config field 'params' must be an object"),
+    (["--seed=abc"], None, "seed must be an integer, got 'abc'"),
+    (["--params.rho1=abc"], None, "parameter rho1 must be a number, got 'abc'"),
+    (["--knobs.eps1=abc"], None, "knob eps1 must be a finite number, got 'abc'"),
+    (["--knobs.n_tau=16.0"], None, "knob n_tau must be an integer, got 16.0"),
+    (["--out", "elsewhere"], None, "unknown config fields: ['out']"),
+    (["--seeed=5"], None, "unknown config fields: ['seeed']"),
+    (["--params.rho3=5"], None, "unknown parameter fields: ['rho3']"),
+    ([], {"knobs": {"knots": True}}, "knob knots must be an integer, got True"),
+    ([], {"seed": 1, "family_knobs": {}}, "unknown config fields: ['family_knobs']"),
+], ids=["knobs-not-object", "params-not-object", "seed-not-int", "param-not-number",
+        "knob-not-number", "int-knob-is-float", "unknown-out", "unknown-seeed",
+        "unknown-param", "file-bool-knob", "file-unknown-field"])
+def test_malformed_config_exits_2(tmp_path, capsys, args, file_blob, fragment):
+    if file_blob is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(file_blob))
+        args = ["--config", str(cfg), *args]
+    code = main(["verify", "--suite", "atlas", "--outputs", str(tmp_path), *args])
+    out, err = capsys.readouterr()
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "ConfigError"
+    assert fragment in doc["message"]
+    assert err == ""
+    assert not (tmp_path / "report_atlas.json").exists()
+
+
+def test_partial_knobs_object_keeps_the_other_defaults(tmp_path, capsys):
+    code, out = _run(capsys, ["verify", "--suite", "atlas", "--outputs", str(tmp_path),
+                              '--knobs={"eps1": 0.003}'])
+    assert code == 0
+    knobs = json.loads(out)["knobs"]
+    assert knobs["eps1"] == 0.003 and knobs["n_tau"] == 16
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +161,44 @@ def test_verify_all_reports_lambda(tmp_path, capsys):
     rep = json.loads((tmp_path / "report_all.json").read_text())
     assert rep["passed"] is True
     assert rep["suites"]["family"]["lambda"] > 0
+
+
+# every certificate of a default `verify --suite all` report, by its path in
+# the report; a certificate is added or removed here on purpose only
+_DEFAULT_CERTIFICATES = {
+    *(f"suites.atlas.certificates.{k}" for k in (
+        "Phi_branch_independence", "params_chain", "phi_branch_law")),
+    *(f"suites.family.checks.{k}" for k in (
+        "compatibility", "find_lambda", "pseudoconcavity")),
+    *(f"suites.family.family.{k}" for k in (
+        "curve_monotone", "level_consistency", "nesting", "slice_validity",
+        "top_slice_equality")),
+    *(f"suites.family.model.certificates.{k}" for k in (
+        "clearances", "membership", "seam_C1", "seam_contact", "seam_join",
+        "seam_slopes", "wall1_shape", "wall2_shape")),
+    *(f"suites.levi.certificates.{k}" for k in (
+        "hartogs_reference", "psh_reference", "quadratic_identity")),
+    *(f"suites.openbook.certificates.{k}" for k in (
+        "conjugation", "disjointness", "welldef")),
+    *(f"suites.profiles.certificates.{k}" for k in (
+        "identity_f1", "identity_f2", "identity_seam", "seam_C1", "seam_contact",
+        "wall1_shape", "wall2_shape")),
+}
+
+
+def _certificate_paths(node, path=()) -> set:
+    if not isinstance(node, dict):
+        return set()
+    if {"name", "grid", "margin", "passed"} <= set(node):
+        return {".".join(path)}
+    return set().union(*(_certificate_paths(v, path + (k,)) for k, v in node.items()))
+
+
+def test_default_report_certificates_are_pinned(tmp_path, capsys):
+    code, _ = _run(capsys, ["verify", "--suite", "all", "--outputs", str(tmp_path)])
+    assert code == 0
+    rep = json.loads((tmp_path / "report_all.json").read_text())
+    assert _certificate_paths(rep) == _DEFAULT_CERTIFICATES
 
 
 def test_verify_report_byte_identical(tmp_path, capsys):
@@ -190,3 +271,16 @@ def test_cli_runs_without_loading_scipy(tmp_path):
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, (argv, proc.stderr)
         assert proc.stderr.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# package surface
+# ---------------------------------------------------------------------------
+
+def test_every_name_in_all_exists():
+    names = ["concavia"] + [f"concavia.{m.name}" for m in pkgutil.iter_modules(concavia.__path__)]
+    missing = []
+    for name in names:
+        mod = importlib.import_module(name)
+        missing += [f"{name}.{x}" for x in getattr(mod, "__all__", ()) if not hasattr(mod, x)]
+    assert missing == []

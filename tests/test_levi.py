@@ -15,7 +15,6 @@ from concavia.levi import (
     composition_identity_check,
     d_c,
     exp_jet,
-    fd_consistency,
     find_lambda,
     grad4,
     hartogs_boundary_test,
@@ -89,11 +88,6 @@ def test_region_enforcement():
         d_c(u, (0.0, 1.0), E[0])
     with pytest.raises(RegionError):
         levi_matrix(u, (0.05, 1.0))
-
-
-def test_fd_consistency_richardson():
-    u = ScalarField(lambda z1, z2: np.exp(np.real(z1)) + np.abs(z2) ** 2)
-    assert fd_consistency(u, (0.3 + 0.4j, 0.2j), E[2]) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +381,14 @@ def test_quadratic_identity_sweep():
     cert = quadratic_identity_check(sq_norm, _shell_points(rng, 100))
     assert cert.passed
     assert cert.details["max_rel_err"] < 1e-6
+
+
+def test_quadratic_identity_fails_on_a_nan_field():
+    cert = quadratic_identity_check(lambda z1, z2: math.nan,
+                                    _shell_points(np.random.default_rng(41), 5))
+    assert not cert.passed
+    assert cert.margin == -math.inf
+    assert cert.details["max_rel_err"] == math.inf
 
 
 def test_composition_identity_reduces_for_identity_g():

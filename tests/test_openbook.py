@@ -2,7 +2,6 @@
 
 import cmath
 import collections
-import csv
 import math
 
 import numpy as np
@@ -21,15 +20,12 @@ from concavia.openbook import (
     corner_tori,
     default_seam_samples,
     embed_g,
-    export_point_cloud,
     map_Phi_prime,
-    mapping_torus_k,
     monodromy_delta,
     phi_prime_cr_residual,
     q_chart,
     q_inverse,
     q_jacobian_det,
-    sample_page,
     twist_winding,
     welldef_check,
 )
@@ -231,8 +227,7 @@ def test_elementwise_maps_match_scalar_calls():
                  (lambda x: q_chart(spec, x)[0], (z,), complex),
                  (lambda x: q_chart(spec, x)[1], (z,), float),
                  (lambda x, y: q_inverse(spec, x, y), (w, t), complex),
-                 (spec.invert, (t,), float),
-                 (lambda x, y: mapping_torus_k(spec, x, y)[0], (z, t), complex)]
+                 (spec.invert, (t,), float)]
         for fn, args, kind in cases:
             arr = fn(*args)
             one = [fn(*(a[i].item() for a in args)) for i in range(40)]
@@ -286,25 +281,6 @@ def test_sweeps_call_each_map_a_fixed_number_of_times(monkeypatch, n):
     counts.clear()
     assert welldef_check(P, seam_samples=default_seam_samples(P, n=n)).passed
     assert counts == {"canonical_rep": 2, "phi": 1}
-
-
-def test_mapping_torus_k_values():
-    z = 1.1 * cmath.exp(0.8j)
-    out = mapping_torus_k(SPEC, z, 1.0)
-    assert abs(out[0] - z) < 1e-12
-    assert abs(out[1] - 1.0) < 1e-12
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        zz = rng.uniform(P.a, P.b) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-        lhs = mapping_torus_k(SPEC, zz, 1.0)
-        rhs = mapping_torus_k(SPEC, monodromy_delta(SPEC, zz), 0.0)
-        assert abs(lhs[0] - rhs[0]) < 1e-12
-        assert abs(lhs[1] - rhs[1]) < 1e-12
-    # fiber coordinate depends only on t
-    t = 0.37
-    f1 = mapping_torus_k(SPEC, 1.05 * P.a, t)[1]
-    f2 = mapping_torus_k(SPEC, 0.99 * P.b * cmath.exp(2.0j), t)[1]
-    assert abs(f1 - f2) < 1e-14
 
 
 def test_twist_winding_is_one():
@@ -431,18 +407,23 @@ def test_welldef_rejects_non_seam_samples():
 # Pages and corners
 # ---------------------------------------------------------------------------
 
+def _page(theta: float, n: int) -> list[ChartPoint]:
+    """``embed_g`` of ``n`` torus points of the page over the circle angle ``theta``."""
+    u2 = cmath.exp(1j * theta)
+    return [embed_g(P, MPoint.torus(P, float(r) * cmath.exp(2j * math.pi * j / n), u2))
+            for j, r in enumerate(np.linspace(P.a, P.b, n))]
+
+
 def test_sample_page_shares_fiber_value():
-    pts = sample_page(P, 0.8, 20)
+    pts = _page(0.8, 20)
     vals = [fibration_f(P, cp)[0] for cp in pts]
     for v in vals[1:]:
         assert abs(v - vals[0]) < 1e-10
-    with pytest.raises(DomainError):
-        sample_page(P, 0.0, 1)
 
 
 def test_page_is_2pi_periodic():
-    pts1 = sample_page(P, 1.1, 8)
-    pts2 = sample_page(P, 1.1 + 2 * math.pi, 8)
+    pts1 = _page(1.1, 8)
+    pts2 = _page(1.1 + 2 * math.pi, 8)
     for p1, p2 in zip(pts1, pts2):
         assert same_point(P, p1, p2, tol=1e-9)
 
@@ -479,15 +460,3 @@ def test_embed_injectivity_10k():
                         f"{seen[key]} vs {mp}")
         seen[key] = mp
 
-
-def test_point_cloud_export(tmp_path):
-    path = tmp_path / "cloud.csv"
-    n = export_point_cloud(P, str(path), n_pages=2, per_page=6, n_binding=8,
-                           n_corner=4)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["part", "u1_re", "u1_im", "u2_re", "u2_im", "chart",
-                       "z1_re", "z1_im", "z2_re", "z2_im"]
-    assert len(rows) == n + 1
-    assert {r[0] for r in rows[1:]} == {"Torus", "Collar"}
-    assert {r[5] for r in rows[1:]} <= {"V", "W_annulus"}

@@ -11,18 +11,15 @@ from concavia.errors import BranchError, DomainError, FeasibilityError
 from concavia.profiles import (
     ContactTag,
     Profile,
-    angle_matrix,
     classify_contact,
     contact_form_coeffs,
     eval_profile,
-    export_csv,
     make_f1,
     make_f2,
     pushforward_h1,
     pushforward_h2,
     second_derivative_identity_check,
     slope,
-    transform_slope,
 )
 
 
@@ -352,46 +349,6 @@ def test_h2_round_trip(f2, h2):
 def test_h2_branch_error(f2):
     with pytest.raises(BranchError):
         pushforward_h2(f2, branch_margin=0.06)  # end slope is only -1.05
-
-
-# ---------------------------------------------------------------------------
-# Angle matrices
-# ---------------------------------------------------------------------------
-
-def test_angle_matrices_exact():
-    M1 = angle_matrix("NearH1")
-    M2 = angle_matrix("NearH2")
-    assert np.array_equal(M1, [[1, 0], [0, -1]])
-    assert np.array_equal(M2, [[1, 1], [0, -1]])
-    assert round(np.linalg.det(M1)) == -1
-    assert round(np.linalg.det(M2)) == -1
-
-
-def test_slope_transform_consistency(f1, f2, h1, h2):
-    # Foliation direction (1, 1/L') on the graph side maps to the slope of
-    # the pushforward profile at the matched point.
-    M1, M2 = angle_matrix("NearH1"), angle_matrix("NearH2")
-    for y in np.linspace(-1.5, f1.x_hi - 1e-9, 20):
-        got = transform_slope(M1, 1.0 / f1.dL(y))
-        want = h1.dL(f1.L(y))
-        assert abs(got - want) / abs(want) < 1e-6
-    y_lo, y_hi = h2.meta["branch"]
-    for y in np.linspace(y_lo + 1e-9, y_hi, 20):
-        got = transform_slope(M2, 1.0 / f2.dL(y))
-        want = h2.dL(f2.L(y) + y)
-        assert abs(got - want) / abs(want) < 1e-6
-
-
-# ---------------------------------------------------------------------------
-# Export
-# ---------------------------------------------------------------------------
-
-def test_export_csv(tmp_path, f1):
-    path = tmp_path / "f1.csv"
-    export_csv(f1, str(path), n=64)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "r,p,dp,d2p,slope,d2L"
-    assert len(lines) == 65
 
 
 def test_profile_serialization(f2):
