@@ -210,10 +210,11 @@ class ChartPoint:
 
     @classmethod
     def w(cls, params: Params, w1: complex, w2: complex) -> "ChartPoint":
-        if w1 == 0:
-            raise DomainError("W chart needs w1 != 0")
-        if not (params.rho0 < abs(w2) < params.rho1):
-            raise DomainError(f"W chart needs rho0 < |w2| < rho1, got |w2|={abs(w2)}")
+        """Elementwise like :func:`canonical_rep`: arrays give a point of
+        arrays, scalars one of Python complex numbers."""
+        r2 = np.abs(w2)
+        _require(np.asarray(w1) != 0, "W chart needs w1 != 0", w1)
+        _require((params.rho0 < r2) & (r2 < params.rho1), "W chart needs rho0 < |w2| < rho1", r2)
         w1c, w2c, _ = canonical_rep(w1, w2)
         return cls(Chart.W_ANNULUS, w1c, w2c)
 
@@ -297,16 +298,15 @@ def map_Phi(params: Params, z1: complex, z2: complex, k: int = 0) -> ChartPoint:
 
     ``(z1, z2) -> [(z1 * phi(1/z2, k), 1/z2)]``, canonicalized.  The result is
     independent of the branch ``k`` (exactly, up to the integer action).
+    Elementwise on arrays, giving a ``ChartPoint`` of arrays; scalars give
+    one of Python complex numbers, computed with Python's own arithmetic.
     """
-    if z1 == 0:
-        raise DomainError("map_Phi needs z1 != 0")
-    r2 = abs(z2)
-    if not (1.0 / params.rho1 < r2 < 1.0 / params.rho0):
-        raise DomainError(
-            f"map_Phi needs 1/rho1 < |z2| < 1/rho0, got |z2|={r2}")
+    r2 = np.abs(z2)
+    _require(np.asarray(z1) != 0, "map_Phi needs z1 != 0", z1)
+    _require((1.0 / params.rho1 < r2) & (r2 < 1.0 / params.rho0),
+             "map_Phi needs 1/rho1 < |z2| < 1/rho0", r2)
     w2 = 1.0 / z2
-    w1 = z1 * phi(w2, k)
-    return ChartPoint.w(params, w1, w2)
+    return ChartPoint.w(params, z1 * phi(w2, k), w2)
 
 
 def map_psi(params: Params, z1: complex, z2: complex) -> ChartPoint:
@@ -345,12 +345,10 @@ def _close(a: complex, b: complex, tol: float) -> bool:
 def _same_annulus_point(p: ChartPoint, q: ChartPoint, tol: float) -> bool:
     # Canonical representatives of nearly-equal points can disagree by one
     # shift when |w1| sits at the band edge, so compare a few neighbors.
-    if not _close(p.z2, q.z2, tol):
-        return False
-    for n in (-1, 0, 1):
-        if _close(p.z1 * p.z2 ** n, q.z1, tol * max(1.0, abs(q.z1))):
-            return True
-    return False
+    # Elementwise: points holding arrays give a bool array.
+    scale = tol * np.maximum(1.0, abs(q.z1))
+    near = [_close(p.z1 * p.z2 ** n, q.z1, scale) for n in (-1, 0, 1)]
+    return _py(_close(p.z2, q.z2, tol) & np.logical_or.reduce(near))
 
 
 def same_point(params: Params, p: ChartPoint, q: ChartPoint, tol: float = 1e-9) -> bool:
@@ -358,7 +356,9 @@ def same_point(params: Params, p: ChartPoint, q: ChartPoint, tol: float = 1e-9) 
 
     Handles identity overlap of ``V`` and ``V'`` (literal coordinate
     equality), the ``psi`` gluing, and identification through the quotient
-    annulus chart, all within ``tol``.
+    annulus chart, all within ``tol``.  Two annulus-chart points holding
+    arrays (from an array :func:`map_Phi`) compare elementwise, giving a
+    bool array; every other route takes scalar points.
     """
     if p.chart == q.chart:
         if p.chart is Chart.W_ANNULUS:

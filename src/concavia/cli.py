@@ -225,21 +225,18 @@ def _suite_atlas(cfg: RunConfig, par) -> dict[str, Certificate]:
         margin=1e-9 - worst, passed=worst < 1e-9,
         details={"max_rel_err": worst})
 
-    bad = 0
-    n = 0
-    j = 0
-    for r1 in np.linspace(1.001, par.s - 1e-3, 8):
-        for r2 in np.linspace(1 / par.rho1 + 1e-3, 1 / par.rho0 - 1e-3, 8):
-            th1 = 2 * math.pi * ((j * _GOLD) % 1.0)
-            th2 = 2 * math.pi * ((j * _GOLD * _GOLD) % 1.0)
-            j += 1
-            z1 = float(r1) * cmath.exp(1j * th1)
-            z2 = float(r2) * cmath.exp(1j * th2)
-            ref = map_Phi(par, z1, z2, 0)
-            for k in (-2, -1, 1, 2):
-                n += 1
-                if not same_point(par, ref, map_Phi(par, z1, z2, k)):
-                    bad += 1
+    # an 8 x 8 grid of radii (r1 outer, r2 inner) at golden-ratio angles
+    r1, r2 = np.meshgrid(np.linspace(1.001, par.s - 1e-3, 8),
+                         np.linspace(1 / par.rho1 + 1e-3, 1 / par.rho0 - 1e-3, 8),
+                         indexing="ij")
+    j = np.arange(r1.size)
+    z1 = r1.ravel() * np.exp(1j * (2 * math.pi * ((j * _GOLD) % 1.0)))
+    z2 = r2.ravel() * np.exp(1j * (2 * math.pi * ((j * _GOLD * _GOLD) % 1.0)))
+    ref = map_Phi(par, z1, z2, 0)
+    branches = (-2, -1, 1, 2)
+    n = len(branches) * z1.size
+    bad = sum(int(np.count_nonzero(~same_point(par, ref, map_Phi(par, z1, z2, k))))
+              for k in branches)
     certs["Phi_branch_independence"] = Certificate(
         name="Phi_branch_independence", grid=f"{n} transitions",
         margin=1.0 if bad == 0 else -float(bad), passed=bad == 0,

@@ -377,20 +377,22 @@ def sample_M1(model: SphereModel, n: int) -> list[tuple[ChartPoint, str]]:
     j = 0
     for tag in ("H1", "H2", "S"):
         xs = _inverse_cdf(grids[tag], dens[tag][1], counts[tag])
-        for x in xs:
-            th1 = 2.0 * math.pi * ((j * _GOLD1) % 1.0)
-            th2 = 2.0 * math.pi * ((j * _GOLD2) % 1.0)
-            j += 1
-            if tag == "S":
-                z1 = np.exp(x) * np.exp(1j * th1)
-                z2 = np.exp(-float(model.htilde.f(x))) * np.exp(1j * th2)
-                out.append((ChartPoint.v_prime(p, z1, z2), tag))
-            else:
-                prof = model.f1 if tag == "H1" else model.f2
-                r1 = float(np.exp(prof.L(x)))
-                z1 = r1 * np.exp(1j * th1)
-                z2 = math.exp(x) * np.exp(1j * th2)
-                out.append((ChartPoint.v(p, z1, z2), tag))
+        k = np.arange(j, j + xs.size)
+        j += xs.size
+        e1 = np.exp(1j * (2.0 * math.pi * ((k * _GOLD1) % 1.0)))
+        e2 = np.exp(1j * (2.0 * math.pi * ((k * _GOLD2) % 1.0)))
+        if tag == "S":
+            z1 = np.exp(xs) * e1
+            z2 = np.exp(-model.htilde.f(xs)) * e2
+            chart = ChartPoint.v_prime
+        else:
+            prof = model.f1 if tag == "H1" else model.f2
+            z1 = np.exp(prof.L(xs)) * e1
+            # math.exp: numpy's exp differs from libm's in the last bit on
+            # some abscissas, and every sample downstream would move with it
+            z2 = np.array([math.exp(x) for x in xs.tolist()]) * e2
+            chart = ChartPoint.v
+        out += [(chart(p, a, b), tag) for a, b in zip(z1.tolist(), z2.tolist())]
     return out
 
 
@@ -918,16 +920,39 @@ def _sample_frames(model: SphereModel, samples):
     return tuple(np.array(col) for col in zip(*rows))
 
 
-def _contact_volumes(fam: FamilySpec, lam: float, samples):
-    """``alpha ^ d alpha`` on each sample's oriented tangent frame.
+@dataclass(frozen=True)
+class _SampleJet:
+    """Normalized samples with the jet of ``gamma`` and the frames
+    (:func:`_sample_frames`) there: the part of the two 3-form sweeps that
+    does not depend on ``lam``, so :func:`run_verification` computes it once."""
 
-    ``samples`` are normalized triples (see :func:`_normalize_grid`).
-    """
+    samples: list
+    jet: tuple
+    frames: tuple
+
+
+def _sample_jet(fam: FamilySpec, grid) -> _SampleJet:
+    """``grid`` (model samples or raw triples) prepared for the sweeps; a
+    :class:`_SampleJet` is returned as it is."""
+    if isinstance(grid, _SampleJet):
+        return grid
+    samples = _normalize_grid(fam.model, grid)
     z1 = np.array([s[0] for s in samples])
     z2 = np.array([s[1] for s in samples])
-    _, g, H = _potential_jet(fam, lam, z1, z2)
+    return _SampleJet(samples, jet(fam.fol.gamma, z1, z2),
+                      _sample_frames(fam.model, samples))
+
+
+def _contact_volumes(fam: FamilySpec, lam: float, grid):
+    """``alpha ^ d alpha`` on each sample's oriented tangent frame.
+
+    ``grid`` is a :class:`_SampleJet` or normalized triples (see
+    :func:`_normalize_grid`).
+    """
+    sweep = _sample_jet(fam, grid)
+    _, g, H = exp_jet(sweep.jet, lam, 1.0)
     nu = -g / np.linalg.norm(g, axis=1, keepdims=True)  # outward from the compact side
-    e1, e2, e3 = _sample_frames(fam.model, samples)
+    e1, e2, e3 = sweep.frames
     swap = (np.linalg.det(np.stack([nu, e1, e2, e3], axis=2)) < 0)[:, None]
     e2, e3 = np.where(swap, e3, e2), np.where(swap, e2, e3)
     al = [-jet_d_c(g, v) for v in (e1, e2, e3)]
@@ -942,12 +967,13 @@ def pseudoconcavity_check(fam: FamilySpec, lam: float, grid) -> Certificate:
 
     ``alpha = -d^C u`` for the potential ``u = exp(lam * (gamma - 1))`` of
     the family ``fam``.  ``grid`` is a list of model samples (as produced by
-    :func:`sample_M1`); samples closer than the corner margin to a seam
-    corner are skipped.
+    :func:`sample_M1`), or their :class:`_SampleJet`; samples closer than
+    the corner margin to a seam corner are skipped.
     """
     model = fam.model
-    samples = _normalize_grid(model, grid)
-    vals = _contact_volumes(fam, lam, samples)
+    sweep = _sample_jet(fam, grid)
+    samples = sweep.samples
+    vals = _contact_volumes(fam, lam, sweep)
     tags = np.array([tag for _, _, tag in samples])
     kappa = np.array([_oriented_curvature(model, z1, tag, math.log(abs(z2)))
                       for z1, z2, tag in samples])
@@ -987,11 +1013,13 @@ def compatibility_check(fam: FamilySpec, lam: float, grid) -> Certificate:
     recorded orientations are not a single global convention; (iii) the
     triple (binding direction, page direction, Reeb direction) spans the
     tangent space at every off-binding sample, with the theta2-component
-    of the Reeb direction positive.
+    of the Reeb direction positive.  ``grid`` is as for
+    :func:`pseudoconcavity_check`.
     """
     model = fam.model
     p_par = model.params
-    samples = _normalize_grid(model, grid)
+    sweep = _sample_jet(fam, grid)
+    samples = sweep.samples
 
     # (i) binding circles
     circle = np.exp(2j * math.pi * np.arange(32) / 32)
@@ -1011,11 +1039,9 @@ def compatibility_check(fam: FamilySpec, lam: float, grid) -> Certificate:
                  "range_c2": [float(b2.min()), float(b2.max())]})
 
     # (ii) pages and (iii) span, on off-binding samples
-    z1 = np.array([s[0] for s in samples])
-    z2 = np.array([s[1] for s in samples])
     tags = np.array([tag for _, _, tag in samples])
-    _, g, H = _potential_jet(fam, lam, z1, z2)
-    e1, e2, V = _sample_frames(model, samples)
+    _, g, H = exp_jet(sweep.jet, lam, 1.0)
+    e1, e2, V = sweep.frames
     # Page-plane orientation: the traversal vector V runs from the left
     # binding toward the right one.  On the wall pieces that is the
     # fibration-positive direction; on the cap the complex orientation of
@@ -1069,9 +1095,9 @@ def run_verification(params: Params, knobs: Knobs | None = None, *,
     fam = build_family(params, n_tau, knobs)
     model = fam.model
     lam, cert_lam = find_collar_lambda(fam, lambda_max)
-    samples = sample_M1(model, n_samples)
-    cert_pc = pseudoconcavity_check(fam, lam, samples)
-    cert_cp = compatibility_check(fam, lam, samples)
+    sweep = _sample_jet(fam, sample_M1(model, n_samples))
+    cert_pc = pseudoconcavity_check(fam, lam, sweep)
+    cert_cp = compatibility_check(fam, lam, sweep)
 
     certs = {
         "find_lambda": cert_lam,

@@ -37,7 +37,6 @@ __all__ = [
     "slope",
     "second_derivative_identity_check",
     "classify_contact",
-    "contact_form_coeffs",
     "make_f1",
     "make_f2",
     "pushforward_h1",
@@ -182,12 +181,6 @@ def slope(p: Profile, r):
         raise DomainError("slope needs r > 0")
     out = p.dL(np.log(r))
     return float(out) if np.ndim(out) == 0 else out
-
-
-def contact_form_coeffs(p: Profile, r) -> tuple[float, float]:
-    """Coefficients ``(r p', -p)`` of the contact form in the angular coframe."""
-    val, first, _ = eval_profile(p, r)
-    return r * first, -val
 
 
 def second_derivative_identity_check(p: Profile, grid) -> Certificate:

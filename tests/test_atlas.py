@@ -233,6 +233,79 @@ def test_map_Phi_branch_independent(P):
             assert same_point(P, base, map_Phi(P, z1, z2, k))
 
 
+def _gluing_points(P, n, seed):
+    rng = np.random.default_rng(seed)
+    z1 = rng.uniform(1.001, P.s - 1e-3, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    z2 = rng.uniform(1 / P.rho1 + 1e-3, 1 / P.rho0 - 1e-3, n) \
+        * np.exp(2j * np.pi * rng.uniform(size=n))
+    return z1, z2
+
+
+def test_map_Phi_arrays_match_scalar_calls(P):
+    z1, z2 = _gluing_points(P, 200, 23)
+    for k in (-2, -1, 0, 1, 2):
+        arr = map_Phi(P, z1, z2, k)
+        assert arr.chart is Chart.W_ANNULUS
+        for i, (a, b) in enumerate(zip(z1.tolist(), z2.tolist())):
+            one = map_Phi(P, a, b, k)
+            assert (type(one.z1), type(one.z2)) == (complex, complex)
+            # numpy's complex division may round 1/z2 an ulp away from
+            # Python's; phi's exponent, up to about 15 in modulus for
+            # |k| <= 2, carries that and its own rounding through exp
+            assert abs(arr.z1[i] - one.z1) <= 1e-14 * abs(one.z1)
+            assert abs(arr.z2[i] - one.z2) <= 2 * np.spacing(abs(one.z2))
+
+
+def test_same_point_arrays_match_scalar_calls(P):
+    z1, z2 = _gluing_points(P, 200, 29)
+    p = map_Phi(P, z1, z2, 0)
+    pick = np.arange(z1.size) % 4
+    candidates = [map_Phi(P, z1, z2, 2),                              # same point
+                  map_Phi(P, z1 * (1 + 1e-7), z2, 0),                 # moved z1
+                  ChartPoint(Chart.W_ANNULUS, p.z1 * p.z2, p.z2),     # one shift off
+                  ChartPoint(Chart.W_ANNULUS, p.z1, p.z2 * (1 + 1e-7))]  # moved z2
+    q = ChartPoint(Chart.W_ANNULUS,
+                   np.choose(pick, [c.z1 for c in candidates]),
+                   np.choose(pick, [c.z2 for c in candidates]))
+    got = same_point(P, p, q)
+    one = [same_point(P, ChartPoint(Chart.W_ANNULUS, p.z1[i].item(), p.z2[i].item()),
+                      ChartPoint(Chart.W_ANNULUS, q.z1[i].item(), q.z2[i].item()))
+           for i in range(z1.size)]
+    assert all(type(v) is bool for v in one)
+    assert got.tolist() == one
+    assert got.tolist() == (pick % 2 == 0).tolist()
+
+
+def test_map_Phi_names_the_bad_sample(P):
+    z1, z2 = _gluing_points(P, 6, 31)
+    z2[3] = 1.0
+    with pytest.raises(DomainError, match="at sample 3, got 1.0"):
+        map_Phi(P, z1, z2)
+    z1[4] = 0.0
+    with pytest.raises(DomainError, match="z1 != 0 at sample 4"):
+        map_Phi(P, z1, z2)
+    with pytest.raises(DomainError, match="1/rho1 < .z2. < 1/rho0, got 1.0"):
+        map_Phi(P, 1.05, 1.0)
+
+
+def test_branch_independence_calls_each_map_once_per_branch(monkeypatch):
+    from concavia import cli
+    counts = {"map_Phi": [], "same_point": []}
+
+    def counted(name, fn):
+        def wrapper(par, *args, **kwargs):
+            counts[name].append(np.shape(args[0].z1 if name == "same_point" else args[0]))
+            return fn(par, *args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    cert = cli._suite_atlas(None, default_params())["Phi_branch_independence"]
+    assert cert.passed and cert.grid == "256 transitions"
+    assert cert.details == {"disagreements": 0}
+    assert counts == {"map_Phi": [(64,)] * 5, "same_point": [(64,)] * 4}
+
+
 def test_map_psi_example_and_bounds(P):
     # psi image moduli stay strictly inside (1, s*rho1).
     rng = np.random.default_rng(5)

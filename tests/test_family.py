@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from concavia import family
-from concavia.atlas import Chart, default_params, in_complement_C, validate_params
+from concavia.atlas import Chart, ChartPoint, default_params, in_complement_C, validate_params
 from concavia.errors import (
     DomainError,
     FeasibilityError,
@@ -155,6 +156,73 @@ def test_sampling_is_deterministic():
 def test_sample_rejects_small_n():
     with pytest.raises(DomainError):
         family.sample_M1(_model(), 50)
+
+
+# the acceptance battery's perturbed parameter set
+_PERTURBED = {
+    "rho0": 0.9, "rho1": 0.92, "rho2": 1.04, "s": 1.12, "c": 0.91,
+    "eps": 0.007, "c1": 1.035, "c2": 1.02, "zeta1": 1.032, "zeta2": 1.034,
+}
+
+
+def _sample_M1_by_loop(model, n):
+    """sample_M1 as a per-point scalar loop: the reference for the array one."""
+    p = model.params
+    grids, dens = {}, {}
+    for tag, prof in (("H1", model.f1), ("H2", model.f2)):
+        xs = np.linspace(prof.x_lo, prof.x_hi, 4001)
+        r2 = np.exp(xs)
+        r1 = np.exp(prof.L(xs))
+        w = family._piece_weight(xs, r1, r2, r1 * prof.dL(xs), r2)
+        grids[tag] = xs
+        dens[tag] = (w, family._seam_band_boost(xs, w, ("hi",)))
+    X1, X2 = model.window
+    Xs = np.linspace(X1, X2, 4001)
+    rw = np.exp(Xs)
+    r2s = np.exp(-model.htilde.f(Xs))
+    wS = family._piece_weight(Xs, rw, r2s, rw, -r2s * model.htilde.df(Xs))
+    grids["S"] = Xs
+    dens["S"] = (wS, family._seam_band_boost(Xs, wS, ("lo", "hi")))
+    areas = {t: float(np.trapezoid(dens[t][0], grids[t])) for t in grids}
+    total = sum(areas.values())
+    counts = {t: max(8, round(n * areas[t] / total)) for t in grids}
+    counts["H1"] += n - sum(counts.values())
+    out = []
+    j = 0
+    for tag in ("H1", "H2", "S"):
+        for x in family._inverse_cdf(grids[tag], dens[tag][1], counts[tag]):
+            th1 = 2.0 * math.pi * ((j * family._GOLD1) % 1.0)
+            th2 = 2.0 * math.pi * ((j * family._GOLD2) % 1.0)
+            j += 1
+            if tag == "S":
+                z1 = np.exp(x) * np.exp(1j * th1)
+                z2 = np.exp(-float(model.htilde.f(x))) * np.exp(1j * th2)
+                out.append((ChartPoint.v_prime(p, z1, z2), tag))
+            else:
+                prof = model.f1 if tag == "H1" else model.f2
+                z1 = float(np.exp(prof.L(x))) * np.exp(1j * th1)
+                z2 = math.exp(x) * np.exp(1j * th2)
+                out.append((ChartPoint.v(p, z1, z2), tag))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _perturbed_model():
+    knobs = dataclasses.replace(family.default_knobs(), eps1=0.003)
+    return family.build_M1(validate_params(_PERTURBED), knobs)
+
+
+@pytest.mark.parametrize("which", ["default", "perturbed"])
+@pytest.mark.parametrize("n", [100, 240, 400, 1000])
+def test_sample_M1_matches_the_scalar_loop_bit_for_bit(which, n):
+    model = _model() if which == "default" else _perturbed_model()
+    got, ref = family.sample_M1(model, n), _sample_M1_by_loop(model, n)
+    assert [(p.chart, t) for p, t in got] == [(p.chart, t) for p, t in ref]
+    assert all(type(p.z1) is complex and type(p.z2) is complex for p, _ in got)
+    for attr in ("z1", "z2"):
+        a = np.array([getattr(p, attr) for p, _ in got])
+        b = np.array([getattr(p, attr) for p, _ in ref])
+        assert a.tobytes() == b.tobytes(), attr
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +427,8 @@ def test_run_verification_is_deterministic():
 
 
 def test_pipeline_evaluates_gamma_once_per_point_set(monkeypatch):
-    # one call for level_consistency, two jets in find_lambda, one in the
-    # pseudoconcavity sweep and two in the compatibility sweep
+    # one call for level_consistency, two jets in find_lambda, one jet on the
+    # samples that both 3-form sweeps share, and one on the binding circles
     gamma = family._Foliation.gamma
     calls = []
 
@@ -371,4 +439,4 @@ def test_pipeline_evaluates_gamma_once_per_point_set(monkeypatch):
     monkeypatch.setattr(family._Foliation, "gamma", counted)
     ok, _ = family.run_verification(default_params())
     assert ok
-    assert len(calls) == 6
+    assert len(calls) == 5

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from concavia import family
+from concavia import family, levi
 from concavia.atlas import default_params
+from concavia.certs import Certificate
 from concavia.errors import ConcaviaError, Exhausted, NotContact, NotRegular, RegionError
 from concavia.levi import (
     HermitianForm,
@@ -389,6 +390,60 @@ def test_quadratic_identity_fails_on_a_nan_field():
     assert not cert.passed
     assert cert.margin == -math.inf
     assert cert.details["max_rel_err"] == math.inf
+
+
+def _quadratic_identity_by_loop(gamma, samples, seed=20240601, tol=1e-6):
+    """quadratic_identity_check as a per-point scalar loop: the reference for
+    the batched one."""
+    rng = np.random.default_rng(seed)
+    pts = list(samples)
+    errs = []
+    for p in pts:
+        v = levi._rand_vector(rng)
+        Jv = apply_J(v)
+        h = levi._step(p, 1e-5)
+        dv = levi._dir_deriv(gamma, p, v, h)
+        dJv = levi._dir_deriv(gamma, p, Jv, h)
+        lhs = -0.5 * (dv * levi._dir_deriv(gamma, p, apply_J(Jv), h)
+                      - dJv * levi._dir_deriv(gamma, p, apply_J(v), h))
+        rhs = 0.5 * (dv * dv + dJv * dJv)
+        errs.append(abs(lhs - rhs) / max(1.0, abs(rhs)))
+    k, worst_err = Certificate.sup_error(errs)
+    return Certificate(
+        name="quadratic_identity", grid=f"{len(pts)} sample/vector pairs",
+        margin=tol - worst_err, passed=bool(worst_err < tol),
+        worst_point=None if k is None else pts[k],
+        details={"max_rel_err": worst_err})
+
+
+@pytest.mark.parametrize("field", [sq_norm, mixed_sig, lambda z1, z2: math.nan],
+                         ids=["sq_norm", "mixed_sig", "nan"])
+def test_quadratic_identity_matches_the_scalar_loop_bit_for_bit(field):
+    pts = _shell_points(np.random.default_rng(53), 60)
+    got = quadratic_identity_check(field, pts)
+    ref = _quadratic_identity_by_loop(field, pts)
+    assert got == ref
+    assert np.float64(got.margin).tobytes() == np.float64(ref.margin).tobytes()
+
+
+def test_quadratic_identity_calls_its_field_eight_times():
+    shapes = []
+
+    def counted(z1, z2):
+        shapes.append(np.shape(z1))
+        return sq_norm(z1, z2)
+
+    assert quadratic_identity_check(counted, _shell_points(np.random.default_rng(59), 48)).passed
+    assert shapes == [(48,)] * 8
+
+
+def test_composition_identity_fails_on_a_nan_field():
+    pts = _shell_points(np.random.default_rng(43), 5)
+    cert = composition_identity_check(lambda z1, z2: math.nan, EXP_TRIPLE, pts)
+    assert not cert.passed
+    assert cert.margin == -math.inf
+    assert cert.details["max_rel_err"] == math.inf
+    assert cert.worst_point == pts[0]
 
 
 def test_composition_identity_reduces_for_identity_g():

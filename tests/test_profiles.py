@@ -12,7 +12,6 @@ from concavia.profiles import (
     ContactTag,
     Profile,
     classify_contact,
-    contact_form_coeffs,
     eval_profile,
     make_f1,
     make_f2,
@@ -127,19 +126,6 @@ def test_slope_equals_dL_random():
     for _ in range(100):
         r = rng.uniform(0.2, 5.0)
         assert abs(slope(p, r) - p.dL(math.log(r))) <= 1e-9 * max(1, abs(slope(p, r)))
-
-
-def test_contact_form_coeffs():
-    p = _affine(1)
-    assert contact_form_coeffs(p, 2.0) == pytest.approx((2.0, -2.0), abs=1e-12)
-    pe = _exp_profile()
-    A1, A2 = contact_form_coeffs(pe, 1.0)
-    assert A1 == pytest.approx(math.exp(0.5), rel=1e-12)
-    assert A2 == pytest.approx(-math.exp(0.5), rel=1e-12)
-    # A1 = slope * p: vanishes exactly where the slope does
-    pn = _neg_square()
-    A1, _ = contact_form_coeffs(pn, 1.0)  # slope(-x^2) at x=0 is 0
-    assert A1 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_second_derivative_identity_levi_flat():
