@@ -409,6 +409,45 @@ def _broadcast_curve(fn):
     return wrapped
 
 
+def _crossing(F, lo, hi, f_lo, f_hi):
+    """Adjacent floats ``a < b`` with ``F(a) < 0 <= F(b)``, one pair per point.
+
+    ``F(t, i)`` evaluates an increasing function of the points with indices
+    ``i`` at levels ``t``; ``f_lo <= 0 <= f_hi`` are its values at the bracket
+    ``lo``, ``hi``.  Four clipped secant steps estimate the root ``x``, and
+    ``[x - d, x + d]`` with ``d = 4|F(x)| / slope + 1024 ulp`` replaces the
+    bracket wherever ``F`` changes sign across it; elsewhere all of ``[lo,
+    hi]`` is kept.  Bisection on ``F(mid) < 0`` then runs until the midpoint
+    rounds to an end, dropping the points that got there.  Where ``F`` is
+    monotone in floating point this is the pair a bisection of ``[lo, hi]``
+    reaches.
+    """
+    idx = np.arange(lo.size)
+    x0, y0, x1, y1 = lo, f_lo, hi, f_hi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(4):
+            x = np.clip(x1 - y1 * (x1 - x0) / (y1 - y0), lo, hi)
+            x = np.where(np.isnan(x), x1, x)   # 0/0: the step has stalled
+            x0, y0, x1, y1 = x1, y1, x, F(x, idx)
+        # float F has plateaus near the root, where the last secant is flat
+        slope = (y1 - y0) / (x1 - x0)
+        slope = np.where(slope > 0.0, slope, (f_hi - f_lo) / (hi - lo))
+        d = 4.0 * np.abs(y1) / slope + 1024.0 * np.spacing(x1)
+        a = np.clip(x1 - d, lo, hi)
+        b = np.clip(x1 + d, lo, hi)
+        keep = (F(a, idx) < 0.0) & (F(b, idx) >= 0.0)
+    lo, hi = np.where(keep, a, lo), np.where(keep, b, hi)
+    while idx.size:
+        a, b = lo[idx], hi[idx]
+        mid = 0.5 * (a + b)
+        live = (mid != a) & (mid != b)
+        idx, mid = idx[live], mid[live]
+        up = F(mid, idx) < 0.0
+        lo[idx[up]] = mid[up]
+        hi[idx[~up]] = mid[~up]
+    return lo, hi
+
+
 class _Foliation:
     """Closed-form nested slices interpolating walls and dome.
 
@@ -512,23 +551,24 @@ class _Foliation:
     def _invert_factor(self, g, fac):
         """Invert a monotone interpolation factor back to the level ``tau``.
 
-        Identity for the default linear curves; bisection otherwise.
+        Identity for the default linear curves; :func:`_crossing` otherwise.
         Out-of-bracket factors map to levels outside the validity window so
-        the sector conditions reject them.
+        the sector conditions reject them, and NaN factors to NaN.
         """
         if not self._custom:
             return fac
         lo = np.full(fac.shape, 0.25 * self.TAU_LO)
         hi = np.full(fac.shape, self.TAU_HI)
+        g_lo, g_hi = g(lo), g(hi)
         with np.errstate(invalid="ignore"):
-            below = fac < g(lo)
-            above = fac > g(hi)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            up = g(mid) < fac
-            lo = np.where(up, mid, lo)
-            hi = np.where(up, hi, mid)
-        t = 0.5 * (lo + hi)
+            below = fac < g_lo
+            above = fac > g_hi
+        t = np.full(fac.shape, np.nan)
+        ins = (g_lo <= fac) & (fac <= g_hi)
+        fi = fac[ins]
+        a, b = _crossing(lambda s, j: g(s) - fi[j], lo[ins], hi[ins],
+                         g_lo[ins] - fi, g_hi[ins] - fi)
+        t[ins] = 0.5 * (a + b)
         return np.where(below, 0.0, np.where(above, self.TAU_HI + 1.0, t))
 
     # the level function --------------------------------------------------
@@ -567,17 +607,16 @@ class _Foliation:
             qq2 = q2[rest]
             lo = np.full(qq1.shape, self.TAU_LO)
             hi = np.full(qq1.shape, self.TAU_HI)
-            ok = (self.dish(lo, qq1) <= qq2) & (self.dish(hi, qq1) >= qq2)
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                up = self.dish(mid, qq1) < qq2
-                lo = np.where(up, mid, lo)
-                hi = np.where(up, hi, mid)
-            tau = 0.5 * (lo + hi)
-            sig = (qq1 - self.Xl(tau)) / (self.Xr(tau) - self.Xl(tau))
-            ok &= (sig > -0.05) & (sig < 1.05)
-            vals = out[rest]
-            vals[:] = np.where(ok, tau, np.nan)
+            d_lo, d_hi = self.dish(lo, qq1), self.dish(hi, qq1)
+            ok = (d_lo <= qq2) & (d_hi >= qq2)
+            p1, p2 = qq1[ok], qq2[ok]
+            a, b = _crossing(lambda t, j: self.dish(t, p1[j]) - p2[j],
+                             lo[ok], hi[ok], d_lo[ok] - p2, d_hi[ok] - p2)
+            tau = 0.5 * (a + b)
+            xl = self.Xl(tau)
+            sig = (p1 - xl) / (self.Xr(tau) - xl)
+            vals = np.full(qq1.shape, np.nan)
+            vals[ok] = np.where((sig > -0.05) & (sig < 1.05), tau, np.nan)
             out[rest] = vals
         out = out.reshape(shape)
         return float(out[()] if out.ndim == 0 else out.flat[0]) if scalar else out
@@ -835,48 +874,63 @@ def find_collar_lambda(fam: FamilySpec, lambda_max: float) -> tuple[float, Certi
 # Frames and the two global sweeps
 # ---------------------------------------------------------------------------
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
+def _unit_rows(V: np.ndarray) -> np.ndarray:
+    """Rows of ``V`` scaled to unit length.  The stacked ``matmul`` forms each
+    row's dot product as ``np.linalg.norm`` does for one vector, so a row gets
+    the same bits as on its own; ``np.linalg.norm(V, axis=1)`` sums
+    differently."""
+    return V / np.sqrt(V[:, None, :] @ V[:, :, None])[:, 0]
 
 
-def _angular_frames(z1: complex, z2: complex) -> tuple[np.ndarray, np.ndarray]:
-    e1 = _unit(np.array([-z1.imag, z1.real, 0.0, 0.0]))
-    e2 = _unit(np.array([0.0, 0.0, -z2.imag, z2.real]))
-    return e1, e2
+def _piece_abscissa(samples) -> tuple[np.ndarray, ...]:
+    """Piece tags, ``|z1|``, ``|z2|`` and profile abscissas of normalized
+    samples.  The abscissa is ``log|z2|`` on the walls and ``log|z1|`` on the
+    seam.  Moduli and logs come from Python's ``abs`` and ``math.log``, which
+    numpy's complex ``abs`` and ``np.log`` differ from in the last bit."""
+    tags = np.array([tag for _, _, tag in samples], dtype=str)
+    for tag in set(tags.tolist()) - {"H1", "H2", "S"}:
+        raise DomainError(f"unknown piece tag {tag!r}")
+    r1 = [abs(z1) for z1, _, _ in samples]
+    r2 = [abs(z2) for _, z2, _ in samples]
+    x = [math.log(a if tag == "S" else b) for a, b, tag in zip(r1, r2, tags.tolist())]
+    return tags, np.array(r1), np.array(r2), np.array(x)
 
 
-def _profile_tangent(model: SphereModel, z1: complex, z2: complex,
-                     piece: str) -> np.ndarray:
-    """Unit tangent of the profile curve, oriented along the page from the
-    left binding circle toward the right one."""
-    r1, r2 = abs(z1), abs(z2)
-    u1, u2 = z1 / r1, z2 / r2
-    if piece == "H1":
-        dq = (float(model.f1.dL(math.log(r2))), 1.0)
-    elif piece == "H2":
-        q2 = math.log(r2)
-        dq = (-float(model.f2.dL(q2)), -1.0)   # descending toward the binding
-    elif piece == "S":
-        q1 = math.log(r1)
-        dq = (1.0, -float(model.htilde.df(q1)))
-    else:
-        raise DomainError(f"unknown piece tag {piece!r}")
-    w = np.array([u1.real * dq[0] * r1, u1.imag * dq[0] * r1,
-                  u2.real * dq[1] * r2, u2.imag * dq[1] * r2])
-    return _unit(w)
+def _sample_frames(model: SphereModel, samples):
+    """Angular frames ``e1``, ``e2`` and profile tangents ``V`` as ``[N, 4]``
+    arrays, one row per normalized sample.  ``V`` is the unit tangent of the
+    profile curve, oriented along the page from the left binding circle
+    toward the right one."""
+    z1 = np.array([s[0] for s in samples], dtype=complex)
+    z2 = np.array([s[1] for s in samples], dtype=complex)
+    tags, r1, r2, x = _piece_abscissa(samples)
+    zero = np.zeros(z1.shape)
+    e1 = _unit_rows(np.stack([-z1.imag, z1.real, zero, zero], axis=1))
+    e2 = _unit_rows(np.stack([zero, zero, -z2.imag, z2.real], axis=1))
+    # log-radius direction (dq1, dq2) of the profile, per piece
+    dq1, dq2 = np.ones(x.shape), np.ones(x.shape)
+    h1, h2, cap = tags == "H1", tags == "H2", tags == "S"
+    dq1[h1] = model.f1.dL(x[h1])
+    dq1[h2] = -model.f2.dL(x[h2])   # descending toward the binding
+    dq2[h2] = -1.0
+    dq2[cap] = -model.htilde.df(x[cap])
+    V = _unit_rows(np.stack([z1.real / r1 * dq1 * r1, z1.imag / r1 * dq1 * r1,
+                             z2.real / r2 * dq2 * r2, z2.imag / r2 * dq2 * r2], axis=1))
+    return e1, e2, V
 
 
-def _oriented_curvature(model: SphereModel, z1: complex, piece: str,
-                        q2: float) -> float:
-    """Transverse log-curvature of the local profile, signed so that the
-    value is positive exactly when the piece classifies as negative contact
-    in the fixed co-orientation (left wall: +L'', right wall: -L'', seam:
-    +htilde'')."""
-    if piece == "H1":
-        return float(model.f1.d2L(q2))
-    if piece == "H2":
-        return -float(model.f2.d2L(q2))
-    return float(model.htilde.d2f(math.log(abs(z1))))
+def _oriented_curvature(model: SphereModel, samples) -> np.ndarray:
+    """Transverse log-curvature of each sample's local profile, signed so
+    that the value is positive exactly when the piece classifies as negative
+    contact in the fixed co-orientation (left wall: +L'', right wall: -L'',
+    seam: +htilde'')."""
+    tags, _, _, x = _piece_abscissa(samples)
+    out = np.empty(x.shape)
+    h1, h2, cap = tags == "H1", tags == "H2", tags == "S"
+    out[h1] = model.f1.d2L(x[h1])
+    out[h2] = -model.f2.d2L(x[h2])
+    out[cap] = model.htilde.d2f(x[cap])
+    return out
 
 
 def _normalize_grid(model: SphereModel, grid) -> list[tuple[complex, complex, str]]:
@@ -910,14 +964,6 @@ def _potential_jet(fam: FamilySpec, lam: float, z1, z2):
     ``lam``, and differencing the exponential itself would let them.
     """
     return exp_jet(jet(fam.fol.gamma, z1, z2), lam, 1.0)
-
-
-def _sample_frames(model: SphereModel, samples):
-    """Angular frames ``e1``, ``e2`` and profile tangents ``V`` as ``[N, 4]``
-    arrays, one row per normalized sample."""
-    rows = [(*_angular_frames(z1, z2), _profile_tangent(model, z1, z2, tag))
-            for z1, z2, tag in samples]
-    return tuple(np.array(col) for col in zip(*rows))
 
 
 @dataclass(frozen=True)
@@ -975,8 +1021,7 @@ def pseudoconcavity_check(fam: FamilySpec, lam: float, grid) -> Certificate:
     samples = sweep.samples
     vals = _contact_volumes(fam, lam, sweep)
     tags = np.array([tag for _, _, tag in samples])
-    kappa = np.array([_oriented_curvature(model, z1, tag, math.log(abs(z2)))
-                      for z1, z2, tag in samples])
+    kappa = _oriented_curvature(model, samples)
     agree = int(np.sum((kappa > 0) & (vals < 0)))
     per_piece = {t: vals[tags == t] for t in ("H1", "H2", "S")}
     i = int(np.argmax(vals))

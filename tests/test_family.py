@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -313,6 +314,49 @@ def test_custom_monotone_curves_pass():
     assert fam.certificates["level_consistency"].passed
 
 
+def _invert_by_bisection(fol, g, fac):
+    """The 60-step bisection ``_invert_factor`` used to run: the oracle."""
+    lo = np.full(fac.shape, 0.25 * fol.TAU_LO)
+    hi = np.full(fac.shape, fol.TAU_HI)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        up = g(mid) < fac
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _in_adjacent_bracket(f, root, target):
+    """``root`` is an end of adjacent floats ``a < b`` with ``f(a) < target
+    <= f(b)``, the bracket a bisection on ``f(mid) < target`` ends in."""
+    lower = np.nextafter(root, -np.inf)
+    upper = np.nextafter(root, np.inf)
+    return (((f(lower) < target) & (f(root) >= target))
+            | ((f(root) < target) & (f(upper) >= target)))
+
+
+def test_custom_curve_inverse_matches_the_bisection_oracle():
+    par = default_params()
+    fam = family.build_family(par, 8, curves={
+        "c1": lambda t: par.rho2 - (par.rho2 - par.c1) * t ** 1.2,
+        "c2": lambda t: 1.0 + (par.c2 - 1.0) * t ** 1.2,
+    })
+    fol = fam.fol
+    for g in (fol.g1, fol.g2):
+        lo, hi = float(g(0.25 * fol.TAU_LO)), float(g(fol.TAU_HI))
+        fac = np.concatenate([np.linspace(lo, hi, 4001)[1:-1],
+                              np.random.default_rng(3).uniform(lo, hi, 4000)])
+        got = fol._invert_factor(g, fac)
+        ref = _invert_by_bisection(fol, g, fac)
+        assert np.all(_in_adjacent_bracket(g, got, fac))
+        assert np.mean(got == ref) >= 0.995
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+        # out-of-bracket factors keep their mapping; NaN stays outside the window
+        out = fol._invert_factor(g, np.array([lo - 1e-3, hi + 1e-3, np.nan]))
+        assert out[0] == 0.0 and out[1] == fol.TAU_HI + 1.0
+        assert not fol.TAU_LO < out[2] <= fol.TAU_HI
+
+
 # ---------------------------------------------------------------------------
 # gamma_field
 # ---------------------------------------------------------------------------
@@ -344,6 +388,120 @@ def test_gamma_continuous_at_dome_attachment():
     above = gam(r1, math.exp(q2a + 2e-6))
     assert below == pytest.approx(tau, abs=1e-9)
     assert above == pytest.approx(tau, abs=1e-4)
+
+
+def _gamma_by_bisection(fol, z1, z2):
+    """``_Foliation.gamma`` for the default curves with the 60-step dish
+    bisection it used to run: the oracle.  Also returns the mask of points
+    that reached the dish and their log radii."""
+    z1, z2 = np.ravel(z1), np.ravel(z2)
+    r1, r2 = np.abs(z1), np.abs(z2)
+    q1 = np.log(r1)
+    with np.errstate(divide="ignore"):
+        q2 = np.log(r2)
+    out = np.full(r1.shape, np.nan)
+    t1 = (fol.rho2 - r1) / (fol.rho2 - fol.f1c(r2))
+    v1 = (t1 > fol.TAU_LO) & (t1 <= fol.TAU_HI) & (q2 <= fol.y_cut(t1) + 1e-12)
+    out[v1] = t1[v1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t2 = (r1 - 1.0) / (fol.f2c_x(q2) - 1.0)
+        v2 = ((t2 > fol.TAU_LO) & (t2 <= fol.TAU_HI)
+              & (q2 <= fol.y_cut(t2) + 1e-12) & ~v1)
+    out[v2] = t2[v2]
+    rest = ~(v1 | v2) & np.isfinite(q2)
+    qq1, qq2 = q1[rest], q2[rest]
+    lo = np.full(qq1.shape, fol.TAU_LO)
+    hi = np.full(qq1.shape, fol.TAU_HI)
+    ok = (fol.dish(lo, qq1) <= qq2) & (fol.dish(hi, qq1) >= qq2)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        up = fol.dish(mid, qq1) < qq2
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
+    tau = 0.5 * (lo + hi)
+    sig = (qq1 - fol.Xl(tau)) / (fol.Xr(tau) - fol.Xl(tau))
+    ok &= (sig > -0.05) & (sig < 1.05)
+    out[rest] = np.where(ok, tau, np.nan)
+    dish = np.zeros(r1.shape, dtype=bool)
+    dish[rest] = ok
+    return out, dish, q1, q2
+
+
+@functools.lru_cache(maxsize=None)
+def _recorded_gamma_calls(which):
+    """Every ``gamma`` call of one pipeline run: ``(fol, z1, z2, out)``."""
+    if which == "default":
+        par, knobs = default_params(), family.default_knobs()
+    else:
+        par = validate_params(_PERTURBED)
+        knobs = dataclasses.replace(family.default_knobs(), eps1=0.003)
+    gamma = family._Foliation.gamma
+    calls = []
+
+    def recording(self, z1, z2):
+        out = gamma(self, z1, z2)
+        calls.append((self, np.ravel(z1), np.ravel(z2), np.ravel(out)))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(family._Foliation, "gamma", recording)
+        ok, _ = family.run_verification(par, knobs)
+    assert ok and len(calls) == 5
+    return tuple(calls)
+
+
+# level_consistency, the h and 2h stencils of the lambda grid, the sample jet
+# and the binding circles, which never reach the dish
+@pytest.mark.parametrize("which", ["default", "perturbed"])
+@pytest.mark.parametrize("call", range(4))
+def test_dish_roots_end_in_an_adjacent_float_bracket(which, call):
+    fol, z1, z2, out = _recorded_gamma_calls(which)[call]
+    _, dish, q1, q2 = _gamma_by_bisection(fol, z1, z2)
+    assert dish.sum() > 0
+    assert np.all(_in_adjacent_bracket(lambda t: fol.dish(t, q1[dish]), out[dish], q2[dish]))
+
+
+@pytest.mark.parametrize("which", ["default", "perturbed"])
+def test_gamma_agrees_with_the_bisection_oracle(which):
+    n_dish = n_same = 0
+    for fol, z1, z2, out in _recorded_gamma_calls(which):
+        ref, dish, _, _ = _gamma_by_bisection(fol, z1, z2)
+        assert np.array_equal(np.isnan(out), np.isnan(ref))
+        assert out[~dish].tobytes() == ref[~dish].tobytes()
+        np.testing.assert_allclose(out[dish], ref[dish], rtol=0, atol=1e-12)
+        n_dish += int(dish.sum())
+        n_same += int(np.sum(out[dish] == ref[dish]))
+    assert n_dish > 5000
+    assert n_same >= 0.995 * n_dish
+
+
+def test_gamma_outside_the_dish_bracket_is_nan_without_warnings():
+    fol = _family16().fol
+    good = 0.5 * (float(fol.Xl(0.5)) + float(fol.Xr(0.5)))
+    q1 = np.array([good, good, good, 3.0, -3.0, good])
+    q2 = np.array([float(fol.dish(0.5, good)), 5.0, -50.0, 0.0, 0.0, -np.inf])
+    z1 = np.exp(q1) + 0j
+    z2 = np.exp(q2) + 0j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = fol.gamma(z1, z2)
+        none = fol.gamma(z1[1:], z2[1:])
+    assert out[0] == pytest.approx(0.5, abs=1e-12)
+    assert np.isnan(out[1:]).all() and np.isnan(none).all()
+
+
+def test_gamma_on_the_h_stencil_makes_at_most_32_dish_calls(monkeypatch):
+    fol, z1, z2, _ = _recorded_gamma_calls("default")[1]
+    dish = family._Foliation.dish
+    calls = []
+
+    def counted(self, t, q1):
+        calls.append(np.size(t))
+        return dish(self, t, q1)
+
+    monkeypatch.setattr(family._Foliation, "dish", counted)
+    fol.gamma(z1, z2)
+    assert len(calls) <= 32
 
 
 def test_gamma_raises_outside_the_collar():
@@ -410,6 +568,67 @@ def test_compatibility_three_subcertificates():
         assert rng[0] > 0
     span = parts["frame_span"]
     assert span["passed"] and span["margin"] > 0
+
+
+def _sample_frames_by_loop(model, samples):
+    """The sweep frames built one sample at a time: the reference for the
+    array pass."""
+    def unit(v):
+        return v / np.linalg.norm(v)
+
+    rows = []
+    for z1, z2, tag in samples:
+        r1, r2 = abs(z1), abs(z2)
+        u1, u2 = z1 / r1, z2 / r2
+        if tag == "H1":
+            dq = (float(model.f1.dL(math.log(r2))), 1.0)
+        elif tag == "H2":
+            dq = (-float(model.f2.dL(math.log(r2))), -1.0)
+        else:
+            dq = (1.0, -float(model.htilde.df(math.log(r1))))
+        rows.append((unit(np.array([-z1.imag, z1.real, 0.0, 0.0])),
+                     unit(np.array([0.0, 0.0, -z2.imag, z2.real])),
+                     unit(np.array([u1.real * dq[0] * r1, u1.imag * dq[0] * r1,
+                                    u2.real * dq[1] * r2, u2.imag * dq[1] * r2]))))
+    return tuple(np.array(col) for col in zip(*rows))
+
+
+def _oriented_curvature_by_loop(model, samples):
+    out = []
+    for z1, z2, tag in samples:
+        if tag == "H1":
+            out.append(float(model.f1.d2L(math.log(abs(z2)))))
+        elif tag == "H2":
+            out.append(-float(model.f2.d2L(math.log(abs(z2)))))
+        else:
+            out.append(float(model.htilde.d2f(math.log(abs(z1)))))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("which", ["default", "perturbed"])
+@pytest.mark.parametrize("n", [100, 240, 1000])
+def test_sample_frames_match_the_scalar_loop_bit_for_bit(which, n):
+    model = _model() if which == "default" else _perturbed_model()
+    samples = family._normalize_grid(model, family.sample_M1(model, n))
+    got = family._sample_frames(model, samples)
+    ref = _sample_frames_by_loop(model, samples)
+    for name, a, b in zip(("e1", "e2", "V"), got, ref):
+        assert a.shape == (len(samples), 4)
+        assert a.tobytes() == b.tobytes(), name
+    # The walls' germs square with ``**``: a float64 scalar goes through
+    # ``pow`` and an array through a product, which differ in the last bit on
+    # about 0.1% of values, so the curvature may move by an ulp; the sweep
+    # reads only its sign.
+    kappa = family._oriented_curvature(model, samples)
+    kref = _oriented_curvature_by_loop(model, samples)
+    assert np.array_equal(np.sign(kappa), np.sign(kref))
+    assert np.all(np.abs(kappa - kref) <= 2 * np.spacing(np.abs(kref)))
+
+
+def test_sample_frames_reject_an_unknown_tag():
+    z1, z2, _ = family._normalize_grid(_model(), _samples240())[0]
+    with pytest.raises(DomainError, match="unknown piece tag 'X'"):
+        family._sample_frames(_model(), [(z1, z2, "X")])
 
 
 # ---------------------------------------------------------------------------
