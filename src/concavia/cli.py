@@ -80,6 +80,8 @@ _KNOB_DEFAULTS: dict = {
 _INT_KNOBS = ("n_tau", "n_samples", "knots", "density")
 
 SUITES = ("atlas", "openbook", "profiles", "levi", "family")
+# the suites that read the sphere model
+_MODEL_SUITES = {"profiles", "family"}
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +255,7 @@ def _suite_openbook(cfg: RunConfig, par) -> dict[str, Certificate]:
     }
 
 
-def _suite_profiles(cfg: RunConfig, par) -> dict[str, Certificate]:
-    model = family.build_M1(par, cfg.family_knobs())
+def _suite_profiles(model: family.SphereModel) -> dict[str, Certificate]:
     certs = {k: model.certificates[k]
              for k in ("wall1_shape", "wall2_shape", "seam_C1", "seam_contact")}
     for name, prof in (("identity_f1", model.f1), ("identity_f2", model.f2),
@@ -287,21 +288,32 @@ def _suite_levi(cfg: RunConfig, par) -> dict[str, Certificate]:
     return certs
 
 
-def _run_suite(name: str, cfg: RunConfig, par) -> tuple[bool, dict]:
+def _error(err: ConcaviaError) -> dict:
+    return {"error": {"type": type(err).__name__, "message": str(err)}}
+
+
+def _run_suite(name: str, cfg: RunConfig, par, model) -> tuple[bool, dict]:
+    """One suite's verdict and report section.  ``model`` is the run's
+    sphere model, or the error its build raised, for the suites in
+    ``_MODEL_SUITES``."""
+    if name in _MODEL_SUITES and isinstance(model, ConcaviaError):
+        return False, _error(model)
     try:
         if name == "family":
             kn = cfg.knobs
-            ok, rep = family.run_verification(
-                par, cfg.family_knobs(), n_tau=kn["n_tau"],
+            return family.run_verification(
+                par, cfg.family_knobs(), model, n_tau=kn["n_tau"],
                 n_samples=kn["n_samples"], lambda_max=kn["lambda_max"])
-            return ok, rep
-        fn = {"atlas": _suite_atlas, "openbook": _suite_openbook,
-              "profiles": _suite_profiles, "levi": _suite_levi}[name]
-        certs = fn(cfg, par)
+        if name == "profiles":
+            certs = _suite_profiles(model)
+        else:
+            fn = {"atlas": _suite_atlas, "openbook": _suite_openbook,
+                  "levi": _suite_levi}[name]
+            certs = fn(cfg, par)
         ok = all(c.passed for c in certs.values())
         return ok, {"certificates": {k: c.to_dict() for k, c in sorted(certs.items())}}
     except ConcaviaError as err:
-        return False, {"error": {"type": type(err).__name__, "message": str(err)}}
+        return False, _error(err)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +339,14 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
                          indent=2, sort_keys=True))
         return 2
     names = list(SUITES) if suite == "all" else [suite]
-    results = {n: _run_suite(n, cfg, par) for n in names}
+    # one model for every suite that reads it
+    model = None
+    if _MODEL_SUITES & set(names):
+        try:
+            model = family.build_M1(par, cfg.family_knobs())
+        except ConcaviaError as err:
+            model = err
+    results = {n: _run_suite(n, cfg, par, model) for n in names}
     ok = all(r[0] for r in results.values())
     report = {
         "suite": suite,

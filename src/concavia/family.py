@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .atlas import ChartPoint, Params, in_complement_C
+from .atlas import ChartPoint, Params
 from .certs import Certificate
 from .convexjoin import EndpointData, JoinProblem, Sign, SplineC2, feasible, solve
 from .errors import (
@@ -287,15 +287,19 @@ def _membership_cert(model: SphereModel, n: int = 400) -> Certificate:
     p = model.params
     lz1, lz2 = math.log(p.zeta1), math.log(p.zeta2)
     samples = sample_M1(model, n)
-    bad = 0
+    # Python abs and math.log, whose last bits numpy's complex abs and log
+    # do not always reproduce
+    r1 = np.array([abs(pt.z1) for pt, _ in samples])
+    q = np.array([math.log(r) for r in r1.tolist()])
+    # sample_M1 places points in V and V' only, where in_complement_C is the
+    # band test on |z1|
+    inside = (p.zeta1 < r1) & (r1 < p.zeta2)
+    bad = int(np.count_nonzero(inside))
     worst = None
-    dist = float("inf")
-    for pt, tag in samples:
-        if not in_complement_C(p, pt):
-            bad += 1
-            worst = (tag, pt.z1, pt.z2)
-        q = math.log(abs(pt.z1))
-        dist = min(dist, max(lz1 - q, q - lz2))
+    if bad:
+        pt, tag = samples[np.flatnonzero(inside)[-1]]
+        worst = (tag, pt.z1, pt.z2)
+    dist = float(np.min(np.maximum(lz1 - q, q - lz2)))
     return Certificate(
         name="membership", grid=f"{len(samples)} samples",
         margin=dist if bad == 0 else float(-bad),
@@ -315,6 +319,14 @@ def _piece_weight(xs: np.ndarray, r1: np.ndarray, r2: np.ndarray,
                   dr1: np.ndarray, dr2: np.ndarray) -> np.ndarray:
     """Revolution-area density ``r1 r2 |curve'|`` along a piece."""
     return r1 * r2 * np.hypot(dr1, dr2)
+
+
+def _math_exp(x) -> np.ndarray:
+    """Elementwise ``math.exp``.  numpy's exp differs from libm's in the last
+    bit on some arguments; the sweeps that took ``math.exp`` point by point
+    keep its bits, and every sample downstream with them."""
+    x = np.asarray(x, dtype=float)
+    return np.array([math.exp(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def _inverse_cdf(xs: np.ndarray, dens: np.ndarray, m: int) -> np.ndarray:
@@ -388,9 +400,7 @@ def sample_M1(model: SphereModel, n: int) -> list[tuple[ChartPoint, str]]:
         else:
             prof = model.f1 if tag == "H1" else model.f2
             z1 = np.exp(prof.L(xs)) * e1
-            # math.exp: numpy's exp differs from libm's in the last bit on
-            # some abscissas, and every sample downstream would move with it
-            z2 = np.array([math.exp(x) for x in xs.tolist()]) * e2
+            z2 = _math_exp(xs) * e2
             chart = ChartPoint.v
         out += [(chart(p, a, b), tag) for a, b in zip(z1.tolist(), z2.tolist())]
     return out
@@ -416,8 +426,9 @@ def _crossing(F, lo, hi, f_lo, f_hi):
     ``i`` at levels ``t``; ``f_lo <= 0 <= f_hi`` are its values at the bracket
     ``lo``, ``hi``.  Four clipped secant steps estimate the root ``x``, and
     ``[x - d, x + d]`` with ``d = 4|F(x)| / slope + 1024 ulp`` replaces the
-    bracket wherever ``F`` changes sign across it; elsewhere all of ``[lo,
-    hi]`` is kept.  Bisection on ``F(mid) < 0`` then runs until the midpoint
+    bracket wherever ``F`` changes sign across it; where it does not, ``d``
+    grows by 16, 256 and 4096 on those points alone, and only then is all of
+    ``[lo, hi]`` kept.  Bisection on ``F(mid) < 0`` then runs until the midpoint
     rounds to an end, dropping the points that got there.  Where ``F`` is
     monotone in floating point this is the pair a bisection of ``[lo, hi]``
     reaches.
@@ -436,6 +447,18 @@ def _crossing(F, lo, hi, f_lo, f_hi):
         a = np.clip(x1 - d, lo, hi)
         b = np.clip(x1 + d, lo, hi)
         keep = (F(a, idx) < 0.0) & (F(b, idx) >= 0.0)
+        # one point bisecting all of [lo, hi] keeps the loop running about
+        # 55 steps for every point, so a miss first retries a wider window
+        miss = idx[~keep]
+        for grow in (16.0, 256.0, 4096.0):
+            if not miss.size:
+                break
+            am = np.clip(x1[miss] - grow * d[miss], lo[miss], hi[miss])
+            bm = np.clip(x1[miss] + grow * d[miss], lo[miss], hi[miss])
+            hit = (F(am, miss) < 0.0) & (F(bm, miss) >= 0.0)
+            a[miss[hit]], b[miss[hit]] = am[hit], bm[hit]
+            keep[miss[hit]] = True
+            miss = miss[~hit]
     lo, hi = np.where(keep, a, lo), np.where(keep, b, hi)
     while idx.size:
         a, b = lo[idx], hi[idx]
@@ -480,7 +503,7 @@ class _Foliation:
         self.D1 = model.depth
         f2 = model.f2
         self._f2_lo, self._f2_hi = f2.x_lo, f2.x_hi
-        self._f2_L, self._f2_dhi = f2.L, float(f2.dL(f2.x_hi))
+        self._f2_L, self._f2_dhi = f2.L_fn, float(f2.dL(f2.x_hi))
         self._ht_f = model.htilde.f
         self._custom = curves is not None
         if curves is None:
@@ -516,6 +539,7 @@ class _Foliation:
         domain end with the end slope (the clamp alone would kink the field
         exactly on the top slice)."""
         x = np.asarray(x, float)
+        # the clip keeps the profile's domain, so its check is skipped
         core = self._f2_L(np.clip(x, self._f2_lo, self._f2_hi))
         return np.exp(core + self._f2_dhi * np.maximum(x - self._f2_hi, 0.0))
 
@@ -525,12 +549,17 @@ class _Foliation:
     def wall2(self, t, q2):
         return 1.0 + self.g2(t) * (self.f2c_x(q2) - 1.0)
 
+    def cap(self, t):
+        """``(y_cut, Xl, Xr)`` at ``t``: the attachment height and the dome
+        window's ends in ``log|z1|``, from one ``y_cut``."""
+        yc = self.y_cut(t)
+        return yc, np.log(self.wall1(t, np.exp(yc))), np.log(self.wall2(t, yc)) + yc
+
     def Xl(self, t):
-        return np.log(self.wall1(t, np.exp(self.y_cut(t))))
+        return self.cap(t)[1]
 
     def Xr(self, t):
-        yc = self.y_cut(t)
-        return np.log(self.wall2(t, yc)) + yc
+        return self.cap(t)[2]
 
     def phat(self, s):
         sc = np.clip(s, 0.0, 1.0)
@@ -542,9 +571,9 @@ class _Foliation:
     def dish(self, t, q1):
         t = np.asarray(t, float)
         q1 = np.asarray(q1, float)
-        xl, xr = self.Xl(t), self.Xr(t)
+        yc, xl, xr = self.cap(t)
         s = (q1 - xl) / (xr - xl)
-        return self.y_cut(t) + np.where(
+        return yc + np.where(
             s < 0.0, self.EXT_L * (q1 - xl),
             np.where(s > 1.0, self.EXT_R * (q1 - xr), self.D(t) * self.phat(s)))
 
@@ -613,8 +642,8 @@ class _Foliation:
             a, b = _crossing(lambda t, j: self.dish(t, p1[j]) - p2[j],
                              lo[ok], hi[ok], d_lo[ok] - p2, d_hi[ok] - p2)
             tau = 0.5 * (a + b)
-            xl = self.Xl(tau)
-            sig = (p1 - xl) / (self.Xr(tau) - xl)
+            _, xl, xr = self.cap(tau)
+            sig = (p1 - xl) / (xr - xl)
             vals = np.full(qq1.shape, np.nan)
             vals[ok] = np.where((sig > -0.05) & (sig < 1.05), tau, np.nan)
             out[rest] = vals
@@ -639,102 +668,126 @@ class FamilySpec:
     certificates: dict = field(default_factory=dict, repr=False)
 
 
-def _nesting_rays(fol: _Foliation, taus) -> list[tuple[str, float, np.ndarray]]:
+def _nesting_rays(fol: _Foliation, taus) -> tuple[list[str], np.ndarray]:
     """64 radial sweeps: 28 per wall plus 8 through the dome cap.
 
-    Returns ``(ray name, floor, radial coordinates per tau)`` triples where
-    the radial coordinate must be strictly increasing (walls: toward the
-    built sphere; dome: attachment height).
+    Returns the ray names and a ``[64, len(taus)]`` array of each ray's
+    radial coordinate per tau, which must be strictly increasing along every
+    row (walls: toward the built sphere; dome: attachment height).
     """
     taus = np.asarray(taus, float)
-    rays = []
-    q2_top = float(fol.y_cut(taus.min())) - 1e-3
-    for q2 in np.linspace(-5.5, q2_top, 28):
-        r = fol.wall1(taus, math.exp(q2))
-        rays.append((f"wall1 q2={q2:.4f}", float(fol.rho2), -r))
-    for q2 in np.linspace(-5.5, q2_top, 28):
-        r = fol.wall2(taus, q2)
-        rays.append((f"wall2 q2={q2:.4f}", 1.0, r))
-    xl = float(fol.Xl(taus.min())) + 2e-3
-    xr = float(fol.Xr(taus.min())) - 2e-3
-    for q1 in np.linspace(xl, xr, 8):
-        h = fol.dish(taus, q1)
-        rays.append((f"dome q1={q1:.4f}", 0.0, h))
-    return rays
+    _, xl, xr = fol.cap(taus.min())
+    q2 = np.linspace(-5.5, float(fol.y_cut(taus.min())) - 1e-3, 28)
+    q1 = np.linspace(float(xl) + 2e-3, float(xr) - 2e-3, 8)
+    names = ([f"wall1 q2={v:.4f}" for v in q2] + [f"wall2 q2={v:.4f}" for v in q2]
+             + [f"dome q1={v:.4f}" for v in q1])
+    radial = np.concatenate([-fol.wall1(taus, _math_exp(q2)[:, None]),
+                             fol.wall2(taus, q2[:, None]),
+                             fol.dish(taus, q1[:, None])])
+    return names, radial
+
+
+def _nesting_cert(fol: _Foliation, taus: tuple) -> Certificate:
+    """Each ray's smallest gap between consecutive slices; the first ray in
+    :func:`_nesting_rays` order whose gap is below the floor raises
+    :class:`FoliationError`.  A ray with a NaN gap is skipped."""
+    names, radial = _nesting_rays(fol, taus)
+    gaps = np.diff(radial, axis=1)
+    ks = np.argmin(gaps, axis=1)   # a NaN gap wins its row
+    low = gaps[np.arange(len(names)), ks]
+    low = np.where(np.isnan(low), math.inf, low)
+    bad = np.flatnonzero(low < NESTING_FLOOR)
+    if bad.size:
+        i = bad[0]
+        k = ks[i]
+        raise FoliationError(
+            f"slices tau={taus[k]:.6g} and tau={taus[k + 1]:.6g} meet "
+            f"along ray '{names[i]}' (gap {low[i]:.3g} < {NESTING_FLOOR:g})")
+    i = int(np.argmin(low))
+    min_gap = float(low[i])
+    worst = (names[i], taus[ks[i]], taus[ks[i] + 1]) if min_gap < math.inf else None
+    return Certificate(
+        name="nesting", grid=f"{len(names)} rays x {len(taus)} slices",
+        margin=min_gap, passed=min_gap >= NESTING_FLOOR,
+        worst_point=worst, details={"floor": NESTING_FLOOR})
+
+
+def _min_over_levels(*per_level) -> float:
+    """The smallest value over levels, with a level whose value is NaN
+    skipped, as a running ``min`` from ``inf`` skips it."""
+    return float(np.fmin.reduce(np.concatenate(per_level), initial=math.inf))
 
 
 def _slice_shape_cert(fol: _Foliation, taus, params: Params) -> Certificate:
     lz1, lz2 = math.log(params.zeta1), math.log(params.zeta2)
     q2_strip_top = math.log(1.0 / params.rho0)
     t_grid = sorted(set(taus) | {0.5 * (a + b) for a, b in zip(taus, taus[1:])})
-    gaps = {k: float("inf") for k in (
-        "wall1_in_range", "wall2_in_range", "wall_separation",
-        "wall1_above_band", "wall2_below_band", "cap_window",
-        "cap_above_band", "peak_headroom")}
-    for t in t_grid:
-        yc = float(fol.y_cut(t))
-        q2g = np.linspace(-6.0, yc, 129)
-        r1a = fol.wall1(t, np.exp(q2g))
-        r1b = fol.wall2(t, q2g)
-        gaps["wall1_in_range"] = min(gaps["wall1_in_range"],
-                                     float(np.min(r1a - 1.0)),
-                                     float(np.min(fol.rho2 - r1a)))
-        gaps["wall2_in_range"] = min(gaps["wall2_in_range"],
-                                     float(np.min(r1b - 1.0)),
-                                     float(np.min(fol.rho2 - r1b)))
-        gaps["wall_separation"] = min(gaps["wall_separation"],
-                                      float(np.min(r1a) - np.max(r1b)))
-        gaps["wall1_above_band"] = min(gaps["wall1_above_band"],
-                                       float(np.min(np.log(r1a))) - lz2)
-        gaps["wall2_below_band"] = min(gaps["wall2_below_band"],
-                                       lz1 - float(np.max(np.log(r1b))))
-        xl, xr = float(fol.Xl(t)), float(fol.Xr(t))
-        gaps["cap_window"] = min(gaps["cap_window"], xr - xl)
-        gaps["cap_above_band"] = min(gaps["cap_above_band"], xl - lz2)
-        gaps["peak_headroom"] = min(gaps["peak_headroom"],
-                                    q2_strip_top - (yc + float(fol.D(t))))
+    t = np.array(t_grid)
+    yc, xl, xr = fol.cap(t)
+    # one column per level; a column's NaN makes that level's value NaN
+    q2g = np.linspace(-6.0, yc, 129)
+    r1a = fol.wall1(t, np.exp(q2g))
+    r1b = fol.wall2(t, q2g)
+    gaps = {
+        "wall1_in_range": _min_over_levels(np.min(r1a - 1.0, axis=0),
+                                           np.min(fol.rho2 - r1a, axis=0)),
+        "wall2_in_range": _min_over_levels(np.min(r1b - 1.0, axis=0),
+                                           np.min(fol.rho2 - r1b, axis=0)),
+        "wall_separation": _min_over_levels(np.min(r1a, axis=0)
+                                            - np.max(r1b, axis=0)),
+        "wall1_above_band": _min_over_levels(np.min(np.log(r1a), axis=0) - lz2),
+        "wall2_below_band": _min_over_levels(lz1 - np.max(np.log(r1b), axis=0)),
+        "cap_window": _min_over_levels(xr - xl),
+        "cap_above_band": _min_over_levels(xl - lz2),
+        "peak_headroom": _min_over_levels(q2_strip_top - (yc + fol.D(t))),
+    }
     margin = min(gaps.values())
     return Certificate(
         name="slice_validity", grid=f"{len(t_grid)} levels x 129 points",
         margin=margin, passed=margin > 0, details=gaps)
 
 
+def _level_points(fol: _Foliation, slices) -> tuple[np.ndarray, ...]:
+    """Levels and points of the level-consistency check: 9 per slice, both
+    walls at three heights and then the dish at three abscissae."""
+    ts = np.array(slices)[:, None]
+    yc, xl, xr = fol.cap(ts)
+    q2 = np.concatenate([np.full(ts.shape, -1.5), np.full(ts.shape, -0.2), yc - 0.004],
+                        axis=1)
+    r2 = _math_exp(q2)
+    q1 = xl + np.array([0.1, 0.5, 0.9]) * (xr - xl)
+    walls = np.stack([fol.wall1(ts, r2) * np.exp(0.9j),
+                      fol.wall2(ts, q2) * np.exp(-1.7j)], axis=2)
+    z1 = np.concatenate([walls.reshape(ts.size, 6), np.exp(q1 + 0.3j)], axis=1)
+    z2 = np.concatenate([np.repeat(r2 + 0j, 2, axis=1),
+                         np.exp(fol.dish(ts, q1) - 1.1j)], axis=1)
+    return np.repeat(ts, 9), z1.ravel(), z2.ravel()
+
+
 def build_family(params: Params, n_tau: int, knobs: Knobs | None = None,
-                 curves: dict | None = None) -> FamilySpec:
+                 curves: dict | None = None,
+                 model: SphereModel | None = None) -> FamilySpec:
     """Build the nested family; every slice is itself a valid sphere.
 
     Strict nesting is checked along 64 radial rays; any touching pair of
-    slices raises :class:`FoliationError` naming the pair and the ray.
-    Slice validity is certified in closed form (graph ranges, wall
+    slices raises :class:`FoliationError` naming the pair and the first such
+    ray.  Slice validity is certified in closed form (graph ranges, wall
     separation, cap window, band avoidance); the top slice reproduces
-    ``build_M1`` exactly.
+    ``build_M1`` exactly.  ``model``, if given, is the top slice already
+    built as ``build_M1(params, knobs)``.
     """
     if n_tau < 8:
         raise DomainError(f"build_family needs n_tau >= 8, got {n_tau}")
     knobs = knobs or default_knobs()
-    model = build_M1(params, knobs)
+    if model is None:
+        model = build_M1(params, knobs)
     fol = _Foliation(model, curves)
     taus = tuple((i + 1) / n_tau for i in range(n_tau))
     fam = FamilySpec(model=model, n_tau=n_tau, taus=taus, fol=fol)
     certs = fam.certificates
 
     # nesting along rays (checked first: degenerate curves fail fast)
-    min_gap = float("inf")
-    worst = None
-    for name, _, radial in _nesting_rays(fol, taus):
-        gaps = np.diff(radial)
-        k = int(np.argmin(gaps))
-        if gaps[k] < min_gap:
-            min_gap = float(gaps[k])
-            worst = (name, taus[k], taus[k + 1])
-        if gaps[k] < NESTING_FLOOR:
-            raise FoliationError(
-                f"slices tau={taus[k]:.6g} and tau={taus[k + 1]:.6g} meet "
-                f"along ray '{name}' (gap {gaps[k]:.3g} < {NESTING_FLOOR:g})")
-    certs["nesting"] = Certificate(
-        name="nesting", grid=f"64 rays x {n_tau} slices",
-        margin=min_gap, passed=min_gap >= NESTING_FLOOR,
-        worst_point=worst, details={"floor": NESTING_FLOOR})
+    certs["nesting"] = _nesting_cert(fol, taus)
 
     # parameter-curve monotonicity
     tgrid = np.linspace(taus[0], 1.0, 64)
@@ -766,21 +819,11 @@ def build_family(params: Params, n_tau: int, knobs: Knobs | None = None,
         details={"wall1": e_w1, "wall2": e_w2, "dome": e_dome})
 
     # level consistency: gamma returns tau on every (n_tau // 8)-th slice and
-    # the top one; 9 points per slice (both walls at three heights, the dish
-    # at three abscissae), all evaluated in one call
+    # the top one, all evaluated in one call
     slices = taus[:: max(1, n_tau // 8)]
     if 1.0 not in slices:
         slices += (1.0,)
-    pts = []
-    for t in slices:
-        for q2 in (-1.5, -0.2, float(fol.y_cut(t)) - 0.004):
-            pts.append((t, fol.wall1(t, math.exp(q2)) * np.exp(0.9j), math.exp(q2) + 0j))
-            pts.append((t, fol.wall2(t, q2) * np.exp(-1.7j), math.exp(q2) + 0j))
-        for s in (0.1, 0.5, 0.9):
-            q1 = float(fol.Xl(t)) + s * (float(fol.Xr(t)) - float(fol.Xl(t)))
-            q2 = float(fol.dish(t, q1))
-            pts.append((t, np.exp(q1 + 0.3j), np.exp(q2 - 1.1j)))
-    t, z1, z2 = (np.array(col) for col in zip(*pts))
+    t, z1, z2 = _level_points(fol, slices)
     _, worst_dev = Certificate.sup_error(np.abs(fol.gamma(z1, z2) - t))
     certs["level_consistency"] = Certificate(
         name="level_consistency", grid=f"{len(slices)} slices x 9 points",
@@ -836,29 +879,24 @@ def verification_grid(fam: FamilySpec, density: int = 1) -> list[tuple]:
     densities 1 and 2 (62 + 191 points).
     """
     fol = fam.fol
-    pts = []
-    k = 0
-
-    def ang(j):
-        return np.exp(2j * math.pi * ((j * _GOLD1) % 1.0))
-
-    t_vals = np.linspace(0.1, 1.0, 4 * density + 1)
-    for t in t_vals:
-        yc = float(fol.y_cut(t))
-        for q2 in np.linspace(-2.0, yc - 3e-3, 3 * density + 1):
-            r2 = math.exp(q2)
-            pts.append((float(fol.wall1(t, r2)) * ang(k), r2 * ang(k + 1)))
-            pts.append((float(fol.wall2(t, q2)) * ang(k + 2), r2 * ang(k + 3)))
-            k += 4
-        xl, xr = float(fol.Xl(t)), float(fol.Xr(t))
-        for s in np.linspace(0.05, 0.95, 3 * density + 1):
-            q1 = xl + s * (xr - xl)
-            q2 = float(fol.dish(t, q1))
-            pts.append((math.exp(q1) * ang(k), math.exp(q2) * ang(k + 1)))
-            k += 2
-    for t in (0.3, 1.0):
-        pts.append((float(fol.wall1(t, 1e-4)) * ang(k), 1e-4 + 0j))
-        k += 1
+    m = 3 * density + 1
+    t = np.linspace(0.1, 1.0, 4 * density + 1)
+    yc, xl, xr = fol.cap(t)
+    q2 = np.linspace(-2.0, yc - 3e-3, m)   # [m, levels], as is q1
+    r2 = _math_exp(q2)
+    q1 = xl + np.linspace(0.05, 0.95, m)[:, None] * (xr - xl)
+    walls = np.stack([fol.wall1(t, r2), r2, fol.wall2(t, q2), r2])
+    dish = np.stack([_math_exp(q1), _math_exp(fol.dish(t, q1))])
+    # per level, the moduli of (z1, z2) of both walls at each height and
+    # then of each dish point, which take consecutive golden angles
+    radii = np.concatenate([walls.T.reshape(t.size, 4 * m),
+                            dish.T.reshape(t.size, 2 * m)], axis=1).ravel()
+    k = np.arange(radii.size + 2)
+    ang = np.exp(2j * math.pi * ((k * _GOLD1) % 1.0))
+    z = (radii * ang[:-2]).reshape(-1, 2)
+    pts = list(zip(z[:, 0], z[:, 1]))
+    for t_axis, a in zip((0.3, 1.0), ang[-2:]):
+        pts.append((float(fol.wall1(t_axis, 1e-4)) * a, 1e-4 + 0j))
     return pts
 
 
@@ -1126,7 +1164,8 @@ def compatibility_check(fam: FamilySpec, lam: float, grid) -> Certificate:
 # End-to-end report
 # ---------------------------------------------------------------------------
 
-def run_verification(params: Params, knobs: Knobs | None = None, *,
+def run_verification(params: Params, knobs: Knobs | None = None,
+                     model: SphereModel | None = None, *,
                      n_tau: int = 16, n_samples: int = 240,
                      lambda_max: float = 1e4) -> tuple[bool, dict]:
     """Run the full pipeline and assemble a deterministic report.
@@ -1134,10 +1173,11 @@ def run_verification(params: Params, knobs: Knobs | None = None, *,
     Returns ``(all_passed, report)`` where the report carries the params,
     knobs, found ``lambda`` and every certificate.  The report content is a
     pure function of its inputs (no timestamps, no randomness), so repeated
-    runs serialize identically.
+    runs serialize identically.  ``model``, if given, is
+    ``build_M1(params, knobs)`` built by the caller.
     """
     knobs = knobs or default_knobs()
-    fam = build_family(params, n_tau, knobs)
+    fam = build_family(params, n_tau, knobs, model=model)
     model = fam.model
     lam, cert_lam = find_collar_lambda(fam, lambda_max)
     sweep = _sample_jet(fam, sample_M1(model, n_samples))

@@ -5,10 +5,11 @@ import pkgutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import concavia
-from concavia import cli
+from concavia import cli, family
 from concavia.atlas import phi
 from concavia.cli import main
 
@@ -151,6 +152,75 @@ def test_verify_family_infeasible_knob_exits_1(tmp_path, capsys):
     rep = json.loads((tmp_path / "report_family.json").read_text())
     err = rep["suites"]["family"]["error"]
     assert err["type"] == "FeasibilityError"
+
+
+@pytest.mark.parametrize("suite, builds", [
+    ("atlas", 0), ("openbook", 0), ("levi", 0), ("profiles", 1), ("family", 1), ("all", 1)])
+def test_verify_builds_the_model_once_per_call(tmp_path, capsys, monkeypatch, suite, builds):
+    build = family.build_M1
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(family, "build_M1", counted)
+    for run in (1, 2):
+        code, _ = _run(capsys, ["verify", "--suite", suite, "--outputs", str(tmp_path)])
+        assert code == 0
+        # no model outlives its call
+        assert len(calls) == run * builds
+
+
+def _suite_sections(tmp_path, capsys, argv):
+    """``{suite: (exit code, section)}`` of each suite run alone, and of
+    ``--suite all``'s report under ``"all"``."""
+    out = {}
+    for suite in (*cli.SUITES, "all"):
+        code, _ = _run(capsys, ["verify", "--suite", suite, *argv,
+                                "--outputs", str(tmp_path)])
+        rep = json.loads((tmp_path / f"report_{suite}.json").read_text())
+        out[suite] = (code, rep["suites"] if suite == "all" else rep["suites"][suite])
+    return out
+
+
+def test_verify_all_sections_equal_the_single_suite_reports(tmp_path, capsys):
+    runs = _suite_sections(tmp_path, capsys, [])
+    code, sections = runs.pop("all")
+    assert code == 0 and set(sections) == set(cli.SUITES)
+    for suite, (code, alone) in runs.items():
+        assert code == 0
+        assert sections[suite] == alone, suite
+
+
+def test_verify_all_carries_the_model_error_of_the_single_suites(tmp_path, capsys):
+    runs = _suite_sections(tmp_path, capsys, ["--knobs.eps2=0.2"])
+    code, sections = runs.pop("all")
+    assert code == 1
+    for suite, (code, alone) in runs.items():
+        assert sections[suite] == alone, suite
+        if suite in ("profiles", "family"):
+            assert code == 1 and alone["error"]["type"] == "FeasibilityError"
+        else:
+            assert code == 0 and "certificates" in alone
+
+
+def test_verify_all_makes_118_dish_calls(tmp_path, capsys, monkeypatch):
+    # 31, 31 and 29 for the lambda grid's two jets and the sample jet, 22 for
+    # the level-consistency gamma call, and one for each of five sweeps: the
+    # nesting rays, the top slice, the level-consistency points and
+    # verification_grid at densities 1 and 2
+    dish = family._Foliation.dish
+    calls = []
+
+    def counted(self, t, q1):
+        calls.append(np.size(t))
+        return dish(self, t, q1)
+
+    monkeypatch.setattr(family._Foliation, "dish", counted)
+    code, _ = _run(capsys, ["verify", "--suite", "all", "--outputs", str(tmp_path)])
+    assert code == 0
+    assert len(calls) == 118
 
 
 def test_verify_all_reports_lambda(tmp_path, capsys):

@@ -504,6 +504,25 @@ def test_gamma_on_the_h_stencil_makes_at_most_32_dish_calls(monkeypatch):
     assert len(calls) <= 32
 
 
+# the perturbed set's h and 2h stencils each have one point whose secant
+# window misses the root: a wider window catches it, where bisecting all of
+# [TAU_LO, TAU_HI] took 66 dish calls per jet
+@pytest.mark.parametrize("call", [1, 2])
+def test_gamma_on_the_perturbed_stencils_makes_at_most_36_dish_calls(monkeypatch, call):
+    fol, z1, z2, out = _recorded_gamma_calls("perturbed")[call]
+    dish = family._Foliation.dish
+    calls = []
+
+    def counted(self, t, q1):
+        calls.append(np.size(t))
+        return dish(self, t, q1)
+
+    monkeypatch.setattr(family._Foliation, "dish", counted)
+    again = fol.gamma(z1, z2)
+    assert len(calls) <= 36
+    assert again.tobytes() == out.tobytes()
+
+
 def test_gamma_raises_outside_the_collar():
     gam = family.gamma_field(_family16())
     with pytest.raises(OutOfFoliation):
@@ -629,6 +648,313 @@ def test_sample_frames_reject_an_unknown_tag():
     z1, z2, _ = family._normalize_grid(_model(), _samples240())[0]
     with pytest.raises(DomainError, match="unknown piece tag 'X'"):
         family._sample_frames(_model(), [(z1, z2, "X")])
+
+
+# ---------------------------------------------------------------------------
+# array passes against the loops they replaced
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _family_for(which):
+    """The 16-slice family of the default set or of ``_PERTURBED`` at
+    ``eps1`` 0.003 / 0.004."""
+    if which == "default":
+        return _family16()
+    knobs = dataclasses.replace(family.default_knobs(), eps1=float(which))
+    return family.build_family(validate_params(_PERTURBED), 16, knobs)
+
+
+_WHICH = ["default", "0.003", "0.004"]
+
+
+def _verification_grid_by_loop(fam, density=1):
+    fol = fam.fol
+    pts = []
+    k = 0
+
+    def ang(j):
+        return np.exp(2j * math.pi * ((j * family._GOLD1) % 1.0))
+
+    t_vals = np.linspace(0.1, 1.0, 4 * density + 1)
+    for t in t_vals:
+        yc = float(fol.y_cut(t))
+        for q2 in np.linspace(-2.0, yc - 3e-3, 3 * density + 1):
+            r2 = math.exp(q2)
+            pts.append((float(fol.wall1(t, r2)) * ang(k), r2 * ang(k + 1)))
+            pts.append((float(fol.wall2(t, q2)) * ang(k + 2), r2 * ang(k + 3)))
+            k += 4
+        xl, xr = float(fol.Xl(t)), float(fol.Xr(t))
+        for s in np.linspace(0.05, 0.95, 3 * density + 1):
+            q1 = xl + s * (xr - xl)
+            q2 = float(fol.dish(t, q1))
+            pts.append((math.exp(q1) * ang(k), math.exp(q2) * ang(k + 1)))
+            k += 2
+    for t in (0.3, 1.0):
+        pts.append((float(fol.wall1(t, 1e-4)) * ang(k), 1e-4 + 0j))
+        k += 1
+    return pts
+
+
+@pytest.mark.parametrize("which", _WHICH)
+@pytest.mark.parametrize("density", [1, 2, 4])
+def test_verification_grid_matches_the_loop_bit_for_bit(which, density):
+    fam = _family_for(which)
+    got = family.verification_grid(fam, density)
+    ref = _verification_grid_by_loop(fam, density)
+    assert len(got) == len(ref)
+    for col in (0, 1):
+        a = np.array([p[col] for p in got], dtype=complex)
+        b = np.array([p[col] for p in ref], dtype=complex)
+        assert a.tobytes() == b.tobytes()
+
+
+def _level_points_by_loop(fol, slices):
+    pts = []
+    for t in slices:
+        for q2 in (-1.5, -0.2, float(fol.y_cut(t)) - 0.004):
+            pts.append((t, fol.wall1(t, math.exp(q2)) * np.exp(0.9j), math.exp(q2) + 0j))
+            pts.append((t, fol.wall2(t, q2) * np.exp(-1.7j), math.exp(q2) + 0j))
+        for s in (0.1, 0.5, 0.9):
+            q1 = float(fol.Xl(t)) + s * (float(fol.Xr(t)) - float(fol.Xl(t)))
+            q2 = float(fol.dish(t, q1))
+            pts.append((t, np.exp(q1 + 0.3j), np.exp(q2 - 1.1j)))
+    return tuple(np.array(col) for col in zip(*pts))
+
+
+@pytest.mark.parametrize("which", _WHICH)
+def test_level_points_match_the_loop_bit_for_bit(which):
+    fam = _family_for(which)
+    for slices in (fam.taus[::2], fam.taus, (0.1, 0.7, 1.0)):
+        got = family._level_points(fam.fol, slices)
+        ref = _level_points_by_loop(fam.fol, slices)
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _nesting_by_loop(fol, taus):
+    """The per-ray nesting sweep: the rays, the smallest gap and where it
+    sits, or the FoliationError of the first ray that fails."""
+    t_arr = np.asarray(taus, float)
+    rays = []
+    q2_top = float(fol.y_cut(t_arr.min())) - 1e-3
+    for q2 in np.linspace(-5.5, q2_top, 28):
+        rays.append((f"wall1 q2={q2:.4f}", -fol.wall1(t_arr, math.exp(q2))))
+    for q2 in np.linspace(-5.5, q2_top, 28):
+        rays.append((f"wall2 q2={q2:.4f}", fol.wall2(t_arr, q2)))
+    xl = float(fol.Xl(t_arr.min())) + 2e-3
+    xr = float(fol.Xr(t_arr.min())) - 2e-3
+    for q1 in np.linspace(xl, xr, 8):
+        rays.append((f"dome q1={q1:.4f}", fol.dish(t_arr, q1)))
+    min_gap, worst = float("inf"), None
+    for name, radial in rays:
+        gaps = np.diff(radial)
+        k = int(np.argmin(gaps))
+        if gaps[k] < min_gap:
+            min_gap = float(gaps[k])
+            worst = (name, taus[k], taus[k + 1])
+        if gaps[k] < family.NESTING_FLOOR:
+            raise FoliationError(
+                f"slices tau={taus[k]:.6g} and tau={taus[k + 1]:.6g} meet "
+                f"along ray '{name}' (gap {gaps[k]:.3g} < {family.NESTING_FLOOR:g})")
+    return rays, min_gap, worst
+
+
+def _linear_curves(par):
+    return {"c1": lambda t: par.rho2 - (par.rho2 - par.c1) * t,
+            "c2": lambda t: 1.0 + (par.c2 - 1.0) * t}
+
+
+def _sweep_inputs(which):
+    """``(fol, taus, params)``: a family of ``_family_for``, or, for
+    ``"nan_c2"``, the default model under a ``c2`` curve that is NaN below
+    tau 0.3, which makes the wall2 and dome sweeps NaN on the lower slices."""
+    if which != "nan_c2":
+        fam = _family_for(which)
+        return fam.fol, fam.taus, fam.model.params
+    par = default_params()
+    c2 = _linear_curves(par)["c2"]
+    curves = {**_linear_curves(par), "c2": lambda t: np.where(t < 0.3, np.nan, c2(t))}
+    return family._Foliation(_model(), curves), (0.1, 0.2, 0.4, 1.0), par
+
+
+@pytest.mark.parametrize("kind", ["constant", "c1_only", "c2_only", "creep"])
+def test_degenerate_curves_name_the_first_failing_ray(kind):
+    par = default_params()
+    const = {"c1": lambda t: par.c1, "c2": lambda t: par.c2}
+    curves = {
+        "constant": const,
+        "c1_only": {**_linear_curves(par), "c2": const["c2"]},
+        "c2_only": {**_linear_curves(par), "c1": const["c1"]},
+        # wall1 rays creep (gaps about 1e-10 > 0) while wall2 rays stand
+        # still (gaps 0): the first failing ray has not the smallest gap
+        "creep": {"c1": lambda t: par.c1 + 1e-9 * (1.0 - t), "c2": const["c2"]},
+    }[kind]
+    taus = tuple((i + 1) / 8 for i in range(8))
+    fol = family._Foliation(family.build_M1(par), curves)
+    with pytest.raises(FoliationError) as ref:
+        _nesting_by_loop(fol, taus)
+    with pytest.raises(FoliationError) as got:
+        family.build_family(par, 8, curves=curves)
+    assert str(got.value) == str(ref.value)
+    if kind == "creep":
+        assert "ray 'wall1 q2=-5.5000'" in str(got.value)
+        assert "(gap 0 <" not in str(got.value)
+
+
+@pytest.mark.parametrize("which", [*_WHICH, "nan_c2"])
+def test_nesting_matches_the_loop_bit_for_bit(which):
+    fol, taus, _ = _sweep_inputs(which)
+    names, radial = family._nesting_rays(fol, taus)
+    rays, min_gap, worst = _nesting_by_loop(fol, taus)
+    assert names == [name for name, _ in rays]
+    assert radial.tobytes() == np.stack([r for _, r in rays]).tobytes()
+    cert = family._nesting_cert(fol, taus)
+    assert cert.margin == min_gap and cert.worst_point == worst
+    if which == "nan_c2":   # the NaN wall2 and dome rays are skipped
+        assert worst[0].startswith("wall1")
+
+
+def _slice_shape_by_loop(fol, taus, params):
+    lz1, lz2 = math.log(params.zeta1), math.log(params.zeta2)
+    q2_strip_top = math.log(1.0 / params.rho0)
+    t_grid = sorted(set(taus) | {0.5 * (a + b) for a, b in zip(taus, taus[1:])})
+    gaps = {k: float("inf") for k in (
+        "wall1_in_range", "wall2_in_range", "wall_separation",
+        "wall1_above_band", "wall2_below_band", "cap_window",
+        "cap_above_band", "peak_headroom")}
+    for t in t_grid:
+        yc = float(fol.y_cut(t))
+        q2g = np.linspace(-6.0, yc, 129)
+        r1a = fol.wall1(t, np.exp(q2g))
+        r1b = fol.wall2(t, q2g)
+        gaps["wall1_in_range"] = min(gaps["wall1_in_range"],
+                                     float(np.min(r1a - 1.0)),
+                                     float(np.min(fol.rho2 - r1a)))
+        gaps["wall2_in_range"] = min(gaps["wall2_in_range"],
+                                     float(np.min(r1b - 1.0)),
+                                     float(np.min(fol.rho2 - r1b)))
+        gaps["wall_separation"] = min(gaps["wall_separation"],
+                                      float(np.min(r1a) - np.max(r1b)))
+        gaps["wall1_above_band"] = min(gaps["wall1_above_band"],
+                                       float(np.min(np.log(r1a))) - lz2)
+        gaps["wall2_below_band"] = min(gaps["wall2_below_band"],
+                                       lz1 - float(np.max(np.log(r1b))))
+        xl, xr = float(fol.Xl(t)), float(fol.Xr(t))
+        gaps["cap_window"] = min(gaps["cap_window"], xr - xl)
+        gaps["cap_above_band"] = min(gaps["cap_above_band"], xl - lz2)
+        gaps["peak_headroom"] = min(gaps["peak_headroom"],
+                                    q2_strip_top - (yc + float(fol.D(t))))
+    return gaps
+
+
+@pytest.mark.parametrize("which", [*_WHICH, "nan_c2"])
+def test_slice_validity_matches_the_loop_bit_for_bit(which):
+    fol, taus, params = _sweep_inputs(which)
+    for taus in (taus, taus[::3], (0.05, 0.5, 1.2)):
+        cert = family._slice_shape_cert(fol, taus, params)
+        ref = _slice_shape_by_loop(fol, taus, params)
+        assert list(cert.details) == list(ref)
+        assert np.array(list(cert.details.values())).tobytes() == \
+            np.array(list(ref.values())).tobytes()
+        assert cert.margin == min(ref.values())
+
+
+def _membership_by_loop(model, n=400):
+    p = model.params
+    lz1, lz2 = math.log(p.zeta1), math.log(p.zeta2)
+    samples = family.sample_M1(model, n)
+    bad = 0
+    worst = None
+    dist = float("inf")
+    for pt, tag in samples:
+        if not in_complement_C(p, pt):
+            bad += 1
+            worst = (tag, pt.z1, pt.z2)
+        q = math.log(abs(pt.z1))
+        dist = min(dist, max(lz1 - q, q - lz2))
+    return bad, worst, dist
+
+
+def _banded_model(model, lo_q, hi_q):
+    """``model`` with the removed band moved between two quantiles of the
+    samples' ``|z1|``."""
+    r1 = np.array([abs(pt.z1) for pt, _ in family.sample_M1(model, 400)])
+    lo, hi = np.quantile(r1, [lo_q, hi_q])
+    return dataclasses.replace(model, params=dataclasses.replace(
+        model.params, zeta1=float(lo), zeta2=float(hi)))
+
+
+@pytest.mark.parametrize("case", ["default", "perturbed", "band_low", "band_mid"])
+def test_membership_matches_the_loop(case):
+    model = _model() if case != "perturbed" else _perturbed_model()
+    if case == "band_low":
+        model = _banded_model(model, 0.02, 0.1)
+    elif case == "band_mid":
+        model = _banded_model(model, 0.4, 0.6)
+    cert = family._membership_cert(model)
+    bad, worst, dist = _membership_by_loop(model)
+    assert cert.details == {"violations": bad, "min_band_distance": dist}
+    assert cert.worst_point == worst
+    assert cert.passed == (bad == 0 and dist > 0)
+    if case.startswith("band"):
+        samples = family.sample_M1(model, 400)
+        r1 = np.array([abs(pt.z1) for pt, _ in samples])
+        inside = np.flatnonzero((model.params.zeta1 < r1) & (r1 < model.params.zeta2))
+        assert bad == inside.size > 10 and cert.margin == -float(bad)
+        pt, tag = samples[inside[-1]]
+        assert cert.worst_point == (tag, pt.z1, pt.z2)
+
+
+def _parent_f2c_x(fol, x):
+    """``f2c_x`` composed through ``Profile.L`` with its domain check."""
+    f2 = fol.model.f2
+    x = np.asarray(x, float)
+    core = f2.L(np.clip(x, f2.x_lo, f2.x_hi))
+    return np.exp(core + float(f2.dL(f2.x_hi)) * np.maximum(x - f2.x_hi, 0.0))
+
+
+def _parent_ends(fol, t):
+    """``Xl`` and ``Xr`` composed separately, each with its own ``y_cut``."""
+    xl = np.log(fol.wall1(t, np.exp(fol.y_cut(t))))
+    yc = fol.y_cut(t)
+    xr = np.log(1.0 + fol.g2(t) * (_parent_f2c_x(fol, yc) - 1.0)) + yc
+    return xl, xr
+
+
+def _parent_dish(fol, t, q1):
+    t = np.asarray(t, float)
+    q1 = np.asarray(q1, float)
+    xl, xr = _parent_ends(fol, t)
+    s = (q1 - xl) / (xr - xl)
+    return fol.y_cut(t) + np.where(
+        s < 0.0, fol.EXT_L * (q1 - xl),
+        np.where(s > 1.0, fol.EXT_R * (q1 - xr), fol.D(t) * fol.phat(s)))
+
+
+def _bits(x):
+    return np.asarray(x, float).tobytes()
+
+
+@pytest.mark.parametrize("which", _WHICH)
+def test_dish_matches_the_parent_composition_bit_for_bit(which):
+    fol = _family_for(which).fol
+    rng = np.random.default_rng(7)
+    t = np.concatenate([rng.uniform(fol.TAU_LO, fol.TAU_HI, 2000),
+                        [fol.TAU_LO, 1.0, fol.TAU_HI]])
+    assert np.sum(t > 1.0) > 300   # y_cut beyond the end of the spline
+    xl, xr = _parent_ends(fol, t)
+    # both sides of the cap window and its inside
+    q1 = xl + rng.uniform(-0.5, 1.5, t.size) * (xr - xl)
+    assert _bits(fol.Xl(t)) == _bits(xl) and _bits(fol.Xr(t)) == _bits(xr)
+    assert _bits(fol.dish(t, q1)) == _bits(_parent_dish(fol, t, q1))
+    q2 = np.linspace(fol.model.f2.x_lo - 0.5, fol.model.f2.x_hi + 0.5, 3001)
+    assert _bits(fol.f2c_x(q2)) == _bits(_parent_f2c_x(fol, q2))
+    # the sweeps' row-by-column layout and scalar calls
+    grid = (t[None, :50], q1[:40, None])
+    assert _bits(fol.dish(*grid)) == _bits(_parent_dish(fol, *grid))
+    for tt, qq in zip(t[:100].tolist(), q1[:100].tolist()):
+        assert _bits(fol.dish(tt, qq)) == _bits(_parent_dish(fol, tt, qq))
+        assert _bits(fol.Xr(tt)) == _bits(_parent_ends(fol, tt)[1])
 
 
 # ---------------------------------------------------------------------------
