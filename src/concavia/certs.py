@@ -88,9 +88,8 @@ class Certificate:
 
     @staticmethod
     def merge(name: str, certs: list["Certificate"]) -> "Certificate":
-        """Combine sub-certificates: min of margins, conjunction of verdicts."""
-        if not certs:
-            return Certificate(name=name, grid="(empty)", margin=float("inf"), passed=True)
+        """Combine a non-empty list of sub-certificates: min of margins,
+        conjunction of verdicts."""
         worst = min(certs, key=lambda c: c.margin)
         return Certificate(
             name=name,

@@ -205,7 +205,7 @@ def _parse_overrides(tokens: list[str]) -> dict:
 # Suites
 # ---------------------------------------------------------------------------
 
-def _suite_atlas(cfg: RunConfig, par) -> dict[str, Certificate]:
+def _suite_atlas(par) -> dict[str, Certificate]:
     certs = {}
     m1, m2 = par.a - par.rho1 * par.b, par.a / par.rho1 - par.b
     certs["params_chain"] = Certificate(
@@ -246,7 +246,7 @@ def _suite_atlas(cfg: RunConfig, par) -> dict[str, Certificate]:
     return certs
 
 
-def _suite_openbook(cfg: RunConfig, par) -> dict[str, Certificate]:
+def _suite_openbook(par) -> dict[str, Certificate]:
     spec = TwistSpec.from_params(par)
     return {
         "disjointness": check_disjointness(par),
@@ -275,7 +275,7 @@ def _shell_points(n: int) -> list[tuple[complex, complex]]:
     return pts
 
 
-def _suite_levi(cfg: RunConfig, par) -> dict[str, Certificate]:
+def _suite_levi(par) -> dict[str, Certificate]:
     sq = ScalarField(lambda z1, z2: abs(z1) ** 2 + abs(z2) ** 2, name="sq_norm")
     pts = _shell_points(48)
     certs = {
@@ -309,7 +309,7 @@ def _run_suite(name: str, cfg: RunConfig, par, model) -> tuple[bool, dict]:
         else:
             fn = {"atlas": _suite_atlas, "openbook": _suite_openbook,
                   "levi": _suite_levi}[name]
-            certs = fn(cfg, par)
+            certs = fn(par)
         ok = all(c.passed for c in certs.values())
         return ok, {"certificates": {k: c.to_dict() for k, c in sorted(certs.items())}}
     except ConcaviaError as err:

@@ -1,8 +1,9 @@
-"""Strictly convex / strictly concave C^2 interpolation on an interval.
+"""Strictly convex C^2 interpolation on an interval, above an optional floor.
 
 The central primitive behind the curved hypersurface pieces: join two end
-jets ``(value, deriv)`` by a function whose second derivative has a fixed
-strict sign, or extend a concave germ until its slope drops below a target.
+jets ``(value, deriv)`` by a strictly convex function that stays above an
+optional constant floor (the seam dome), or extend a concave germ until its
+slope drops below a target (the end of ``f2``).
 
 Strategy: parametrize the second derivative as a strictly positive piecewise
 linear *density* on the interval (so strict convexity is structural), then
@@ -15,7 +16,6 @@ repeated solves bit-identical.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -25,7 +25,6 @@ from ._numerics import PPoly
 from .errors import CorridorViolation, FeasibilityError, Infeasible
 
 __all__ = [
-    "Sign",
     "EndpointData",
     "JoinProblem",
     "SplineC2",
@@ -35,11 +34,6 @@ __all__ = [
 ]
 
 _MAX_HALVINGS = 30
-
-
-class Sign(enum.Enum):
-    CONVEX = 1
-    CONCAVE = -1
 
 
 @dataclass(frozen=True)
@@ -56,16 +50,12 @@ class EndpointData:
 
 @dataclass(frozen=True)
 class JoinProblem:
-    """Join ``left`` to ``right`` by a strictly ``sign``-curved C^2 function.
-
-    ``bounds`` is an optional pair ``(lower, upper)`` of callables (either may
-    be ``None``) that the solution must respect pointwise.
-    """
+    """Join ``left`` to ``right`` by a strictly convex C^2 function that
+    stays above ``floor`` when one is given."""
 
     left: EndpointData
     right: EndpointData
-    sign: Sign = Sign.CONVEX
-    bounds: tuple | None = None
+    floor: float | None = None
 
     def __post_init__(self):
         if not self.left.x < self.right.x:
@@ -122,23 +112,18 @@ class SplineC2:
 def feasible(problem: JoinProblem) -> tuple[bool, dict]:
     """Slope-chord feasibility of the join, with named diagnostics.
 
-    Convex needs ``left.deriv < chord < right.deriv`` strictly (mirrored for
-    concave).  The diagnostic dict carries the chord, both margins, and the
-    name of the violated inequality if any.
+    A convex join needs ``left.deriv < chord < right.deriv`` strictly.  The
+    diagnostic dict carries the chord, both margins, and the name of the
+    violated inequality if any.
     """
     l, r = problem.left, problem.right
     chord = (r.value - l.value) / (r.x - l.x)
-    if problem.sign is Sign.CONVEX:
-        m_left, m_right = chord - l.deriv, r.deriv - chord
-        names = ("left.deriv < chord", "chord < right.deriv")
-    else:
-        m_left, m_right = l.deriv - chord, chord - r.deriv
-        names = ("chord < left.deriv", "right.deriv < chord")
+    m_left, m_right = chord - l.deriv, r.deriv - chord
     violated = None
     if m_left <= 0:
-        violated = names[0]
+        violated = "left.deriv < chord"
     elif m_right <= 0:
-        violated = names[1]
+        violated = "chord < right.deriv"
     diag = {
         "chord": chord,
         "margin_left": m_left,
@@ -149,7 +134,7 @@ def feasible(problem: JoinProblem) -> tuple[bool, dict]:
 
 
 # ---------------------------------------------------------------------------
-# Core convex solver
+# Convex join
 # ---------------------------------------------------------------------------
 
 def _integrate_density(breaks: np.ndarray, values: np.ndarray,
@@ -179,14 +164,22 @@ def _wall_density(x_lo: float, x_hi: float, h_l: float, h_r: float,
     return grid, vals
 
 
-def _solve_convex(left: EndpointData, right: EndpointData, knots: int,
-                  target_depth, bounds, mirrored: bool) -> SplineC2:
-    ok, diag = feasible(JoinProblem(left, right, Sign.CONVEX))
+def solve(problem: JoinProblem, knots: int = 16, target_depth: float | None = None) -> SplineC2:
+    """Solve the join: a strictly convex C^2 piecewise cubic, above an
+    optional floor.
+
+    ``target_depth`` (optional) prescribes how far below the chord the middle
+    of the solution should sit; it is capped by the tangent envelope and
+    halved automatically when the floor or the positivity of the density
+    demands it.
+    """
+    ok, diag = feasible(problem)
     if not ok:
         raise Infeasible(diag["violated"],
                          f"chord={diag['chord']:.6g}, "
                          f"margins=({diag['margin_left']:.3g}, {diag['margin_right']:.3g})")
 
+    left, right, floor = problem.left, problem.right, problem.floor
     x_l, v_l, d_l = left.x, left.value, left.deriv
     x_r, v_r, d_r = right.x, right.value, right.deriv
     span = x_r - x_l
@@ -203,39 +196,17 @@ def _solve_convex(left: EndpointData, right: EndpointData, knots: int,
     if depth <= 0:
         depth = 0.4 * depth_max
 
-    lower = upper = None
-    if bounds is not None:
-        lower, upper = bounds
-
-    # Exact a-priori screen: every convex interpolant lies between the
-    # tangent envelope and the chord.  A corridor excluded by those bounds
-    # can never be met, and the tightest point is reported exactly.
-    if lower is not None or upper is not None:
+    # Exact a-priori screen: every convex interpolant lies below the chord.
+    # A floor the chord does not clear can never be met, and the tightest
+    # point is reported exactly.
+    if floor is not None:
         xs = np.linspace(x_l, x_r, 1024)
-        chord_line = v_l + chord * (xs - x_l)
-        envelope = np.maximum(v_l + d_l * (xs - x_l), v_r + d_r * (xs - x_r))
-        if lower is not None:
-            lo = np.asarray([lower(x) for x in xs], dtype=float)
-            if mirrored:
-                lo = -lo
-            gap = chord_line - lo
-            i = int(np.argmin(gap))
-            if gap[i] <= 0:
-                side = "upper" if mirrored else "lower"
-                raise CorridorViolation(
-                    f"{side} bound excludes every admissible join "
-                    f"(tightest at x={xs[i]:.6g}, gap={abs(gap[i]):.3g})")
-        if upper is not None:
-            up = np.asarray([upper(x) for x in xs], dtype=float)
-            if mirrored:
-                up = -up
-            gap = up - envelope
-            i = int(np.argmin(gap))
-            if gap[i] <= 0:
-                side = "lower" if mirrored else "upper"
-                raise CorridorViolation(
-                    f"{side} bound excludes every admissible join "
-                    f"(tightest at x={xs[i]:.6g}, gap={abs(gap[i]):.3g})")
+        gap = v_l + chord * (xs - x_l) - floor
+        i = int(np.argmin(gap))
+        if gap[i] <= 0:
+            raise CorridorViolation(
+                f"lower bound excludes every admissible join "
+                f"(tightest at x={xs[i]:.6g}, gap={abs(gap[i]):.3g})")
 
     last_err = None
     for _ in range(_MAX_HALVINGS + 1):
@@ -263,28 +234,12 @@ def _solve_convex(left: EndpointData, right: EndpointData, knots: int,
         grid, vals = _wall_density(x_l, x_r, h_l, h_r, eps_mid, A, B, knots)
         F = _integrate_density(grid, vals, x_l, v_l, d_l)
 
-        if lower is not None or upper is not None:
+        if floor is not None:
             xs = np.linspace(x_l, x_r, 10 * max(4, knots))
-            fx = F(xs)
-            bad = None
-            if lower is not None:
-                lo = np.asarray([lower(x) for x in xs], dtype=float)
-                if mirrored:
-                    lo = -lo
-                gap = fx - lo
-                i = int(np.argmin(gap))
-                if gap[i] <= 0:
-                    bad = ("lower", xs[i], gap[i])
-            if bad is None and upper is not None:
-                up = np.asarray([upper(x) for x in xs], dtype=float)
-                if mirrored:
-                    up = -up
-                gap = up - fx
-                i = int(np.argmin(gap))
-                if gap[i] <= 0:
-                    bad = ("upper", xs[i], gap[i])
-            if bad is not None:
-                last_err = ("corridor", bad)
+            gap = F(xs) - floor
+            i = int(np.argmin(gap))
+            if gap[i] <= 0:
+                last_err = ("corridor", xs[i], gap[i])
                 depth *= 0.5
                 continue
 
@@ -298,41 +253,12 @@ def _solve_convex(left: EndpointData, right: EndpointData, knots: int,
         }
         return SplineC2(F, x_l, x_r, +1, eps_mid, diags)
 
-    if last_err is not None and last_err[0] == "corridor":
-        side, x_bad, gap = last_err[1]
-        if mirrored:
-            side = {"lower": "upper", "upper": "lower"}[side]
-            x_desc = f"x={x_bad:.6g}, gap={-gap:.3g}"
-        else:
-            x_desc = f"x={x_bad:.6g}, gap={gap:.3g}"
+    if last_err[0] == "corridor":
         raise CorridorViolation(
-            f"cannot meet {side} bound after {_MAX_HALVINGS} depth halvings "
-            f"(tightest at {x_desc})")
+            f"cannot meet lower bound after {_MAX_HALVINGS} depth halvings "
+            f"(tightest at x={last_err[1]:.6g}, gap={last_err[2]:.3g})")
     raise Infeasible("wall heights",
                      f"no positive wall solution after {_MAX_HALVINGS} halvings: {last_err}")
-
-
-def solve(problem: JoinProblem, knots: int = 16, target_depth: float | None = None) -> SplineC2:
-    """Solve the join; returns a strictly curved C^2 piecewise cubic.
-
-    ``target_depth`` (optional) prescribes how far below (convex) or above
-    (concave) the chord the middle of the solution should sit; it is capped
-    by the tangent envelope and halved automatically when the corridor or the
-    positivity of the density demands it.
-    """
-    if problem.sign is Sign.CONVEX:
-        return _solve_convex(problem.left, problem.right, knots,
-                             target_depth, problem.bounds, mirrored=False)
-    # Concave: mirror through negation, then flip back.
-    left = EndpointData(problem.left.x, -problem.left.value, -problem.left.deriv)
-    right = EndpointData(problem.right.x, -problem.right.value, -problem.right.deriv)
-    bounds = None
-    if problem.bounds is not None:
-        lo, up = problem.bounds
-        bounds = (up, lo)  # negation swaps the roles; signs handled in core
-    sol = _solve_convex(left, right, knots, target_depth, bounds, mirrored=True)
-    flipped = PPoly(-sol.ppoly.c, sol.ppoly.x)
-    return SplineC2(flipped, sol.x_lo, sol.x_hi, -1, sol.margin, dict(sol.diagnostics))
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +267,13 @@ def solve(problem: JoinProblem, knots: int = 16, target_depth: float | None = No
 
 def extend_concave(x_switch: float, value: float, deriv: float, second: float,
                    target_slope: float, x_end: float, floor: float,
-                   knots: int = 16, frac: float = 0.5) -> SplineC2:
+                   knots: int = 16) -> SplineC2:
     """Concave C^2 extension of a germ jet until the slope reaches a target.
 
     Matches ``(value, deriv, second)`` at ``x_switch`` (full C^2 contact with
     the germ), is strictly concave on ``[x_switch, x_end]``, reaches
     derivative ``target_slope`` exactly at ``x_end``, and stays above
-    ``floor``.  ``frac`` places the end value inside the feasible window
+    ``floor``.  The end value sits halfway across the feasible window
     ``(floor, tangent value)``.
 
     The density of ``-G''`` is a junction wedge (continuity with the germ's
@@ -368,13 +294,11 @@ def extend_concave(x_switch: float, value: float, deriv: float, second: float,
         raise FeasibilityError(
             "floor below tangent value at x_end",
             f"floor={floor} >= tangent={v_tan:.6g}: floor reached before slope target")
-    if not 0.0 < frac < 1.0:
-        raise ValueError("frac must be in (0, 1)")
 
     w0 = -second
     mass = deriv - target_slope
-    v_end = floor + frac * (v_tan - floor)
-    moment = value + deriv * span - v_end  # = (1 - frac) * (v_tan - floor)
+    v_end = floor + 0.5 * (v_tan - floor)
+    moment = value + deriv * span - v_end  # = 0.5 * (v_tan - floor)
 
     h_d = span / 8.0
     last = None
@@ -401,16 +325,7 @@ def extend_concave(x_switch: float, value: float, deriv: float, second: float,
             f"end ramp width {last:.3g} outside (0, {0.98 * span:.3g}] after halvings")
     H = 2.0 * m_ramp / h_r
 
-    grid = np.unique(np.concatenate([
-        np.linspace(x_switch, x_end, max(4, knots)),
-        np.array([x_switch + h_d, x_end - h_r]),
-    ]))
-    vals = np.full_like(grid, base)
-    in_wedge = grid <= x_switch + h_d
-    vals[in_wedge] += (w0 - base) * (1.0 - (grid[in_wedge] - x_switch) / h_d)
-    in_ramp = grid >= x_end - h_r
-    vals[in_ramp] += H * (1.0 - (x_end - grid[in_ramp]) / h_r)
-
+    grid, vals = _wall_density(x_switch, x_end, h_d, h_r, base, w0 - base, H, knots)
     G = _integrate_density(grid, -vals, x_switch, value, deriv)
     diags = {
         "junction_wedge": (w0, h_d),

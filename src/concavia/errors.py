@@ -77,7 +77,7 @@ class BranchError(ConcaviaError):
 
 
 class CorridorViolation(ConcaviaError):
-    """A solved join leaves the requested value corridor."""
+    """A convex join cannot stay above its floor."""
 
 
 class NotRegular(ConcaviaError):

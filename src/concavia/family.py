@@ -35,7 +35,7 @@ import numpy as np
 
 from .atlas import ChartPoint, Params
 from .certs import Certificate
-from .convexjoin import EndpointData, JoinProblem, Sign, SplineC2, feasible, solve
+from .convexjoin import EndpointData, JoinProblem, SplineC2, feasible, solve
 from .errors import (
     BranchError,
     DomainError,
@@ -204,8 +204,7 @@ def build_M1(params: Params, knobs: Knobs | None = None) -> SphereModel:
     left = EndpointData(h1.x_hi, float(h1.L(h1.x_hi)), float(h1.dL(h1.x_hi)))
     right = EndpointData(h2.x_lo, float(h2.L(h2.x_lo)), float(h2.dL(h2.x_lo)))
     floor = math.log(params.rho0) + 0.1 * budget
-    problem = JoinProblem(left, right, Sign.CONVEX,
-                          bounds=(lambda x: floor, None))
+    problem = JoinProblem(left, right, floor=floor)
     ok, slope_diag = feasible(problem)
     htilde = solve(problem, knots=knobs.knots, target_depth=knobs.depth_frac * budget)
     h = Profile.from_spline(htilde, meta={"kind": "seam"})
@@ -689,14 +688,13 @@ def _nesting_rays(fol: _Foliation, taus) -> tuple[list[str], np.ndarray]:
 
 def _nesting_cert(fol: _Foliation, taus: tuple) -> Certificate:
     """Each ray's smallest gap between consecutive slices; the first ray in
-    :func:`_nesting_rays` order whose gap is below the floor raises
-    :class:`FoliationError`.  A ray with a NaN gap is skipped."""
+    :func:`_nesting_rays` order whose gap is below the floor, or NaN, raises
+    :class:`FoliationError`."""
     names, radial = _nesting_rays(fol, taus)
     gaps = np.diff(radial, axis=1)
     ks = np.argmin(gaps, axis=1)   # a NaN gap wins its row
     low = gaps[np.arange(len(names)), ks]
-    low = np.where(np.isnan(low), math.inf, low)
-    bad = np.flatnonzero(low < NESTING_FLOOR)
+    bad = np.flatnonzero(~(low >= NESTING_FLOOR))
     if bad.size:
         i = bad[0]
         k = ks[i]
@@ -713,9 +711,8 @@ def _nesting_cert(fol: _Foliation, taus: tuple) -> Certificate:
 
 
 def _min_over_levels(*per_level) -> float:
-    """The smallest value over levels, with a level whose value is NaN
-    skipped, as a running ``min`` from ``inf`` skips it."""
-    return float(np.fmin.reduce(np.concatenate(per_level), initial=math.inf))
+    """The smallest value over levels; NaN if any level's value is NaN."""
+    return float(np.min(np.concatenate(per_level)))
 
 
 def _slice_shape_cert(fol: _Foliation, taus, params: Params) -> Certificate:
@@ -741,7 +738,7 @@ def _slice_shape_cert(fol: _Foliation, taus, params: Params) -> Certificate:
         "cap_above_band": _min_over_levels(xl - lz2),
         "peak_headroom": _min_over_levels(q2_strip_top - (yc + fol.D(t))),
     }
-    margin = min(gaps.values())
+    margin = float(np.min(list(gaps.values())))   # NaN-propagating, unlike min()
     return Certificate(
         name="slice_validity", grid=f"{len(t_grid)} levels x 129 points",
         margin=margin, passed=margin > 0, details=gaps)

@@ -44,6 +44,8 @@ __all__ = [
 ]
 
 _DOMAIN_SLACK = 1e-12
+# log-slope that f2's concave extension reaches at x = log(1/rho1)
+_F2_END_SLOPE = -1.05
 
 
 # ---------------------------------------------------------------------------
@@ -296,28 +298,26 @@ def make_f1(params, eps1: float, x_lo: float = -8.0) -> Profile:
 
 
 def make_f2(params, eps2: float, x_lo: float = -8.0, x_switch: float = -0.3,
-            target_slope: float = -1.05, x_end: float | None = None,
             knots: int = 16) -> Profile:
     """Concave model curve: germ ``c2 - eps2 |z2|^2`` plus a steep extension.
 
     The germ alone cannot reach log-slope below -1 while keeping ``f2 > 1``
     at this scale, so beyond ``x_switch`` a strictly concave C^2 extension
-    (full C^2 contact at the switch) drives the slope to ``target_slope`` by
-    ``x_end`` (default ``log(1/rho1)``) while staying above ``f2 = 1``.
+    (full C^2 contact at the switch) drives the slope to ``_F2_END_SLOPE`` by
+    ``x_end = log(1/rho1)`` while staying above ``f2 = 1``.
     """
     if eps2 <= 0:
         raise FeasibilityError("eps2 > 0", f"got {eps2}")
-    if x_end is None:
-        x_end = math.log(1.0 / params.rho1)
+    x_end = math.log(1.0 / params.rho1)
     L, dL, d2L = _quad_log_germ(params.c2, eps2, -1)
     ext = extend_concave(x_switch, float(L(x_switch)), float(dL(x_switch)),
-                         float(d2L(x_switch)), target_slope, x_end,
+                         float(d2L(x_switch)), _F2_END_SLOPE, x_end,
                          floor=0.0, knots=knots)
     prof = Profile.piecewise(
         x_lo, x_switch, L, dL, d2L, ext,
         meta={"kind": "f2",
               "params": {"c2": params.c2, "eps2": eps2,
-                         "x_switch": x_switch, "target_slope": target_slope}})
+                         "x_switch": x_switch, "target_slope": _F2_END_SLOPE}})
     xs = prof.grid(512)
     conds = {
         "germ_quadratic": True,

@@ -191,7 +191,7 @@ def test_phi_branch_law_calls_phi_once_per_branch(monkeypatch):
         return phi(w, k)
 
     monkeypatch.setattr(cli, "phi", counted)
-    certs = cli._suite_atlas(None, default_params())
+    certs = cli._suite_atlas(default_params())
     assert certs["phi_branch_law"].passed
     assert calls == [((120,), k) for k in (0, -3, -2, -1, 1, 2, 3)]
 
@@ -300,7 +300,7 @@ def test_branch_independence_calls_each_map_once_per_branch(monkeypatch):
 
     for name in counts:
         monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
-    cert = cli._suite_atlas(None, default_params())["Phi_branch_independence"]
+    cert = cli._suite_atlas(default_params())["Phi_branch_independence"]
     assert cert.passed and cert.grid == "256 transitions"
     assert cert.details == {"disagreements": 0}
     assert counts == {"map_Phi": [(64,)] * 5, "same_point": [(64,)] * 4}

@@ -4,13 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from concavia import convexjoin, family
+from concavia import convexjoin, family, profiles
 from concavia._numerics import PPoly
-from concavia.atlas import default_params
+from concavia.atlas import default_params, validate_params
 from concavia.convexjoin import (
     EndpointData,
     JoinProblem,
-    Sign,
     SplineC2,
     extend_concave,
     feasible,
@@ -37,13 +36,6 @@ def test_feasible_decreasing_derivs_convex():
     ok, diag = feasible(JoinProblem(EndpointData(0, 0, 1), EndpointData(1, 0, -1)))
     assert not ok
     assert diag["violated"] == "left.deriv < chord"
-
-
-def test_feasible_concave_mirror():
-    ok, _ = feasible(JoinProblem(EndpointData(0, 0, 1), EndpointData(1, 0, -1), Sign.CONCAVE))
-    assert ok
-    ok, diag = feasible(JoinProblem(EndpointData(0, 0, -1), EndpointData(1, 0, 1), Sign.CONCAVE))
-    assert not ok and diag["violated"] == "chord < left.deriv"
 
 
 # ---------------------------------------------------------------------------
@@ -104,16 +96,6 @@ def test_determinism_bit_identical():
     assert np.array_equal(F1.ppoly.x, F2.ppoly.x)
 
 
-def test_concave_solve_mirrors():
-    F = solve(JoinProblem(EndpointData(0, 0, 1), EndpointData(1, 0, -1), Sign.CONCAVE))
-    assert F.second_sign == -1
-    assert F.df(0.0) == pytest.approx(1.0, abs=1e-10)
-    assert F.df(1.0) == pytest.approx(-1.0, abs=1e-10)
-    xs = _dense(F)
-    assert F.d2f(xs).max() < 0
-    assert F.f(xs).max() > 0  # bulges above the chord
-
-
 def test_infeasible_named():
     with pytest.raises(Infeasible) as ei:
         solve(JoinProblem(EndpointData(0, 0, 1), EndpointData(1, 0, -1)))
@@ -128,22 +110,34 @@ def test_target_depth_controls_dish():
 
 
 def test_corridor_respected():
-    p = JoinProblem(EndpointData(0, 0, -1), EndpointData(1, 0, 1),
-                    bounds=(lambda x: -0.12, None))
+    p = JoinProblem(EndpointData(0, 0, -1), EndpointData(1, 0, 1), floor=-0.12)
     F = solve(p)
     assert F.f(_dense(F)).min() > -0.12
 
 
 def test_corridor_impossible_reports_tightest():
     with pytest.raises(CorridorViolation) as ei:
-        solve(JoinProblem(EndpointData(0, 0, -1), EndpointData(1, 0, 1),
-                          bounds=(lambda x: 0.05, None)))
-    assert "lower bound" in str(ei.value)
-    # concave mirror: an upper bound below the chord is equally impossible
+        solve(JoinProblem(EndpointData(0, 0, -1), EndpointData(1, 0, 1), floor=0.05))
+    assert "lower bound excludes every admissible join" in str(ei.value)
+    assert "gap=0.05)" in str(ei.value)
+
+
+def test_floor_just_under_the_chord_exhausts_the_halvings():
+    # the chord clears the floor, so the screen passes, but the eps_mid base
+    # alone sinks the middle about 2.5e-4 below the chord at every depth
     with pytest.raises(CorridorViolation) as ei:
-        solve(JoinProblem(EndpointData(0, 0, 1), EndpointData(1, 0, -1), Sign.CONCAVE,
-                          bounds=(None, lambda x: -0.05)))
-    assert "upper bound" in str(ei.value)
+        solve(JoinProblem(EndpointData(0, 0, -1), EndpointData(1, 0, 1), floor=-1e-6))
+    msg = str(ei.value)
+    assert "cannot meet lower bound after 30 depth halvings (tightest at x=" in msg
+    assert float(msg.split("gap=")[1].rstrip(")")) < 0.0
+
+
+def test_a_floor_the_join_clears_changes_no_bit():
+    # a floor the solution clears is the same problem as no floor
+    p = JoinProblem(EndpointData(0, 0, -1), EndpointData(1, 0, 1))
+    F, G = solve(p), solve(JoinProblem(p.left, p.right, floor=-1.0))
+    assert _same_bits(F.ppoly.c, G.ppoly.c) and _same_bits(F.ppoly.x, G.ppoly.x)
+    assert F.diagnostics == G.diagnostics
 
 
 def test_spline_serialization_roundtrip():
@@ -203,6 +197,70 @@ def test_extend_concave_deterministic():
     G1 = extend_concave(x_s, v, dv, sv, -1.05, x_e, 0.0)
     G2 = extend_concave(x_s, v, dv, sv, -1.05, x_e, 0.0)
     assert np.array_equal(G1.ppoly.c, G2.ppoly.c)
+
+
+def _wedge_and_ramp(x_switch, x_end, h_d, h_r, base, w0, H, knots):
+    """The density of ``-G''`` as ``extend_concave`` built it inline before
+    it called ``_wall_density``: a junction wedge from the germ's curvature
+    ``w0`` down to ``base``, and an end ramp of height ``H`` (the oracle)."""
+    grid = np.unique(np.concatenate([
+        np.linspace(x_switch, x_end, max(4, knots)),
+        np.array([x_switch + h_d, x_end - h_r]),
+    ]))
+    vals = np.full_like(grid, base)
+    in_wedge = grid <= x_switch + h_d
+    vals[in_wedge] += (w0 - base) * (1.0 - (grid[in_wedge] - x_switch) / h_d)
+    in_ramp = grid >= x_end - h_r
+    vals[in_ramp] += H * (1.0 - (x_end - grid[in_ramp]) / h_r)
+    return grid, vals
+
+
+def _assert_density_matches_the_oracle(G, value, deriv, knots):
+    (w0, h_d), base, (H, h_r) = (G.diagnostics[k] for k in ("junction_wedge", "base", "ramp"))
+    grid, vals = convexjoin._wall_density(G.x_lo, G.x_hi, h_d, h_r, base, w0 - base, H, knots)
+    ref_grid, ref_vals = _wedge_and_ramp(G.x_lo, G.x_hi, h_d, h_r, base, w0, H, knots)
+    assert _same_bits(grid, ref_grid) and _same_bits(vals, ref_vals)
+    ref = convexjoin._integrate_density(ref_grid, -ref_vals, G.x_lo, value, deriv)
+    assert _same_bits(G.ppoly.c, ref.c) and _same_bits(G.ppoly.x, ref.x)
+
+
+_PERTURBED = {
+    "rho0": 0.9, "rho1": 0.92, "rho2": 1.04, "s": 1.12, "c": 0.91,
+    "eps": 0.007, "c1": 1.035, "c2": 1.02, "zeta1": 1.032, "zeta2": 1.034,
+}
+
+
+@pytest.mark.parametrize("params", ["default", "perturbed"])
+def test_wall_density_is_the_f2_wedge_and_ramp(params, monkeypatch):
+    par = default_params() if params == "default" else validate_params(_PERTURBED)
+    calls = []
+
+    def recording(*args, **kwargs):
+        G = extend_concave(*args, **kwargs)
+        calls.append((G, args[1], args[2], kwargs["knots"]))
+        return G
+
+    monkeypatch.setattr(profiles, "extend_concave", recording)
+    family.build_M1(par)
+    assert len(calls) == 1
+    _assert_density_matches_the_oracle(*calls[0])
+
+
+def test_wall_density_is_the_wedge_and_ramp_on_random_germs():
+    rng = np.random.default_rng(11)
+    solved = 0
+    for _ in range(60):
+        x_s, v, dv, sv = _germ_jet(c2=rng.uniform(1.005, 1.05), eps2=rng.uniform(1e-3, 0.03),
+                                   x_switch=rng.uniform(-0.8, -0.05))
+        knots = int(rng.integers(2, 33))
+        try:
+            G = extend_concave(x_s, v, dv, sv, rng.uniform(-1.5, -1.01),
+                               math.log(1 / rng.uniform(0.8, 0.97)), 0.0, knots=knots)
+        except FeasibilityError:
+            continue
+        _assert_density_matches_the_oracle(G, v, dv, knots)
+        solved += 1
+    assert solved >= 30
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +332,7 @@ def test_ppoly_matches_scipy_on_the_model_splines(monkeypatch):
     assert len(calls) >= 2   # the f2 extension and the dome join at least
     for args in calls:
         _assert_matches_scipy(real(*args), _scipy_integrate_density(*args), rng)
-    # the dome as shipped: mirrored through negation by the concave solve
+    # the dome as shipped
     dome = model.htilde.ppoly
     _assert_matches_scipy(dome, sp.PPoly(np.array(dome.c), np.array(dome.x)), rng)
 

@@ -808,10 +808,16 @@ def test_nesting_matches_the_loop_bit_for_bit(which):
     rays, min_gap, worst = _nesting_by_loop(fol, taus)
     assert names == [name for name, _ in rays]
     assert radial.tobytes() == np.stack([r for _, r in rays]).tobytes()
+    if which == "nan_c2":
+        # the loop's ``gap < floor`` passes over a NaN gap; a NaN fails
+        # like a gap below the floor, at the first ray that has one
+        assert worst[0].startswith("wall1")
+        with pytest.raises(FoliationError) as ei:
+            family._nesting_cert(fol, taus)
+        assert "along ray 'wall2 q2=-5.5000' (gap nan <" in str(ei.value)
+        return
     cert = family._nesting_cert(fol, taus)
     assert cert.margin == min_gap and cert.worst_point == worst
-    if which == "nan_c2":   # the NaN wall2 and dome rays are skipped
-        assert worst[0].startswith("wall1")
 
 
 def _slice_shape_by_loop(fol, taus, params):
@@ -854,6 +860,14 @@ def test_slice_validity_matches_the_loop_bit_for_bit(which):
         cert = family._slice_shape_cert(fol, taus, params)
         ref = _slice_shape_by_loop(fol, taus, params)
         assert list(cert.details) == list(ref)
+        if which == "nan_c2":
+            # every level set holds a NaN slice: a NaN gap and a failing
+            # certificate, where the loop's running min drops the NaN
+            finite = [k for k, v in cert.details.items() if not math.isnan(v)]
+            assert 0 < len(finite) < len(ref)
+            assert all(cert.details[k] == ref[k] for k in finite)
+            assert math.isnan(cert.margin) and not cert.passed
+            continue
         assert np.array(list(cert.details.values())).tobytes() == \
             np.array(list(ref.values())).tobytes()
         assert cert.margin == min(ref.values())
