@@ -171,7 +171,9 @@ def solve(problem: JoinProblem, knots: int = 16, target_depth: float | None = No
     ``target_depth`` (optional) prescribes how far below the chord the middle
     of the solution should sit; it is capped by the tangent envelope and
     halved automatically when the floor or the positivity of the density
-    demands it.
+    demands it.  A join that misses its right end jet by more than ``1e-9``
+    relative raises ``FeasibilityError("end jet")``, or, after halvings for
+    the floor, ``CorridorViolation`` naming the last attempt that kept it.
     """
     ok, diag = feasible(problem)
     if not ok:
@@ -208,8 +210,8 @@ def solve(problem: JoinProblem, knots: int = 16, target_depth: float | None = No
                 f"lower bound excludes every admissible join "
                 f"(tightest at x={xs[i]:.6g}, gap={abs(gap[i]):.3g})")
 
-    last_err = None
-    for _ in range(_MAX_HALVINGS + 1):
+    tight = lost = heights = None
+    for n in range(_MAX_HALVINGS + 1):
         h_l = min(3.0 * depth / (chord - d_l), 0.45 * span)
         h_r = min(3.0 * depth / (d_r - chord), 0.45 * span)
         eps_mid = 1e-3 * mass / span
@@ -227,19 +229,27 @@ def solve(problem: JoinProblem, knots: int = 16, target_depth: float | None = No
         B = (sL * rhs_t - tL * rhs_s) / det
 
         if A < 0 or B < 0 or not math.isfinite(A) or not math.isfinite(B):
-            last_err = ("wall heights", f"A={A:.3g}, B={B:.3g} at depth={depth:.3g}")
+            heights = f"A={A:.3g}, B={B:.3g} at depth={depth:.3g}"
             depth *= 0.5
             continue
 
         grid, vals = _wall_density(x_l, x_r, h_l, h_r, eps_mid, A, B, knots)
         F = _integrate_density(grid, vals, x_l, v_l, d_l)
 
+        # Tall, narrow walls lose the end jet to rounding; halving narrows them.
+        miss = max(abs(F(x_r) - v_r), abs(F.derivative()(x_r) - d_r))
+        if not miss <= 1e-9 * max(1.0, abs(v_r), abs(d_r)):
+            if tight is None:
+                raise FeasibilityError("end jet", f"missed by {miss:.3g} at depth={depth:.3g}")
+            lost = f"; the next halving misses the end jet by {miss:.3g}"
+            break
+
         if floor is not None:
             xs = np.linspace(x_l, x_r, 10 * max(4, knots))
             gap = F(xs) - floor
             i = int(np.argmin(gap))
             if gap[i] <= 0:
-                last_err = ("corridor", xs[i], gap[i])
+                tight = (n, xs[i], gap[i])
                 depth *= 0.5
                 continue
 
@@ -253,12 +263,12 @@ def solve(problem: JoinProblem, knots: int = 16, target_depth: float | None = No
         }
         return SplineC2(F, x_l, x_r, +1, eps_mid, diags)
 
-    if last_err[0] == "corridor":
+    if tight is not None:
         raise CorridorViolation(
-            f"cannot meet lower bound after {_MAX_HALVINGS} depth halvings "
-            f"(tightest at x={last_err[1]:.6g}, gap={last_err[2]:.3g})")
+            f"cannot meet lower bound after {tight[0]} depth halvings "
+            f"(tightest at x={tight[1]:.6g}, gap={tight[2]:.3g}){lost or ''}")
     raise Infeasible("wall heights",
-                     f"no positive wall solution after {_MAX_HALVINGS} halvings: {last_err}")
+                     f"no positive wall solution after {_MAX_HALVINGS} halvings: {heights}")
 
 
 # ---------------------------------------------------------------------------

@@ -14,23 +14,22 @@ Conventions (fixed here, tested, and used everywhere downstream):
   ``-(dgamma ^ d^C gamma)(v, Jv) = ((dgamma v)^2 + (dgamma Jv)^2) / 2``
   holds exactly in this convention and is under test.
 
-There is one derivative stencil, :func:`jet`: a batched 33-point central
-difference with relative step ``1e-5`` that returns value, real gradient and
-real Hessian.  Everything else is linear algebra on jets: ``d^C u(v) =
-g . Jv``, ``-dd^C u(v, w) = -(H(v, Jw) - H(w, Jv)) / 2`` and the Levi 2x2.
-:func:`exp_jet` composes ``exp(lam * (f - shift))`` exactly from a jet of
-``f``, so exponentials are never differenced.  The scalar helpers
+There is one derivative stencil on C^2, :func:`jet`: a batched 33-point
+central difference with relative step ``1e-5`` that returns value, real
+gradient and real Hessian.  Everything else is linear algebra on jets:
+``d^C u(v) = g . Jv``, ``-dd^C u(v, w) = -(H(v, Jw) - H(w, Jv)) / 2`` and the
+Levi 2x2.  :func:`exp_jet` composes ``exp(lam * (f - shift))`` exactly from a
+jet of ``f``, so exponentials are never differenced.  The scalar helpers
 :func:`grad4`, :func:`d_c` and the nested-difference :func:`neg_ddc` share
 no code with the jet; they are kept as the independent reference that the
 composition identity check and the acceptance tests' scalar contact-volume
 oracle (``alpha ^ d alpha`` on a hypersurface frame) are built from.  No
 symbolic engine.
 
-:func:`find_lambda` has no search: ``Levi(gamma) + lam dgamma dgamma*`` is a
-rank-one update whose 2x2 determinant is linear in ``lam``, so each point's
-smallest ``lam`` is a closed-form root, taken from one jet of ``gamma`` at
-``h_rel`` and one at ``2 h_rel``; their difference is the Richardson error
-the returned ``lam`` is padded by.
+:func:`find_lambda` needs no search and no 4-D stencil: its ``gamma``
+depends on ``|z1|, |z2|`` only, so one 17-point polar stencil in ``(r1, r2)``
+at steps ``h`` and ``2h`` gives the Levi form, and each point's ``lam`` is the
+closed-form root of a determinant linear in ``lam``.
 """
 
 from __future__ import annotations
@@ -440,60 +439,81 @@ def composition_identity_check(gamma, gfun, samples, seed: int = 20240602,
 # Closed-form lambda for exp(lambda * gamma)
 # ---------------------------------------------------------------------------
 
-def _rank_one_terms(g, hess, tol):
+def _rank_one_terms(L, B, tol):
     """``(det A, c)`` such that ``det(A + lam B) = det A + lam c`` per point.
 
-    ``A = Levi(H) - tol I`` and ``B = Levi(g g^T) = dgamma dgamma*`` has rank
-    one, so ``det B = 0`` and the determinant is linear in ``lam``; ``c =
-    A11 B22 + A22 B11 - 2 Re(A12 conj(B12))`` is ``A`` on the complex tangent
-    of the level set, scaled by ``|dgamma|^2``.
+    ``A = Levi(gamma) - tol I`` and ``B = dgamma dgamma*`` has rank one, so
+    ``det B = 0`` and the determinant is linear in ``lam``; ``c = A11 B22 +
+    A22 B11 - 2 Re(A12 conj(B12))`` is ``A`` on the complex tangent of the
+    level set, scaled by ``|dgamma|^2``.  ``L``, ``B``: ``(11, 22, 12)`` entries.
     """
-    A11, A22, A12 = _levi_entries(hess)
-    A11, A22 = A11 - tol, A22 - tol
-    B11, B22, B12 = _levi_entries(g[:, :, None] * g[:, None, :])
-    return (A11 * A22 - (A12.real ** 2 + A12.imag ** 2),
-            A11 * B22 + A22 * B11 - 2.0 * np.real(A12 * np.conj(B12)))
+    A11, A22, A12 = L[0] - tol, L[1] - tol, L[2]
+    B11, B22, B12 = B
+    return A11 * A22 - A12 * A12, A11 * B22 + A22 * B11 - 2.0 * A12 * B12
+
+
+def _polar_levi(u, m, r1, r2, h):
+    """``(Levi(gamma), dgamma dgamma*, |grad gamma|)`` at step ``s = m h`` from
+    stencil rows ``u`` (the centre, then the rings at ``h`` and ``2h``):
+    ``L_jj = (gamma_rr + gamma_r / r) / 4``, ``L12 = gamma_r1r2 / 4``, ``B_jk =
+    gamma_rj gamma_rk / 4``, without the phase ``conj(z1) z2 / (r1 r2)`` of both
+    off-diagonals, which cancels in ``det``, ``c`` and :func:`_min_eig`."""
+    u, s = np.insert(u[8 * m - 7:8 * m + 1], 4, u[0], axis=0).reshape(3, 3, -1), m * h
+    g1 = (u[2, 1] - u[0, 1]) / (2 * s)
+    g2 = (u[1, 2] - u[1, 0]) / (2 * s)
+    h11 = (u[2, 1] - 2 * u[1, 1] + u[0, 1]) / (s * s)
+    h22 = (u[1, 2] - 2 * u[1, 1] + u[1, 0]) / (s * s)
+    h12 = (u[2, 2] - u[2, 0] - u[0, 2] + u[0, 0]) / (4 * s * s)
+    L = (0.25 * (h11 + g1 / r1), 0.25 * (h22 + g2 / r2), 0.25 * h12)
+    return L, (0.25 * g1 * g1, 0.25 * g2 * g2, 0.25 * g1 * g2), np.hypot(g1, g2)
 
 
 def find_lambda(gamma, grid, lambda_max: float = 1e4, tol: float = 1e-8,
                 h_rel: float = 1e-5) -> tuple[float, Certificate]:
     """Closed-form ``lam`` making ``e^{lam gamma}`` strictly psh on ``grid``.
 
-    ``e^{lam gamma}`` is strictly psh exactly where ``Levi(gamma) + lam
-    dgamma dgamma*`` is positive definite.  With ``c > 0`` that holds above
-    the root ``-det A / c`` of the linear determinant (see
-    :func:`_rank_one_terms`), so each point's ``lam`` is ``max(0, -det A /
-    c)``: ``a`` from a jet at ``h_rel`` and ``b`` from one at ``2 h_rel``.
-    The returned ``lam = max_p [max(a, b) + |a - b|]`` passes at both steps
-    plus its own Richardson error, and can only grow with the grid.
+    ``gamma`` must depend on ``|z1|, |z2|`` only: it is called once, at
+    ``(r1 + i m h, r2 + j m h)`` for ``i, j in {-1, 0, 1}``, ``m = 1, 2`` and
+    ``h = h_rel * max(1, r1, r2)`` (17 points each).  ``Levi(gamma) + lam
+    dgamma dgamma*`` is positive definite above the root ``-det A / c`` of
+    :func:`_rank_one_terms` when ``c > 0``, so each point's ``lam`` is
+    ``max(0, -det A / c)``: ``a`` at step ``h``, ``b`` at ``2h``.  ``lam =
+    max_p [max(a, b) + |a - b|]`` passes at both steps plus its Richardson
+    error, and can only grow with the grid.
 
-    Preconditions, named at the first failing point in grid order: a finite
-    Levi form and gradient at both steps (else ``DomainError``; the unused
-    mixed entries ``H[0, 1]``, ``H[2, 3]`` may be NaN where the stencil's
-    diagonal corners leave the domain), ``|grad gamma| >= 1e-6`` (else
-    ``NotRegular``) and ``c > 0`` (else ``NotContact`` with a witness) — the
-    exponential cannot repair the complex tangency of the level set.  A
-    ``lam`` above ``lambda_max`` raises ``Exhausted``.
-
-    The margin is ``min_p`` of the smallest eigenvalue of ``Levi(H + lam g
-    g^T)`` at ``h_rel``, the potential's Levi form divided by ``lam
-    e^{lam gamma}``; ``error_estimate`` is ``|a - b|`` at the point that sets
-    ``lam``.
+    Preconditions, named at the first failing point in grid order: a stencil
+    clear of the axes (``min(r1, r2) > 2h``) and a finite Levi form and
+    gradient at both steps (else ``DomainError``), ``|grad gamma| >= 1e-6``
+    (else ``NotRegular``) and ``c > 0`` (else ``NotContact`` with a witness;
+    the exponential cannot repair the complex tangency of the level set).
+    ``lam > lambda_max`` raises ``Exhausted``.  The margin is the least
+    eigenvalue of ``Levi(gamma) + lam dgamma dgamma*`` at ``h`` (``-dd^C = 2
+    Levi``); ``error_estimate`` is ``|a - b|`` where ``lam`` is set.
     """
     pts = list(grid)
-    fn = gamma.fn if isinstance(gamma, ScalarField) else gamma
     z1 = np.array([p[0] for p in pts], dtype=complex)
     z2 = np.array([p[1] for p in pts], dtype=complex)
-    jets = [jet(fn, z1, z2, s) for s in (h_rel, 2.0 * h_rel)]
-    (det_a, c_a), (det_b, c_b) = (_rank_one_terms(g, H, tol) for _, g, H in jets)
+    r1, r2 = np.abs(z1), np.abs(z2)
+    h = h_rel * np.maximum(1.0, np.maximum(r1, r2))
+    near = np.minimum(r1, r2) <= 2.0 * h
+    if near.any():
+        i = int(np.argmax(near))
+        raise DomainError(f"polar stencil of step {2.0 * h[i]:.3g} reaches an axis at {pts[i]!r}")
+    ring = [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j]  # row-major, no centre
+    shifts = [(0, 0)] + [(m * i, m * j) for m in (1, 2) for i, j in ring]
+    R1 = np.concatenate([r1 + i * h for i, _ in shifts])
+    R2 = np.concatenate([r2 + j * h for _, j in shifts])
+    u = np.broadcast_to(np.asarray(gamma(R1 + 0j, R2 + 0j), dtype=float), R1.shape)
+    (La, Ba, gnorm), (Lb, Bb, gnorm_b) = (_polar_levi(u.reshape(17, -1), m, r1, r2, h)
+                                          for m in (1, 2))
+    (det_a, c_a), (det_b, c_b) = _rank_one_terms(La, Ba, tol), _rank_one_terms(Lb, Bb, tol)
 
-    finite = np.isfinite(det_a) & np.isfinite(c_a) & np.isfinite(det_b) & np.isfinite(c_b)
+    finite = np.isfinite([det_a, c_a, det_b, c_b]).all(axis=0)
     if not finite.all():
         i = int(np.argmin(finite))
         raise DomainError(f"Levi form of gamma is not finite at {pts[i]!r} "
                           f"(h_rel {h_rel:g} or {2.0 * h_rel:g})")
-    gnorm = np.linalg.norm(jets[0][1], axis=1)
-    irregular = np.minimum(gnorm, np.linalg.norm(jets[1][1], axis=1)) < 1e-6
+    irregular = np.minimum(gnorm, gnorm_b) < 1e-6
     c = np.minimum(c_a, c_b)
     bad = irregular | (c <= 0)
     if bad.any():
@@ -502,25 +522,18 @@ def find_lambda(gamma, grid, lambda_max: float = 1e4, tol: float = 1e-8,
             raise NotRegular(f"|grad gamma| = {gnorm[i]:.3g} < 1e-6 at {pts[i]!r}")
         raise NotContact(f"contact term {c[i]:.3g} <= 0 at {pts[i]!r}", witness=pts[i])
 
-    a = np.maximum(0.0, -det_a / c_a)
-    b = np.maximum(0.0, -det_b / c_b)
+    a, b = np.maximum(0.0, -det_a / c_a), np.maximum(0.0, -det_b / c_b)
     per_point = np.maximum(a, b) + np.abs(a - b)
     k = int(np.argmax(per_point))
     lam = float(per_point[k])
     if lam > lambda_max:
         raise Exhausted(f"lambda {lam:.6g} > {lambda_max:g} needed at {pts[k]!r}")
 
-    _, g, H = jets[0]
-    eigs = levi_min_eig(H + lam * g[:, :, None] * g[:, None, :])
+    eigs = _min_eig(*(x + lam * y for x, y in zip(La, Ba)))
     i = int(np.argmin(eigs))
-    cert = Certificate(
-        name="find_lambda",
-        grid=f"{len(pts)} pts",
-        margin=float(eigs[i]),
-        passed=bool(eigs[i] > tol),
-        worst_point=(complex(z1[i]), complex(z2[i])),
+    return lam, Certificate(
+        name="find_lambda", grid=f"{len(pts)} pts", margin=float(eigs[i]),
+        passed=bool(eigs[i] > tol), worst_point=(complex(z1[i]), complex(z2[i])),
         details={"lambda": lam, "method": "closed_form", "h_rel": h_rel,
                  "error_estimate": float(abs(a[k] - b[k])), "tol": tol,
                  "gradient_norm_range": [float(gnorm.min()), float(gnorm.max())]})
-    return lam, cert
-

@@ -124,12 +124,29 @@ def test_corridor_impossible_reports_tightest():
 
 def test_floor_just_under_the_chord_exhausts_the_halvings():
     # the chord clears the floor, so the screen passes, but the eps_mid base
-    # alone sinks the middle about 2.5e-4 below the chord at every depth
+    # alone sinks the middle about 2.5e-4 below the chord at every depth;
+    # halving stops where the next depth would lose the end jet, and the
+    # error names the last attempt that kept it, not the broken one
     with pytest.raises(CorridorViolation) as ei:
         solve(JoinProblem(EndpointData(0, 0, -1), EndpointData(1, 0, 1), floor=-1e-6))
     msg = str(ei.value)
-    assert "cannot meet lower bound after 30 depth halvings (tightest at x=" in msg
-    assert float(msg.split("gap=")[1].rstrip(")")) < 0.0
+    assert msg.startswith("cannot meet lower bound after 13 depth halvings (tightest at x=")
+    assert msg.endswith("; the next halving misses the end jet by 1.1e-09")
+    x = float(msg.split("x=")[1].split(",")[0])
+    gap = float(msg.split("gap=")[1].split(")")[0])
+    assert abs(x - 0.5) < 0.01
+    assert -3e-4 < gap < -2.5e-4
+
+
+@pytest.mark.parametrize("floor", [None, -1e-6])
+def test_a_join_that_loses_its_end_jet_is_a_named_error(floor):
+    # at depth 1e-10 the walls are 6.7e9 high and rounding takes F(1) to
+    # -0.41 and F'(1) to -17.4; no shallower attempt came first
+    p = JoinProblem(EndpointData(0, 0, -1), EndpointData(1, 0, 1), floor=floor)
+    with pytest.raises(FeasibilityError) as ei:
+        solve(p, target_depth=1e-10)
+    assert ei.value.constraint == "end jet"
+    assert str(ei.value) == "infeasible: end jet (missed by 18.4 at depth=1e-10)"
 
 
 def test_a_floor_the_join_clears_changes_no_bit():

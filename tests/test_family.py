@@ -16,7 +16,7 @@ from concavia.errors import (
     OutOfFoliation,
     VerificationError,
 )
-from concavia.levi import find_lambda
+from concavia.levi import _levi_entries, find_lambda, jet, levi_min_eig
 
 
 @functools.lru_cache(maxsize=None)
@@ -31,9 +31,7 @@ def _family16():
 
 @functools.lru_cache(maxsize=None)
 def _lambda():
-    fam = _family16()
-    gam = family.gamma_field(fam)
-    return find_lambda(gam, family.verification_grid(fam, 1) + family.verification_grid(fam, 2))
+    return find_lambda(family.gamma_field(_family16()), _lambda_grid())
 
 
 @functools.lru_cache(maxsize=None)
@@ -429,12 +427,18 @@ def _gamma_by_bisection(fol, z1, z2):
 
 @functools.lru_cache(maxsize=None)
 def _recorded_gamma_calls(which):
-    """Every ``gamma`` call of one pipeline run: ``(fol, z1, z2, out)``."""
+    """Every ``gamma`` call of one pipeline run: ``(fol, z1, z2, out)``.
+
+    ``perturbed`` is the ``_PERTURBED`` set at ``eps1=0.003``,
+    ``perturbed_0.004`` the same set at the default knobs.
+    """
+    knobs = family.default_knobs()
     if which == "default":
-        par, knobs = default_params(), family.default_knobs()
+        par = default_params()
     else:
         par = validate_params(_PERTURBED)
-        knobs = dataclasses.replace(family.default_knobs(), eps1=0.003)
+        if which == "perturbed":
+            knobs = dataclasses.replace(knobs, eps1=0.003)
     gamma = family._Foliation.gamma
     calls = []
 
@@ -446,14 +450,14 @@ def _recorded_gamma_calls(which):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(family._Foliation, "gamma", recording)
         ok, _ = family.run_verification(par, knobs)
-    assert ok and len(calls) == 5
+    assert ok and len(calls) == 4
     return tuple(calls)
 
 
-# level_consistency, the h and 2h stencils of the lambda grid, the sample jet
-# and the binding circles, which never reach the dish
+# level_consistency, the lambda grid's polar stencil (h and 2h in one call),
+# the sample jet and the binding circles, which never reach the dish
 @pytest.mark.parametrize("which", ["default", "perturbed"])
-@pytest.mark.parametrize("call", range(4))
+@pytest.mark.parametrize("call", range(3))
 def test_dish_roots_end_in_an_adjacent_float_bracket(which, call):
     fol, z1, z2, out = _recorded_gamma_calls(which)[call]
     _, dish, q1, q2 = _gamma_by_bisection(fol, z1, z2)
@@ -461,6 +465,8 @@ def test_dish_roots_end_in_an_adjacent_float_bracket(which, call):
     assert np.all(_in_adjacent_bracket(lambda t: fol.dish(t, q1[dish]), out[dish], q2[dish]))
 
 
+# the dish points of a run: the polar stencil's 17 x 253 lambda-grid points
+# reach the dish far less often than the two 33 x 253 Cartesian jets did
 @pytest.mark.parametrize("which", ["default", "perturbed"])
 def test_gamma_agrees_with_the_bisection_oracle(which):
     n_dish = n_same = 0
@@ -471,7 +477,7 @@ def test_gamma_agrees_with_the_bisection_oracle(which):
         np.testing.assert_allclose(out[dish], ref[dish], rtol=0, atol=1e-12)
         n_dish += int(dish.sum())
         n_same += int(np.sum(out[dish] == ref[dish]))
-    assert n_dish > 5000
+    assert n_dish == {"default": 1801, "perturbed": 1669}[which]
     assert n_same >= 0.995 * n_dish
 
 
@@ -491,6 +497,7 @@ def test_gamma_outside_the_dish_bracket_is_nan_without_warnings():
 
 
 def test_gamma_on_the_h_stencil_makes_at_most_32_dish_calls(monkeypatch):
+    # the lambda grid's polar stencil, its h and 2h rings in one call
     fol, z1, z2, _ = _recorded_gamma_calls("default")[1]
     dish = family._Foliation.dish
     calls = []
@@ -504,9 +511,10 @@ def test_gamma_on_the_h_stencil_makes_at_most_32_dish_calls(monkeypatch):
     assert len(calls) <= 32
 
 
-# the perturbed set's h and 2h stencils each have one point whose secant
+# the perturbed set's lambda-grid stencil (call 1) has a point whose secant
 # window misses the root: a wider window catches it, where bisecting all of
-# [TAU_LO, TAU_HI] took 66 dish calls per jet
+# [TAU_LO, TAU_HI] took 66 dish calls per Cartesian jet; the sample jet
+# (call 2) stays under the same bound
 @pytest.mark.parametrize("call", [1, 2])
 def test_gamma_on_the_perturbed_stencils_makes_at_most_36_dish_calls(monkeypatch, call):
     fol, z1, z2, out = _recorded_gamma_calls("perturbed")[call]
@@ -521,6 +529,15 @@ def test_gamma_on_the_perturbed_stencils_makes_at_most_36_dish_calls(monkeypatch
     again = fol.gamma(z1, z2)
     assert len(calls) <= 36
     assert again.tobytes() == out.tobytes()
+
+
+def test_polar_stencil_stays_inside_the_thin_perturbed_collar():
+    # at eps1 = 0.004 the 2h Cartesian jet's x1-y1 corners left the collar
+    # at lambda-grid points 6 and 74 (NaN H[0, 1]); the polar stencil never
+    # evaluates them: its lowest level is 0.032, above TAU_LO = 0.02
+    _, _, _, out = _recorded_gamma_calls("perturbed_0.004")[1]
+    assert out.size == 17 * 253
+    assert np.isfinite(out).all()
 
 
 def test_gamma_raises_outside_the_collar():
@@ -557,9 +574,68 @@ def test_verification_grid_shape_and_determinism():
 def test_find_lambda_on_the_family_grid():
     lam, cert = _lambda()
     assert cert.passed
-    assert lam == pytest.approx(9.592854823272186, rel=1e-9)
+    assert lam == pytest.approx(9.593949631370169, rel=1e-9)
     assert lam <= 1e4
     assert cert.margin > 0
+
+
+def _lambda_grid():
+    fam = _family16()
+    return family.verification_grid(fam, 1) + family.verification_grid(fam, 2)
+
+
+@functools.lru_cache(maxsize=None)
+def _cartesian_jets(density):
+    """``gamma``'s 33-point Cartesian jets at ``h`` and ``2h``: the 4-D oracle
+    on the lambda grid (``density`` 0) or on ``verification_grid(fam,
+    density)``."""
+    fam = _family16()
+    pts = _lambda_grid() if density == 0 else family.verification_grid(fam, density)
+    z1, z2 = (np.array([p[i] for p in pts]) for i in (0, 1))
+    return tuple(jet(fam.fol.gamma, z1, z2, h) for h in (1e-5, 2e-5))
+
+
+def _lambda_4d(jets, tol=1e-8):
+    """The closed form on 4-D jets: per-point roots at h and 2h, padded by
+    their difference; returns ``(lambda, error_estimate)``."""
+    roots = []
+    for _, g, H in jets:
+        A11, A22, A12 = _levi_entries(H)
+        B11, B22, B12 = _levi_entries(g[:, :, None] * g[:, None, :])
+        A11, A22 = A11 - tol, A22 - tol
+        det = A11 * A22 - abs(A12) ** 2
+        c = A11 * B22 + A22 * B11 - 2.0 * np.real(A12 * np.conj(B12))
+        roots.append(np.maximum(0.0, -det / c))
+    a, b = roots
+    per_point = np.maximum(a, b) + abs(a - b)
+    k = int(np.argmax(per_point))
+    return float(per_point[k]), float(abs(a[k] - b[k]))
+
+
+def _min_eig_4d(jets, lam):
+    return [float(levi_min_eig(H + lam * g[:, :, None] * g[:, None, :]).min())
+            for _, g, H in jets]
+
+
+def test_polar_lambda_passes_the_cartesian_oracle():
+    lam, cert = _lambda()
+    jets = _cartesian_jets(0)
+    # the reported lambda passes an independent 4-D check at both steps
+    assert min(_min_eig_4d(jets, lam)) > cert.details["tol"]
+    # and agrees with the 4-D closed form within both error estimates:
+    # 9.593950 vs 9.592855, 1.09e-3 <= 1.64e-3 + 8.1e-4
+    lam_4d, err_4d = _lambda_4d(jets)
+    assert lam_4d == pytest.approx(9.592854823272186, rel=1e-9)
+    assert abs(lam - lam_4d) <= cert.details["error_estimate"] + err_4d
+
+
+def test_polar_lambda_on_the_density_16_grid_passes_the_cartesian_oracle():
+    # 9,557 points, where the 4-D minimum eigenvalues at lambda are about
+    # 1.5e-6 (h) and 5.9e-7 (2h)
+    fam = _family16()
+    lam, cert = find_lambda(family.gamma_field(fam), family.verification_grid(fam, 16))
+    assert cert.passed and cert.grid == "9557 pts"
+    assert min(_min_eig_4d(_cartesian_jets(16), lam)) > cert.details["tol"]
 
 
 def test_pseudoconcavity_certificate():
@@ -980,14 +1056,15 @@ def test_run_verification_is_deterministic():
     ok2, rep2 = family.run_verification(default_params())
     assert ok1 and ok2
     assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
-    assert rep1["lambda"] == pytest.approx(9.592854823272186, rel=1e-9)
+    assert rep1["lambda"] == pytest.approx(9.593949631370169, rel=1e-9)
     for cert in rep1["checks"].values():
         assert cert["passed"]
 
 
 def test_pipeline_evaluates_gamma_once_per_point_set(monkeypatch):
-    # one call for level_consistency, two jets in find_lambda, one jet on the
-    # samples that both 3-form sweeps share, and one on the binding circles
+    # one call for level_consistency, one polar stencil in find_lambda, one
+    # jet on the samples that both 3-form sweeps share, and one on the
+    # binding circles
     gamma = family._Foliation.gamma
     calls = []
 
@@ -998,4 +1075,4 @@ def test_pipeline_evaluates_gamma_once_per_point_set(monkeypatch):
     monkeypatch.setattr(family._Foliation, "gamma", counted)
     ok, _ = family.run_verification(default_params())
     assert ok
-    assert len(calls) == 5
+    assert calls == [81, 17 * 253, 7590, 2112]

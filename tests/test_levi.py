@@ -8,7 +8,14 @@ import pytest
 from concavia import family, levi
 from concavia.atlas import default_params
 from concavia.certs import Certificate
-from concavia.errors import ConcaviaError, Exhausted, NotContact, NotRegular, RegionError
+from concavia.errors import (
+    ConcaviaError,
+    DomainError,
+    Exhausted,
+    NotContact,
+    NotRegular,
+    RegionError,
+)
 from concavia.levi import (
     HermitianForm,
     ScalarField,
@@ -479,20 +486,27 @@ def test_composition_identity_random_pairs():
 # ---------------------------------------------------------------------------
 
 def _patch_points(n=40, seed=13):
-    # cloud around (0.8i, 0.6) where |z|^2 - 3 x1^2 has a contact tangency
+    # radii around (0.8, 0.6), where the radial field below has a contact
+    # tangency, at random angles: find_lambda reads the moduli only
     rng = np.random.default_rng(seed)
-    pts = []
-    for _ in range(n):
-        y1 = 0.8 + rng.uniform(-0.04, 0.04)
-        x1 = rng.uniform(-0.02, 0.02)
-        x2 = 0.6 + rng.uniform(-0.04, 0.04)
-        y2 = rng.uniform(-0.03, 0.03)
-        pts.append((complex(x1, y1), complex(x2, y2)))
-    return pts
+    r1 = 0.8 + rng.uniform(-0.04, 0.04, n)
+    r2 = 0.6 + rng.uniform(-0.04, 0.04, n)
+    a1, a2 = rng.uniform(0.0, 2.0 * math.pi, (2, n))
+    return list(zip(r1 * np.exp(1j * a1), r2 * np.exp(1j * a2)))
 
 
 def indefinite_gamma(z1, z2):
-    return sq_norm(z1, z2) - 3.0 * np.real(z1) ** 2
+    # phi(q1, q2) = 2 q1 + q2 - q1^2 / 2 + q2^2 / 2 in log radii: Hessian
+    # diag(-1, 1), so det H = -1 < 0 < g^T adj(H) g = (2 - q1)^2 - (1 + q2)^2
+    q1, q2 = np.log(np.abs(z1)), np.log(np.abs(z2))
+    return 2.0 * q1 + q2 - 0.5 * q1 ** 2 + 0.5 * q2 ** 2
+
+
+def _exact_roots(pts):
+    # per-point root -det H / g^T adj(H) g of indefinite_gamma; the Levi form
+    # is the congruence (1/4) conj(D) (H + lam g g^T) D with D = diag(1/z)
+    q1, q2 = (np.log(np.abs([p[i] for p in pts])) for i in (0, 1))
+    return 1.0 / ((2.0 - q1) ** 2 - (1.0 + q2) ** 2)
 
 
 def test_find_lambda_psh_input_needs_tiny_lambda():
@@ -507,8 +521,10 @@ def test_find_lambda_psh_input_needs_tiny_lambda():
 def test_find_lambda_indefinite_patch():
     pts = _patch_points()
     lam, cert = find_lambda(indefinite_gamma, pts)
-    # rank-one update analysis at the patch center gives lambda* ~ 1.1
-    assert 0.9 < lam < 4.0
+    # the exact roots on the patch run from 0.201 to 0.2255
+    exact = _exact_roots(pts).max()
+    assert 0.22 < exact < 0.23
+    assert exact <= lam <= exact + 2.0 * cert.details["error_estimate"] + 1e-6 * exact
     assert cert.passed
     # a quarter of the found value must fail outright
     weak = is_strictly_psh(
@@ -535,9 +551,10 @@ def test_find_lambda_refined_grid_verification():
 
 
 def test_find_lambda_closed_form_matches_bisection():
-    # 60 bisection steps on the factored minimum eigenvalue, required to pass
-    # at both steps, find max_p max(a_p, b_p); the closed form adds the
-    # Richardson difference |a_p - b_p| at the point that sets lambda
+    # 60 bisection steps on the minimum eigenvalue of the 4-D Cartesian jets,
+    # required to pass at both steps, find max_p max(a_p, b_p); the polar
+    # closed form adds the Richardson difference |a_p - b_p| at the point
+    # that sets lambda
     pts = _patch_points()
     z1 = np.array([p[0] for p in pts])
     z2 = np.array([p[1] for p in pts])
@@ -554,22 +571,26 @@ def test_find_lambda_closed_form_matches_bisection():
         lo, hi = (lo, mid) if passes(mid) else (mid, hi)
     lam, cert = find_lambda(indefinite_gamma, pts)
     assert cert.details["method"] == "closed_form"
-    assert lam - cert.details["error_estimate"] == pytest.approx(hi, rel=1e-12)
-    # gamma is quadratic, so the two steps differ by rounding only
-    assert cert.details["error_estimate"] < 1e-4 * lam
+    # the two stencils differ by rounding: 1.7e-7 apart, within the polar
+    # stencil's own error estimate of 3.2e-7
+    err = cert.details["error_estimate"]
+    assert abs(lam - err - hi) <= err
+    # gamma is smooth and its derivatives are of order one, so the two steps
+    # differ by rounding only
+    assert cert.details["error_estimate"] < 1e-5 * lam
 
 
 @pytest.mark.parametrize("slab", [(1.5, 2.5), (0.5, 2.5)])
 def test_find_lambda_nan_jet_is_a_named_error(slab):
-    # gamma is NaN on a thin slab in x2 beside one patch point, ``slab``
-    # steps of h = 1e-5 away: (1.5, 2.5) reaches only the 2h jet, (0.5, 2.5)
-    # both jets
+    # gamma is NaN on a thin shell in |z2| beside one patch point, ``slab``
+    # steps of h = 1e-5 out: (1.5, 2.5) reaches only the 2h ring of the
+    # polar stencil, (0.5, 2.5) both rings
     pts = _patch_points()
-    p1, p2 = pts[7]
-    lo, hi = (p2.real + s * 1e-5 for s in slab)
+    p1, p2 = (abs(z) for z in pts[7])
+    lo, hi = (p2 + s * 1e-5 for s in slab)
 
     def holed(z1, z2):
-        hole = (np.abs(z1 - p1) < 1e-4) & (np.real(z2) > lo) & (np.real(z2) < hi)
+        hole = (np.abs(np.abs(z1) - p1) < 1e-4) & (np.abs(z2) > lo) & (np.abs(z2) < hi)
         return np.where(hole, np.nan, indefinite_gamma(z1, z2))
 
     with pytest.raises(ConcaviaError, match="not finite") as ei:
@@ -577,10 +598,19 @@ def test_find_lambda_nan_jet_is_a_named_error(slab):
     assert repr(pts[7]) in str(ei.value)
 
 
-def test_find_lambda_not_regular_at_critical_point():
-    pts = [(0.0, 0.0), (0.5, 0.5)]
-    with pytest.raises(NotRegular):
+def test_find_lambda_stencil_reaching_an_axis_is_a_named_error():
+    # h = 1e-5 here: |z2| = 3e-5 clears the 2h ring, 1.5e-5 does not
+    pts = [(0.5j, 3e-5 + 0j), (0.5 + 0j, -1.5e-5j), (0j, 0j)]
+    with pytest.raises(DomainError, match="reaches an axis") as ei:
         find_lambda(sq_norm, pts)
+    assert repr(pts[1]) in str(ei.value)
+
+
+def test_find_lambda_not_regular_at_critical_point():
+    # log|z1|^2 + log|z2|^2 is critical on the torus |z1| = |z2| = 1
+    pts = [(np.exp(0.3j), np.exp(2.0j)), (0.5, 0.5)]
+    with pytest.raises(NotRegular):
+        find_lambda(lambda z1, z2: np.log(np.abs(z1)) ** 2 + np.log(np.abs(z2)) ** 2, pts)
 
 
 def test_find_lambda_not_contact_with_witness():
@@ -593,7 +623,7 @@ def test_find_lambda_not_contact_with_witness():
 
 def test_find_lambda_exhausted():
     with pytest.raises(Exhausted):
-        find_lambda(indefinite_gamma, _patch_points(), lambda_max=0.5)
+        find_lambda(indefinite_gamma, _patch_points(), lambda_max=0.1)
 
 
 def test_grad4_matches_closed_form():
