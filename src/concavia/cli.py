@@ -57,8 +57,9 @@ from .levi import (
     exp_jet,
     hartogs_boundary_test,
     is_strictly_psh,
-    jet,
     levi_min_eig,
+    polar_jet,
+    polar_lift,
     quadratic_identity_check,
 )
 from .openbook import TwistSpec, check_disjointness, conjugation_check, corner_tori, welldef_check
@@ -206,6 +207,8 @@ def _parse_overrides(tokens: list[str]) -> dict:
 # ---------------------------------------------------------------------------
 
 def _suite_atlas(par) -> dict[str, Certificate]:
+    """The atlas certificates.  ``params_chain`` holds by construction: the
+    chain that :func:`validate_params` enforces includes its two inequalities."""
     certs = {}
     m1, m2 = par.a - par.rho1 * par.b, par.a / par.rho1 - par.b
     certs["params_chain"] = Certificate(
@@ -227,10 +230,12 @@ def _suite_atlas(par) -> dict[str, Certificate]:
         margin=1e-9 - worst, passed=worst < 1e-9,
         details={"max_rel_err": worst})
 
-    # an 8 x 8 grid of radii (r1 outer, r2 inner) at golden-ratio angles
-    r1, r2 = np.meshgrid(np.linspace(1.001, par.s - 1e-3, 8),
-                         np.linspace(1 / par.rho1 + 1e-3, 1 / par.rho0 - 1e-3, 8),
-                         indexing="ij")
+    # an 8 x 8 grid of radii (r1 outer, r2 inner) at golden-ratio angles, 1e-3
+    # inside each radial interval, or a quarter of it where it is narrower
+    def inside(lo, hi):
+        d = min(1e-3, (hi - lo) / 4)
+        return np.linspace(lo + d, hi - d, 8)
+    r1, r2 = np.meshgrid(inside(1.0, par.s), inside(1 / par.rho1, 1 / par.rho0), indexing="ij")
     j = np.arange(r1.size)
     z1 = r1.ravel() * np.exp(1j * (2 * math.pi * ((j * _GOLD) % 1.0)))
     z2 = r2.ravel() * np.exp(1j * (2 * math.pi * ((j * _GOLD * _GOLD) % 1.0)))
@@ -472,13 +477,12 @@ def _export_levi_field(cfg: RunConfig, par, outdir: str) -> list[str]:
     kn = cfg.knobs
     fam = family.build_family(par, kn["n_tau"], cfg.family_knobs())
     lam, _ = family.find_collar_lambda(fam, kn["lambda_max"])
-    pts = family.verification_grid(fam, kn["density"])
-    z1 = np.array([p[0] for p in pts])
-    z2 = np.array([p[1] for p in pts])
-    # Levi form of u = exp(lam (gamma - 1)), composed from a jet of gamma
-    eigs = levi_min_eig(exp_jet(jet(fam.fol.gamma, z1, z2), lam, 1.0)[2])
-    rows = [(float(a.real), float(a.imag), float(b.real), float(b.imag), float(e))
-            for a, b, e in zip(z1, z2, eigs)]
+    pts = family.verification_grid(fam, kn["density"])   # on the real slice
+    r1, r2 = (np.array([p[i].real for p in pts]) for i in (0, 1))
+    # Levi form of u = exp(lam (gamma - 1)), composed from gamma's radial jet
+    eigs = levi_min_eig(exp_jet(polar_lift(polar_jet(fam.fol.gamma, r1, r2)[0], r1, r2),
+                                lam, 1.0)[2])
+    rows = [(a, 0.0, b, 0.0, e) for a, b, e in zip(r1.tolist(), r2.tolist(), eigs.tolist())]
     path = os.path.join(outdir, "levi_field.csv")
     _write_csv(path, "re_z1,im_z1,re_z2,im_z2,min_eig", rows)
     return [path]

@@ -44,7 +44,8 @@ from .errors import (
     OutOfFoliation,
     VerificationError,
 )
-from .levi import ScalarField, apply_J, exp_jet, find_lambda, jet, jet_d_c, jet_neg_ddc
+from .levi import (ScalarField, apply_J, exp_jet, find_lambda, jet_d_c, jet_neg_ddc,
+                   polar_jet, polar_lift)
 from .profiles import (
     ContactTag,
     Profile,
@@ -427,11 +428,15 @@ def _crossing(F, lo, hi, f_lo, f_hi):
     ``[x - d, x + d]`` with ``d = 4|F(x)| / slope + 1024 ulp`` replaces the
     bracket wherever ``F`` changes sign across it; where it does not, ``d``
     grows by 16, 256 and 4096 on those points alone, and only then is all of
-    ``[lo, hi]`` kept.  Bisection on ``F(mid) < 0`` then runs until the midpoint
-    rounds to an end, dropping the points that got there.  Where ``F`` is
-    monotone in floating point this is the pair a bisection of ``[lo, hi]``
-    reaches.
+    ``[lo, hi]`` kept; each window test reads both ends in one ``F`` call.
+    Bisection on ``F(mid) < 0`` then runs until the midpoint rounds to an
+    end, dropping the points that got there.  Where ``F`` is monotone in
+    floating point this is the pair a bisection of ``[lo, hi]`` reaches.
     """
+    def straddles(a, b, i):
+        f_a, f_b = np.split(F(np.concatenate([a, b]), np.concatenate([i, i])), 2)
+        return (f_a < 0.0) & (f_b >= 0.0)
+
     idx = np.arange(lo.size)
     x0, y0, x1, y1 = lo, f_lo, hi, f_hi
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -445,7 +450,7 @@ def _crossing(F, lo, hi, f_lo, f_hi):
         d = 4.0 * np.abs(y1) / slope + 1024.0 * np.spacing(x1)
         a = np.clip(x1 - d, lo, hi)
         b = np.clip(x1 + d, lo, hi)
-        keep = (F(a, idx) < 0.0) & (F(b, idx) >= 0.0)
+        keep = straddles(a, b, idx)
         # one point bisecting all of [lo, hi] keeps the loop running about
         # 55 steps for every point, so a miss first retries a wider window
         miss = idx[~keep]
@@ -454,7 +459,7 @@ def _crossing(F, lo, hi, f_lo, f_hi):
                 break
             am = np.clip(x1[miss] - grow * d[miss], lo[miss], hi[miss])
             bm = np.clip(x1[miss] + grow * d[miss], lo[miss], hi[miss])
-            hit = (F(am, miss) < 0.0) & (F(bm, miss) >= 0.0)
+            hit = straddles(am, bm, miss)
             a[miss[hit]], b[miss[hit]] = am[hit], bm[hit]
             keep[miss[hit]] = True
             miss = miss[~hit]
@@ -505,26 +510,20 @@ class _Foliation:
         self._f2_L, self._f2_dhi = f2.L_fn, float(f2.dL(f2.x_hi))
         self._ht_f = model.htilde.f
         self._custom = curves is not None
+        # the parameter curves
         if curves is None:
-            self._c1 = lambda t: self.rho2 - (self.rho2 - self.c1_0) * np.asarray(t, float)
-            self._c2 = lambda t: 1.0 + (self.c2_0 - 1.0) * np.asarray(t, float)
+            self.c1 = lambda t: self.rho2 - (self.rho2 - self.c1_0) * np.asarray(t, float)
+            self.c2 = lambda t: 1.0 + (self.c2_0 - 1.0) * np.asarray(t, float)
         else:
-            self._c1 = _broadcast_curve(curves["c1"])
-            self._c2 = _broadcast_curve(curves["c2"])
-
-    # parameter curves ----------------------------------------------------
-    def c1(self, t):
-        return self._c1(t)
-
-    def c2(self, t):
-        return self._c2(t)
+            self.c1 = _broadcast_curve(curves["c1"])
+            self.c2 = _broadcast_curve(curves["c2"])
 
     def g1(self, t):
         """Left-wall interpolation factor; equals tau for the linear curves."""
-        return (self.rho2 - self._c1(t)) / (self.rho2 - self.c1_0)
+        return (self.rho2 - self.c1(t)) / (self.rho2 - self.c1_0)
 
     def g2(self, t):
-        return (self._c2(t) - 1.0) / (self.c2_0 - 1.0)
+        return (self.c2(t) - 1.0) / (self.c2_0 - 1.0)
 
     # geometry ------------------------------------------------------------
     def y_cut(self, t):
@@ -873,7 +872,8 @@ def verification_grid(fam: FamilySpec, density: int = 1) -> list[tuple]:
     Covers both walls at several depths and levels, the dome cap away from
     its corners, and points adjacent to the binding plane.  ``density``
     scales the per-sector counts; :func:`find_collar_lambda` uses the union of
-    densities 1 and 2 (62 + 191 points).
+    densities 1 and 2 (62 + 191 points).  Points lie on the real slice: a
+    torus-invariant ``gamma`` needs one point per orbit.
     """
     fol = fam.fol
     m = 3 * density + 1
@@ -884,17 +884,11 @@ def verification_grid(fam: FamilySpec, density: int = 1) -> list[tuple]:
     q1 = xl + np.linspace(0.05, 0.95, m)[:, None] * (xr - xl)
     walls = np.stack([fol.wall1(t, r2), r2, fol.wall2(t, q2), r2])
     dish = np.stack([_math_exp(q1), _math_exp(fol.dish(t, q1))])
-    # per level, the moduli of (z1, z2) of both walls at each height and
-    # then of each dish point, which take consecutive golden angles
-    radii = np.concatenate([walls.T.reshape(t.size, 4 * m),
-                            dish.T.reshape(t.size, 2 * m)], axis=1).ravel()
-    k = np.arange(radii.size + 2)
-    ang = np.exp(2j * math.pi * ((k * _GOLD1) % 1.0))
-    z = (radii * ang[:-2]).reshape(-1, 2)
-    pts = list(zip(z[:, 0], z[:, 1]))
-    for t_axis, a in zip((0.3, 1.0), ang[-2:]):
-        pts.append((float(fol.wall1(t_axis, 1e-4)) * a, 1e-4 + 0j))
-    return pts
+    # per level, (|z1|, |z2|) of both walls at each height, then of each dish point
+    z = np.concatenate([walls.T.reshape(t.size, 4 * m),
+                        dish.T.reshape(t.size, 2 * m)], axis=1).reshape(-1, 2) + 0j
+    return list(zip(z[:, 0], z[:, 1])) + [(complex(fol.wall1(t_axis, 1e-4)), 1e-4 + 0j)
+                                          for t_axis in (0.3, 1.0)]
 
 
 def find_collar_lambda(fam: FamilySpec, lambda_max: float) -> tuple[float, Certificate]:
@@ -933,15 +927,13 @@ def _piece_abscissa(samples) -> tuple[np.ndarray, ...]:
 
 def _sample_frames(model: SphereModel, samples):
     """Angular frames ``e1``, ``e2`` and profile tangents ``V`` as ``[N, 4]``
-    arrays, one row per normalized sample.  ``V`` is the unit tangent of the
-    profile curve, oriented along the page from the left binding circle
-    toward the right one."""
-    z1 = np.array([s[0] for s in samples], dtype=complex)
-    z2 = np.array([s[1] for s in samples], dtype=complex)
+    arrays at the real slice of each normalized sample's orbit, where the
+    angular directions are the constant ``dy1`` and ``dy2``.  ``V`` is the
+    unit tangent of the profile curve, oriented along the page from the left
+    binding circle toward the right one."""
     tags, r1, r2, x = _piece_abscissa(samples)
-    zero = np.zeros(z1.shape)
-    e1 = _unit_rows(np.stack([-z1.imag, z1.real, zero, zero], axis=1))
-    e2 = _unit_rows(np.stack([zero, zero, -z2.imag, z2.real], axis=1))
+    zero = np.zeros(x.shape)
+    e1, e2 = (np.repeat(np.eye(4)[[k]], x.size, axis=0) for k in (1, 3))
     # log-radius direction (dq1, dq2) of the profile, per piece
     dq1, dq2 = np.ones(x.shape), np.ones(x.shape)
     h1, h2, cap = tags == "H1", tags == "H2", tags == "S"
@@ -949,8 +941,7 @@ def _sample_frames(model: SphereModel, samples):
     dq1[h2] = -model.f2.dL(x[h2])   # descending toward the binding
     dq2[h2] = -1.0
     dq2[cap] = -model.htilde.df(x[cap])
-    V = _unit_rows(np.stack([z1.real / r1 * dq1 * r1, z1.imag / r1 * dq1 * r1,
-                             z2.real / r2 * dq2 * r2, z2.imag / r2 * dq2 * r2], axis=1))
+    V = _unit_rows(np.stack([dq1 * r1, zero, dq2 * r2, zero], axis=1))
     return e1, e2, V
 
 
@@ -969,46 +960,32 @@ def _oriented_curvature(model: SphereModel, samples) -> np.ndarray:
 
 
 def _normalize_grid(model: SphereModel, grid) -> list[tuple[complex, complex, str]]:
-    """Accept sample_M1 output or raw triples; drop corner-adjacent points."""
+    """Accept sample_M1 output or raw triples; drop corner-adjacent points and
+    move the rest to the real slice ``(|z1|, |z2|)`` of their torus orbits."""
     X1, X2 = model.window
     y_star = model.y_star
     out = []
     for item in grid:
-        if isinstance(item, tuple) and isinstance(item[0], ChartPoint):
-            pt, tag = item
-            z1, z2 = pt.z1, pt.z2
-        else:
-            z1, z2, tag = item
-        if tag == "S":
-            q = math.log(abs(z1))
-            if min(q - X1, X2 - q) < CORNER_MARGIN:
-                continue
-        else:
-            if y_star - math.log(abs(z2)) < CORNER_MARGIN:
-                continue
-        out.append((complex(z1), complex(z2), tag))
+        if isinstance(item[0], ChartPoint):
+            item = (item[0].z1, item[0].z2, item[1])
+        r1, r2, tag = abs(item[0]), abs(item[1]), item[2]
+        q = math.log(r1 if tag == "S" else r2)
+        if not (min(q - X1, X2 - q) if tag == "S" else y_star - q) < CORNER_MARGIN:
+            out.append((complex(r1), complex(r2), tag))
     return out
-
-
-def _potential_jet(fam: FamilySpec, lam: float, z1, z2):
-    """Jet of ``u = exp(lam * (gamma - 1))``, composed exactly from one jet of
-    ``gamma``.
-
-    ``alpha = -d^C u = lam u beta`` with ``beta = -d^C gamma``, so ``alpha ^
-    d alpha = (lam u)^2 beta ^ d beta``: the sweeps' signs cannot depend on
-    ``lam``, and differencing the exponential itself would let them.
-    """
-    return exp_jet(jet(fam.fol.gamma, z1, z2), lam, 1.0)
 
 
 @dataclass(frozen=True)
 class _SampleJet:
-    """Normalized samples with the jet of ``gamma`` and the frames
-    (:func:`_sample_frames`) there: the part of the two 3-form sweeps that
-    does not depend on ``lam``, so :func:`run_verification` computes it once."""
+    """Normalized samples with ``gamma``'s jets at steps ``h`` and ``2h`` and
+    the frames (:func:`_sample_frames`) there: the ``lam``-free part of the
+    3-form sweeps, which :func:`run_verification` computes once.  The sweeps
+    compose ``u = exp(lam * (gamma - 1))`` exactly from the jets, so ``alpha ^
+    d alpha = (lam u)^2 beta ^ d beta``, ``beta = -d^C gamma``, keeps its sign
+    at every ``lam``."""
 
     samples: list
-    jet: tuple
+    jets: tuple
     frames: tuple
 
 
@@ -1018,27 +995,28 @@ def _sample_jet(fam: FamilySpec, grid) -> _SampleJet:
     if isinstance(grid, _SampleJet):
         return grid
     samples = _normalize_grid(fam.model, grid)
-    z1 = np.array([s[0] for s in samples])
-    z2 = np.array([s[1] for s in samples])
-    return _SampleJet(samples, jet(fam.fol.gamma, z1, z2),
+    _, r1, r2, _ = _piece_abscissa(samples)
+    return _SampleJet(samples, tuple(polar_lift(pj, r1, r2)
+                                     for pj in polar_jet(fam.fol.gamma, r1, r2)),
                       _sample_frames(fam.model, samples))
 
 
-def _contact_volumes(fam: FamilySpec, lam: float, grid):
-    """``alpha ^ d alpha`` on each sample's oriented tangent frame.
-
-    ``grid`` is a :class:`_SampleJet` or normalized triples (see
-    :func:`_normalize_grid`).
-    """
+def _contact_volumes(fam: FamilySpec, lam: float, grid) -> np.ndarray:
+    """``alpha ^ d alpha`` on each sample's oriented tangent frame from the
+    jets at ``h`` and ``2h``, ``[2, N]``.  ``grid`` is a :class:`_SampleJet`
+    or normalized triples (see :func:`_normalize_grid`)."""
     sweep = _sample_jet(fam, grid)
-    _, g, H = exp_jet(sweep.jet, lam, 1.0)
-    nu = -g / np.linalg.norm(g, axis=1, keepdims=True)  # outward from the compact side
-    e1, e2, e3 = sweep.frames
-    swap = (np.linalg.det(np.stack([nu, e1, e2, e3], axis=2)) < 0)[:, None]
-    e2, e3 = np.where(swap, e3, e2), np.where(swap, e2, e3)
-    al = [-jet_d_c(g, v) for v in (e1, e2, e3)]
-    da = [jet_neg_ddc(H, e2, e3), jet_neg_ddc(H, e1, e3), jet_neg_ddc(H, e1, e2)]
-    return al[0] * da[0] - al[1] * da[1] + al[2] * da[2]
+    out = []
+    for jet_f in sweep.jets:
+        _, g, H = exp_jet(jet_f, lam, 1.0)
+        nu = -g / np.linalg.norm(g, axis=1, keepdims=True)  # outward from the compact side
+        e1, e2, e3 = sweep.frames
+        swap = (np.linalg.det(np.stack([nu, e1, e2, e3], axis=2)) < 0)[:, None]
+        e2, e3 = np.where(swap, e3, e2), np.where(swap, e2, e3)
+        al = [-jet_d_c(g, v) for v in (e1, e2, e3)]
+        da = [jet_neg_ddc(H, e2, e3), jet_neg_ddc(H, e1, e3), jet_neg_ddc(H, e1, e2)]
+        out.append(al[0] * da[0] - al[1] * da[1] + al[2] * da[2])
+    return np.array(out)
 
 
 def pseudoconcavity_check(fam: FamilySpec, lam: float, grid) -> Certificate:
@@ -1054,7 +1032,7 @@ def pseudoconcavity_check(fam: FamilySpec, lam: float, grid) -> Certificate:
     model = fam.model
     sweep = _sample_jet(fam, grid)
     samples = sweep.samples
-    vals = _contact_volumes(fam, lam, sweep)
+    vals, vals_2h = _contact_volumes(fam, lam, sweep)
     tags = np.array([tag for _, _, tag in samples])
     kappa = _oriented_curvature(model, samples)
     agree = int(np.sum((kappa > 0) & (vals < 0)))
@@ -1068,6 +1046,8 @@ def pseudoconcavity_check(fam: FamilySpec, lam: float, grid) -> Certificate:
         margin=float(-vals[i]),
         passed=passed, worst_point=(samples[i][0], samples[i][1]),
         details={
+            "method": "radial_stencil",
+            "error_estimate": float(abs(vals[i] - vals_2h[i])),
             "min_abs_volume": float(np.min(np.abs(vals))),
             "classification_agreements": agree,
             "disagreements": len(samples) - agree,
@@ -1080,9 +1060,10 @@ def compatibility_check(fam: FamilySpec, lam: float, grid) -> Certificate:
     """Certify the open-book compatibility of the contact form
     ``alpha = -d^C u``, ``u = exp(lam * (gamma - 1))``.
 
-    Three sub-certificates: (i) the binding pairing ``alpha(d/d theta1)``
-    is constant and nonzero on each binding circle (opposite signs across
-    the two circles, as the two boundary components of a page); (ii) the
+    Three sub-certificates: (i) the binding pairing ``alpha(d/d theta1) =
+    lam u r1 gamma_r1`` is nonzero with opposite signs on the two binding
+    circles, the two boundary components of a page, read at one point
+    ``(c_j, 0)`` per circle since ``gamma`` is torus-invariant; (ii) the
     page 2-form ``d alpha`` is positive on every measured page tangent
     plane in the plane's natural orientation — the cap's page plane is
     nearly a complex line and carries its complex orientation, while the
@@ -1096,38 +1077,30 @@ def compatibility_check(fam: FamilySpec, lam: float, grid) -> Certificate:
     of the Reeb direction positive.  ``grid`` is as for
     :func:`pseudoconcavity_check`.
     """
-    model = fam.model
-    p_par = model.params
     sweep = _sample_jet(fam, grid)
     samples = sweep.samples
 
-    # (i) binding circles
-    circle = np.exp(2j * math.pi * np.arange(32) / 32)
-    z1 = np.concatenate([p_par.c1 * circle, p_par.c2 * circle])
-    _, g, _ = _potential_jet(fam, lam, z1, np.zeros_like(z1))
-    zero = np.zeros(z1.shape)
-    b1, b2 = np.split(-jet_d_c(g, np.stack([-z1.imag, z1.real, zero, zero], axis=1)), 2)
-    bind_ok = (np.all(b1 < 0) or np.all(b1 > 0)) and \
-        (np.all(b2 < 0) or np.all(b2 > 0)) and \
-        (float(np.sign(b1[0])) != float(np.sign(b2[0])))
+    # (i) binding circles, from gamma's radial jet at (c_j, 0); the ring
+    # through r2 = 0 reads gamma at |z2| = mh
+    r1 = np.array([fam.model.params.c1, fam.model.params.c2])
+    u, g1 = polar_jet(fam.fol.gamma, r1, np.zeros(2))[0][:2]
+    b1, b2 = (lam * np.exp(lam * (u - 1.0)) * r1 * g1).tolist()
     cert_bind = Certificate(
-        name="binding_pairing", grid="2 circles x 32 samples",
-        margin=float(min(np.min(np.abs(b1)), np.min(np.abs(b2)))),
-        passed=bool(bind_ok),
-        details={"sign_c1": float(np.sign(b1[0])), "sign_c2": float(np.sign(b2[0])),
-                 "range_c1": [float(b1.min()), float(b1.max())],
-                 "range_c2": [float(b2.min()), float(b2.max())]})
+        name="binding_pairing", grid="2 circles, one point each",
+        margin=float(np.min(np.abs([b1, b2]))), passed=b1 * b2 < 0,
+        details={"sign_c1": float(np.sign(b1)), "sign_c2": float(np.sign(b2)),
+                 "value_c1": b1, "value_c2": b2})
 
     # (ii) pages and (iii) span, on off-binding samples
     tags = np.array([tag for _, _, tag in samples])
-    _, g, H = exp_jet(sweep.jet, lam, 1.0)
+    (_, g, H), (_, _, H_2h) = (exp_jet(jet_f, lam, 1.0) for jet_f in sweep.jets)
     e1, e2, V = sweep.frames
     # Page-plane orientation: the traversal vector V runs from the left
     # binding toward the right one.  On the wall pieces that is the
     # fibration-positive direction; on the cap the complex orientation of
     # the (nearly complex) page plane reverses it.
     W = np.where((tags == "S")[:, None], -V, V)
-    page_arr = jet_neg_ddc(H, e1, W)
+    page_arr, page_2h = jet_neg_ddc(H, e1, W), jet_neg_ddc(H_2h, e1, W)
     k = int(np.argmin(page_arr))
     R = apply_J(g / np.linalg.norm(g, axis=1, keepdims=True))
     # (e1, e2, V) is an orthonormal tangent frame: angular directions are
@@ -1135,16 +1108,15 @@ def compatibility_check(fam: FamilySpec, lam: float, grid) -> Certificate:
     basis = np.stack([e1, e2, V], axis=1)
     det_arr = np.abs(np.linalg.det(basis @ np.stack([e1, V, R], axis=2)))
     th2_arr = np.sum(e2 * R, axis=1)
-    piece_ranges = {}
-    for t in ("H1", "S", "H2"):
-        sel = page_arr[tags == t]
-        if sel.size:
-            piece_ranges[t] = [float(sel.min()), float(sel.max())]
+    piece_ranges = {t: [float(page_arr[tags == t].min()), float(page_arr[tags == t].max())]
+                    for t in ("H1", "S", "H2") if np.any(tags == t)}
     cert_pages = Certificate(
         name="page_area_form", grid=f"{len(samples)} off-binding samples",
         margin=float(page_arr[k]), passed=bool(np.all(page_arr > 0)),
         worst_point=(samples[k][0], samples[k][1]),
-        details={"max": float(page_arr.max()),
+        details={"method": "radial_stencil",
+                 "error_estimate": float(abs(page_arr[k] - page_2h[k])),
+                 "max": float(page_arr.max()),
                  "per_piece_range": piece_ranges,
                  "orientation": "fibration on walls, complex on cap"})
     cert_span = Certificate(

@@ -14,22 +14,18 @@ Conventions (fixed here, tested, and used everywhere downstream):
   ``-(dgamma ^ d^C gamma)(v, Jv) = ((dgamma v)^2 + (dgamma Jv)^2) / 2``
   holds exactly in this convention and is under test.
 
-There is one derivative stencil on C^2, :func:`jet`: a batched 33-point
-central difference with relative step ``1e-5`` that returns value, real
-gradient and real Hessian.  Everything else is linear algebra on jets:
-``d^C u(v) = g . Jv``, ``-dd^C u(v, w) = -(H(v, Jw) - H(w, Jv)) / 2`` and the
-Levi 2x2.  :func:`exp_jet` composes ``exp(lam * (f - shift))`` exactly from a
-jet of ``f``, so exponentials are never differenced.  The scalar helpers
-:func:`grad4`, :func:`d_c` and the nested-difference :func:`neg_ddc` share
-no code with the jet; they are kept as the independent reference that the
-composition identity check and the acceptance tests' scalar contact-volume
-oracle (``alpha ^ d alpha`` on a hypersurface frame) are built from.  No
-symbolic engine.
-
-:func:`find_lambda` needs no search and no 4-D stencil: its ``gamma``
-depends on ``|z1|, |z2|`` only, so one 17-point polar stencil in ``(r1, r2)``
-at steps ``h`` and ``2h`` gives the Levi form, and each point's ``lam`` is the
-closed-form root of a determinant linear in ``lam``.
+Two stencils: :func:`jet`, a batched 33-point central difference on C^2
+(relative step ``1e-5``) returning value, real gradient and real Hessian of
+a generic field, and :func:`polar_jet`, 17 points in ``(|z1|, |z2|)`` at
+steps ``h`` and ``2h`` for torus-invariant fields such as ``gamma``, which
+:func:`polar_lift` makes the exact 4-D jet at each orbit's real point.  The
+rest is linear algebra on jets: ``d^C u(v) = g . Jv``, ``-dd^C u(v, w) =
+-(H(v, Jw) - H(w, Jv)) / 2`` and the Levi 2x2; :func:`exp_jet` composes
+``exp(lam * (f - shift))`` exactly from a jet of ``f``, so exponentials are
+never differenced.  The scalar helpers :func:`grad4`, :func:`d_c` and the
+nested-difference :func:`neg_ddc` share no code with the jets: they are the
+independent reference of the composition identity check and the acceptance
+tests' scalar contact-volume oracle.  No symbolic engine.
 """
 
 from __future__ import annotations
@@ -50,6 +46,8 @@ __all__ = [
     "neg_ddc",
     "jet",
     "exp_jet",
+    "polar_jet",
+    "polar_lift",
     "jet_d_c",
     "jet_neg_ddc",
     "levi_matrix",
@@ -175,7 +173,7 @@ def neg_ddc(u, p, v, w, h_rel: float = 1e-4, inner_rel: float = 1e-5) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Jets: the one derivative stencil
+# Jets: the 4-D stencil for generic fields and the radial one
 # ---------------------------------------------------------------------------
 
 def jet(fn, z1, z2, h_rel: float = 1e-5):
@@ -217,6 +215,45 @@ def jet(fn, z1, z2, h_rel: float = 1e-5):
         pp, pm, mp, mm = next(rows), next(rows), next(rows), next(rows)
         hess[:, i, j] = hess[:, j, i] = (pp - pm - mp + mm) / (4 * h * h)
     return np.array(u0), grad, hess
+
+
+def polar_jet(fn, r1, r2, h_rel: float = 1e-5):
+    """Radial jets ``(u, u_r1, u_r2, u_r1r1, u_r2r2, u_r1r2)`` at steps ``h``
+    and ``2h`` of a function of ``(|z1|, |z2|)``, as a pair.
+
+    ``fn`` is called once, at ``(r1 + i m h, r2 + j m h)`` for ``i, j in {-1,
+    0, 1}``, ``m = 1, 2`` and ``h = h_rel * max(1, r1, r2)``: 17 points per
+    point, stacked shift by shift.  A ring crossing an axis reads ``fn`` at
+    the mirrored radius.
+    """
+    r1, r2 = (np.asarray(r, dtype=float).ravel() for r in (r1, r2))
+    h = h_rel * np.maximum(1.0, np.maximum(r1, r2))
+    ring = [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j]  # row-major, no centre
+    shifts = [(0, 0)] + [(m * i, m * j) for m in (1, 2) for i, j in ring]
+    R1 = np.concatenate([r1 + i * h for i, _ in shifts])
+    R2 = np.concatenate([r2 + j * h for _, j in shifts])
+    u = np.broadcast_to(np.asarray(fn(R1 + 0j, R2 + 0j), dtype=float), R1.shape).reshape(17, -1)
+    jets = []
+    for m in (1, 2):   # the ring at m h as a 3 x 3 block around the centre
+        v, s = np.insert(u[8 * m - 7:8 * m + 1], 4, u[0], axis=0).reshape(3, 3, -1), m * h
+        jets.append((u[0], (v[2, 1] - v[0, 1]) / (2 * s), (v[1, 2] - v[1, 0]) / (2 * s),
+                     (v[2, 1] - 2 * v[1, 1] + v[0, 1]) / (s * s),
+                     (v[1, 2] - 2 * v[1, 1] + v[1, 0]) / (s * s),
+                     (v[2, 2] - v[2, 0] - v[0, 2] + v[0, 0]) / (4 * s * s)))
+    return tuple(jets)
+
+
+def polar_lift(pj, r1, r2):
+    """A :func:`polar_jet` as the exact 4-D jet ``(value, grad, hess)`` at the
+    real points ``(r1, 0, r2, 0)``, whose angular diagonals are ``u_rj / r_j``.
+    The torus acts by isometries commuting with ``J``: elsewhere on the orbit
+    ``d^C`` and ``dd^C`` are these, turned."""
+    u, g1, g2, h11, h22, h12 = pj
+    zero = np.zeros_like(u)
+    hess = np.zeros(u.shape + (4, 4))
+    hess[:, 0, 0], hess[:, 2, 2], hess[:, 0, 2], hess[:, 2, 0] = h11, h22, h12, h12
+    hess[:, 1, 1], hess[:, 3, 3] = g1 / r1, g2 / r2
+    return u, np.stack([g1, zero, g2, zero], axis=1), hess
 
 
 def exp_jet(jet, lam: float, shift: float = 0.0):
@@ -449,32 +486,16 @@ def _rank_one_terms(L, B, tol):
     """
     A11, A22, A12 = L[0] - tol, L[1] - tol, L[2]
     B11, B22, B12 = B
-    return A11 * A22 - A12 * A12, A11 * B22 + A22 * B11 - 2.0 * A12 * B12
-
-
-def _polar_levi(u, m, r1, r2, h):
-    """``(Levi(gamma), dgamma dgamma*, |grad gamma|)`` at step ``s = m h`` from
-    stencil rows ``u`` (the centre, then the rings at ``h`` and ``2h``):
-    ``L_jj = (gamma_rr + gamma_r / r) / 4``, ``L12 = gamma_r1r2 / 4``, ``B_jk =
-    gamma_rj gamma_rk / 4``, without the phase ``conj(z1) z2 / (r1 r2)`` of both
-    off-diagonals, which cancels in ``det``, ``c`` and :func:`_min_eig`."""
-    u, s = np.insert(u[8 * m - 7:8 * m + 1], 4, u[0], axis=0).reshape(3, 3, -1), m * h
-    g1 = (u[2, 1] - u[0, 1]) / (2 * s)
-    g2 = (u[1, 2] - u[1, 0]) / (2 * s)
-    h11 = (u[2, 1] - 2 * u[1, 1] + u[0, 1]) / (s * s)
-    h22 = (u[1, 2] - 2 * u[1, 1] + u[1, 0]) / (s * s)
-    h12 = (u[2, 2] - u[2, 0] - u[0, 2] + u[0, 0]) / (4 * s * s)
-    L = (0.25 * (h11 + g1 / r1), 0.25 * (h22 + g2 / r2), 0.25 * h12)
-    return L, (0.25 * g1 * g1, 0.25 * g2 * g2, 0.25 * g1 * g2), np.hypot(g1, g2)
+    return (A11 * A22 - (A12 * A12.conj()).real,
+            A11 * B22 + A22 * B11 - 2.0 * (A12 * B12.conj()).real)
 
 
 def find_lambda(gamma, grid, lambda_max: float = 1e4, tol: float = 1e-8,
                 h_rel: float = 1e-5) -> tuple[float, Certificate]:
     """Closed-form ``lam`` making ``e^{lam gamma}`` strictly psh on ``grid``.
 
-    ``gamma`` must depend on ``|z1|, |z2|`` only: it is called once, at
-    ``(r1 + i m h, r2 + j m h)`` for ``i, j in {-1, 0, 1}``, ``m = 1, 2`` and
-    ``h = h_rel * max(1, r1, r2)`` (17 points each).  ``Levi(gamma) + lam
+    ``gamma`` must depend on ``|z1|, |z2|`` only: its Levi form at steps ``h``
+    and ``2h`` is read from one :func:`polar_jet`, lifted.  ``Levi(gamma) + lam
     dgamma dgamma*`` is positive definite above the root ``-det A / c`` of
     :func:`_rank_one_terms` when ``c > 0``, so each point's ``lam`` is
     ``max(0, -det A / c)``: ``a`` at step ``h``, ``b`` at ``2h``.  ``lam =
@@ -499,13 +520,10 @@ def find_lambda(gamma, grid, lambda_max: float = 1e4, tol: float = 1e-8,
     if near.any():
         i = int(np.argmax(near))
         raise DomainError(f"polar stencil of step {2.0 * h[i]:.3g} reaches an axis at {pts[i]!r}")
-    ring = [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j]  # row-major, no centre
-    shifts = [(0, 0)] + [(m * i, m * j) for m in (1, 2) for i, j in ring]
-    R1 = np.concatenate([r1 + i * h for i, _ in shifts])
-    R2 = np.concatenate([r2 + j * h for _, j in shifts])
-    u = np.broadcast_to(np.asarray(gamma(R1 + 0j, R2 + 0j), dtype=float), R1.shape)
-    (La, Ba, gnorm), (Lb, Bb, gnorm_b) = (_polar_levi(u.reshape(17, -1), m, r1, r2, h)
-                                          for m in (1, 2))
+    lifted = [polar_lift(pj, r1, r2) for pj in polar_jet(gamma, r1, r2, h_rel)]
+    (La, Ba, gnorm), (Lb, Bb, gnorm_b) = (
+        (_levi_entries(H), _levi_entries(g[:, :, None] * g[:, None, :]),
+         np.hypot(g[:, 0], g[:, 2])) for _, g, H in lifted)
     (det_a, c_a), (det_b, c_b) = _rank_one_terms(La, Ba, tol), _rank_one_terms(Lb, Bb, tol)
 
     finite = np.isfinite([det_a, c_a, det_b, c_b]).all(axis=0)

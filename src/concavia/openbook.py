@@ -179,6 +179,8 @@ def check_disjointness(params: Params, k_range: int = 8) -> Certificate:
     ``k = 0`` is excluded (the identity always meets ``A``).  Besides the
     modulus-grid sweep, the two sufficient inequalities ``rho1*b < a`` and
     ``a/rho1 > b`` are verified; they settle every ``|k| >= 1`` at once.
+    It holds by construction: every gap is at least one of the two, which
+    ``validate_params`` enforces, so the margin is ``min(a - rho1 b, a/rho1 - b)``.
     """
     a, b = params.a, params.b
     margin_shrink = a - params.rho1 * b

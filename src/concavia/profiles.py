@@ -259,7 +259,8 @@ def _quad_log_germ(c: float, eps: float, sgn: int):
 
     def d2L(x):
         e = eps * np.exp(2 * np.asarray(x, dtype=float))
-        return 4 * sgn * e * c / (c + sgn * e) ** 2
+        d = c + sgn * e   # squared by a product: a float64 scalar's ** goes through pow
+        return 4 * sgn * e * c / (d * d)
 
     return L, dL, d2L
 

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject
+from hypothesis import strategies as st
 
+from concavia import cli
 from concavia.atlas import (
     Chart,
     ChartPoint,
@@ -21,6 +24,7 @@ from concavia.atlas import (
     z_action,
 )
 from concavia.errors import ChainViolation, ConfigError, DomainError
+from concavia.openbook import check_disjointness
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +184,38 @@ def test_canonical_rep_names_the_bad_sample():
         canonical_rep(np.array([1.0, 0.0]), 0.5)
     with pytest.raises(DomainError, match="orbit shift"):
         canonical_rep(1e300, 0.5)
+
+
+def _lerp(lo, hi, f):
+    return lo + f * (hi - lo)
+
+
+@given(st.lists(st.floats(0.01, 0.99), min_size=10, max_size=10))
+# 1/rho0 - 1/rho1 = 6.9e-4, where the atlas suite's radial grid once left
+# map_Phi's domain
+@example([0.9375, 0.0625, 0.75, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5])
+def test_the_chain_certificates_are_the_page_inequalities(f):
+    # each field drawn inside the interval that the chain leaves it; a draw
+    # that rounding pushes out of the chain is rejected
+    rho1 = _lerp(0.5, 0.99, f[0])
+    rho2 = _lerp(1.0, 1.0 / rho1, f[1])
+    rho0 = _lerp(rho1 / rho2, rho1, f[2])
+    s = _lerp(1.0 / rho0, rho2 / rho1, f[3])
+    zeta1 = _lerp(s * rho1, rho2, f[8])
+    try:
+        par = validate_params({
+            "rho0": rho0, "rho1": rho1, "rho2": rho2, "s": s,
+            "c": _lerp(rho0, rho1, f[4]), "eps": _lerp(0.0, 0.5 * (rho0 - rho1 / rho2), f[5]),
+            "c2": _lerp(1.0, s * rho1, f[6]), "c1": _lerp(s * rho1, rho2, f[7]),
+            "zeta1": zeta1, "zeta2": _lerp(zeta1, rho2, f[9])})
+    except ChainViolation:
+        reject()
+    # both certificates hold by construction: for a validated chain their
+    # margins are the two page inequalities validate_params enforces
+    want = min(par.a - par.rho1 * par.b, par.a / par.rho1 - par.b)
+    assert want > 0
+    assert cli._suite_atlas(par)["params_chain"].margin == want
+    assert check_disjointness(par).margin == want
 
 
 def test_phi_branch_law_calls_phi_once_per_branch(monkeypatch):

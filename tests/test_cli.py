@@ -205,11 +205,12 @@ def test_verify_all_carries_the_model_error_of_the_single_suites(tmp_path, capsy
             assert code == 0 and "certificates" in alone
 
 
-def test_verify_all_makes_87_dish_calls(tmp_path, capsys, monkeypatch):
-    # 31 and 29 for the lambda grid's polar stencil and the sample jet, 22 for
-    # the level-consistency gamma call, and one for each of five sweeps: the
-    # nesting rays, the top slice, the level-consistency points and
-    # verification_grid at densities 1 and 2
+def test_verify_all_makes_85_dish_calls(tmp_path, capsys, monkeypatch):
+    # 31 and 28 for the polar stencils on the lambda grid and on the sweep
+    # samples, 21 for the level-consistency gamma call, none for the binding
+    # points, and one for each of five sweeps: the nesting rays, the top
+    # slice, the level-consistency points and verification_grid at densities
+    # 1 and 2
     dish = family._Foliation.dish
     calls = []
 
@@ -220,7 +221,7 @@ def test_verify_all_makes_87_dish_calls(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(family._Foliation, "dish", counted)
     code, _ = _run(capsys, ["verify", "--suite", "all", "--outputs", str(tmp_path)])
     assert code == 0
-    assert len(calls) == 87
+    assert len(calls) == 85
 
 
 def test_verify_all_reports_lambda(tmp_path, capsys):

@@ -204,6 +204,16 @@ def test_f2_scalar_path_is_bit_identical_to_arrays(f2):
             assert one.tobytes() == fn(np.array([x]))[0].tobytes()
 
 
+def test_germ_curvature_scalar_calls_match_arrays(f1, f2):
+    # the germs square c + sgn e by a product: a float64 scalar's ** goes
+    # through pow, which differed from the array's product on 20 (f1) and 16
+    # (f2) of these abscissas
+    for prof in (f1, f2):
+        xs = np.linspace(prof.x_lo, prof.x_hi, 20001)
+        one = np.array([float(prof.d2L(x)) for x in xs.tolist()])
+        assert one.tobytes() == prof.d2L(xs).tobytes()
+
+
 def test_f2_c2_contact_at_switch(f2):
     x_sw = f2.meta["x_switch"]
     h = 1e-9
