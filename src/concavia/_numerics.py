@@ -1,4 +1,4 @@
-"""Piecewise polynomials and Brent's root finder, in numpy and plain Python.
+"""Piecewise polynomials, Brent's root finder and a Kronecker sequence.
 
 :class:`PPoly` and :func:`brentq` reproduce ``scipy.interpolate.PPoly`` and
 ``scipy.optimize.brentq`` bit for bit on the inputs this package gives them
@@ -18,7 +18,17 @@ from bisect import bisect_right
 
 import numpy as np
 
-__all__ = ["PPoly", "brentq"]
+__all__ = ["PPoly", "brentq", "kronecker", "GOLD", "SILVER", "BRONZE"]
+
+#: 1 / the golden, silver and bronze means: rationally independent with 1
+GOLD = (math.sqrt(5.0) - 1.0) / 2.0
+SILVER = math.sqrt(2.0) - 1.0
+BRONZE = (math.sqrt(13.0) - 3.0) / 2.0
+
+
+def kronecker(n: int, steps) -> np.ndarray:
+    """Rows ``k * steps % 1``, ``k < n``: a low-discrepancy sequence in ``[0, 1)^d``."""
+    return (np.arange(n)[:, None] * np.asarray(steps)) % 1.0
 
 
 def _rising(k: int, nu: int) -> float:

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import family
+from ._numerics import GOLD
 from .atlas import (
     _RAW_FIELDS,
     default_params,
@@ -64,8 +65,6 @@ from .levi import (
 )
 from .openbook import TwistSpec, check_disjointness, conjugation_check, corner_tori, welldef_check
 from .profiles import second_derivative_identity_check
-
-_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
 # the family knobs, run_verification's keyword defaults, and the CLI-only
 # export density
@@ -237,8 +236,8 @@ def _suite_atlas(par) -> dict[str, Certificate]:
         return np.linspace(lo + d, hi - d, 8)
     r1, r2 = np.meshgrid(inside(1.0, par.s), inside(1 / par.rho1, 1 / par.rho0), indexing="ij")
     j = np.arange(r1.size)
-    z1 = r1.ravel() * np.exp(1j * (2 * math.pi * ((j * _GOLD) % 1.0)))
-    z2 = r2.ravel() * np.exp(1j * (2 * math.pi * ((j * _GOLD * _GOLD) % 1.0)))
+    z1 = r1.ravel() * np.exp(1j * (2 * math.pi * ((j * GOLD) % 1.0)))
+    z2 = r2.ravel() * np.exp(1j * (2 * math.pi * ((j * GOLD * GOLD) % 1.0)))
     ref = map_Phi(par, z1, z2, 0)
     branches = (-2, -1, 1, 2)
     n = len(branches) * z1.size
@@ -270,14 +269,10 @@ def _suite_profiles(model: family.SphereModel) -> dict[str, Certificate]:
 
 
 def _shell_points(n: int) -> list[tuple[complex, complex]]:
-    pts = []
-    for j in range(n):
-        r1 = 0.7 + 0.5 * ((j * _GOLD) % 1.0)
-        r2 = 0.7 + 0.5 * ((j * _GOLD * _GOLD) % 1.0)
-        th1 = 2 * math.pi * ((j * 0.414213562373095) % 1.0)
-        th2 = 2 * math.pi * ((j * 0.317837245195782) % 1.0)
-        pts.append((r1 * cmath.exp(1j * th1), r2 * cmath.exp(1j * th2)))
-    return pts
+    j = np.arange(n)
+    r1, r2 = 0.7 + 0.5 * ((j * GOLD) % 1.0), 0.7 + 0.5 * ((j * GOLD * GOLD) % 1.0)
+    th1, th2 = (2 * math.pi * ((j * c) % 1.0) for c in (0.414213562373095, 0.317837245195782))
+    return list(zip((r1 * np.exp(1j * th1)).tolist(), (r2 * np.exp(1j * th2)).tolist()))
 
 
 def _suite_levi(par) -> dict[str, Certificate]:
@@ -287,7 +282,7 @@ def _suite_levi(par) -> dict[str, Certificate]:
         "psh_reference": is_strictly_psh(sq, pts),
         "quadratic_identity": quadratic_identity_check(sq, pts),
     }
-    planar = [0.9 * ((k + 1) / 26) * cmath.exp(2j * math.pi * k * _GOLD)
+    planar = [0.9 * ((k + 1) / 26) * cmath.exp(2j * math.pi * k * GOLD)
               for k in range(25)]
     certs["hartogs_reference"] = hartogs_boundary_test(lambda z: abs(z) ** 2, planar)
     return certs
@@ -383,7 +378,7 @@ def _write_csv(path: str, header: str, rows) -> None:
 
 
 def _phase(cfg: RunConfig) -> float:
-    return 2 * math.pi * ((cfg.seed * _GOLD) % 1.0)
+    return 2 * math.pi * ((cfg.seed * GOLD) % 1.0)
 
 
 def _export_m1(cfg: RunConfig, par, outdir: str) -> list[str]:

@@ -30,9 +30,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from ._numerics import GOLD, SILVER, kronecker
 from .atlas import ChartPoint, Params
 from .certs import Certificate
 from .convexjoin import EndpointData, JoinProblem, SplineC2, feasible, solve
@@ -146,6 +148,27 @@ class SphereModel:
     def window(self) -> tuple[float, float]:
         """Dome abscissa range in the gluing frame."""
         return self.htilde.x_lo, self.htilde.x_hi
+
+    @cached_property
+    def density_tables(self) -> dict[str, tuple]:
+        """Per piece tag, for :func:`sample_M1`: the 4,001-point abscissa grid,
+        the seam-boosted area density on it and the piece's revolution area."""
+        curves = {}
+        # walls: parametrized by x = log|z2|
+        for tag, prof in (("H1", self.f1), ("H2", self.f2)):
+            xs = np.linspace(prof.x_lo, prof.x_hi, 4001)
+            r2 = np.exp(xs)
+            r1 = np.exp(prof.L(xs))
+            curves[tag] = (xs, _piece_weight(xs, r1, r2, r1 * prof.dL(xs), r2), ("hi",))
+        # seam: parametrized by the gluing-frame abscissa X
+        X1, X2 = self.window
+        Xs = np.linspace(X1, X2, 4001)
+        rw = np.exp(Xs)
+        r2s = np.exp(-self.htilde.f(Xs))
+        curves["S"] = (Xs, _piece_weight(Xs, rw, r2s, rw, -r2s * self.htilde.df(Xs)),
+                       ("lo", "hi"))
+        return {tag: (xs, _seam_band_boost(xs, w, ends), float(np.trapezoid(w, xs)))
+                for tag, (xs, w, ends) in curves.items()}
 
     def summary(self) -> dict:
         s = {
@@ -311,10 +334,6 @@ def _membership_cert(model: SphereModel, n: int = 400) -> Certificate:
 # Quasi-uniform sampling of the sphere
 # ---------------------------------------------------------------------------
 
-_GOLD1 = (math.sqrt(5.0) - 1.0) / 2.0
-_GOLD2 = math.sqrt(2.0) - 1.0
-
-
 def _piece_weight(xs: np.ndarray, r1: np.ndarray, r2: np.ndarray,
                   dr1: np.ndarray, dr2: np.ndarray) -> np.ndarray:
     """Revolution-area density ``r1 r2 |curve'|`` along a piece."""
@@ -356,43 +375,23 @@ def sample_M1(model: SphereModel, n: int) -> list[tuple[ChartPoint, str]]:
     Samples are drawn piece by piece proportionally to the revolution area,
     by inverse-CDF placement along the profile curve; the decile of mass
     adjacent to each seam corner is oversampled four-fold.  Angles follow a
-    two-dimensional golden-ratio sequence, so the output is deterministic.
+    golden/silver Kronecker sequence, so the output is deterministic.
     """
     if n < 100:
         raise DomainError(f"sample_M1 needs n >= 100, got {n}")
     p = model.params
-    grids = {}
-    dens = {}
-    # walls: parametrized by x = log|z2|
-    for tag, prof, ends in (("H1", model.f1, ("hi",)), ("H2", model.f2, ("hi",))):
-        xs = np.linspace(prof.x_lo, prof.x_hi, 4001)
-        r2 = np.exp(xs)
-        r1 = np.exp(prof.L(xs))
-        w = _piece_weight(xs, r1, r2, r1 * prof.dL(xs), r2)
-        grids[tag] = xs
-        dens[tag] = (w, _seam_band_boost(xs, w, ends))
-    # seam: parametrized by the gluing-frame abscissa X
-    X1, X2 = model.window
-    Xs = np.linspace(X1, X2, 4001)
-    rw = np.exp(Xs)
-    r2s = np.exp(-model.htilde.f(Xs))
-    wS = _piece_weight(Xs, rw, r2s, rw, -r2s * model.htilde.df(Xs))
-    grids["S"] = Xs
-    dens["S"] = (wS, _seam_band_boost(Xs, wS, ("lo", "hi")))
-
-    areas = {t: float(np.trapezoid(dens[t][0], grids[t])) for t in grids}
-    total = sum(areas.values())
-    counts = {t: max(8, round(n * areas[t] / total)) for t in grids}
+    tables = model.density_tables
+    total = sum(area for _, _, area in tables.values())
+    counts = {t: max(8, round(n * area / total)) for t, (_, _, area) in tables.items()}
     counts["H1"] += n - sum(counts.values())  # absorb rounding in the largest piece
 
     out: list[tuple[ChartPoint, str]] = []
+    angles = np.exp(2j * np.pi * kronecker(n, (GOLD, SILVER)))
     j = 0
-    for tag in ("H1", "H2", "S"):
-        xs = _inverse_cdf(grids[tag], dens[tag][1], counts[tag])
-        k = np.arange(j, j + xs.size)
+    for tag, (grid, dens, _) in tables.items():
+        xs = _inverse_cdf(grid, dens, counts[tag])
+        e1, e2 = angles[j:j + xs.size].T
         j += xs.size
-        e1 = np.exp(1j * (2.0 * math.pi * ((k * _GOLD1) % 1.0)))
-        e2 = np.exp(1j * (2.0 * math.pi * ((k * _GOLD2) % 1.0)))
         if tag == "S":
             z1 = np.exp(xs) * e1
             z2 = np.exp(-model.htilde.f(xs)) * e2

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numerics import BRONZE, GOLD, SILVER, kronecker
 from .certs import Certificate
 from .errors import DomainError, Exhausted, NotContact, NotRegular, RegionError
 
@@ -402,20 +403,21 @@ def hartogs_boundary_test(psi, grid, tol: float = 1e-5,
 # Composition lemma
 # ---------------------------------------------------------------------------
 
-def _rand_vector(rng) -> np.ndarray:
-    v = rng.normal(size=4)
-    return v / np.linalg.norm(v)
+def _unit_vectors(n: int) -> np.ndarray:
+    """Hopf coordinates ``(sqrt(s) e^{i a}, sqrt(1 - s) e^{i b})`` of a 3-D Kronecker
+    sequence: ``[n, 4]`` unit vectors spread evenly over ``S^3``."""
+    s, a, b = kronecker(n, (GOLD, SILVER, BRONZE)).T
+    r1, r2, a, b = np.sqrt(s), np.sqrt(1.0 - s), 2 * np.pi * a, 2 * np.pi * b
+    return np.stack([r1 * np.cos(a), r1 * np.sin(a), r2 * np.cos(b), r2 * np.sin(b)], axis=1)
 
 
-def quadratic_identity_check(gamma, samples, seed: int = 20240601,
-                             tol: float = 1e-6) -> Certificate:
-    """``-(dgamma ^ d^C gamma)(v, Jv) = ((dgamma v)^2 + (dgamma Jv)^2)/2``."""
-    rng = np.random.default_rng(seed)
+def quadratic_identity_check(gamma, samples, tol: float = 1e-6) -> Certificate:
+    """``-(dgamma ^ d^C gamma)(v, Jv) = ((dgamma v)^2 + (dgamma Jv)^2)/2``,
+    ``v`` the ``k``-th of ``_unit_vectors`` at the ``k``-th sample."""
     pts = list(samples)
-    # one random unit vector per sample, drawn in sample order; the steps and
-    # the shifted points are the scalar ones, so each directional difference
-    # is two field calls on all samples
-    v = np.array([_rand_vector(rng) for _ in pts]).reshape(-1, 4)
+    # the steps and the shifted points are the scalar ones, so each
+    # directional difference is two field calls on all samples
+    v = _unit_vectors(len(pts))
     h = np.array([_step(p, 1e-5) for p in pts])
     p = (np.array([z1 for z1, _ in pts], dtype=complex),
          np.array([z2 for _, z2 in pts], dtype=complex))
@@ -435,23 +437,20 @@ def quadratic_identity_check(gamma, samples, seed: int = 20240601,
         details={"max_rel_err": worst_err})
 
 
-def composition_identity_check(gamma, gfun, samples, seed: int = 20240602,
-                               tol: float = 1e-5) -> Certificate:
+def composition_identity_check(gamma, gfun, samples, tol: float = 1e-5) -> Certificate:
     """``-dd^C(g o gamma) = -g'' dgamma ^ d^C gamma - g' dd^C gamma``.
 
     ``gfun`` is a triple ``(g, dg, d2g)`` of scalar callables.  Both sides
-    are evaluated on ``(v, Jv)`` for a random unit vector at each sample.
+    are evaluated on ``(v, Jv)``, ``v`` as in :func:`quadratic_identity_check`.
     """
     g, dg, d2g = gfun
-    rng = np.random.default_rng(seed)
     pts = list(samples)
 
     def composed(z1, z2):
         return g(gamma(z1, z2))
 
     errs = []
-    for p in pts:
-        v = _rand_vector(rng)
+    for p, v in zip(pts, _unit_vectors(len(pts))):
         Jv = apply_J(v)
         lhs = neg_ddc(composed, p, v, Jv)
         h = _step(p, 1e-5)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import brentq
+from ._numerics import GOLD, SILVER, brentq, kronecker
 from .atlas import (
     ChartPoint,
     Params,
@@ -253,17 +253,16 @@ def q_jacobian_det(spec: TwistSpec, z: complex, h: float = 1e-6) -> float:
 
 
 def conjugation_check(spec: TwistSpec, samples=None, n: int = 10 ** 4,
-                      seed: int = 20240604, tol: float = 1e-9) -> Certificate:
+                      tol: float = 1e-9) -> Certificate:
     """Certify ``q o delta o q^{-1} = (w, t) -> (w e^{-2 pi i t}, t)``.
 
     This is the machine witness that the monodromy is the *left-handed*
     annulus twist: the conjugated map rotates the circle backwards by the
-    collar parameter.
+    collar parameter.  Default: ``n`` golden/silver Kronecker samples.
     """
     if samples is None:
-        rng = np.random.default_rng(seed)
-        w = np.exp(2j * np.pi * rng.uniform(0, 1, n))
-        t = rng.uniform(0, 1, n)
+        x, t = kronecker(n, (GOLD, SILVER)).T
+        w = np.exp(2j * np.pi * x)
     else:
         w = np.array([s[0] for s in samples], dtype=complex)
         t = np.array([s[1] for s in samples], dtype=float)
@@ -339,19 +338,17 @@ def embed_g(params: Params, p: MPoint) -> ChartPoint:
     return ChartPoint.v(params, params.c * p.u1, p.u2 / params.c)
 
 
-def _seam_arrays(params: Params, n: int = 1000,
-                 seed: int = 20240605) -> tuple[np.ndarray, np.ndarray]:
-    """``(u1, u2)`` of ``n`` random seam samples, alternately on ``|u1| = a, b``."""
-    th = np.random.default_rng(seed).uniform(0, 2 * math.pi, (n, 2))
+def _seam_arrays(params: Params, n: int = 1000) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` seam samples ``(u1, u2)`` at golden/silver Kronecker angles,
+    alternately on ``|u1| = a, b``."""
+    th1, th2 = 2 * math.pi * kronecker(n, (GOLD, SILVER)).T
     r = np.where(np.arange(n) % 2 == 0, params.a, params.b)
-    return r * np.exp(1j * th[:, 0]), np.exp(1j * th[:, 1])
+    return r * np.exp(1j * th1), np.exp(1j * th2)
 
 
-def default_seam_samples(params: Params, n: int = 1000,
-                         seed: int = 20240605) -> list[MPoint]:
-    """Random collar-boundary samples, half on each seam circle."""
-    return [MPoint.collar(params, u1, u2)
-            for u1, u2 in zip(*_seam_arrays(params, n, seed))]
+def default_seam_samples(params: Params, n: int = 1000) -> list[MPoint]:
+    """``_seam_arrays``' collar-boundary samples, half on each seam circle."""
+    return [MPoint.collar(params, u1, u2) for u1, u2 in zip(*_seam_arrays(params, n))]
 
 
 def welldef_check(params: Params, seam_samples=None, tol: float = 1e-8) -> Certificate:

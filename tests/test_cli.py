@@ -325,20 +325,22 @@ def test_module_entry_point_runs():
     assert json.loads(proc.stdout)["a"] == 1.04
 
 
-_NO_SCIPY = """
+_UNLOADED = """
 import sys
 from concavia import cli
 code = cli.main(sys.argv[1:])
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+loaded = sorted(m for m in sys.modules
+                if m.split(".")[0] == "scipy" or m.startswith("numpy.random"))
 print(loaded, file=sys.stderr)
 sys.exit(code if not loaded else 99)
 """
 
 
-def test_cli_runs_without_loading_scipy(tmp_path):
-    # fresh interpreters, so no other test's import can hide a load
-    for argv in (["params"], ["verify", "--suite", "all", "--outputs", str(tmp_path)]):
-        proc = subprocess.run([sys.executable, "-c", _NO_SCIPY, *argv],
+def test_cli_loads_neither_scipy_nor_numpy_random(tmp_path):
+    # fresh interpreters: this one has imported both
+    for argv in (["params"], ["verify", "--suite", "all", "--outputs", str(tmp_path)],
+                 ["export", "--what", "m1", "--outputs", str(tmp_path)]):
+        proc = subprocess.run([sys.executable, "-c", _UNLOADED, *argv],
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, (argv, proc.stderr)
         assert proc.stderr.strip() == "[]"

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from concavia import family
+from concavia._numerics import GOLD, SILVER
 from concavia.atlas import Chart, ChartPoint, default_params, in_complement_C, validate_params
 from concavia.errors import (
     DomainError,
@@ -154,6 +155,16 @@ def test_sampling_is_deterministic():
         [(p.chart, p.z1, p.z2, t) for p, t in b]
 
 
+def test_sample_M1_builds_its_density_tables_once_per_model(monkeypatch):
+    boosted = []
+    boost = family._seam_band_boost
+    monkeypatch.setattr(family, "_seam_band_boost",
+                        lambda *args: boosted.append(args[0].size) or boost(*args))
+    model = family.build_M1(default_params())  # `membership` samples 400 points
+    family.sample_M1(model, 240)
+    assert boosted == [4001] * 3  # one table per piece
+
+
 def test_sample_rejects_small_n():
     with pytest.raises(DomainError):
         family.sample_M1(_model(), 50)
@@ -192,8 +203,8 @@ def _sample_M1_by_loop(model, n):
     j = 0
     for tag in ("H1", "H2", "S"):
         for x in family._inverse_cdf(grids[tag], dens[tag][1], counts[tag]):
-            th1 = 2.0 * math.pi * ((j * family._GOLD1) % 1.0)
-            th2 = 2.0 * math.pi * ((j * family._GOLD2) % 1.0)
+            th1 = 2.0 * math.pi * ((j * GOLD) % 1.0)
+            th2 = 2.0 * math.pi * ((j * SILVER) % 1.0)
             j += 1
             if tag == "S":
                 z1 = np.exp(x) * np.exp(1j * th1)
@@ -591,7 +602,7 @@ def _golden(pts):
     """``verification_grid``'s real points at the golden angles they once
     took: consecutive angles over the moduli of each point's ``(z1, z2)``,
     then one on ``z1`` of each of the two binding-plane points."""
-    ang = np.exp(2j * math.pi * ((np.arange(2 * len(pts) - 2) * family._GOLD1) % 1.0))
+    ang = np.exp(2j * math.pi * ((np.arange(2 * len(pts) - 2) * GOLD) % 1.0))
     radii = np.array([(a.real, b.real) for a, b in pts[:-2]]).ravel()
     z = (radii * ang[:-2]).reshape(-1, 2)
     return list(zip(z[:, 0], z[:, 1])) + [(a.real * t, b) for (a, b), t in

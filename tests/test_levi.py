@@ -399,14 +399,12 @@ def test_quadratic_identity_fails_on_a_nan_field():
     assert cert.details["max_rel_err"] == math.inf
 
 
-def _quadratic_identity_by_loop(gamma, samples, seed=20240601, tol=1e-6):
+def _quadratic_identity_by_loop(gamma, samples, tol=1e-6):
     """quadratic_identity_check as a per-point scalar loop: the reference for
     the batched one."""
-    rng = np.random.default_rng(seed)
     pts = list(samples)
     errs = []
-    for p in pts:
-        v = levi._rand_vector(rng)
+    for p, v in zip(pts, levi._unit_vectors(len(pts))):
         Jv = apply_J(v)
         h = levi._step(p, 1e-5)
         dv = levi._dir_deriv(gamma, p, v, h)
@@ -421,6 +419,16 @@ def _quadratic_identity_by_loop(gamma, samples, seed=20240601, tol=1e-6):
         margin=tol - worst_err, passed=bool(worst_err < tol),
         worst_point=None if k is None else pts[k],
         details={"max_rel_err": worst_err})
+
+
+def test_identity_vectors_are_unit_and_span_R4():
+    for n in (1, 48, 10 ** 4):
+        v = levi._unit_vectors(n)
+        assert v.shape == (n, 4)
+        assert np.max(abs(np.linalg.norm(v, axis=1) - 1.0)) <= 1e-15
+    # the levi suite's 48 vectors: smallest singular value 3.1676, against
+    # sqrt(48 / 4) = 3.46 for a perfectly isotropic set
+    assert np.linalg.svd(levi._unit_vectors(48), compute_uv=False).min() > 3.0
 
 
 @pytest.mark.parametrize("field", [sq_norm, mixed_sig, lambda z1, z2: math.nan],

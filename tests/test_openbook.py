@@ -10,6 +10,7 @@ import pytest
 from concavia.atlas import ChartPoint, Chart, Params, canonical_rep, default_params, \
     fibration_f, map_Phi, phi, same_point
 from concavia import openbook
+from concavia._numerics import GOLD, SILVER
 from concavia.errors import ConfigError, DomainError
 from concavia.openbook import (
     MPoint,
@@ -201,9 +202,10 @@ def _conjugation_errors_by_loop(spec, w, t):
 @pytest.mark.parametrize("spec, n", [(SPEC, 10 ** 4), (wiggly_spec(), 2000)],
                          ids=["affine", "wiggly"])
 def test_conjugation_arrays_match_the_scalar_loop(spec, n):
-    rng = np.random.default_rng(20240604)  # conjugation_check's default stream
-    w = np.exp(2j * np.pi * rng.uniform(0, 1, n))
-    t = rng.uniform(0, 1, n)
+    # conjugation_check's default samples: the golden/silver Kronecker sequence
+    k = np.arange(n)
+    w = np.exp(2j * np.pi * ((k * GOLD) % 1.0))
+    t = (k * SILVER) % 1.0
     oracle = _conjugation_errors_by_loop(spec, w, t)
     w_out, t_out = q_chart(spec, monodromy_delta(spec, q_inverse(spec, w, t)))
     errs = np.maximum(abs(w_out - w * np.exp(-2j * np.pi * t)), abs(t_out - t))
@@ -215,6 +217,28 @@ def test_conjugation_arrays_match_the_scalar_loop(spec, n):
     cert = conjugation_check(spec, n=n)
     assert abs(cert.details["sup_error"] - oracle.max()) <= ulps
     assert cert.passed == bool(oracle.max() < 1e-9)
+    assert cert == conjugation_check(spec, samples=list(zip(w.tolist(), t.tolist())))
+
+
+def test_conjugation_samples_cover_every_cell(monkeypatch):
+    # the default 10^4 samples put 20 to 29 points (mean 25) in every cell
+    # of a 20 x 20 partition of S^1 x [0, 1]; uniform random draws would
+    # not meet the bounds [18, 32], which a Poisson(25) count misses with
+    # probability about 0.13 per cell
+    seen = []
+
+    def spy(spec, w, t):
+        seen.append((w, t))
+        return q_inverse(spec, w, t)
+
+    monkeypatch.setattr(openbook, "q_inverse", spy)
+    assert conjugation_check(SPEC).passed
+    (w, t), = seen
+    x = (np.angle(w) / (2 * np.pi)) % 1.0
+    cells = np.bincount(20 * np.floor(20 * x).astype(int) + np.floor(20 * t).astype(int),
+                        minlength=400)
+    assert cells.size == 400 and w.size == 10 ** 4
+    assert 18 <= cells.min() and cells.max() <= 32
 
 
 def test_elementwise_maps_match_scalar_calls():
@@ -391,9 +415,9 @@ def test_welldef_matches_the_scalar_seam_loop():
 
 
 def test_default_seam_samples_keep_the_scalar_stream():
-    rng = np.random.default_rng(20240605)
     for k, p in enumerate(default_seam_samples(P, n=200)):
-        th1, th2 = rng.uniform(0, 2 * math.pi, 2)
+        th1 = 2 * math.pi * ((k * GOLD) % 1.0)
+        th2 = 2 * math.pi * ((k * SILVER) % 1.0)
         r = P.a if k % 2 == 0 else P.b
         assert (p.u1, p.u2) == (r * cmath.exp(1j * th1), cmath.exp(1j * th2))
 
