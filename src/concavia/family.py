@@ -47,7 +47,7 @@ from .errors import (
     VerificationError,
 )
 from .levi import (ScalarField, apply_J, exp_jet, find_lambda, jet_d_c, jet_neg_ddc,
-                   polar_jet, polar_lift)
+                   lambda_from_values, polar_diff, polar_lift, polar_stencil)
 from .profiles import (
     ContactTag,
     Profile,
@@ -429,8 +429,9 @@ def _crossing(F, lo, hi, f_lo, f_hi):
     grows by 16, 256 and 4096 on those points alone, and only then is all of
     ``[lo, hi]`` kept; each window test reads both ends in one ``F`` call.
     Bisection on ``F(mid) < 0`` then runs until the midpoint rounds to an
-    end, dropping the points that got there.  Where ``F`` is monotone in
-    floating point this is the pair a bisection of ``[lo, hi]`` reaches.
+    end, dropping the points that got there, and returns as soon as no
+    point is left.  Where ``F`` is monotone in floating point this is the
+    pair a bisection of ``[lo, hi]`` reaches.
     """
     def straddles(a, b, i):
         f_a, f_b = np.split(F(np.concatenate([a, b]), np.concatenate([i, i])), 2)
@@ -463,15 +464,16 @@ def _crossing(F, lo, hi, f_lo, f_hi):
             keep[miss[hit]] = True
             miss = miss[~hit]
     lo, hi = np.where(keep, a, lo), np.where(keep, b, hi)
-    while idx.size:
+    while True:
         a, b = lo[idx], hi[idx]
         mid = 0.5 * (a + b)
         live = (mid != a) & (mid != b)
+        if not live.any():
+            return lo, hi
         idx, mid = idx[live], mid[live]
         up = F(mid, idx) < 0.0
         lo[idx[up]] = mid[up]
         hi[idx[~up]] = mid[~up]
-    return lo, hi
 
 
 class _Foliation:
@@ -759,21 +761,21 @@ def _level_points(fol: _Foliation, slices) -> tuple[np.ndarray, ...]:
     return np.repeat(ts, 9), z1.ravel(), z2.ravel()
 
 
-def build_family(params: Params, n_tau: int, knobs: Knobs | None = None,
-                 curves: dict | None = None,
-                 model: SphereModel | None = None) -> FamilySpec:
-    """Build the nested family; every slice is itself a valid sphere.
+def _family_levels(fam: FamilySpec) -> tuple[np.ndarray, ...]:
+    """:func:`_level_points` on every ``(n_tau // 8)``-th slice and the top
+    one, each slice once."""
+    slices = fam.taus[:: max(1, fam.n_tau // 8)]
+    if 1.0 not in slices:
+        slices += (1.0,)
+    return _level_points(fam.fol, slices)
 
-    Strict nesting is checked along 64 radial rays; any touching pair of
-    slices raises :class:`FoliationError` naming the pair and the first such
-    ray.  Slice validity is certified in closed form (graph ranges, wall
-    separation, cap window, band avoidance); the top slice reproduces
-    ``build_M1`` exactly.  ``model``, if given, is the top slice already
-    built as ``build_M1(params, knobs)``.
-    """
+
+def _assemble_family(params: Params, n_tau: int, knobs: Knobs,
+                     curves: dict | None, model: SphereModel | None) -> FamilySpec:
+    """The family with every certificate but ``level_consistency``, which
+    reads ``gamma``; nothing is raised for a failing certificate yet."""
     if n_tau < 8:
         raise DomainError(f"build_family needs n_tau >= 8, got {n_tau}")
-    knobs = knobs or default_knobs()
     if model is None:
         model = build_M1(params, knobs)
     fol = _Foliation(model, curves)
@@ -812,16 +814,17 @@ def build_family(params: Params, n_tau: int, knobs: Knobs | None = None,
         name="top_slice_equality", grid="3 x 257 points",
         margin=1e-10 - res, passed=res < 1e-10,
         details={"wall1": e_w1, "wall2": e_w2, "dome": e_dome})
+    return fam
 
-    # level consistency: gamma returns tau on every (n_tau // 8)-th slice and
-    # the top one, all evaluated in one call
-    slices = taus[:: max(1, n_tau // 8)]
-    if 1.0 not in slices:
-        slices += (1.0,)
-    t, z1, z2 = _level_points(fol, slices)
-    _, worst_dev = Certificate.sup_error(np.abs(fol.gamma(z1, z2) - t))
+
+def _certify_levels(fam: FamilySpec, t: np.ndarray, values: np.ndarray) -> FamilySpec:
+    """Add ``level_consistency`` from ``gamma``'s ``values`` at the
+    :func:`_family_levels` points of levels ``t``, then raise
+    :class:`VerificationError` on the first failing family certificate."""
+    certs = fam.certificates
+    _, worst_dev = Certificate.sup_error(np.abs(values - t))
     certs["level_consistency"] = Certificate(
-        name="level_consistency", grid=f"{len(slices)} slices x 9 points",
+        name="level_consistency", grid=f"{t.size // 9} slices x 9 points",
         margin=1e-8 - worst_dev, passed=worst_dev < 1e-8,
         details={"max_deviation": worst_dev})
 
@@ -830,6 +833,27 @@ def build_family(params: Params, n_tau: int, knobs: Knobs | None = None,
         raise VerificationError(f"family certificates failed: {bad}",
                                 certificate=certs[bad[0]])
     return fam
+
+
+def build_family(params: Params, n_tau: int, knobs: Knobs | None = None,
+                 curves: dict | None = None,
+                 model: SphereModel | None = None) -> FamilySpec:
+    """Build the nested family; every slice is itself a valid sphere.
+
+    Strict nesting is checked along 64 radial rays; any touching pair of
+    slices raises :class:`FoliationError` naming the pair and the first such
+    ray.  Slice validity is certified in closed form (graph ranges, wall
+    separation, cap window, band avoidance); the top slice reproduces
+    ``build_M1`` exactly; ``gamma`` returns ``tau`` on 9 points of every
+    ``(n_tau // 8)``-th slice and the top one, read in one call.  A failing
+    certificate raises :class:`VerificationError`.  ``model``, if given, is
+    the top slice already built as ``build_M1(params, knobs)``.
+    :func:`run_verification` reads the level points in its one ``gamma``
+    call instead.
+    """
+    fam = _assemble_family(params, n_tau, knobs or default_knobs(), curves, model)
+    t, z1, z2 = _family_levels(fam)
+    return _certify_levels(fam, t, fam.fol.gamma(z1, z2))
 
 
 def gamma_field(fam: FamilySpec) -> ScalarField:
@@ -890,12 +914,15 @@ def verification_grid(fam: FamilySpec, density: int = 1) -> list[tuple]:
                                           for t_axis in (0.3, 1.0)]
 
 
+def _lambda_grid(fam: FamilySpec) -> list[tuple]:
+    """The lambda grid: :func:`verification_grid` at densities 1 and 2."""
+    return verification_grid(fam, 1) + verification_grid(fam, 2)
+
+
 def find_collar_lambda(fam: FamilySpec, lambda_max: float) -> tuple[float, Certificate]:
     """:func:`find_lambda` for the family's ``gamma`` on the lambda grid, the
     union of :func:`verification_grid` at densities 1 and 2."""
-    return find_lambda(gamma_field(fam),
-                       verification_grid(fam, 1) + verification_grid(fam, 2),
-                       lambda_max=lambda_max)
+    return find_lambda(gamma_field(fam), _lambda_grid(fam), lambda_max=lambda_max)
 
 
 # ---------------------------------------------------------------------------
@@ -977,27 +1004,50 @@ def _normalize_grid(model: SphereModel, grid) -> list[tuple[complex, complex, st
 @dataclass(frozen=True)
 class _SampleJet:
     """Normalized samples with ``gamma``'s jets at steps ``h`` and ``2h`` and
-    the frames (:func:`_sample_frames`) there: the ``lam``-free part of the
-    3-form sweeps, which :func:`run_verification` computes once.  The sweeps
-    compose ``u = exp(lam * (gamma - 1))`` exactly from the jets, so ``alpha ^
-    d alpha = (lam u)^2 beta ^ d beta``, ``beta = -d^C gamma``, keeps its sign
-    at every ``lam``."""
+    the frames (:func:`_sample_frames`) there, and ``gamma``'s radial jet at
+    step ``h`` at the two binding points ``(c_j, 0)``: the ``lam``-free part
+    of the 3-form sweeps.  :func:`_sample_jet_from` builds it from ``gamma``'s
+    values on :func:`_sample_stencil`.  The sweeps compose ``u = exp(lam *
+    (gamma - 1))`` exactly from the jets, so ``alpha ^ d alpha = (lam u)^2
+    beta ^ d beta``, ``beta = -d^C gamma``, keeps its sign at every ``lam``."""
 
     samples: list
     jets: tuple
     frames: tuple
+    binding: tuple
+
+
+def _binding_radii(fam: FamilySpec) -> tuple[np.ndarray, np.ndarray]:
+    """``(|z1|, |z2|)`` of one point per binding circle, ``(c_j, 0)``."""
+    return np.array([fam.model.params.c1, fam.model.params.c2]), np.zeros(2)
+
+
+def _sample_stencil(fam: FamilySpec, samples) -> tuple[np.ndarray, np.ndarray]:
+    """The radii at which a :class:`_SampleJet` reads ``gamma``: the polar
+    stencil of the normalized samples, then that of the binding points."""
+    _, r1, r2, _ = _piece_abscissa(samples)
+    return tuple(np.concatenate(rr) for rr in zip(polar_stencil(r1, r2),
+                                                  polar_stencil(*_binding_radii(fam))))
+
+
+def _sample_jet_from(fam: FamilySpec, samples, u) -> _SampleJet:
+    """The :class:`_SampleJet` of normalized samples from ``gamma``'s values
+    ``u`` on their :func:`_sample_stencil`."""
+    _, r1, r2, _ = _piece_abscissa(samples)
+    u_s, u_b = np.split(np.asarray(u), [17 * r1.size])
+    return _SampleJet(samples, tuple(polar_lift(pj, r1, r2) for pj in polar_diff(u_s, r1, r2)),
+                      _sample_frames(fam.model, samples),
+                      polar_diff(u_b, *_binding_radii(fam))[0])
 
 
 def _sample_jet(fam: FamilySpec, grid) -> _SampleJet:
-    """``grid`` (model samples or raw triples) prepared for the sweeps; a
-    :class:`_SampleJet` is returned as it is."""
+    """``grid`` (model samples or raw triples) prepared for the sweeps, with
+    one ``gamma`` call; a :class:`_SampleJet` is returned as it is."""
     if isinstance(grid, _SampleJet):
         return grid
     samples = _normalize_grid(fam.model, grid)
-    _, r1, r2, _ = _piece_abscissa(samples)
-    return _SampleJet(samples, tuple(polar_lift(pj, r1, r2)
-                                     for pj in polar_jet(fam.fol.gamma, r1, r2)),
-                      _sample_frames(fam.model, samples))
+    R1, R2 = _sample_stencil(fam, samples)
+    return _sample_jet_from(fam, samples, fam.fol.gamma(R1 + 0j, R2 + 0j))
 
 
 def _contact_volumes(fam: FamilySpec, lam: float, grid) -> np.ndarray:
@@ -1081,9 +1131,8 @@ def compatibility_check(fam: FamilySpec, lam: float, grid) -> Certificate:
 
     # (i) binding circles, from gamma's radial jet at (c_j, 0); the ring
     # through r2 = 0 reads gamma at |z2| = mh
-    r1 = np.array([fam.model.params.c1, fam.model.params.c2])
-    u, g1 = polar_jet(fam.fol.gamma, r1, np.zeros(2))[0][:2]
-    b1, b2 = (lam * np.exp(lam * (u - 1.0)) * r1 * g1).tolist()
+    u, g1 = sweep.binding[:2]
+    b1, b2 = (lam * np.exp(lam * (u - 1.0)) * _binding_radii(fam)[0] * g1).tolist()
     cert_bind = Certificate(
         name="binding_pairing", grid="2 circles, one point each",
         margin=float(np.min(np.abs([b1, b2]))), passed=b1 * b2 < 0,
@@ -1143,12 +1192,32 @@ def run_verification(params: Params, knobs: Knobs | None = None,
     pure function of its inputs (no timestamps, no randomness), so repeated
     runs serialize identically.  ``model``, if given, is
     ``build_M1(params, knobs)`` built by the caller.
+
+    ``gamma`` is read in one call on every point the run needs, gathered as
+    soon as the family is assembled: the level-consistency points, then the
+    polar stencils of the lambda grid, of the ``sample_M1(model,
+    n_samples)`` samples and of the two binding points.  ``gamma`` is
+    elementwise, so the certificates are bit for bit those of
+    :func:`build_family`, :func:`find_collar_lambda`,
+    :func:`pseudoconcavity_check` and :func:`compatibility_check` called on
+    their own, and so is the error raised: a failing family certificate
+    first, then :func:`find_lambda`'s errors.  A bad argument (``n_tau <
+    8``, ``n_samples < 100``) raises its ``DomainError`` before ``gamma`` is
+    read.
     """
     knobs = knobs or default_knobs()
-    fam = build_family(params, n_tau, knobs, model=model)
+    fam = _assemble_family(params, n_tau, knobs, curves=None, model=model)
     model = fam.model
-    lam, cert_lam = find_collar_lambda(fam, lambda_max)
-    sweep = _sample_jet(fam, sample_M1(model, n_samples))
+    t, z1, z2 = _family_levels(fam)
+    grid = _lambda_grid(fam)
+    samples = _normalize_grid(model, sample_M1(model, n_samples))
+    Z1, Z2 = zip((z1, z2), polar_stencil(*(np.abs([p[i] for p in grid]) for i in (0, 1))),
+                 _sample_stencil(fam, samples))
+    u = fam.fol.gamma(np.concatenate(Z1), np.concatenate(Z2))
+    u_level, u_lam, u_samples = np.split(u, np.cumsum([z.size for z in Z1])[:-1])
+    _certify_levels(fam, t, u_level)
+    lam, cert_lam = lambda_from_values(u_lam, grid, lambda_max=lambda_max)
+    sweep = _sample_jet_from(fam, samples, u_samples)
     cert_pc = pseudoconcavity_check(fam, lam, sweep)
     cert_cp = compatibility_check(fam, lam, sweep)
 

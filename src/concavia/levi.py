@@ -18,11 +18,13 @@ Two stencils: :func:`jet`, a batched 33-point central difference on C^2
 (relative step ``1e-5``) returning value, real gradient and real Hessian of
 a generic field, and :func:`polar_jet`, 17 points in ``(|z1|, |z2|)`` at
 steps ``h`` and ``2h`` for torus-invariant fields such as ``gamma``, which
-:func:`polar_lift` makes the exact 4-D jet at each orbit's real point.  The
-rest is linear algebra on jets: ``d^C u(v) = g . Jv``, ``-dd^C u(v, w) =
--(H(v, Jw) - H(w, Jv)) / 2`` and the Levi 2x2; :func:`exp_jet` composes
-``exp(lam * (f - shift))`` exactly from a jet of ``f``, so exponentials are
-never differenced.  The scalar helpers :func:`grad4`, :func:`d_c` and the
+:func:`polar_lift` makes the exact 4-D jet at each orbit's real point.  Its
+points (:func:`polar_stencil`) and its differences (:func:`polar_diff`) are
+also separate functions, so that a caller can read one field on several
+stencils in one call.  The rest is linear algebra on jets: ``d^C u(v) = g .
+Jv``, ``-dd^C u(v, w) = -(H(v, Jw) - H(w, Jv)) / 2`` and the Levi 2x2;
+:func:`exp_jet` composes ``exp(lam * (f - shift))`` exactly from a jet of
+``f``, so exponentials are never differenced.  The scalar helpers :func:`grad4`, :func:`d_c` and the
 nested-difference :func:`neg_ddc` share no code with the jets: they are the
 independent reference of the composition identity check and the acceptance
 tests' scalar contact-volume oracle.  No symbolic engine.
@@ -47,6 +49,8 @@ __all__ = [
     "neg_ddc",
     "jet",
     "exp_jet",
+    "polar_stencil",
+    "polar_diff",
     "polar_jet",
     "polar_lift",
     "jet_d_c",
@@ -59,6 +63,7 @@ __all__ = [
     "composition_identity_check",
     "quadratic_identity_check",
     "find_lambda",
+    "lambda_from_values",
 ]
 
 
@@ -218,22 +223,29 @@ def jet(fn, z1, z2, h_rel: float = 1e-5):
     return np.array(u0), grad, hess
 
 
-def polar_jet(fn, r1, r2, h_rel: float = 1e-5):
-    """Radial jets ``(u, u_r1, u_r2, u_r1r1, u_r2r2, u_r1r2)`` at steps ``h``
-    and ``2h`` of a function of ``(|z1|, |z2|)``, as a pair.
-
-    ``fn`` is called once, at ``(r1 + i m h, r2 + j m h)`` for ``i, j in {-1,
-    0, 1}``, ``m = 1, 2`` and ``h = h_rel * max(1, r1, r2)``: 17 points per
-    point, stacked shift by shift.  A ring crossing an axis reads ``fn`` at
-    the mirrored radius.
-    """
+def _polar_step(r1, r2, h_rel):
+    """Raveled radii and the polar stencil's step ``h_rel * max(1, r1, r2)``."""
     r1, r2 = (np.asarray(r, dtype=float).ravel() for r in (r1, r2))
-    h = h_rel * np.maximum(1.0, np.maximum(r1, r2))
+    return r1, r2, h_rel * np.maximum(1.0, np.maximum(r1, r2))
+
+
+def polar_stencil(r1, r2, h_rel: float = 1e-5):
+    """The radii ``(R1, R2)`` at which :func:`polar_jet` reads its function:
+    ``(r1 + i m h, r2 + j m h)`` for ``i, j in {-1, 0, 1}``, ``m = 1, 2`` and
+    ``h = h_rel * max(1, r1, r2)``, 17 per point, stacked shift by shift.  A
+    ring crossing an axis reads the function at the mirrored radius."""
+    r1, r2, h = _polar_step(r1, r2, h_rel)
     ring = [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j]  # row-major, no centre
     shifts = [(0, 0)] + [(m * i, m * j) for m in (1, 2) for i, j in ring]
-    R1 = np.concatenate([r1 + i * h for i, _ in shifts])
-    R2 = np.concatenate([r2 + j * h for _, j in shifts])
-    u = np.broadcast_to(np.asarray(fn(R1 + 0j, R2 + 0j), dtype=float), R1.shape).reshape(17, -1)
+    return (np.concatenate([r1 + i * h for i, _ in shifts]),
+            np.concatenate([r2 + j * h for _, j in shifts]))
+
+
+def polar_diff(u, r1, r2, h_rel: float = 1e-5):
+    """:func:`polar_jet` from the values ``u`` of its function on
+    ``polar_stencil(r1, r2, h_rel)``; a scalar ``u`` is broadcast."""
+    r1, _, h = _polar_step(r1, r2, h_rel)
+    u = np.broadcast_to(np.asarray(u, dtype=float), (17 * r1.size,)).reshape(17, -1)
     jets = []
     for m in (1, 2):   # the ring at m h as a 3 x 3 block around the centre
         v, s = np.insert(u[8 * m - 7:8 * m + 1], 4, u[0], axis=0).reshape(3, 3, -1), m * h
@@ -242,6 +254,17 @@ def polar_jet(fn, r1, r2, h_rel: float = 1e-5):
                      (v[1, 2] - 2 * v[1, 1] + v[1, 0]) / (s * s),
                      (v[2, 2] - v[2, 0] - v[0, 2] + v[0, 0]) / (4 * s * s)))
     return tuple(jets)
+
+
+def polar_jet(fn, r1, r2, h_rel: float = 1e-5):
+    """Radial jets ``(u, u_r1, u_r2, u_r1r1, u_r2r2, u_r1r2)`` at steps ``h``
+    and ``2h`` of a function of ``(|z1|, |z2|)``, as a pair.
+
+    ``fn`` is called once, on all of :func:`polar_stencil`; :func:`polar_diff`
+    differences its values.
+    """
+    R1, R2 = polar_stencil(r1, r2, h_rel)
+    return polar_diff(fn(R1 + 0j, R2 + 0j), r1, r2, h_rel)
 
 
 def polar_lift(pj, r1, r2):
@@ -489,37 +512,58 @@ def _rank_one_terms(L, B, tol):
             A11 * B22 + A22 * B11 - 2.0 * (A12 * B12.conj()).real)
 
 
+def _polar_grid(pts, h_rel):
+    """``z1, z2, |z1|, |z2|`` of a point list; ``DomainError`` at the first
+    point whose polar stencil reaches an axis (``min(r1, r2) <= 2h``)."""
+    z1 = np.array([p[0] for p in pts], dtype=complex)
+    z2 = np.array([p[1] for p in pts], dtype=complex)
+    r1, r2, h = _polar_step(np.abs(z1), np.abs(z2), h_rel)
+    near = np.minimum(r1, r2) <= 2.0 * h
+    if near.any():
+        i = int(np.argmax(near))
+        raise DomainError(f"polar stencil of step {2.0 * h[i]:.3g} reaches an axis at {pts[i]!r}")
+    return z1, z2, r1, r2
+
+
 def find_lambda(gamma, grid, lambda_max: float = 1e4, tol: float = 1e-8,
                 h_rel: float = 1e-5) -> tuple[float, Certificate]:
     """Closed-form ``lam`` making ``e^{lam gamma}`` strictly psh on ``grid``.
 
-    ``gamma`` must depend on ``|z1|, |z2|`` only: its Levi form at steps ``h``
-    and ``2h`` is read from one :func:`polar_jet`, lifted.  ``Levi(gamma) + lam
-    dgamma dgamma*`` is positive definite above the root ``-det A / c`` of
+    ``gamma`` must depend on ``|z1|, |z2|`` only; it is called once, on the
+    grid's :func:`polar_stencil`, after the axis check, and
+    :func:`lambda_from_values` does the rest.
+    """
+    pts = list(grid)
+    R1, R2 = polar_stencil(*_polar_grid(pts, h_rel)[2:], h_rel)
+    return lambda_from_values(gamma(R1 + 0j, R2 + 0j), pts, lambda_max, tol, h_rel)
+
+
+def lambda_from_values(u, grid, lambda_max: float = 1e4, tol: float = 1e-8,
+                       h_rel: float = 1e-5) -> tuple[float, Certificate]:
+    """:func:`find_lambda` from the values ``u`` of ``gamma`` on the grid's
+    ``polar_stencil(|z1|, |z2|, h_rel)``.
+
+    The Levi form of ``gamma`` at steps ``h`` and ``2h`` is read from the
+    :func:`polar_diff` of ``u``, lifted.  ``Levi(gamma) + lam dgamma
+    dgamma*`` is positive definite above the root ``-det A / c`` of
     :func:`_rank_one_terms` when ``c > 0``, so each point's ``lam`` is
     ``max(0, -det A / c)``: ``a`` at step ``h``, ``b`` at ``2h``.  ``lam =
     max_p [max(a, b) + |a - b|]`` passes at both steps plus its Richardson
     error, and can only grow with the grid.
 
-    Preconditions, named at the first failing point in grid order: a stencil
-    clear of the axes (``min(r1, r2) > 2h``) and a finite Levi form and
-    gradient at both steps (else ``DomainError``), ``|grad gamma| >= 1e-6``
-    (else ``NotRegular``) and ``c > 0`` (else ``NotContact`` with a witness;
-    the exponential cannot repair the complex tangency of the level set).
-    ``lam > lambda_max`` raises ``Exhausted``.  The margin is the least
-    eigenvalue of ``Levi(gamma) + lam dgamma dgamma*`` at ``h`` (``-dd^C = 2
-    Levi``); ``error_estimate`` is ``|a - b|`` where ``lam`` is set.
+    Preconditions, named at the first failing point in grid order and
+    checked in this order: a stencil clear of the axes (``min(r1, r2) >
+    2h``) and a finite Levi form and gradient at both steps (else
+    ``DomainError``), ``|grad gamma| >= 1e-6`` (else ``NotRegular``) and ``c
+    > 0`` (else ``NotContact`` with a witness; the exponential cannot repair
+    the complex tangency of the level set).  ``lam > lambda_max`` raises
+    ``Exhausted``.  The margin is the least eigenvalue of ``Levi(gamma) +
+    lam dgamma dgamma*`` at ``h`` (``-dd^C = 2 Levi``); ``error_estimate``
+    is ``|a - b|`` where ``lam`` is set.
     """
     pts = list(grid)
-    z1 = np.array([p[0] for p in pts], dtype=complex)
-    z2 = np.array([p[1] for p in pts], dtype=complex)
-    r1, r2 = np.abs(z1), np.abs(z2)
-    h = h_rel * np.maximum(1.0, np.maximum(r1, r2))
-    near = np.minimum(r1, r2) <= 2.0 * h
-    if near.any():
-        i = int(np.argmax(near))
-        raise DomainError(f"polar stencil of step {2.0 * h[i]:.3g} reaches an axis at {pts[i]!r}")
-    lifted = [polar_lift(pj, r1, r2) for pj in polar_jet(gamma, r1, r2, h_rel)]
+    z1, z2, r1, r2 = _polar_grid(pts, h_rel)
+    lifted = [polar_lift(pj, r1, r2) for pj in polar_diff(u, r1, r2, h_rel)]
     (La, Ba, gnorm), (Lb, Bb, gnorm_b) = (
         (_levi_entries(H), _levi_entries(g[:, :, None] * g[:, None, :]),
          np.hypot(g[:, 0], g[:, 2])) for _, g, H in lifted)

@@ -5,7 +5,6 @@ import pkgutil
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 import concavia
@@ -205,23 +204,15 @@ def test_verify_all_carries_the_model_error_of_the_single_suites(tmp_path, capsy
             assert code == 0 and "certificates" in alone
 
 
-def test_verify_all_makes_85_dish_calls(tmp_path, capsys, monkeypatch):
-    # 31 and 28 for the polar stencils on the lambda grid and on the sweep
-    # samples, 21 for the level-consistency gamma call, none for the binding
-    # points, and one for each of five sweeps: the nesting rays, the top
-    # slice, the level-consistency points and verification_grid at densities
-    # 1 and 2
-    dish = family._Foliation.dish
-    calls = []
-
-    def counted(self, t, q1):
-        calls.append(np.size(t))
-        return dish(self, t, q1)
-
-    monkeypatch.setattr(family._Foliation, "dish", counted)
+def test_verify_all_makes_35_dish_calls(tmp_path, capsys, calls):
+    # 30 for the one gamma call's lock-step root solve on its 1,625 dish
+    # points, none for the binding points, and one for each of five sweeps:
+    # the nesting rays, the top slice, the level-consistency points and
+    # verification_grid at densities 1 and 2
+    dish = calls(family._Foliation, "dish")
     code, _ = _run(capsys, ["verify", "--suite", "all", "--outputs", str(tmp_path)])
     assert code == 0
-    assert len(calls) == 85
+    assert len(dish) == 35 and 0 not in dish
 
 
 def test_verify_all_reports_lambda(tmp_path, capsys):

@@ -13,6 +13,7 @@ from concavia import family
 from concavia._numerics import GOLD, SILVER
 from concavia.atlas import Chart, ChartPoint, default_params, in_complement_C, validate_params
 from concavia.errors import (
+    ConcaviaError,
     DomainError,
     FeasibilityError,
     FoliationError,
@@ -440,7 +441,10 @@ def _gamma_by_bisection(fol, z1, z2):
 
 @functools.lru_cache(maxsize=None)
 def _recorded_gamma_calls(which):
-    """Every ``gamma`` call of one pipeline run: ``(fol, z1, z2, out)``.
+    """The point sets of one pipeline run's one ``gamma`` call, as
+    ``(fol, z1, z2, out)``: the 81 level-consistency points, then the polar
+    stencils of the lambda grid (17 x 253), the sweep samples and the two
+    binding points (17 x 2).
 
     ``perturbed`` is the ``_PERTURBED`` set at ``eps1=0.003``,
     ``perturbed_0.004`` the same set at the default knobs.
@@ -463,12 +467,14 @@ def _recorded_gamma_calls(which):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(family._Foliation, "gamma", recording)
         ok, _ = family.run_verification(par, knobs)
-    assert ok and len(calls) == 4
-    return tuple(calls)
+    assert ok and len(calls) == 1
+    (fol, *arrays), = calls
+    ends = [81, 81 + 17 * 253, arrays[0].size - 17 * 2]
+    return tuple((fol, *parts) for parts in zip(*(np.split(a, ends) for a in arrays)))
 
 
-# level_consistency, the lambda grid's polar stencil (h and 2h in one call),
-# the sample jet and the binding circles, which never reach the dish
+# level_consistency, the lambda grid's polar stencil (h and 2h rings), the
+# sample stencil and the binding circles, which never reach the dish
 @pytest.mark.parametrize("which", ["default", "perturbed"])
 @pytest.mark.parametrize("call", range(3))
 def test_dish_roots_end_in_an_adjacent_float_bracket(which, call):
@@ -510,19 +516,12 @@ def test_gamma_outside_the_dish_bracket_is_nan_without_warnings():
     assert np.isnan(out[1:]).all() and np.isnan(none).all()
 
 
-def test_gamma_on_the_h_stencil_makes_at_most_32_dish_calls(monkeypatch):
+def test_gamma_on_the_h_stencil_makes_at_most_32_dish_calls(calls):
     # the lambda grid's polar stencil, its h and 2h rings in one call
     fol, z1, z2, _ = _recorded_gamma_calls("default")[1]
-    dish = family._Foliation.dish
-    calls = []
-
-    def counted(self, t, q1):
-        calls.append(np.size(t))
-        return dish(self, t, q1)
-
-    monkeypatch.setattr(family._Foliation, "dish", counted)
+    dish = calls(family._Foliation, "dish")
     fol.gamma(z1, z2)
-    assert len(calls) <= 32
+    assert len(dish) <= 32
 
 
 # the perturbed set's lambda-grid stencil (call 1) has a point whose secant
@@ -530,18 +529,11 @@ def test_gamma_on_the_h_stencil_makes_at_most_32_dish_calls(monkeypatch):
 # [TAU_LO, TAU_HI] took 66 dish calls per Cartesian jet; the sweep samples'
 # stencil (call 2) stays under the same bound
 @pytest.mark.parametrize("call", [1, 2])
-def test_gamma_on_the_perturbed_stencils_makes_at_most_36_dish_calls(monkeypatch, call):
+def test_gamma_on_the_perturbed_stencils_makes_at_most_36_dish_calls(calls, call):
     fol, z1, z2, out = _recorded_gamma_calls("perturbed")[call]
-    dish = family._Foliation.dish
-    calls = []
-
-    def counted(self, t, q1):
-        calls.append(np.size(t))
-        return dish(self, t, q1)
-
-    monkeypatch.setattr(family._Foliation, "dish", counted)
+    dish = calls(family._Foliation, "dish")
     again = fol.gamma(z1, z2)
-    assert len(calls) <= 36
+    assert len(dish) <= 36
     assert again.tobytes() == out.tobytes()
 
 
@@ -718,7 +710,8 @@ def _turned(z, phase):
 
 def _cartesian_sweep(samples):
     """The 4-D oracle of the sweeps: 33-point jets of ``gamma`` at ``h`` and
-    ``2h`` and the angular frames at the samples' own angles."""
+    ``2h`` and the angular frames at the samples' own angles, and the value
+    and ``x1``-derivative of ``gamma`` at the binding points."""
     model, gamma = _model(), _family16().fol.gamma
     z1, z2 = (np.array([p[i] for p in samples]) for i in (0, 1))
     u1, u2 = z1 / abs(z1), z2 / abs(z2)
@@ -730,7 +723,8 @@ def _cartesian_sweep(samples):
               np.stack([V[:, 0] * u1.real, V[:, 0] * u1.imag,
                         V[:, 2] * u2.real, V[:, 2] * u2.imag], axis=1))
     jets = tuple(jet(gamma, z1, z2, h) for h in (1e-5, 2e-5))
-    return family._SampleJet(samples, jets, frames)
+    u, g, _ = jet(gamma, [model.params.c1, model.params.c2], [0j, 0j])
+    return family._SampleJet(samples, jets, frames, (u, g[:, 0]))
 
 
 @pytest.mark.parametrize("turn", range(3))
@@ -1149,18 +1143,99 @@ def test_run_verification_is_deterministic():
         assert cert["passed"]
 
 
-def test_pipeline_evaluates_gamma_once_per_point_set(monkeypatch):
-    # one call for level_consistency, and one polar stencil each for
-    # find_lambda's grid, the 230 samples that both 3-form sweeps share, and
-    # the two binding points
-    gamma = family._Foliation.gamma
-    calls = []
-
-    def counted(self, z1, z2):
-        calls.append(np.size(z1))
-        return gamma(self, z1, z2)
-
-    monkeypatch.setattr(family._Foliation, "gamma", counted)
+def test_pipeline_evaluates_gamma_once_per_point_set(calls):
+    # one call on every point set: the 81 level-consistency points, and the
+    # polar stencils of find_lambda's grid, of the 230 samples that both
+    # 3-form sweeps share, and of the two binding points
+    gamma = calls(family._Foliation, "gamma")
     ok, _ = family.run_verification(default_params())
     assert ok
-    assert calls == [81, 17 * 253, 17 * 230, 17 * 2]
+    assert gamma == [81 + 17 * 253 + 17 * 230 + 17 * 2] == [8326]
+
+
+def _standalone(par, knobs, n_samples=240, lambda_max=1e4):
+    """The pipeline's steps as their own calls, each with its own ``gamma``
+    call(s): ``lambda``, the family and the three checks."""
+    fam = family.build_family(par, 16, knobs)
+    lam, cert_lam = family.find_collar_lambda(fam, lambda_max)
+    samples = family.sample_M1(fam.model, n_samples)
+    return lam, fam, {"find_lambda": cert_lam,
+                      "pseudoconcavity": family.pseudoconcavity_check(fam, lam, samples),
+                      "compatibility": family.compatibility_check(fam, lam, samples)}
+
+
+def _params_knobs(which):
+    if which == "default":
+        return default_params(), family.default_knobs()
+    return (validate_params(_PERTURBED),
+            dataclasses.replace(family.default_knobs(), eps1=float(which)))
+
+
+@pytest.mark.parametrize("which", _WHICH)
+def test_run_verification_matches_the_standalone_calls(which):
+    par, knobs = _params_knobs(which)
+    ok, rep = family.run_verification(par, knobs)
+    lam, fam, certs = _standalone(par, knobs)
+    assert ok and rep["lambda"] == lam
+    assert json.dumps(rep["family"]) == json.dumps(
+        {k: c.to_dict() for k, c in sorted(fam.certificates.items())})
+    assert json.dumps(rep["checks"]) == json.dumps(
+        {k: c.to_dict() for k, c in sorted(certs.items())})
+
+
+def _nan_level(monkeypatch):
+    """Level-consistency point 40 reads NaN: the family certificate fails."""
+    gamma = family._Foliation.gamma
+
+    def one_nan(self, z1, z2):
+        out = gamma(self, z1, z2)
+        out[40] = np.nan
+        return out
+
+    monkeypatch.setattr(family._Foliation, "gamma", one_nan)
+
+
+def _axis_point(monkeypatch):
+    """The lambda grid gains a point whose polar stencil crosses ``z2 = 0``."""
+    grid = family.verification_grid
+    monkeypatch.setattr(family, "verification_grid",
+                        lambda fam, density=1: grid(fam, density) + [(1.0 + 0j, 1e-6 + 0j)])
+
+
+# (eps1, lambda_max, n_samples, patches): the first error of the standalone
+# calls is the pipeline's, a failing family certificate before any of
+# find_lambda's errors, and those in find_lambda's order
+@pytest.mark.parametrize("eps1, lambda_max, n_samples, patches", [
+    (0.008, 1e4, 240, ()),                       # DomainError: not finite
+    (0.004, 5.0, 240, ()),                       # Exhausted
+    (0.004, 1e4, 240, (_axis_point,)),           # DomainError: reaches an axis
+    (0.008, 1e4, 240, (_axis_point,)),           # the axis before finiteness
+    (0.004, 5.0, 240, (_nan_level,)),            # VerificationError
+    (0.008, 1e4, 240, (_nan_level, _axis_point)),
+    (0.004, 1e4, 99, ()),                        # sample_M1's DomainError
+], ids=["not_finite", "exhausted", "axis", "axis_first", "family_first",
+        "family_before_axis", "n_samples"])
+def test_run_verification_raises_what_the_standalone_calls_raise(
+        monkeypatch, eps1, lambda_max, n_samples, patches):
+    par = default_params()
+    knobs = dataclasses.replace(family.default_knobs(), eps1=eps1)
+    for patch in patches:
+        patch(monkeypatch)
+    with pytest.raises(ConcaviaError) as want:
+        _standalone(par, knobs, n_samples, lambda_max)
+    with pytest.raises(ConcaviaError) as got:
+        family.run_verification(par, knobs, n_samples=n_samples, lambda_max=lambda_max)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    if isinstance(want.value, VerificationError):
+        assert got.value.certificate.to_dict() == want.value.certificate.to_dict()
+
+
+def test_run_verification_checks_its_arguments_before_the_family(monkeypatch):
+    # the samples are gathered for the one gamma call, so sample_M1's
+    # argument check comes before the family's certificates are read
+    _nan_level(monkeypatch)
+    with pytest.raises(VerificationError):
+        family.build_family(default_params(), 16)
+    with pytest.raises(DomainError, match="sample_M1 needs n >= 100"):
+        family.run_verification(default_params(), n_samples=99)

@@ -10,7 +10,7 @@ import pytest
 from concavia.atlas import ChartPoint, Chart, Params, canonical_rep, default_params, \
     fibration_f, map_Phi, phi, same_point
 from concavia import openbook
-from concavia._numerics import GOLD, SILVER
+from concavia._numerics import BRONZE, GOLD, SILVER, kronecker
 from concavia.errors import ConfigError, DomainError
 from concavia.openbook import (
     MPoint,
@@ -239,6 +239,15 @@ def test_conjugation_samples_cover_every_cell(monkeypatch):
                         minlength=400)
     assert cells.size == 400 and w.size == 10 ** 4
     assert 18 <= cells.min() and cells.max() <= 32
+
+
+# the sizes the commands draw: the conjugation samples, sample_M1's
+# membership and sweep samples, and the levi suite's unit vectors
+@pytest.mark.parametrize("n", [10_000, 400, 240, 48])
+def test_kronecker_keeps_the_bits_of_the_remainder(n):
+    for steps in ((GOLD, SILVER), (GOLD, SILVER, BRONZE)):
+        x = np.arange(n)[:, None] * np.asarray(steps)
+        assert kronecker(n, steps).tobytes() == (x % 1.0).tobytes()
 
 
 def test_elementwise_maps_match_scalar_calls():
