@@ -19,13 +19,14 @@ carries both into the quotient annulus chart via the multivalued factor
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChainViolation, ConfigError, DomainError
+# the parameter names live in the numpy-free config module; re-exported here
+from .config import DEFAULT_PARAM_VALUES, Params, default_params, validate_params
+from .errors import DomainError
 
 __all__ = [
     "Chart",
@@ -47,124 +48,6 @@ __all__ = [
 # Orbit shifts larger than this are treated as out of the supported range;
 # every point of the model needs |n| of at most a few to canonicalize.
 MAX_ORBIT_SHIFT = 64
-
-_RAW_FIELDS = ("rho0", "rho1", "rho2", "s", "c", "eps", "c1", "c2", "zeta1", "zeta2")
-
-#: Shipped defaults.  The removed band (zeta1, zeta2) sits strictly between
-#: the inner sphere radii (~c2) and the outer sphere radii (>= c1) so that
-#: membership sweeps of hypersurface samples in the complement are meaningful.
-DEFAULT_PARAM_VALUES: dict[str, float] = {
-    "rho0": 0.88,
-    "rho1": 0.9,
-    "rho2": 1.05,
-    "s": 1.15,
-    "c": 0.89,
-    "eps": 0.01,
-    "c1": 1.04,
-    "c2": 1.02,
-    "zeta1": 1.036,
-    "zeta2": 1.039,
-}
-
-
-# ---------------------------------------------------------------------------
-# Parameters
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Params:
-    """Validated model parameters plus the derived page radii ``a`` and ``b``.
-
-    Instances are only built through :func:`validate_params`, which checks the
-    full inequality chain.  ``a = rho2 - eps`` and ``b = 1/c + eps`` are the
-    inner/outer radii of the page annulus ``A``.
-    """
-
-    rho0: float
-    rho1: float
-    rho2: float
-    s: float
-    c: float
-    eps: float
-    c1: float
-    c2: float
-    zeta1: float
-    zeta2: float
-    a: float
-    b: float
-
-    def raw_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in _RAW_FIELDS}
-
-    def to_dict(self) -> dict:
-        out = self.raw_dict()
-        out["a"] = self.a
-        out["b"] = self.b
-        out["validated"] = True
-        return out
-
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("sort_keys", True)
-        return json.dumps(self.to_dict(), **kwargs)
-
-
-def validate_params(values: dict) -> Params:
-    """Check the ordered inequality chain and return a frozen Params.
-
-    Raises ``ConfigError`` on missing/non-finite fields and ``ChainViolation``
-    naming the first violated inequality otherwise.
-    """
-    missing = [name for name in _RAW_FIELDS if name not in values]
-    if missing:
-        raise ConfigError(f"missing parameter fields: {', '.join(missing)}")
-    vals = {}
-    for name in _RAW_FIELDS:
-        try:
-            v = float(values[name])
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"parameter {name} must be a number, got {values[name]!r}") from err
-        if not math.isfinite(v) or v <= 0.0:
-            raise ConfigError(f"parameter {name} must be finite and positive, got {v!r}")
-        vals[name] = v
-
-    rho0, rho1, rho2 = vals["rho0"], vals["rho1"], vals["rho2"]
-    s, c, eps = vals["s"], vals["c"], vals["eps"]
-    c1, c2 = vals["c1"], vals["c2"]
-    zeta1, zeta2 = vals["zeta1"], vals["zeta2"]
-
-    a = rho2 - eps
-    b = 1.0 / c + eps
-
-    # The chain is checked in order; the first failure wins.
-    chain = [
-        ("1 < rho2", 1.0 < rho2),
-        ("rho2 < 1/rho1", rho2 < 1.0 / rho1),
-        ("rho1/rho2 < rho0", rho1 / rho2 < rho0),
-        ("rho0 < rho1", rho0 < rho1),
-        ("1/rho0 < s", 1.0 / rho0 < s),
-        ("s < rho2/rho1", s < rho2 / rho1),
-        ("rho0 < c", rho0 < c),
-        ("c < rho1", c < rho1),
-        ("eps < (rho0 - rho1/rho2)/2", eps < 0.5 * (rho0 - rho1 / rho2)),
-        ("rho1*b < a", rho1 * b < a),
-        ("b < a/rho1", b < a / rho1),
-        ("1 < c2", 1.0 < c2),
-        ("c2 < s*rho1", c2 < s * rho1),
-        ("s*rho1 < c1", s * rho1 < c1),
-        ("c1 < rho2", c1 < rho2),
-        ("s*rho1 < zeta1", s * rho1 < zeta1),
-        ("zeta1 < zeta2", zeta1 < zeta2),
-        ("zeta2 < rho2", zeta2 < rho2),
-    ]
-    for name, ok in chain:
-        if not ok:
-            raise ChainViolation(name)
-
-    return Params(a=a, b=b, **vals)
-
-
-def default_params() -> Params:
-    return validate_params(DEFAULT_PARAM_VALUES)
 
 
 # ---------------------------------------------------------------------------

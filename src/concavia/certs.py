@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
 __all__ = ["Certificate"]
 
 
@@ -79,6 +77,8 @@ class Certificate:
         margin.  Combine several error terms per sample with ``np.maximum``,
         which keeps NaN.
         """
+        import numpy as np  # here, so that importing the package loads no numpy
+
         e = np.asarray(errors, dtype=float).ravel()  # k is a flat index
         e = np.where(np.isfinite(e), e, np.inf)
         if not np.any(e > 0):

@@ -1,4 +1,4 @@
-"""Command-line entry point: config ingestion, suite orchestration, exports.
+"""Command-line entry point: argument parsing, config ingestion, ``params``.
 
 Subcommands::
 
@@ -13,6 +13,11 @@ checks pass, 1 verification failure, 2 config/parse failure.  Reports are
 pretty-printed JSON written under the outputs directory; repeated runs with
 the same config and seed produce byte-identical files.
 
+This module and :mod:`concavia.config` import no numpy: ``params``,
+``--help`` and every rejected config (exit 2) end before the computing
+commands of :mod:`concavia.commands`, and with them numpy and the model
+modules, are imported.
+
 CSV headers (fixed):
 
     m1          piece,chart,re_z1,im_z1,re_z2,im_z2
@@ -26,62 +31,29 @@ CSV headers (fixed):
 from __future__ import annotations
 
 import argparse
-import cmath
 import dataclasses
-import inspect
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
+from .config import _RAW_FIELDS, RUN_DEFAULTS, Knobs, Params, default_params, validate_params
+from .errors import ConcaviaError, ConfigError
 
-from . import family
-from ._numerics import GOLD
-from .atlas import (
-    _RAW_FIELDS,
-    default_params,
-    map_Phi,
-    phi,
-    same_point,
-    validate_params,
-)
-from .certs import Certificate
-from .errors import (
-    ChainViolation,
-    ConcaviaError,
-    ConfigError,
-)
-from .levi import (
-    ScalarField,
-    exp_jet,
-    hartogs_boundary_test,
-    is_strictly_psh,
-    levi_min_eig,
-    polar_jet,
-    polar_lift,
-    quadratic_identity_check,
-)
-from .openbook import TwistSpec, check_disjointness, conjugation_check, corner_tori, welldef_check
-from .profiles import second_derivative_identity_check
-
-# the family knobs, run_verification's keyword defaults, and the CLI-only
+# the family knobs, then run_verification's keyword defaults and the CLI-only
 # export density
 _KNOB_DEFAULTS: dict = {
-    **{f.name: f.default for f in dataclasses.fields(family.Knobs)},
-    **{p.name: p.default
-       for p in inspect.signature(family.run_verification).parameters.values()
-       if p.kind is p.KEYWORD_ONLY},
-    "density": 1,
+    **{f.name: f.default for f in dataclasses.fields(Knobs)},
+    **RUN_DEFAULTS,
 }
 
 # knobs that count or size something; every other knob is a finite real
 _INT_KNOBS = ("n_tau", "n_samples", "knots", "density")
 
+# the --suite and --what choices: the keys of concavia.commands' suite and
+# export tables, named here so that parsing imports no numeric code
 SUITES = ("atlas", "openbook", "profiles", "levi", "family")
-# the suites that read the sphere model
-_MODEL_SUITES = {"profiles", "family"}
+EXPORTS = ("m1", "pages", "binding", "corners", "family", "levi_field")
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +129,9 @@ class RunConfig:
         if kn["density"] < 1:
             raise ConfigError(f"knob density must be >= 1, got {kn['density']}")
 
-    def family_knobs(self) -> family.Knobs:
-        fields = (f.name for f in dataclasses.fields(family.Knobs))
-        return family.Knobs(**{name: self.knobs[name] for name in fields})
+    def family_knobs(self) -> Knobs:
+        fields = (f.name for f in dataclasses.fields(Knobs))
+        return Knobs(**{name: self.knobs[name] for name in fields})
 
 
 def _is_int(value) -> bool:
@@ -202,307 +174,11 @@ def _parse_overrides(tokens: list[str]) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Suites
-# ---------------------------------------------------------------------------
-
-def _suite_atlas(par) -> dict[str, Certificate]:
-    """The atlas certificates.  ``params_chain`` holds by construction: the
-    chain that :func:`validate_params` enforces includes its two inequalities."""
-    certs = {}
-    m1, m2 = par.a - par.rho1 * par.b, par.a / par.rho1 - par.b
-    certs["params_chain"] = Certificate(
-        name="params_chain", grid="2 inequalities",
-        margin=min(m1, m2), passed=min(m1, m2) > 0,
-        details={"rho1_b": par.rho1 * par.b, "a": par.a,
-                 "a_over_rho1": par.a / par.rho1, "b": par.b})
-
-    w = np.outer(np.linspace(0.2, 0.95, 12),
-                 np.exp(1j * np.linspace(-math.pi, math.pi, 11)[:-1])).ravel()
-    base = phi(w, 0)
-    errs = []
-    for k in (-3, -2, -1, 1, 2, 3):
-        val = phi(w, k)
-        errs.append(abs(val - w ** k * base) / abs(val))
-    _, worst = Certificate.sup_error(errs)
-    certs["phi_branch_law"] = Certificate(
-        name="phi_branch_law", grid=f"{w.size} points x |k|<=3",
-        margin=1e-9 - worst, passed=worst < 1e-9,
-        details={"max_rel_err": worst})
-
-    # an 8 x 8 grid of radii (r1 outer, r2 inner) at golden-ratio angles, 1e-3
-    # inside each radial interval, or a quarter of it where it is narrower
-    def inside(lo, hi):
-        d = min(1e-3, (hi - lo) / 4)
-        return np.linspace(lo + d, hi - d, 8)
-    r1, r2 = np.meshgrid(inside(1.0, par.s), inside(1 / par.rho1, 1 / par.rho0), indexing="ij")
-    j = np.arange(r1.size)
-    z1 = r1.ravel() * np.exp(1j * (2 * math.pi * ((j * GOLD) % 1.0)))
-    z2 = r2.ravel() * np.exp(1j * (2 * math.pi * ((j * GOLD * GOLD) % 1.0)))
-    ref = map_Phi(par, z1, z2, 0)
-    branches = (-2, -1, 1, 2)
-    n = len(branches) * z1.size
-    bad = sum(int(np.count_nonzero(~same_point(par, ref, map_Phi(par, z1, z2, k))))
-              for k in branches)
-    certs["Phi_branch_independence"] = Certificate(
-        name="Phi_branch_independence", grid=f"{n} transitions",
-        margin=1.0 if bad == 0 else -float(bad), passed=bad == 0,
-        details={"disagreements": bad})
-    return certs
-
-
-def _suite_openbook(par) -> dict[str, Certificate]:
-    spec = TwistSpec.from_params(par)
-    return {
-        "disjointness": check_disjointness(par),
-        "conjugation": conjugation_check(spec),
-        "welldef": welldef_check(par),
-    }
-
-
-def _suite_profiles(model: family.SphereModel) -> dict[str, Certificate]:
-    certs = {k: model.certificates[k]
-             for k in ("wall1_shape", "wall2_shape", "seam_C1", "seam_contact")}
-    for name, prof in (("identity_f1", model.f1), ("identity_f2", model.f2),
-                       ("identity_seam", model.h)):
-        certs[name] = second_derivative_identity_check(prof, prof.grid(200))
-    return certs
-
-
-def _shell_points(n: int) -> list[tuple[complex, complex]]:
-    j = np.arange(n)
-    r1, r2 = 0.7 + 0.5 * ((j * GOLD) % 1.0), 0.7 + 0.5 * ((j * GOLD * GOLD) % 1.0)
-    th1, th2 = (2 * math.pi * ((j * c) % 1.0) for c in (0.414213562373095, 0.317837245195782))
-    return list(zip((r1 * np.exp(1j * th1)).tolist(), (r2 * np.exp(1j * th2)).tolist()))
-
-
-def _suite_levi(par) -> dict[str, Certificate]:
-    sq = ScalarField(lambda z1, z2: abs(z1) ** 2 + abs(z2) ** 2, name="sq_norm")
-    pts = _shell_points(48)
-    certs = {
-        "psh_reference": is_strictly_psh(sq, pts),
-        "quadratic_identity": quadratic_identity_check(sq, pts),
-    }
-    planar = [0.9 * ((k + 1) / 26) * cmath.exp(2j * math.pi * k * GOLD)
-              for k in range(25)]
-    certs["hartogs_reference"] = hartogs_boundary_test(lambda z: abs(z) ** 2, planar)
-    return certs
-
-
-def _error(err: ConcaviaError) -> dict:
-    return {"error": {"type": type(err).__name__, "message": str(err)}}
-
-
-def _run_suite(name: str, cfg: RunConfig, par, model) -> tuple[bool, dict]:
-    """One suite's verdict and report section.  ``model`` is the run's
-    sphere model, or the error its build raised, for the suites in
-    ``_MODEL_SUITES``."""
-    if name in _MODEL_SUITES and isinstance(model, ConcaviaError):
-        return False, _error(model)
-    try:
-        if name == "family":
-            kn = cfg.knobs
-            return family.run_verification(
-                par, cfg.family_knobs(), model, n_tau=kn["n_tau"],
-                n_samples=kn["n_samples"], lambda_max=kn["lambda_max"])
-        if name == "profiles":
-            certs = _suite_profiles(model)
-        else:
-            fn = {"atlas": _suite_atlas, "openbook": _suite_openbook,
-                  "levi": _suite_levi}[name]
-            certs = fn(par)
-        ok = all(c.passed for c in certs.values())
-        return ok, {"certificates": {k: c.to_dict() for k, c in sorted(certs.items())}}
-    except ConcaviaError as err:
-        return False, _error(err)
-
-
-# ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_params(cfg: RunConfig) -> int:
-    try:
-        par = validate_params(cfg.params)
-    except ChainViolation as err:
-        print(json.dumps({"error": "ChainViolation", "message": str(err)},
-                         indent=2, sort_keys=True))
-        return 2
+def cmd_params(par: Params) -> int:
     print(par.to_json(indent=2))
-    return 0
-
-
-def cmd_verify(cfg: RunConfig, suite: str) -> int:
-    try:
-        par = validate_params(cfg.params)
-    except ChainViolation as err:
-        print(json.dumps({"error": "ChainViolation", "message": str(err)},
-                         indent=2, sort_keys=True))
-        return 2
-    names = list(SUITES) if suite == "all" else [suite]
-    # one model for every suite that reads it
-    model = None
-    if _MODEL_SUITES & set(names):
-        try:
-            model = family.build_M1(par, cfg.family_knobs())
-        except ConcaviaError as err:
-            model = err
-    results = {n: _run_suite(n, cfg, par, model) for n in names}
-    ok = all(r[0] for r in results.values())
-    report = {
-        "suite": suite,
-        "seed": cfg.seed,
-        "params": par.to_dict(),
-        "knobs": dict(sorted(cfg.knobs.items())),
-        "passed": ok,
-        "suites": {n: results[n][1] for n in names},
-    }
-    text = json.dumps(report, indent=2, sort_keys=True)
-    os.makedirs(cfg.outputs, exist_ok=True)
-    path = os.path.join(cfg.outputs, f"report_{suite}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
-    print(text)
-    return 0 if ok else 1
-
-
-# ---------------------------------------------------------------------------
-# Exports
-# ---------------------------------------------------------------------------
-
-def _write_csv(path: str, header: str, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
-
-
-def _phase(cfg: RunConfig) -> float:
-    return 2 * math.pi * ((cfg.seed * GOLD) % 1.0)
-
-
-def _export_m1(cfg: RunConfig, par, outdir: str) -> list[str]:
-    model = family.build_M1(par, cfg.family_knobs())
-    samples = family.sample_M1(model, cfg.knobs["n_samples"])
-    rows = [(tag, pt.chart.name, pt.z1.real, pt.z1.imag, pt.z2.real, pt.z2.imag)
-            for pt, tag in samples]
-    path = os.path.join(outdir, "m1.csv")
-    _write_csv(path, "piece,chart,re_z1,im_z1,re_z2,im_z2", rows)
-    return [path]
-
-
-def _export_pages(cfg: RunConfig, par, outdir: str) -> list[str]:
-    model = family.build_M1(par, cfg.family_knobs())
-    ph = _phase(cfg)
-    rows = []
-    for page in range(8):
-        th2 = 2 * math.pi * page / 8 + ph
-        for tag, prof in (("H1", model.f1), ("H2", model.f2)):
-            for x in np.linspace(prof.x_lo, prof.x_hi, 40):
-                r2 = math.exp(float(x))
-                r1 = math.exp(float(prof.L(float(x))))
-                for j in range(8):
-                    th1 = 2 * math.pi * j / 8
-                    z1 = r1 * cmath.exp(1j * th1)
-                    z2 = r2 * cmath.exp(1j * th2)
-                    rows.append((page, tag, z1.real, z1.imag, z2.real, z2.imag))
-        x1, x2 = model.window
-        for x in np.linspace(x1, x2, 40):
-            r1 = math.exp(float(x))
-            r2 = math.exp(-float(model.htilde.f(float(x))))
-            for j in range(8):
-                th1 = 2 * math.pi * j / 8
-                z1 = r1 * cmath.exp(1j * th1)
-                z2 = r2 * cmath.exp(1j * th2)
-                rows.append((page, "S", z1.real, z1.imag, z2.real, z2.imag))
-    path = os.path.join(outdir, "pages.csv")
-    _write_csv(path, "page,piece,re_z1,im_z1,re_z2,im_z2", rows)
-    return [path]
-
-
-def _export_binding(cfg: RunConfig, par, outdir: str) -> list[str]:
-    ph = _phase(cfg)
-    rows = []
-    for name, r in (("c1", par.c1), ("c2", par.c2)):
-        for j in range(64):
-            th = 2 * math.pi * j / 64 + ph
-            z1 = r * cmath.exp(1j * th)
-            rows.append((name, th, z1.real, z1.imag, 0.0, 0.0))
-    path = os.path.join(outdir, "binding.csv")
-    _write_csv(path, "circle,theta1,re_z1,im_z1,re_z2,im_z2", rows)
-    return [path]
-
-
-def _export_corners(cfg: RunConfig, par, outdir: str) -> list[str]:
-    rows = []
-    for name, pts in sorted(corner_tori(par, n=16).items()):
-        for pt in pts:
-            rows.append((name, pt.chart.name, pt.z1.real, pt.z1.imag,
-                         pt.z2.real, pt.z2.imag))
-    path = os.path.join(outdir, "corners.csv")
-    _write_csv(path, "name,chart,re_z1,im_z1,re_z2,im_z2", rows)
-    return [path]
-
-
-def _export_family(cfg: RunConfig, par, outdir: str) -> list[str]:
-    kn = cfg.knobs
-    fam = family.build_family(par, kn["n_tau"], cfg.family_knobs())
-    fol = fam.fol
-    paths = []
-    for i, tau in enumerate(fam.taus):
-        yc = float(fol.y_cut(tau))
-        rows = []
-        for q2 in np.linspace(-4.0, yc - 1e-9, 200):
-            rows.append(("H1", float(q2), float(fol.wall1(tau, math.exp(float(q2)))),
-                         math.exp(float(q2))))
-        for q2 in np.linspace(-4.0, yc - 1e-9, 200):
-            rows.append(("H2", float(q2), float(fol.wall2(tau, float(q2))),
-                         math.exp(float(q2))))
-        xl, xr = float(fol.Xl(tau)), float(fol.Xr(tau))
-        for q1 in np.linspace(xl, xr, 100):
-            rows.append(("S", float(q1), math.exp(float(q1)),
-                         math.exp(float(fol.dish(tau, float(q1))))))
-        path = os.path.join(outdir, f"family_tau_{i + 1:02d}.csv")
-        _write_csv(path, "piece,abscissa,r1,r2", rows)
-        paths.append(path)
-    return paths
-
-
-def _export_levi_field(cfg: RunConfig, par, outdir: str) -> list[str]:
-    kn = cfg.knobs
-    fam = family.build_family(par, kn["n_tau"], cfg.family_knobs())
-    lam, _ = family.find_collar_lambda(fam, kn["lambda_max"])
-    pts = family.verification_grid(fam, kn["density"])   # on the real slice
-    r1, r2 = (np.array([p[i].real for p in pts]) for i in (0, 1))
-    # Levi form of u = exp(lam (gamma - 1)), composed from gamma's radial jet
-    eigs = levi_min_eig(exp_jet(polar_lift(polar_jet(fam.fol.gamma, r1, r2)[0], r1, r2),
-                                lam, 1.0)[2])
-    rows = [(a, 0.0, b, 0.0, e) for a, b, e in zip(r1.tolist(), r2.tolist(), eigs.tolist())]
-    path = os.path.join(outdir, "levi_field.csv")
-    _write_csv(path, "re_z1,im_z1,re_z2,im_z2,min_eig", rows)
-    return [path]
-
-
-_EXPORTS = {
-    "m1": _export_m1,
-    "pages": _export_pages,
-    "binding": _export_binding,
-    "corners": _export_corners,
-    "family": _export_family,
-    "levi_field": _export_levi_field,
-}
-
-
-def cmd_export(cfg: RunConfig, what: str) -> int:
-    try:
-        par = validate_params(cfg.params)
-    except ChainViolation as err:
-        print(json.dumps({"error": "ChainViolation", "message": str(err)},
-                         indent=2, sort_keys=True))
-        return 2
-    os.makedirs(cfg.outputs, exist_ok=True)
-    paths = _EXPORTS[what](cfg, par, cfg.outputs)
-    print(json.dumps({"written": paths}, indent=2))
     return 0
 
 
@@ -519,18 +195,21 @@ def main(argv=None) -> int:
     p_verify = sub.add_parser("verify", help="run certificate suites")
     p_verify.add_argument("--suite", choices=SUITES + ("all",), default="all")
     p_export = sub.add_parser("export", help="write CSV point clouds")
-    p_export.add_argument("--what", choices=sorted(_EXPORTS), required=True)
+    p_export.add_argument("--what", choices=sorted(EXPORTS), required=True)
     for p in (p_params, p_verify, p_export):
         p.add_argument("--config", default=None, help="JSON config path")
 
     args, unknown = parser.parse_known_args(argv)
     try:
         cfg = RunConfig.load(args.config, _parse_overrides(unknown))
+        par = validate_params(cfg.params)   # a ChainViolation is a ConfigError
         if args.command == "params":
-            return cmd_params(cfg)
+            return cmd_params(par)
+        # only a valid config that computes loads numpy and the model modules
+        from . import commands
         if args.command == "verify":
-            return cmd_verify(cfg, args.suite)
-        return cmd_export(cfg, args.what)
+            return commands.cmd_verify(cfg, par, args.suite)
+        return commands.cmd_export(cfg, par, args.what)
     except ConfigError as err:
         print(json.dumps({"error": type(err).__name__, "message": str(err)},
                          indent=2, sort_keys=True))

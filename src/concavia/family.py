@@ -37,6 +37,8 @@ import numpy as np
 from ._numerics import GOLD, SILVER, kronecker
 from .atlas import ChartPoint, Params
 from .certs import Certificate
+# the knob names live in the numpy-free config module; re-exported here
+from .config import RUN_DEFAULTS, Knobs, default_knobs
 from .convexjoin import EndpointData, JoinProblem, SplineC2, feasible, solve
 from .errors import (
     BranchError,
@@ -81,35 +83,6 @@ SEAM_TOL = 1e-9
 NESTING_FLOOR = 1e-6
 #: log-radius margin kept between check grids and the two seam corners
 CORNER_MARGIN = 1e-3
-
-
-# ---------------------------------------------------------------------------
-# Build configuration
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Knobs:
-    """Shape parameters of the construction that are free within the chain.
-
-    ``eps1``/``eps2`` are the quadratic coefficients of the two wall germs,
-    ``x_switch``/``x_lo`` delimit the steep extension of the right wall,
-    ``knots`` sizes every spline, ``depth_frac`` requests the dome depth as a
-    fraction of the radial budget ``log(rho1/rho0)``, and ``branch_margin``
-    is the slope clearance below -1 required of the pushed-forward right
-    wall.
-    """
-
-    eps1: float = 0.004
-    eps2: float = 0.005
-    x_switch: float = -0.3
-    x_lo: float = -8.0
-    knots: int = 16
-    depth_frac: float = 0.30
-    branch_margin: float = 1e-3
-
-
-def default_knobs() -> Knobs:
-    return Knobs()
 
 
 # ---------------------------------------------------------------------------
@@ -939,8 +912,9 @@ def _unit_rows(V: np.ndarray) -> np.ndarray:
 
 def _piece_abscissa(samples) -> tuple[np.ndarray, ...]:
     """Piece tags, ``|z1|``, ``|z2|`` and profile abscissas of normalized
-    samples.  The abscissa is ``log|z2|`` on the walls and ``log|z1|`` on the
-    seam.  Moduli and logs come from Python's ``abs`` and ``math.log``, which
+    samples, read once per sample set by the frames, the curvature signs and
+    the stencil.  The abscissa is ``log|z2|`` on the walls and ``log|z1|`` on
+    the seam.  Moduli and logs come from Python's ``abs`` and ``math.log``, which
     numpy's complex ``abs`` and ``np.log`` differ from in the last bit."""
     tags = np.array([tag for _, _, tag in samples], dtype=str)
     for tag in set(tags.tolist()) - {"H1", "H2", "S"}:
@@ -951,13 +925,14 @@ def _piece_abscissa(samples) -> tuple[np.ndarray, ...]:
     return tags, np.array(r1), np.array(r2), np.array(x)
 
 
-def _sample_frames(model: SphereModel, samples):
+def _sample_frames(model: SphereModel, pieces):
     """Angular frames ``e1``, ``e2`` and profile tangents ``V`` as ``[N, 4]``
-    arrays at the real slice of each normalized sample's orbit, where the
+    arrays at the real slice of the orbits of the samples whose
+    :func:`_piece_abscissa` is ``pieces``, where the
     angular directions are the constant ``dy1`` and ``dy2``.  ``V`` is the
     unit tangent of the profile curve, oriented along the page from the left
     binding circle toward the right one."""
-    tags, r1, r2, x = _piece_abscissa(samples)
+    tags, r1, r2, x = pieces
     zero = np.zeros(x.shape)
     e1, e2 = (np.repeat(np.eye(4)[[k]], x.size, axis=0) for k in (1, 3))
     # log-radius direction (dq1, dq2) of the profile, per piece
@@ -971,12 +946,13 @@ def _sample_frames(model: SphereModel, samples):
     return e1, e2, V
 
 
-def _oriented_curvature(model: SphereModel, samples) -> np.ndarray:
-    """Transverse log-curvature of each sample's local profile, signed so
+def _oriented_curvature(model: SphereModel, pieces) -> np.ndarray:
+    """Transverse log-curvature of each sample's local profile, from the
+    samples' :func:`_piece_abscissa` ``pieces``, signed so
     that the value is positive exactly when the piece classifies as negative
     contact in the fixed co-orientation (left wall: +L'', right wall: -L'',
     seam: +htilde'')."""
-    tags, _, _, x = _piece_abscissa(samples)
+    tags, _, _, x = pieces
     out = np.empty(x.shape)
     h1, h2, cap = tags == "H1", tags == "H2", tags == "S"
     out[h1] = model.f1.d2L(x[h1])
@@ -1003,15 +979,17 @@ def _normalize_grid(model: SphereModel, grid) -> list[tuple[complex, complex, st
 
 @dataclass(frozen=True)
 class _SampleJet:
-    """Normalized samples with ``gamma``'s jets at steps ``h`` and ``2h`` and
-    the frames (:func:`_sample_frames`) there, and ``gamma``'s radial jet at
-    step ``h`` at the two binding points ``(c_j, 0)``: the ``lam``-free part
-    of the 3-form sweeps.  :func:`_sample_jet_from` builds it from ``gamma``'s
-    values on :func:`_sample_stencil`.  The sweeps compose ``u = exp(lam *
-    (gamma - 1))`` exactly from the jets, so ``alpha ^ d alpha = (lam u)^2
-    beta ^ d beta``, ``beta = -d^C gamma``, keeps its sign at every ``lam``."""
+    """Normalized samples and their :func:`_piece_abscissa`, with ``gamma``'s
+    jets at steps ``h`` and ``2h`` and the frames (:func:`_sample_frames`)
+    there, and ``gamma``'s radial jet at step ``h`` at the two binding points
+    ``(c_j, 0)``: the ``lam``-free part of the 3-form sweeps.
+    :func:`_sample_jet_from` builds it from ``gamma``'s values on
+    :func:`_sample_stencil`.  The sweeps compose ``u = exp(lam * (gamma -
+    1))`` exactly from the jets, so ``alpha ^ d alpha = (lam u)^2 beta ^ d
+    beta``, ``beta = -d^C gamma``, keeps its sign at every ``lam``."""
 
     samples: list
+    pieces: tuple
     jets: tuple
     frames: tuple
     binding: tuple
@@ -1022,21 +1000,24 @@ def _binding_radii(fam: FamilySpec) -> tuple[np.ndarray, np.ndarray]:
     return np.array([fam.model.params.c1, fam.model.params.c2]), np.zeros(2)
 
 
-def _sample_stencil(fam: FamilySpec, samples) -> tuple[np.ndarray, np.ndarray]:
+def _sample_stencil(fam: FamilySpec, pieces) -> tuple[np.ndarray, np.ndarray]:
     """The radii at which a :class:`_SampleJet` reads ``gamma``: the polar
-    stencil of the normalized samples, then that of the binding points."""
-    _, r1, r2, _ = _piece_abscissa(samples)
+    stencil of the normalized samples with :func:`_piece_abscissa`
+    ``pieces``, then that of the binding points."""
+    _, r1, r2, _ = pieces
     return tuple(np.concatenate(rr) for rr in zip(polar_stencil(r1, r2),
                                                   polar_stencil(*_binding_radii(fam))))
 
 
-def _sample_jet_from(fam: FamilySpec, samples, u) -> _SampleJet:
-    """The :class:`_SampleJet` of normalized samples from ``gamma``'s values
-    ``u`` on their :func:`_sample_stencil`."""
-    _, r1, r2, _ = _piece_abscissa(samples)
+def _sample_jet_from(fam: FamilySpec, samples, pieces, u) -> _SampleJet:
+    """The :class:`_SampleJet` of normalized samples with
+    :func:`_piece_abscissa` ``pieces`` from ``gamma``'s values ``u`` on their
+    :func:`_sample_stencil`."""
+    _, r1, r2, _ = pieces
     u_s, u_b = np.split(np.asarray(u), [17 * r1.size])
-    return _SampleJet(samples, tuple(polar_lift(pj, r1, r2) for pj in polar_diff(u_s, r1, r2)),
-                      _sample_frames(fam.model, samples),
+    return _SampleJet(samples, pieces,
+                      tuple(polar_lift(pj, r1, r2) for pj in polar_diff(u_s, r1, r2)),
+                      _sample_frames(fam.model, pieces),
                       polar_diff(u_b, *_binding_radii(fam))[0])
 
 
@@ -1046,8 +1027,9 @@ def _sample_jet(fam: FamilySpec, grid) -> _SampleJet:
     if isinstance(grid, _SampleJet):
         return grid
     samples = _normalize_grid(fam.model, grid)
-    R1, R2 = _sample_stencil(fam, samples)
-    return _sample_jet_from(fam, samples, fam.fol.gamma(R1 + 0j, R2 + 0j))
+    pieces = _piece_abscissa(samples)
+    R1, R2 = _sample_stencil(fam, pieces)
+    return _sample_jet_from(fam, samples, pieces, fam.fol.gamma(R1 + 0j, R2 + 0j))
 
 
 def _contact_volumes(fam: FamilySpec, lam: float, grid) -> np.ndarray:
@@ -1082,8 +1064,8 @@ def pseudoconcavity_check(fam: FamilySpec, lam: float, grid) -> Certificate:
     sweep = _sample_jet(fam, grid)
     samples = sweep.samples
     vals, vals_2h = _contact_volumes(fam, lam, sweep)
-    tags = np.array([tag for _, _, tag in samples])
-    kappa = _oriented_curvature(model, samples)
+    tags = sweep.pieces[0]
+    kappa = _oriented_curvature(model, sweep.pieces)
     agree = int(np.sum((kappa > 0) & (vals < 0)))
     per_piece = {t: vals[tags == t] for t in ("H1", "H2", "S")}
     i = int(np.argmax(vals))
@@ -1140,7 +1122,7 @@ def compatibility_check(fam: FamilySpec, lam: float, grid) -> Certificate:
                  "value_c1": b1, "value_c2": b2})
 
     # (ii) pages and (iii) span, on off-binding samples
-    tags = np.array([tag for _, _, tag in samples])
+    tags = sweep.pieces[0]
     (_, g, H), (_, _, H_2h) = (exp_jet(jet_f, lam, 1.0) for jet_f in sweep.jets)
     e1, e2, V = sweep.frames
     # Page-plane orientation: the traversal vector V runs from the left
@@ -1183,8 +1165,9 @@ def compatibility_check(fam: FamilySpec, lam: float, grid) -> Certificate:
 
 def run_verification(params: Params, knobs: Knobs | None = None,
                      model: SphereModel | None = None, *,
-                     n_tau: int = 16, n_samples: int = 240,
-                     lambda_max: float = 1e4) -> tuple[bool, dict]:
+                     n_tau: int = RUN_DEFAULTS["n_tau"],
+                     n_samples: int = RUN_DEFAULTS["n_samples"],
+                     lambda_max: float = RUN_DEFAULTS["lambda_max"]) -> tuple[bool, dict]:
     """Run the full pipeline and assemble a deterministic report.
 
     Returns ``(all_passed, report)`` where the report carries the params,
@@ -1211,13 +1194,14 @@ def run_verification(params: Params, knobs: Knobs | None = None,
     t, z1, z2 = _family_levels(fam)
     grid = _lambda_grid(fam)
     samples = _normalize_grid(model, sample_M1(model, n_samples))
+    pieces = _piece_abscissa(samples)
     Z1, Z2 = zip((z1, z2), polar_stencil(*(np.abs([p[i] for p in grid]) for i in (0, 1))),
-                 _sample_stencil(fam, samples))
+                 _sample_stencil(fam, pieces))
     u = fam.fol.gamma(np.concatenate(Z1), np.concatenate(Z2))
     u_level, u_lam, u_samples = np.split(u, np.cumsum([z.size for z in Z1])[:-1])
     _certify_levels(fam, t, u_level)
     lam, cert_lam = lambda_from_values(u_lam, grid, lambda_max=lambda_max)
-    sweep = _sample_jet_from(fam, samples, u_samples)
+    sweep = _sample_jet_from(fam, samples, pieces, u_samples)
     cert_pc = pseudoconcavity_check(fam, lam, sweep)
     cert_cp = compatibility_check(fam, lam, sweep)
 

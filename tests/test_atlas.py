@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, reject
 from hypothesis import strategies as st
 
-from concavia import cli
+from concavia import commands
 from concavia.atlas import (
     Chart,
     ChartPoint,
@@ -214,20 +214,20 @@ def test_the_chain_certificates_are_the_page_inequalities(f):
     # margins are the two page inequalities validate_params enforces
     want = min(par.a - par.rho1 * par.b, par.a / par.rho1 - par.b)
     assert want > 0
-    assert cli._suite_atlas(par)["params_chain"].margin == want
+    assert commands._suite_atlas(par)["params_chain"].margin == want
     assert check_disjointness(par).margin == want
 
 
 def test_phi_branch_law_calls_phi_once_per_branch(monkeypatch):
-    from concavia import cli
+    from concavia import commands
     calls = []
 
     def counted(w, k=0):
         calls.append((np.shape(w), k))
         return phi(w, k)
 
-    monkeypatch.setattr(cli, "phi", counted)
-    certs = cli._suite_atlas(default_params())
+    monkeypatch.setattr(commands, "phi", counted)
+    certs = commands._suite_atlas(default_params())
     assert certs["phi_branch_law"].passed
     assert calls == [((120,), k) for k in (0, -3, -2, -1, 1, 2, 3)]
 
@@ -325,7 +325,7 @@ def test_map_Phi_names_the_bad_sample(P):
 
 
 def test_branch_independence_calls_each_map_once_per_branch(monkeypatch):
-    from concavia import cli
+    from concavia import commands
     counts = {"map_Phi": [], "same_point": []}
 
     def counted(name, fn):
@@ -335,8 +335,8 @@ def test_branch_independence_calls_each_map_once_per_branch(monkeypatch):
         return wrapper
 
     for name in counts:
-        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
-    cert = cli._suite_atlas(default_params())["Phi_branch_independence"]
+        monkeypatch.setattr(commands, name, counted(name, getattr(commands, name)))
+    cert = commands._suite_atlas(default_params())["Phi_branch_independence"]
     assert cert.passed and cert.grid == "256 transitions"
     assert cert.details == {"disagreements": 0}
     assert counts == {"map_Phi": [(64,)] * 5, "same_point": [(64,)] * 4}

@@ -1,6 +1,8 @@
 import importlib
+import inspect
 import json
 import math
+import os
 import pkgutil
 import subprocess
 import sys
@@ -8,9 +10,10 @@ import sys
 import pytest
 
 import concavia
-from concavia import cli, family
+from concavia import cli, commands, family
 from concavia.atlas import phi
 from concavia.cli import main
+from concavia.config import RUN_DEFAULTS
 
 
 def _run(capsys, argv):
@@ -125,7 +128,7 @@ def test_phi_branch_law_fails_on_a_nan_error(tmp_path, capsys, monkeypatch):
             val[8] = complex("nan")
         return val
 
-    monkeypatch.setattr(cli, "phi", nan_once)
+    monkeypatch.setattr(commands, "phi", nan_once)
     code, _ = _run(capsys, ["verify", "--suite", "atlas", "--outputs", str(tmp_path)])
     assert code == 1
     rep = json.loads((tmp_path / "report_atlas.json").read_text())
@@ -335,6 +338,89 @@ def test_cli_loads_neither_scipy_nor_numpy_random(tmp_path):
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, (argv, proc.stderr)
         assert proc.stderr.strip() == "[]"
+
+
+# numpy and every module that imports it; the last stderr line lists the
+# loaded ones
+_NUMERIC = ("numpy", *(f"concavia.{m}" for m in (
+    "_numerics", "atlas", "convexjoin", "profiles", "levi", "family", "openbook", "commands")))
+_FRONT_END = f"""
+import sys
+try:
+    import concavia
+    if sys.argv[1:]:
+        from concavia import cli
+        sys.exit(cli.main(sys.argv[1:]))
+finally:
+    print(sorted(m for m in sys.modules if m in {_NUMERIC!r}), file=sys.stderr)
+"""
+
+_PARAMS_OUT = """{
+  "a": 1.04,
+  "b": 1.1335955056179776,
+  "c": 0.89,
+  "c1": 1.04,
+  "c2": 1.02,
+  "eps": 0.01,
+  "rho0": 0.88,
+  "rho1": 0.9,
+  "rho2": 1.05,
+  "s": 1.15,
+  "validated": true,
+  "zeta1": 1.036,
+  "zeta2": 1.039
+}
+"""
+
+
+def _error_out(kind, message):
+    return json.dumps({"error": kind, "message": message}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    ([], 0, ""),
+    (["params"], 0, _PARAMS_OUT),
+    (["--help"], 0, "{params,verify,export}"),
+    (["verify", "--help"], 0, "--suite {atlas,openbook,profiles,levi,family,all}"),
+    (["export", "--help"], 0, "--what {binding,corners,family,levi_field,m1,pages}"),
+    (["bogus"], 2, ""),
+    (["verify", "--knobs.n_tau=3"], 2,
+     _error_out("ConfigError", "knob n_tau must be >= 8, got 3")),
+    (["export", "--what", "m1", "--seeed=5"], 2,
+     _error_out("ConfigError", "unknown config fields: ['seeed']")),
+    (["verify", "--suite", "family", "--params.rho0=0.95"], 2,
+     _error_out("ChainViolation", "parameter chain violated: rho0 < rho1")),
+], ids=["import", "params", "help", "verify-help", "export-help", "usage-error",
+        "bad-knob", "unknown-field", "chain-violation"])
+def test_front_end_imports_no_numeric_module(tmp_path, argv, code, out):
+    # a fresh interpreter, on this one's concavia: this one has imported them all
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(concavia.__file__))}
+    proc = subprocess.run([sys.executable, "-c", _FRONT_END, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "[]"
+    if argv and argv[-1] == "--help":
+        assert out in proc.stdout
+    else:
+        assert proc.stdout == out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_defaults_have_one_source():
+    kw = {p.name: p.default for p in inspect.signature(family.run_verification).parameters.values()
+          if p.kind is p.KEYWORD_ONLY}
+    assert {**kw, "density": 1} == RUN_DEFAULTS
+    # Knobs' field defaults, then RUN_DEFAULTS: the knob map of a config with
+    # no knobs, its order and types included
+    assert json.dumps(cli.RunConfig.load().knobs) == json.dumps({
+        "eps1": 0.004, "eps2": 0.005, "x_switch": -0.3, "x_lo": -8.0, "knots": 16,
+        "depth_frac": 0.3, "branch_margin": 0.001,
+        "n_tau": 16, "n_samples": 240, "lambda_max": 10000.0, "density": 1})
+
+
+def test_front_end_choices_are_the_command_tables():
+    assert cli.SUITES == tuple(commands._SUITES)
+    assert cli.EXPORTS == tuple(commands._EXPORTS)
 
 
 # ---------------------------------------------------------------------------

@@ -717,14 +717,15 @@ def _cartesian_sweep(samples):
     u1, u2 = z1 / abs(z1), z2 / abs(z2)
     zero = np.zeros(z1.shape)
     # the real slice's tangent (V1, 0, V2, 0), turned with the sample
-    V = family._sample_frames(model, samples)[2]
+    pieces = family._piece_abscissa(samples)
+    V = family._sample_frames(model, pieces)[2]
     frames = (np.stack([-u1.imag, u1.real, zero, zero], axis=1),
               np.stack([zero, zero, -u2.imag, u2.real], axis=1),
               np.stack([V[:, 0] * u1.real, V[:, 0] * u1.imag,
                         V[:, 2] * u2.real, V[:, 2] * u2.imag], axis=1))
     jets = tuple(jet(gamma, z1, z2, h) for h in (1e-5, 2e-5))
     u, g, _ = jet(gamma, [model.params.c1, model.params.c2], [0j, 0j])
-    return family._SampleJet(samples, jets, frames, (u, g[:, 0]))
+    return family._SampleJet(samples, pieces, jets, frames, (u, g[:, 0]))
 
 
 @pytest.mark.parametrize("turn", range(3))
@@ -800,20 +801,21 @@ def test_sample_frames_match_the_scalar_loop_bit_for_bit(which, n):
     model = _model() if which == "default" else _perturbed_model()
     samples = family._normalize_grid(model, family.sample_M1(model, n))
     assert all(z1.imag == z2.imag == 0.0 for z1, z2, _ in samples)
-    got = family._sample_frames(model, samples)
+    pieces = family._piece_abscissa(samples)
+    got = family._sample_frames(model, pieces)
     ref = _sample_frames_by_loop(model, samples)
     for name, a, b in zip(("e1", "e2", "V"), got, ref):
         assert a.shape == (len(samples), 4)
         # the loop's angular entries at the real slice may be -0.0
         assert a.tobytes() == (b + 0.0).tobytes(), name
-    kappa = family._oriented_curvature(model, samples)
+    kappa = family._oriented_curvature(model, pieces)
     assert kappa.tobytes() == _oriented_curvature_by_loop(model, samples).tobytes()
 
 
 def test_sample_frames_reject_an_unknown_tag():
     z1, z2, _ = family._normalize_grid(_model(), _samples240())[0]
     with pytest.raises(DomainError, match="unknown piece tag 'X'"):
-        family._sample_frames(_model(), [(z1, z2, "X")])
+        family._sample_frames(_model(), family._piece_abscissa([(z1, z2, "X")]))
 
 
 # ---------------------------------------------------------------------------
