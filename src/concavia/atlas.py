@@ -66,7 +66,8 @@ class ChartPoint:
 
     ``z1, z2`` are the coordinates in that chart; for ``W_ANNULUS`` they are
     the canonical orbit representative ``(w1, w2)``.  Use the classmethods,
-    which validate chart membership against a parameter set.
+    which validate chart membership against a parameter set elementwise:
+    arrays give a point of arrays, scalars one of Python complex numbers.
     """
 
     chart: Chart
@@ -74,27 +75,21 @@ class ChartPoint:
     z2: complex
 
     @classmethod
-    def v(cls, params: Params, z1: complex, z2: complex) -> "ChartPoint":
-        r1, r2 = abs(z1), abs(z2)
-        if not (1.0 < r1 < params.rho2):
-            raise DomainError(f"V chart needs 1 < |z1| < rho2, got |z1|={r1}")
-        if not (r2 < 1.0 / params.rho0):
-            raise DomainError(f"V chart needs |z2| < 1/rho0, got |z2|={r2}")
-        return cls(Chart.V, complex(z1), complex(z2))
+    def v(cls, params: Params, z1, z2) -> "ChartPoint":
+        _require_moduli(z1, z2, ((1.0, params.rho2, "V chart needs 1 < |z1| < rho2"),
+                                 (-math.inf, 1.0 / params.rho0, "V chart needs |z2| < 1/rho0")))
+        return cls(Chart.V, _as_complex(z1), _as_complex(z2))
 
     @classmethod
-    def v_prime(cls, params: Params, z1: complex, z2: complex) -> "ChartPoint":
-        r1, r2 = abs(z1), abs(z2)
-        if not (1.0 < r1 < params.s):
-            raise DomainError(f"V' chart needs 1 < |z1| < s, got |z1|={r1}")
-        if not (1.0 / params.rho1 < r2 < 1.0 / params.rho0):
-            raise DomainError(f"V' chart needs 1/rho1 < |z2| < 1/rho0, got |z2|={r2}")
-        return cls(Chart.V_PRIME, complex(z1), complex(z2))
+    def v_prime(cls, params: Params, z1, z2) -> "ChartPoint":
+        _require_moduli(z1, z2, ((1.0, params.s, "V' chart needs 1 < |z1| < s"),
+                                 (1.0 / params.rho1, 1.0 / params.rho0,
+                                  "V' chart needs 1/rho1 < |z2| < 1/rho0")))
+        return cls(Chart.V_PRIME, _as_complex(z1), _as_complex(z2))
 
     @classmethod
     def w(cls, params: Params, w1: complex, w2: complex) -> "ChartPoint":
-        """Elementwise like :func:`canonical_rep`: arrays give a point of
-        arrays, scalars one of Python complex numbers."""
+        """Canonicalized elementwise by :func:`canonical_rep`."""
         r2 = np.abs(w2)
         _require(np.asarray(w1) != 0, "W chart needs w1 != 0", w1)
         _require((params.rho0 < r2) & (r2 < params.rho1), "W chart needs rho0 < |w2| < rho1", r2)
@@ -131,6 +126,23 @@ def z_action(n: int, w1: complex, w2: complex) -> tuple[complex, complex]:
     if not (0.0 < abs(w2) < 1.0):
         raise DomainError(f"z_action needs 0 < |w2| < 1, got |w2|={abs(w2)}")
     return w1 * w2 ** n, w2
+
+
+def _require_moduli(z1, z2, bounds) -> None:
+    """Raise ``DomainError`` as a loop over the samples would: at the first
+    whose ``|z1|``, else ``|z2|``, leaves its ``(lo, hi, msg)`` in ``bounds``.
+    ``np.hypot`` of the parts is Python's ``abs`` bit for bit."""
+    r = np.broadcast_arrays(*(np.hypot(np.real(z), np.imag(z)) for z in (z1, z2)))
+    ok = [((lo < rk) & (rk < hi)).ravel() for rk, (lo, hi, _) in zip(r, bounds)]
+    bad = np.flatnonzero(~(ok[0] & ok[1]))
+    if bad.size:
+        k = int(ok[0][bad[0]])   # the first bound that the sample breaks
+        raise DomainError(f"{bounds[k][2]}, got |z{k + 1}|={float(r[k].flat[bad[0]])}")
+
+
+def _as_complex(z):
+    """Python complex for a scalar, a complex array otherwise."""
+    return complex(z) if np.ndim(z) == 0 else np.asarray(z, dtype=complex)
 
 
 def _require(ok, msg: str, got) -> None:

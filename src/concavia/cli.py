@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -186,7 +187,10 @@ def cmd_params(par: Params) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves no
+    state on it, so every :func:`main` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="concavia",
         description="Certificate-based verification of the sphere family model.")
@@ -198,8 +202,11 @@ def main(argv=None) -> int:
     p_export.add_argument("--what", choices=sorted(EXPORTS), required=True)
     for p in (p_params, p_verify, p_export):
         p.add_argument("--config", default=None, help="JSON config path")
+    return parser
 
-    args, unknown = parser.parse_known_args(argv)
+
+def main(argv=None) -> int:
+    args, unknown = _parser().parse_known_args(argv)
     try:
         cfg = RunConfig.load(args.config, _parse_overrides(unknown))
         par = validate_params(cfg.params)   # a ChainViolation is a ConfigError

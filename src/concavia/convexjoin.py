@@ -152,10 +152,13 @@ def _integrate_density(breaks: np.ndarray, values: np.ndarray,
 def _wall_density(x_lo: float, x_hi: float, h_l: float, h_r: float,
                   eps_mid: float, A: float, B: float, knots: int):
     """PL density: eps_mid base + left wall of height A + right wall B."""
-    grid = np.unique(np.concatenate([
+    # sorted, adjacent duplicates dropped: np.unique's grid without the
+    # numpy.ma import that its implementation makes
+    grid = np.sort(np.concatenate([
         np.linspace(x_lo, x_hi, max(4, knots)),
         np.array([x_lo + h_l, x_hi - h_r]),
     ]))
+    grid = grid[np.concatenate([[True], grid[1:] != grid[:-1]])]
     vals = np.full_like(grid, eps_mid)
     left = grid <= x_lo + h_l
     vals[left] += A * (1.0 - (grid[left] - x_lo) / h_l)

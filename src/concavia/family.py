@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from ._numerics import GOLD, SILVER, kronecker
-from .atlas import ChartPoint, Params
+from .atlas import Chart, ChartPoint, Params
 from .certs import Certificate
 # the knob names live in the numpy-free config module; re-exported here
 from .config import RUN_DEFAULTS, Knobs, default_knobs
@@ -124,7 +124,7 @@ class SphereModel:
 
     @cached_property
     def density_tables(self) -> dict[str, tuple]:
-        """Per piece tag, for :func:`sample_M1`: the 4,001-point abscissa grid,
+        """Per piece tag, for :func:`_sample_arrays`: the 4,001-point abscissa grid,
         the seam-boosted area density on it and the piece's revolution area."""
         curves = {}
         # walls: parametrized by x = log|z2|
@@ -280,24 +280,26 @@ def _clearance_cert(model: SphereModel) -> Certificate:
 
 
 def _membership_cert(model: SphereModel, n: int = 400) -> Certificate:
+    """The model's ``n`` samples (:func:`_sample_arrays`) against the
+    removed band ``zeta1 < |z1| < zeta2``: the margin is the least
+    log-radius distance to the band, or minus the count of samples inside
+    it, the last of which is the worst point."""
     p = model.params
     lz1, lz2 = math.log(p.zeta1), math.log(p.zeta2)
-    samples = sample_M1(model, n)
-    # Python abs and math.log, whose last bits numpy's complex abs and log
-    # do not always reproduce
-    r1 = np.array([abs(pt.z1) for pt, _ in samples])
-    q = np.array([math.log(r) for r in r1.tolist()])
-    # sample_M1 places points in V and V' only, where in_complement_C is the
-    # band test on |z1|
+    tags, z1, z2 = _sample_arrays(model, n)
+    r1 = np.hypot(z1.real, z1.imag)   # the bits of Python's abs
+    q = _libm(math.log, r1)
+    # the samples lie in V and V' only, where in_complement_C is the band
+    # test on |z1|
     inside = (p.zeta1 < r1) & (r1 < p.zeta2)
     bad = int(np.count_nonzero(inside))
     worst = None
     if bad:
-        pt, tag = samples[np.flatnonzero(inside)[-1]]
-        worst = (tag, pt.z1, pt.z2)
+        i = np.flatnonzero(inside)[-1]
+        worst = (str(tags[i]), complex(z1[i]), complex(z2[i]))
     dist = float(np.min(np.maximum(lz1 - q, q - lz2)))
     return Certificate(
-        name="membership", grid=f"{len(samples)} samples",
+        name="membership", grid=f"{tags.size} samples",
         margin=dist if bad == 0 else float(-bad),
         passed=bad == 0 and dist > 0, worst_point=worst,
         details={"violations": bad, "min_band_distance": dist})
@@ -313,12 +315,13 @@ def _piece_weight(xs: np.ndarray, r1: np.ndarray, r2: np.ndarray,
     return r1 * r2 * np.hypot(dr1, dr2)
 
 
-def _math_exp(x) -> np.ndarray:
-    """Elementwise ``math.exp``.  numpy's exp differs from libm's in the last
-    bit on some arguments; the sweeps that took ``math.exp`` point by point
-    keep its bits, and every sample downstream with them."""
+def _libm(fn, x) -> np.ndarray:
+    """``fn``, ``math.exp`` or ``math.log``, elementwise.  numpy's exp and
+    log differ from libm's in the last bit on some arguments; the sweeps
+    that took ``math`` point by point keep its bits, and every sample
+    downstream with them."""
     x = np.asarray(x, dtype=float)
-    return np.array([math.exp(v) for v in x.ravel().tolist()]).reshape(x.shape)
+    return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def _inverse_cdf(xs: np.ndarray, dens: np.ndarray, m: int) -> np.ndarray:
@@ -342,13 +345,16 @@ def _seam_band_boost(xs: np.ndarray, w: np.ndarray, ends: tuple) -> np.ndarray:
     return w * boost
 
 
-def sample_M1(model: SphereModel, n: int) -> list[tuple[ChartPoint, str]]:
-    """Quasi-uniform area-weighted samples of the sphere with piece tags.
+def _sample_arrays(model: SphereModel, n: int) -> tuple[np.ndarray, ...]:
+    """Quasi-uniform area-weighted samples of the sphere: piece tags, ``z1``
+    and ``z2`` arrays.
 
     Samples are drawn piece by piece proportionally to the revolution area,
     by inverse-CDF placement along the profile curve; the decile of mass
     adjacent to each seam corner is oversampled four-fold.  Angles follow a
-    golden/silver Kronecker sequence, so the output is deterministic.
+    golden/silver Kronecker sequence, so the output is deterministic.  Wall
+    samples must lie in the ``V`` chart and seam samples in ``V'``; the
+    first that does not raises the ``DomainError`` of :class:`ChartPoint`.
     """
     if n < 100:
         raise DomainError(f"sample_M1 needs n >= 100, got {n}")
@@ -358,7 +364,7 @@ def sample_M1(model: SphereModel, n: int) -> list[tuple[ChartPoint, str]]:
     counts = {t: max(8, round(n * area / total)) for t, (_, _, area) in tables.items()}
     counts["H1"] += n - sum(counts.values())  # absorb rounding in the largest piece
 
-    out: list[tuple[ChartPoint, str]] = []
+    pts = []
     angles = np.exp(2j * np.pi * kronecker(n, (GOLD, SILVER)))
     j = 0
     for tag, (grid, dens, _) in tables.items():
@@ -366,16 +372,21 @@ def sample_M1(model: SphereModel, n: int) -> list[tuple[ChartPoint, str]]:
         e1, e2 = angles[j:j + xs.size].T
         j += xs.size
         if tag == "S":
-            z1 = np.exp(xs) * e1
-            z2 = np.exp(-model.htilde.f(xs)) * e2
-            chart = ChartPoint.v_prime
+            pts.append(ChartPoint.v_prime(p, np.exp(xs) * e1,
+                                          np.exp(-model.htilde.f(xs)) * e2))
         else:
             prof = model.f1 if tag == "H1" else model.f2
-            z1 = np.exp(prof.L(xs)) * e1
-            z2 = _math_exp(xs) * e2
-            chart = ChartPoint.v
-        out += [(chart(p, a, b), tag) for a, b in zip(z1.tolist(), z2.tolist())]
-    return out
+            pts.append(ChartPoint.v(p, np.exp(prof.L(xs)) * e1, _libm(math.exp, xs) * e2))
+    z1, z2 = (np.concatenate(z) for z in zip(*((pt.z1, pt.z2) for pt in pts)))
+    return np.repeat(list(tables), list(counts.values())), z1, z2
+
+
+def sample_M1(model: SphereModel, n: int) -> list[tuple[ChartPoint, str]]:
+    """The samples of :func:`_sample_arrays` as ``(ChartPoint, tag)`` pairs,
+    in the ``V`` chart on the walls and ``V'`` on the seam."""
+    tags, z1, z2 = _sample_arrays(model, n)
+    return [(ChartPoint(Chart.V_PRIME if t == "S" else Chart.V, a, b), t)
+            for t, a, b in zip(tags.tolist(), z1.tolist(), z2.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +497,10 @@ class _Foliation:
         self._custom = curves is not None
         # the parameter curves
         if curves is None:
-            self.c1 = lambda t: self.rho2 - (self.rho2 - self.c1_0) * np.asarray(t, float)
-            self.c2 = lambda t: 1.0 + (self.c2_0 - 1.0) * np.asarray(t, float)
+            # locals, not self: a closure over self is a cycle that keeps the model alive
+            rho2, c1_0, c2_0 = self.rho2, self.c1_0, self.c2_0
+            self.c1 = lambda t: rho2 - (rho2 - c1_0) * np.asarray(t, float)
+            self.c2 = lambda t: 1.0 + (c2_0 - 1.0) * np.asarray(t, float)
         else:
             self.c1 = _broadcast_curve(curves["c1"])
             self.c2 = _broadcast_curve(curves["c2"])
@@ -653,7 +666,7 @@ def _nesting_rays(fol: _Foliation, taus) -> tuple[list[str], np.ndarray]:
     q1 = np.linspace(float(xl) + 2e-3, float(xr) - 2e-3, 8)
     names = ([f"wall1 q2={v:.4f}" for v in q2] + [f"wall2 q2={v:.4f}" for v in q2]
              + [f"dome q1={v:.4f}" for v in q1])
-    radial = np.concatenate([-fol.wall1(taus, _math_exp(q2)[:, None]),
+    radial = np.concatenate([-fol.wall1(taus, _libm(math.exp, q2)[:, None]),
                              fol.wall2(taus, q2[:, None]),
                              fol.dish(taus, q1[:, None])])
     return names, radial
@@ -724,7 +737,7 @@ def _level_points(fol: _Foliation, slices) -> tuple[np.ndarray, ...]:
     yc, xl, xr = fol.cap(ts)
     q2 = np.concatenate([np.full(ts.shape, -1.5), np.full(ts.shape, -0.2), yc - 0.004],
                         axis=1)
-    r2 = _math_exp(q2)
+    r2 = _libm(math.exp, q2)
     q1 = xl + np.array([0.1, 0.5, 0.9]) * (xr - xl)
     walls = np.stack([fol.wall1(ts, r2) * np.exp(0.9j),
                       fol.wall2(ts, q2) * np.exp(-1.7j)], axis=2)
@@ -876,10 +889,10 @@ def verification_grid(fam: FamilySpec, density: int = 1) -> list[tuple]:
     t = np.linspace(0.1, 1.0, 4 * density + 1)
     yc, xl, xr = fol.cap(t)
     q2 = np.linspace(-2.0, yc - 3e-3, m)   # [m, levels], as is q1
-    r2 = _math_exp(q2)
+    r2 = _libm(math.exp, q2)
     q1 = xl + np.linspace(0.05, 0.95, m)[:, None] * (xr - xl)
     walls = np.stack([fol.wall1(t, r2), r2, fol.wall2(t, q2), r2])
-    dish = np.stack([_math_exp(q1), _math_exp(fol.dish(t, q1))])
+    dish = np.stack([_libm(math.exp, q1), _libm(math.exp, fol.dish(t, q1))])
     # per level, (|z1|, |z2|) of both walls at each height, then of each dish point
     z = np.concatenate([walls.T.reshape(t.size, 4 * m),
                         dish.T.reshape(t.size, 2 * m)], axis=1).reshape(-1, 2) + 0j
@@ -910,19 +923,20 @@ def _unit_rows(V: np.ndarray) -> np.ndarray:
     return V / np.sqrt(V[:, None, :] @ V[:, :, None])[:, 0]
 
 
-def _piece_abscissa(samples) -> tuple[np.ndarray, ...]:
-    """Piece tags, ``|z1|``, ``|z2|`` and profile abscissas of normalized
-    samples, read once per sample set by the frames, the curvature signs and
-    the stencil.  The abscissa is ``log|z2|`` on the walls and ``log|z1|`` on
-    the seam.  Moduli and logs come from Python's ``abs`` and ``math.log``, which
-    numpy's complex ``abs`` and ``np.log`` differ from in the last bit."""
-    tags = np.array([tag for _, _, tag in samples], dtype=str)
+def _piece_abscissa(model: SphereModel, tags, z1, z2) -> tuple[np.ndarray, ...]:
+    """Tags, ``|z1|``, ``|z2|`` (the real slice of each torus orbit) and
+    profile abscissas, ``log|z2|`` on the walls and ``log|z1|`` on the seam,
+    of the samples ``(tags, z1, z2)`` (see :func:`_sample_arrays`) farther
+    than ``CORNER_MARGIN`` from a seam corner.  ``np.hypot`` and ``math.log``
+    keep the bits of Python's ``abs`` and ``math.log``."""
     for tag in set(tags.tolist()) - {"H1", "H2", "S"}:
         raise DomainError(f"unknown piece tag {tag!r}")
-    r1 = [abs(z1) for z1, _, _ in samples]
-    r2 = [abs(z2) for _, z2, _ in samples]
-    x = [math.log(a if tag == "S" else b) for a, b, tag in zip(r1, r2, tags.tolist())]
-    return tags, np.array(r1), np.array(r2), np.array(x)
+    r1, r2 = np.hypot(z1.real, z1.imag), np.hypot(z2.real, z2.imag)
+    cap = tags == "S"
+    x = _libm(math.log, np.where(cap, r1, r2))
+    X1, X2 = model.window
+    keep = ~(np.where(cap, np.minimum(x - X1, X2 - x), model.y_star - x) < CORNER_MARGIN)
+    return tags[keep], r1[keep], r2[keep], x[keep]
 
 
 def _sample_frames(model: SphereModel, pieces):
@@ -961,25 +975,17 @@ def _oriented_curvature(model: SphereModel, pieces) -> np.ndarray:
     return out
 
 
-def _normalize_grid(model: SphereModel, grid) -> list[tuple[complex, complex, str]]:
-    """Accept sample_M1 output or raw triples; drop corner-adjacent points and
-    move the rest to the real slice ``(|z1|, |z2|)`` of their torus orbits."""
-    X1, X2 = model.window
-    y_star = model.y_star
-    out = []
-    for item in grid:
-        if isinstance(item[0], ChartPoint):
-            item = (item[0].z1, item[0].z2, item[1])
-        r1, r2, tag = abs(item[0]), abs(item[1]), item[2]
-        q = math.log(r1 if tag == "S" else r2)
-        if not (min(q - X1, X2 - q) if tag == "S" else y_star - q) < CORNER_MARGIN:
-            out.append((complex(r1), complex(r2), tag))
-    return out
+def _normalize_grid(grid) -> tuple[np.ndarray, ...]:
+    """The sweeps' list input, :func:`sample_M1` pairs or ``(z1, z2, tag)``
+    triples, as the ``(tags, z1, z2)`` arrays of :func:`_sample_arrays`."""
+    z1, z2, tags = zip(*((item[0].z1, item[0].z2, item[1])
+                         if isinstance(item[0], ChartPoint) else item for item in grid))
+    return np.array(tags, dtype=str), np.array(z1, dtype=complex), np.array(z2, dtype=complex)
 
 
 @dataclass(frozen=True)
 class _SampleJet:
-    """Normalized samples and their :func:`_piece_abscissa`, with ``gamma``'s
+    """The :func:`_piece_abscissa` of a sample set, with ``gamma``'s
     jets at steps ``h`` and ``2h`` and the frames (:func:`_sample_frames`)
     there, and ``gamma``'s radial jet at step ``h`` at the two binding points
     ``(c_j, 0)``: the ``lam``-free part of the 3-form sweeps.
@@ -988,7 +994,6 @@ class _SampleJet:
     1))`` exactly from the jets, so ``alpha ^ d alpha = (lam u)^2 beta ^ d
     beta``, ``beta = -d^C gamma``, keeps its sign at every ``lam``."""
 
-    samples: list
     pieces: tuple
     jets: tuple
     frames: tuple
@@ -1002,40 +1007,40 @@ def _binding_radii(fam: FamilySpec) -> tuple[np.ndarray, np.ndarray]:
 
 def _sample_stencil(fam: FamilySpec, pieces) -> tuple[np.ndarray, np.ndarray]:
     """The radii at which a :class:`_SampleJet` reads ``gamma``: the polar
-    stencil of the normalized samples with :func:`_piece_abscissa`
-    ``pieces``, then that of the binding points."""
+    stencil of the samples with :func:`_piece_abscissa` ``pieces``, then
+    that of the binding points."""
     _, r1, r2, _ = pieces
     return tuple(np.concatenate(rr) for rr in zip(polar_stencil(r1, r2),
                                                   polar_stencil(*_binding_radii(fam))))
 
 
-def _sample_jet_from(fam: FamilySpec, samples, pieces, u) -> _SampleJet:
-    """The :class:`_SampleJet` of normalized samples with
-    :func:`_piece_abscissa` ``pieces`` from ``gamma``'s values ``u`` on their
+def _sample_jet_from(fam: FamilySpec, pieces, u) -> _SampleJet:
+    """The :class:`_SampleJet` of the samples with :func:`_piece_abscissa`
+    ``pieces`` from ``gamma``'s values ``u`` on their
     :func:`_sample_stencil`."""
     _, r1, r2, _ = pieces
     u_s, u_b = np.split(np.asarray(u), [17 * r1.size])
-    return _SampleJet(samples, pieces,
+    return _SampleJet(pieces,
                       tuple(polar_lift(pj, r1, r2) for pj in polar_diff(u_s, r1, r2)),
                       _sample_frames(fam.model, pieces),
                       polar_diff(u_b, *_binding_radii(fam))[0])
 
 
 def _sample_jet(fam: FamilySpec, grid) -> _SampleJet:
-    """``grid`` (model samples or raw triples) prepared for the sweeps, with
-    one ``gamma`` call; a :class:`_SampleJet` is returned as it is."""
+    """``grid`` (list input, see :func:`_normalize_grid`) prepared for the
+    sweeps, with one ``gamma`` call; a :class:`_SampleJet` is returned as it
+    is."""
     if isinstance(grid, _SampleJet):
         return grid
-    samples = _normalize_grid(fam.model, grid)
-    pieces = _piece_abscissa(samples)
+    pieces = _piece_abscissa(fam.model, *_normalize_grid(grid))
     R1, R2 = _sample_stencil(fam, pieces)
-    return _sample_jet_from(fam, samples, pieces, fam.fol.gamma(R1 + 0j, R2 + 0j))
+    return _sample_jet_from(fam, pieces, fam.fol.gamma(R1 + 0j, R2 + 0j))
 
 
 def _contact_volumes(fam: FamilySpec, lam: float, grid) -> np.ndarray:
     """``alpha ^ d alpha`` on each sample's oriented tangent frame from the
-    jets at ``h`` and ``2h``, ``[2, N]``.  ``grid`` is a :class:`_SampleJet`
-    or normalized triples (see :func:`_normalize_grid`)."""
+    jets at ``h`` and ``2h``, ``[2, N]``.  ``grid`` is as for
+    :func:`_sample_jet`."""
     sweep = _sample_jet(fam, grid)
     out = []
     for jet_f in sweep.jets:
@@ -1062,26 +1067,25 @@ def pseudoconcavity_check(fam: FamilySpec, lam: float, grid) -> Certificate:
     """
     model = fam.model
     sweep = _sample_jet(fam, grid)
-    samples = sweep.samples
     vals, vals_2h = _contact_volumes(fam, lam, sweep)
-    tags = sweep.pieces[0]
+    tags, r1, r2, _ = sweep.pieces
     kappa = _oriented_curvature(model, sweep.pieces)
     agree = int(np.sum((kappa > 0) & (vals < 0)))
     per_piece = {t: vals[tags == t] for t in ("H1", "H2", "S")}
     i = int(np.argmax(vals))
-    passed = bool(np.all(vals < 0)) and agree == len(samples)
+    passed = bool(np.all(vals < 0)) and agree == tags.size
     return Certificate(
         name="pseudoconcavity",
-        grid=f"{len(samples)} samples "
+        grid=f"{tags.size} samples "
              f"(H1 {len(per_piece['H1'])}, H2 {len(per_piece['H2'])}, S {len(per_piece['S'])})",
         margin=float(-vals[i]),
-        passed=passed, worst_point=(samples[i][0], samples[i][1]),
+        passed=passed, worst_point=(complex(r1[i]), complex(r2[i])),
         details={
             "method": "radial_stencil",
             "error_estimate": float(abs(vals[i] - vals_2h[i])),
             "min_abs_volume": float(np.min(np.abs(vals))),
             "classification_agreements": agree,
-            "disagreements": len(samples) - agree,
+            "disagreements": tags.size - agree,
             "per_piece_max": {t: (float(np.max(v)) if v.size else None)
                               for t, v in per_piece.items()},
         })
@@ -1109,7 +1113,6 @@ def compatibility_check(fam: FamilySpec, lam: float, grid) -> Certificate:
     :func:`pseudoconcavity_check`.
     """
     sweep = _sample_jet(fam, grid)
-    samples = sweep.samples
 
     # (i) binding circles, from gamma's radial jet at (c_j, 0); the ring
     # through r2 = 0 reads gamma at |z2| = mh
@@ -1122,7 +1125,7 @@ def compatibility_check(fam: FamilySpec, lam: float, grid) -> Certificate:
                  "value_c1": b1, "value_c2": b2})
 
     # (ii) pages and (iii) span, on off-binding samples
-    tags = sweep.pieces[0]
+    tags, r1, r2, _ = sweep.pieces
     (_, g, H), (_, _, H_2h) = (exp_jet(jet_f, lam, 1.0) for jet_f in sweep.jets)
     e1, e2, V = sweep.frames
     # Page-plane orientation: the traversal vector V runs from the left
@@ -1141,16 +1144,16 @@ def compatibility_check(fam: FamilySpec, lam: float, grid) -> Certificate:
     piece_ranges = {t: [float(page_arr[tags == t].min()), float(page_arr[tags == t].max())]
                     for t in ("H1", "S", "H2") if np.any(tags == t)}
     cert_pages = Certificate(
-        name="page_area_form", grid=f"{len(samples)} off-binding samples",
+        name="page_area_form", grid=f"{tags.size} off-binding samples",
         margin=float(page_arr[k]), passed=bool(np.all(page_arr > 0)),
-        worst_point=(samples[k][0], samples[k][1]),
+        worst_point=(complex(r1[k]), complex(r2[k])),
         details={"method": "radial_stencil",
                  "error_estimate": float(abs(page_arr[k] - page_2h[k])),
                  "max": float(page_arr.max()),
                  "per_piece_range": piece_ranges,
                  "orientation": "fibration on walls, complex on cap"})
     cert_span = Certificate(
-        name="frame_span", grid=f"{len(samples)} off-binding samples",
+        name="frame_span", grid=f"{tags.size} off-binding samples",
         margin=float(min(det_arr.min(), th2_arr.min())),
         passed=bool(np.all(det_arr > 0) and np.all(th2_arr > 0)),
         details={"min_abs_det": float(det_arr.min()),
@@ -1178,8 +1181,8 @@ def run_verification(params: Params, knobs: Knobs | None = None,
 
     ``gamma`` is read in one call on every point the run needs, gathered as
     soon as the family is assembled: the level-consistency points, then the
-    polar stencils of the lambda grid, of the ``sample_M1(model,
-    n_samples)`` samples and of the two binding points.  ``gamma`` is
+    polar stencils of the lambda grid, of the ``n_samples`` model samples
+    (:func:`_sample_arrays`) and of the two binding points.  ``gamma`` is
     elementwise, so the certificates are bit for bit those of
     :func:`build_family`, :func:`find_collar_lambda`,
     :func:`pseudoconcavity_check` and :func:`compatibility_check` called on
@@ -1193,15 +1196,14 @@ def run_verification(params: Params, knobs: Knobs | None = None,
     model = fam.model
     t, z1, z2 = _family_levels(fam)
     grid = _lambda_grid(fam)
-    samples = _normalize_grid(model, sample_M1(model, n_samples))
-    pieces = _piece_abscissa(samples)
+    pieces = _piece_abscissa(model, *_sample_arrays(model, n_samples))
     Z1, Z2 = zip((z1, z2), polar_stencil(*(np.abs([p[i] for p in grid]) for i in (0, 1))),
                  _sample_stencil(fam, pieces))
     u = fam.fol.gamma(np.concatenate(Z1), np.concatenate(Z2))
     u_level, u_lam, u_samples = np.split(u, np.cumsum([z.size for z in Z1])[:-1])
     _certify_levels(fam, t, u_level)
     lam, cert_lam = lambda_from_values(u_lam, grid, lambda_max=lambda_max)
-    sweep = _sample_jet_from(fam, samples, pieces, u_samples)
+    sweep = _sample_jet_from(fam, pieces, u_samples)
     cert_pc = pseudoconcavity_check(fam, lam, sweep)
     cert_cp = compatibility_check(fam, lam, sweep)
 

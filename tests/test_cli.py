@@ -1,3 +1,5 @@
+import argparse
+import gc
 import importlib
 import inspect
 import json
@@ -6,6 +8,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -13,7 +16,7 @@ import concavia
 from concavia import cli, commands, family
 from concavia.atlas import phi
 from concavia.cli import main
-from concavia.config import RUN_DEFAULTS
+from concavia.config import RUN_DEFAULTS, default_params
 
 
 def _run(capsys, argv):
@@ -174,6 +177,68 @@ def test_verify_builds_the_model_once_per_call(tmp_path, capsys, monkeypatch, su
         assert len(calls) == run * builds
 
 
+def test_no_model_outlives_a_verify_call(tmp_path, capsys, monkeypatch):
+    # with the cyclic collector off, a reference cycle through the model
+    # would keep it alive after the call
+    build = family.build_M1
+    models = []
+
+    def tracked(*args, **kwargs):
+        model = build(*args, **kwargs)
+        models.append(weakref.ref(model))
+        return model
+
+    monkeypatch.setattr(family, "build_M1", tracked)
+    gc.collect()
+    gc.disable()
+    try:
+        ok, _ = family.run_verification(default_params())
+        alive = [ref() is not None for ref in models]
+        code, _ = _run(capsys, ["verify", "--suite", "all", "--outputs", str(tmp_path)])
+        alive += [ref() is not None for ref in models[len(alive):]]
+    finally:
+        gc.enable()
+    assert ok and code == 0
+    assert alive == [False, False]
+
+
+def _call(capsys, argv):
+    """Exit code (or ``SystemExit`` code), stdout and stderr of one call."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_the_parser_is_built_once_and_reused_safely(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    out = ["--outputs", str(tmp_path)]
+    sequence = [["verify", "--suite", "atlas", *out], ["verify", "--suite", "nope"],
+                ["params"], ["--help"], ["export", "--what", "binding", *out],
+                ["verify", "--suite", "atlas", *out]]
+    fresh = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        fresh.append(_call(capsys, argv))
+    assert [f[0] for f in fresh] == [0, ("SystemExit", 2), 0, ("SystemExit", 0), 0, 0]
+    per_parser = len(built) // len(sequence)   # the parser and its three subparsers
+    assert per_parser == 4
+    cli._parser.cache_clear()
+    del built[:]
+    for _ in range(3):
+        assert [_call(capsys, argv) for argv in sequence] == fresh
+        assert len(built) == per_parser
+
+
 def _suite_sections(tmp_path, capsys, argv):
     """``{suite: (exit code, section)}`` of each suite run alone, and of
     ``--suite all``'s report under ``"all"``."""
@@ -324,7 +389,8 @@ import sys
 from concavia import cli
 code = cli.main(sys.argv[1:])
 loaded = sorted(m for m in sys.modules
-                if m.split(".")[0] == "scipy" or m.startswith("numpy.random"))
+                if m.split(".")[0] == "scipy"
+                or m.startswith(("numpy.random", "numpy.ma.")) or m == "numpy.ma")
 print(loaded, file=sys.stderr)
 sys.exit(code if not loaded else 99)
 """

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from concavia import family
-from concavia._numerics import GOLD, SILVER
+from concavia._numerics import GOLD, SILVER, kronecker
 from concavia.atlas import Chart, ChartPoint, default_params, in_complement_C, validate_params
 from concavia.errors import (
     ConcaviaError,
@@ -236,6 +236,120 @@ def test_sample_M1_matches_the_scalar_loop_bit_for_bit(which, n):
         a = np.array([getattr(p, attr) for p, _ in got])
         b = np.array([getattr(p, attr) for p, _ in ref])
         assert a.tobytes() == b.tobytes(), attr
+
+
+def _sample_M1_by_chart_points(model, n):
+    """The model samples as a ChartPoint per sample, each validated on its
+    own: the reference for the array sampler."""
+    if n < 100:
+        raise DomainError(f"sample_M1 needs n >= 100, got {n}")
+    p = model.params
+    tables = model.density_tables
+    total = sum(area for _, _, area in tables.values())
+    counts = {t: max(8, round(n * area / total)) for t, (_, _, area) in tables.items()}
+    counts["H1"] += n - sum(counts.values())
+    out = []
+    angles = np.exp(2j * np.pi * kronecker(n, (GOLD, SILVER)))
+    j = 0
+    for tag, (grid, dens, _) in tables.items():
+        xs = family._inverse_cdf(grid, dens, counts[tag])
+        e1, e2 = angles[j:j + xs.size].T
+        j += xs.size
+        if tag == "S":
+            z1 = np.exp(xs) * e1
+            z2 = np.exp(-model.htilde.f(xs)) * e2
+            chart = ChartPoint.v_prime
+        else:
+            prof = model.f1 if tag == "H1" else model.f2
+            z1 = np.exp(prof.L(xs)) * e1
+            z2 = np.array([math.exp(x) for x in xs.tolist()]) * e2
+            chart = ChartPoint.v
+        for a, b in zip(z1.tolist(), z2.tolist()):
+            r1, r2 = abs(a), abs(b)
+            # ChartPoint's scalar checks, in their order
+            if tag != "S":
+                if not (1.0 < r1 < p.rho2):
+                    raise DomainError(f"V chart needs 1 < |z1| < rho2, got |z1|={r1}")
+                if not (r2 < 1.0 / p.rho0):
+                    raise DomainError(f"V chart needs |z2| < 1/rho0, got |z2|={r2}")
+            else:
+                if not (1.0 < r1 < p.s):
+                    raise DomainError(f"V' chart needs 1 < |z1| < s, got |z1|={r1}")
+                if not (1.0 / p.rho1 < r2 < 1.0 / p.rho0):
+                    raise DomainError(f"V' chart needs 1/rho1 < |z2| < 1/rho0, got |z2|={r2}")
+            out.append((chart(p, a, b), tag))
+    return out
+
+
+def _normalize_grid_by_loop(model, grid):
+    """The sweeps' corner filter and real-slice move, one sample at a time."""
+    X1, X2 = model.window
+    out = []
+    for item in grid:
+        if isinstance(item[0], ChartPoint):
+            item = (item[0].z1, item[0].z2, item[1])
+        r1, r2, tag = abs(item[0]), abs(item[1]), item[2]
+        q = math.log(r1 if tag == "S" else r2)
+        if not (min(q - X1, X2 - q) if tag == "S" else model.y_star - q) < family.CORNER_MARGIN:
+            out.append((complex(r1), complex(r2), tag))
+    return out
+
+
+def _piece_abscissa_by_loop(samples):
+    """Tags, moduli and abscissas of normalized samples, one at a time."""
+    r1 = [abs(z1) for z1, _, _ in samples]
+    r2 = [abs(z2) for _, z2, _ in samples]
+    x = [math.log(a if tag == "S" else b) for a, b, (_, _, tag) in zip(r1, r2, samples)]
+    return [t for _, _, t in samples], np.array(r1), np.array(r2), np.array(x)
+
+
+@pytest.mark.parametrize("which", ["default", "perturbed"])
+@pytest.mark.parametrize("n", [100, 240, 400])
+def test_sample_arrays_match_the_chart_point_loop_bit_for_bit(which, n):
+    model = _model() if which == "default" else _perturbed_model()
+    tags, z1, z2 = family._sample_arrays(model, n)
+    ref = _sample_M1_by_chart_points(model, n)
+    assert tags.tolist() == [t for _, t in ref]
+    assert z1.tobytes() == np.array([pt.z1 for pt, _ in ref]).tobytes()
+    assert z2.tobytes() == np.array([pt.z2 for pt, _ in ref]).tobytes()
+    # sample_M1 wraps the same samples in chart points of Python complex numbers
+    got = family.sample_M1(model, n)
+    assert [(pt.chart, t) for pt, t in got] == [(pt.chart, t) for pt, t in ref]
+    assert all(type(pt.z1) is complex and type(pt.z2) is complex for pt, _ in got)
+    assert np.array([pt.z1 for pt, _ in got]).tobytes() == z1.tobytes()
+    # the sweeps' one array pass keeps the loop's survivors and abscissas,
+    # from the arrays and from the list input alike
+    kept = _normalize_grid_by_loop(model, ref)
+    want = _piece_abscissa_by_loop(kept)
+    for pieces in (family._piece_abscissa(model, tags, z1, z2),
+                   family._piece_abscissa(model, *family._normalize_grid(ref))):
+        assert pieces[0].tolist() == want[0]
+        for a, b in zip(pieces[1:], want[1:]):
+            assert a.tobytes() == b.tobytes()
+    assert len(kept) < n   # the corner filter drops some samples
+
+
+@pytest.mark.parametrize("field, piece, quantile", [
+    ("rho2", "H1", 0.5),    # V: |z1| too large on the left wall
+    ("rho0", "H1", 0.7),    # V: |z2| too large
+    ("s", "S", 0.3),        # V': |z1| too large on the seam
+    ("rho1", "S", 0.6),     # V': |z2| too small
+])
+def test_sample_arrays_raise_the_chart_point_error(field, piece, quantile):
+    model = _model()
+    tags, z1, z2 = family._sample_arrays(model, 240)
+    on = tags == piece
+    r = np.abs(z2[on] if field in ("rho0", "rho1") else z1[on])
+    bound = float(np.quantile(r, quantile))
+    # rho0 and rho1 bound |z2| through their reciprocals
+    value = 1.0 / bound if field in ("rho0", "rho1") else bound
+    moved = dataclasses.replace(model, params=dataclasses.replace(model.params, **{field: value}))
+    with pytest.raises(DomainError) as want:
+        _sample_M1_by_chart_points(moved, 240)
+    for sample in (family._sample_arrays, family.sample_M1):
+        with pytest.raises(DomainError) as got:
+            sample(moved, 240)
+        assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +831,7 @@ def _cartesian_sweep(samples):
     u1, u2 = z1 / abs(z1), z2 / abs(z2)
     zero = np.zeros(z1.shape)
     # the real slice's tangent (V1, 0, V2, 0), turned with the sample
-    pieces = family._piece_abscissa(samples)
+    pieces = family._piece_abscissa(model, *family._normalize_grid(samples))
     V = family._sample_frames(model, pieces)[2]
     frames = (np.stack([-u1.imag, u1.real, zero, zero], axis=1),
               np.stack([zero, zero, -u2.imag, u2.real], axis=1),
@@ -725,7 +839,7 @@ def _cartesian_sweep(samples):
                         V[:, 2] * u2.real, V[:, 2] * u2.imag], axis=1))
     jets = tuple(jet(gamma, z1, z2, h) for h in (1e-5, 2e-5))
     u, g, _ = jet(gamma, [model.params.c1, model.params.c2], [0j, 0j])
-    return family._SampleJet(samples, pieces, jets, frames, (u, g[:, 0]))
+    return family._SampleJet(pieces, jets, frames, (u, g[:, 0]))
 
 
 @pytest.mark.parametrize("turn", range(3))
@@ -735,7 +849,7 @@ def test_the_sweeps_are_torus_invariant(turn):
     phases = np.random.default_rng(20240603).uniform(0.0, 2.0 * math.pi, (3, 2))[turn]
     samples = [(_turned(pt.z1, phases[0]), _turned(pt.z2, phases[1]), tag)
                for pt, tag in _samples240()]
-    kept = [p for p in samples if family._normalize_grid(model, [p])]
+    kept = [p for p in samples if _normalize_grid_by_loop(model, [p])]
     assert len(kept) == 230 and kept[0][0].imag != 0.0
     # the turned samples give the certificates' bits
     for check in (family.pseudoconcavity_check, family.compatibility_check):
@@ -799,9 +913,9 @@ def _oriented_curvature_by_loop(model, samples):
 @pytest.mark.parametrize("n", [100, 240, 1000])
 def test_sample_frames_match_the_scalar_loop_bit_for_bit(which, n):
     model = _model() if which == "default" else _perturbed_model()
-    samples = family._normalize_grid(model, family.sample_M1(model, n))
+    samples = _normalize_grid_by_loop(model, family.sample_M1(model, n))
     assert all(z1.imag == z2.imag == 0.0 for z1, z2, _ in samples)
-    pieces = family._piece_abscissa(samples)
+    pieces = family._piece_abscissa(model, *family._sample_arrays(model, n))
     got = family._sample_frames(model, pieces)
     ref = _sample_frames_by_loop(model, samples)
     for name, a, b in zip(("e1", "e2", "V"), got, ref):
@@ -813,9 +927,9 @@ def test_sample_frames_match_the_scalar_loop_bit_for_bit(which, n):
 
 
 def test_sample_frames_reject_an_unknown_tag():
-    z1, z2, _ = family._normalize_grid(_model(), _samples240())[0]
+    z1, z2, _ = _normalize_grid_by_loop(_model(), _samples240())[0]
     with pytest.raises(DomainError, match="unknown piece tag 'X'"):
-        family._sample_frames(_model(), family._piece_abscissa([(z1, z2, "X")]))
+        family._piece_abscissa(_model(), *family._normalize_grid([(z1, z2, "X")]))
 
 
 # ---------------------------------------------------------------------------
