@@ -15,7 +15,6 @@ from .errors import (
     NotContact,
     NotRegular,
     OutOfFoliation,
-    RegionError,
     VerificationError,
 )
 
@@ -36,7 +35,6 @@ __all__ = [
     "NotContact",
     "NotRegular",
     "OutOfFoliation",
-    "RegionError",
     "VerificationError",
     "__version__",
 ]

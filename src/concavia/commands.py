@@ -22,8 +22,8 @@ from .atlas import map_Phi, phi, same_point
 from .certs import Certificate
 from .errors import ConcaviaError
 from .levi import (ScalarField, exp_jet, hartogs_boundary_test, is_strictly_psh, levi_min_eig,
-                   polar_jet, polar_lift, quadratic_identity_check)
-from .openbook import TwistSpec, check_disjointness, conjugation_check, corner_tori, welldef_check
+                   polar_jet, polar_lift)
+from .openbook import TwistSpec, conjugation_check, corner_tori, welldef_check
 from .profiles import second_derivative_identity_check
 
 if TYPE_CHECKING:
@@ -35,16 +35,9 @@ if TYPE_CHECKING:
 # ---------------------------------------------------------------------------
 
 def _suite_atlas(par) -> dict[str, Certificate]:
-    """The atlas certificates.  ``params_chain`` holds by construction: the
-    chain that :func:`validate_params` enforces includes its two inequalities."""
+    """The atlas certificates.  The page inequalities ``rho1*b < a`` and
+    ``b < a/rho1`` are preconditions, which :func:`validate_params` enforces."""
     certs = {}
-    m1, m2 = par.a - par.rho1 * par.b, par.a / par.rho1 - par.b
-    certs["params_chain"] = Certificate(
-        name="params_chain", grid="2 inequalities",
-        margin=min(m1, m2), passed=min(m1, m2) > 0,
-        details={"rho1_b": par.rho1 * par.b, "a": par.a,
-                 "a_over_rho1": par.a / par.rho1, "b": par.b})
-
     w = np.outer(np.linspace(0.2, 0.95, 12),
                  np.exp(1j * np.linspace(-math.pi, math.pi, 11)[:-1])).ravel()
     base = phi(w, 0)
@@ -82,7 +75,6 @@ def _suite_atlas(par) -> dict[str, Certificate]:
 def _suite_openbook(par) -> dict[str, Certificate]:
     spec = TwistSpec.from_params(par)
     return {
-        "disjointness": check_disjointness(par),
         "conjugation": conjugation_check(spec),
         "welldef": welldef_check(par),
     }
@@ -106,15 +98,10 @@ def _shell_points(n: int) -> list[tuple[complex, complex]]:
 
 def _suite_levi(par) -> dict[str, Certificate]:
     sq = ScalarField(lambda z1, z2: abs(z1) ** 2 + abs(z2) ** 2, name="sq_norm")
-    pts = _shell_points(48)
-    certs = {
-        "psh_reference": is_strictly_psh(sq, pts),
-        "quadratic_identity": quadratic_identity_check(sq, pts),
-    }
     planar = [0.9 * ((k + 1) / 26) * cmath.exp(2j * math.pi * k * GOLD)
               for k in range(25)]
-    certs["hartogs_reference"] = hartogs_boundary_test(lambda z: abs(z) ** 2, planar)
-    return certs
+    return {"psh_reference": is_strictly_psh(sq, _shell_points(48)),
+            "hartogs_reference": hartogs_boundary_test(lambda z: abs(z) ** 2, planar)}
 
 
 def _suite_family(cfg: RunConfig, par, model) -> tuple[bool, dict]:

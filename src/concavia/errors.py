@@ -12,7 +12,6 @@ __all__ = [
     "ConfigError",
     "ChainViolation",
     "DomainError",
-    "RegionError",
     "FeasibilityError",
     "Infeasible",
     "BranchError",
@@ -51,10 +50,6 @@ class ChainViolation(ConfigError):
 
 class DomainError(ConcaviaError):
     """A point or argument lies outside the declared domain of an operation."""
-
-
-class RegionError(DomainError):
-    """A scalar field was evaluated outside its declared region."""
 
 
 class FeasibilityError(ConcaviaError):

@@ -10,9 +10,7 @@ Conventions (fixed here, tested, and used everywhere downstream):
   ``(alpha ^ beta)(v, w) = (alpha(v) beta(w) - alpha(w) beta(v)) / 2``.
   Under this convention ``-d d^C u (v, Jv) = 2 * v* L v`` where ``L`` is the
   complex Hessian ``[d^2 u / dz_i dzbar_j]`` (the *bridge factor* is 2; with
-  the determinant convention it would be 4).  The quadratic identity
-  ``-(dgamma ^ d^C gamma)(v, Jv) = ((dgamma v)^2 + (dgamma Jv)^2) / 2``
-  holds exactly in this convention and is under test.
+  the determinant convention it would be 4).
 
 Two stencils: :func:`jet`, a batched 33-point central difference on C^2
 (relative step ``1e-5``) returning value, real gradient and real Hessian of
@@ -24,10 +22,7 @@ also separate functions, so that a caller can read one field on several
 stencils in one call.  The rest is linear algebra on jets: ``d^C u(v) = g .
 Jv``, ``-dd^C u(v, w) = -(H(v, Jw) - H(w, Jv)) / 2`` and the Levi 2x2;
 :func:`exp_jet` composes ``exp(lam * (f - shift))`` exactly from a jet of
-``f``, so exponentials are never differenced.  The scalar helpers :func:`grad4`, :func:`d_c` and the
-nested-difference :func:`neg_ddc` share no code with the jets: they are the
-independent reference of the composition identity check and the acceptance
-tests' scalar contact-volume oracle.  No symbolic engine.
+``f``, so exponentials are never differenced.  No symbolic engine.
 """
 
 from __future__ import annotations
@@ -36,17 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import BRONZE, GOLD, SILVER, kronecker
 from .certs import Certificate
-from .errors import DomainError, Exhausted, NotContact, NotRegular, RegionError
+from .errors import DomainError, Exhausted, NotContact, NotRegular
 
 __all__ = [
     "ScalarField",
-    "HermitianForm",
     "apply_J",
-    "d_c",
-    "grad4",
-    "neg_ddc",
     "jet",
     "exp_jet",
     "polar_stencil",
@@ -55,16 +45,18 @@ __all__ = [
     "polar_lift",
     "jet_d_c",
     "jet_neg_ddc",
-    "levi_matrix",
     "levi_min_eig",
     "levi_min_eig_batch",
     "is_strictly_psh",
     "hartogs_boundary_test",
-    "composition_identity_check",
-    "quadratic_identity_check",
     "find_lambda",
     "lambda_from_values",
 ]
+
+
+# the zero bands of is_strictly_psh and hartogs_boundary_test
+_PSH_TOL = 1e-8
+_HARTOGS_TOL = 1e-5
 
 
 def apply_J(v: np.ndarray) -> np.ndarray:
@@ -73,109 +65,19 @@ def apply_J(v: np.ndarray) -> np.ndarray:
     return np.stack([-v[..., 1], v[..., 0], -v[..., 3], v[..., 2]], axis=-1)
 
 
-def _to_z(p) -> tuple[complex, complex]:
-    z1, z2 = p
-    return complex(z1), complex(z2)
-
-
-def _shift(p, v, t: float) -> tuple[complex, complex]:
-    z1, z2 = p
-    return (z1 + t * (v[0] + 1j * v[1]), z2 + t * (v[2] + 1j * v[3]))
-
-
-def _step(p, h_rel: float) -> float:
-    z1, z2 = p
-    return h_rel * max(1.0, abs(z1), abs(z2))
-
-
 @dataclass(frozen=True)
 class ScalarField:
-    """Real-valued C^2 function of ``(z1, z2)`` on a declared open region.
+    """Named real-valued C^2 function of ``(z1, z2)``.
 
     ``fn`` must accept numpy arrays of ``z1, z2`` (vectorized evaluation is
-    what makes the grid sweeps cheap); ``region`` is an optional scalar
-    predicate checked at the public entry points.
+    what makes the grid sweeps cheap).
     """
 
     fn: object
-    region: object = None
     name: str = "field"
 
     def __call__(self, z1, z2):
         return self.fn(z1, z2)
-
-    def check(self, p) -> None:
-        if self.region is not None and not self.region(*_to_z(p)):
-            raise RegionError(f"point {p!r} outside region of field {self.name!r}")
-
-
-@dataclass(frozen=True)
-class HermitianForm:
-    """2x2 Hermitian matrix with real eigenvalue helpers."""
-
-    entries: np.ndarray
-    defect: float = 0.0
-
-    @classmethod
-    def from_matrix(cls, A: np.ndarray) -> "HermitianForm":
-        A = np.asarray(A, dtype=complex)
-        defect = float(np.linalg.norm(A - A.conj().T))
-        return cls((A + A.conj().T) / 2.0, defect)
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.entries)
-
-    @property
-    def min_eig(self) -> float:
-        return float(self.eigenvalues()[0])
-
-    def quad(self, v: np.ndarray) -> float:
-        v = np.asarray(v, dtype=complex).reshape(2)
-        return float(np.real(v.conj() @ self.entries @ v))
-
-
-# ---------------------------------------------------------------------------
-# Scalar reference operators (independent of the jet; identity checks only)
-# ---------------------------------------------------------------------------
-
-def _dir_deriv(u, p, v, h: float) -> float:
-    return (u(*_shift(p, v, h)) - u(*_shift(p, v, -h))) / (2.0 * h)
-
-
-def grad4(u, p, h_rel: float = 1e-5) -> np.ndarray:
-    """Finite-difference gradient in the four real coordinates."""
-    h = _step(p, h_rel)
-    E = np.eye(4)
-    return np.array([_dir_deriv(u, p, E[i], h) for i in range(4)])
-
-
-def d_c(u: ScalarField, point, vector, h_rel: float = 1e-5) -> float:
-    """``d^C u (v) = du(Jv)`` by a central directional difference."""
-    if isinstance(u, ScalarField):
-        u.check(point)
-    v = np.asarray(vector, dtype=float)
-    n = np.linalg.norm(v)
-    if n == 0:
-        return 0.0
-    h = _step(point, h_rel) / n
-    return _dir_deriv(u, point, apply_J(v), h)
-
-
-def neg_ddc(u, p, v, w, h_rel: float = 1e-4, inner_rel: float = 1e-5) -> float:
-    """``-d(d^C u)(v, w)`` in the 1/2 convention, by nested differences.
-
-    The outer step is larger than the inner one so the nested second
-    difference stays above the rounding floor.
-    """
-    h = _step(p, h_rel)
-
-    def beta(q, vec):  # d^C u at q on vec
-        hh = _step(q, inner_rel)
-        return _dir_deriv(u, q, apply_J(np.asarray(vec, dtype=float)), hh)
-
-    t1 = (beta(_shift(p, v, h), w) - beta(_shift(p, v, -h), w)) / (2 * h)
-    t2 = (beta(_shift(p, w, h), v) - beta(_shift(p, w, -h), v)) / (2 * h)
-    return -0.5 * (t1 - t2)
 
 
 # ---------------------------------------------------------------------------
@@ -318,18 +220,6 @@ def _min_eig(a, c, b):
     return (a + c) / 2.0 - np.sqrt(((a - c) / 2.0) ** 2 + (b.real ** 2 + b.imag ** 2))
 
 
-def levi_matrix(u: ScalarField, point, h_rel: float = 1e-5) -> HermitianForm:
-    """Complex Hessian ``[d^2 u / dz_i dzbar_j]`` at one point, from its jet.
-
-    Under the module's 1/2 convention, ``-d d^C u(v, Jv) = 2 v* L v``.
-    """
-    if isinstance(u, ScalarField):
-        u.check(point)
-    _, _, hess = jet(u, [point[0]], [point[1]], h_rel)
-    L11, L22, L12 = (x[0] for x in _levi_entries(hess))
-    return HermitianForm.from_matrix(np.array([[L11, L12], [np.conj(L12), L22]]))
-
-
 def levi_min_eig(hess) -> np.ndarray:
     """Smallest Levi eigenvalue from real Hessians ``[N, 4, 4]``.
 
@@ -345,39 +235,38 @@ def levi_min_eig_batch(fn, z1, z2, h_rel: float = 1e-5) -> np.ndarray:
     return levi_min_eig(hess)
 
 
-def is_strictly_psh(u, grid, tol: float = 1e-8, h_rel: float = 1e-5,
-                    name: str = "strictly_psh") -> Certificate:
-    """Certificate that the Levi form is positive definite over a point grid."""
+def is_strictly_psh(u, grid) -> Certificate:
+    """Certificate that the Levi form of ``u`` exceeds ``1e-8`` over a point
+    grid, by :func:`levi_min_eig_batch`."""
     pts = list(grid)
     z1 = np.array([p[0] for p in pts], dtype=complex)
     z2 = np.array([p[1] for p in pts], dtype=complex)
-    fn = u.fn if isinstance(u, ScalarField) else u
-    eigs = levi_min_eig_batch(fn, z1, z2, h_rel)
+    eigs = levi_min_eig_batch(u, z1, z2)
     i = int(np.argmin(eigs))
     margin = float(eigs[i])
     return Certificate(
-        name=name,
+        name="strictly_psh",
         grid=f"{len(pts)} points",
         margin=margin,
-        passed=bool(margin > tol),
+        passed=bool(margin > _PSH_TOL),
         worst_point=(complex(z1[i]), complex(z2[i])),
-        details={"tol": tol})
+        details={"tol": _PSH_TOL})
 
 
 # ---------------------------------------------------------------------------
 # Hartogs-type boundary
 # ---------------------------------------------------------------------------
 
-def hartogs_boundary_test(psi, grid, tol: float = 1e-5,
-                          h_rel: float = 1e-5) -> Certificate:
+def hartogs_boundary_test(psi, grid) -> Certificate:
     """Sign agreement for the rotational domain ``{|z2| < exp(-psi(z1))}``.
 
     Side (i): the planar Laplacian of ``psi`` on the grid.  Side (ii): the
     Levi form of the defining function ``rho = log|z2| + psi(z1)`` restricted
     to the complex tangency of the boundary, at matched samples, computed by
     the full C^2 finite-difference machinery (not the separable shortcut).
-    Passes iff the two sides agree in sign (within a ``tol`` zero band)
-    pointwise; the certificate notes the common regime.
+    Passes iff the two sides agree in sign (within a ``1e-5`` zero band)
+    pointwise; the certificate notes the common regime.  Both sides are read
+    from :func:`jet` at its default step.
     """
     zs = np.asarray(list(grid), dtype=complex).ravel()
     z2 = np.exp(-np.asarray(psi(zs), dtype=float))  # boundary samples at angle 0
@@ -385,9 +274,9 @@ def hartogs_boundary_test(psi, grid, tol: float = 1e-5,
     def rho(z1, z2):
         return np.log(np.abs(z2)) + np.asarray(psi(z1), dtype=float)
 
-    _, _, hess_psi = jet(lambda z1, z2: psi(z1), zs, np.zeros_like(zs), h_rel)
+    _, _, hess_psi = jet(lambda z1, z2: psi(z1), zs, np.zeros_like(zs))
     lap = hess_psi[:, 0, 0] + hess_psi[:, 1, 1]
-    _, g, hess = jet(rho, zs, z2, h_rel)
+    _, g, hess = jet(rho, zs, z2)
     L11, L22, L12 = _levi_entries(hess)
     dz1 = 0.5 * (g[:, 0] - 1j * g[:, 1])
     dz2 = 0.5 * (g[:, 2] - 1j * g[:, 3])
@@ -395,8 +284,8 @@ def hartogs_boundary_test(psi, grid, tol: float = 1e-5,
     levi_t = (L11 * np.abs(dz2) ** 2 + L22 * np.abs(dz1) ** 2
               - 2.0 * np.real(L12 * dz1 * np.conj(dz2))) / (np.abs(dz1) ** 2 + np.abs(dz2) ** 2)
 
-    sign_i = np.where(np.abs(lap) <= tol, 0, np.sign(lap))
-    sign_ii = np.where(np.abs(levi_t) <= tol, 0, np.sign(levi_t))
+    sign_i = np.where(np.abs(lap) <= _HARTOGS_TOL, 0, np.sign(lap))
+    sign_ii = np.where(np.abs(levi_t) <= _HARTOGS_TOL, 0, np.sign(levi_t))
     agree = sign_i == sign_ii
     ok = bool(np.all(agree))
     if np.all(sign_i > 0):
@@ -419,79 +308,7 @@ def hartogs_boundary_test(psi, grid, tol: float = 1e-5,
         margin=margin,
         passed=ok,
         worst_point=worst,
-        details={"regime": regime, "tol": tol})
-
-
-# ---------------------------------------------------------------------------
-# Composition lemma
-# ---------------------------------------------------------------------------
-
-def _unit_vectors(n: int) -> np.ndarray:
-    """Hopf coordinates ``(sqrt(s) e^{i a}, sqrt(1 - s) e^{i b})`` of a 3-D Kronecker
-    sequence: ``[n, 4]`` unit vectors spread evenly over ``S^3``."""
-    s, a, b = kronecker(n, (GOLD, SILVER, BRONZE)).T
-    r1, r2, a, b = np.sqrt(s), np.sqrt(1.0 - s), 2 * np.pi * a, 2 * np.pi * b
-    return np.stack([r1 * np.cos(a), r1 * np.sin(a), r2 * np.cos(b), r2 * np.sin(b)], axis=1)
-
-
-def quadratic_identity_check(gamma, samples, tol: float = 1e-6) -> Certificate:
-    """``-(dgamma ^ d^C gamma)(v, Jv) = ((dgamma v)^2 + (dgamma Jv)^2)/2``,
-    ``v`` the ``k``-th of ``_unit_vectors`` at the ``k``-th sample."""
-    pts = list(samples)
-    # the steps and the shifted points are the scalar ones, so each
-    # directional difference is two field calls on all samples
-    v = _unit_vectors(len(pts))
-    h = np.array([_step(p, 1e-5) for p in pts])
-    p = (np.array([z1 for z1, _ in pts], dtype=complex),
-         np.array([z2 for _, z2 in pts], dtype=complex))
-    Jv = apply_J(v)
-    dv, dJv, dJJv, dJ_v = (_dir_deriv(gamma, p, w.T, h)
-                           for w in (v, Jv, apply_J(Jv), apply_J(v)))
-    # wedge in the 1/2 convention; d^C gamma(w) = dgamma(Jw)
-    lhs = -0.5 * (dv * dJJv - dJv * dJ_v)
-    rhs = 0.5 * (dv * dv + dJv * dJv)
-    k, worst_err = Certificate.sup_error(abs(lhs - rhs) / np.maximum(1.0, abs(rhs)))
-    return Certificate(
-        name="quadratic_identity",
-        grid=f"{len(pts)} sample/vector pairs",
-        margin=tol - worst_err,
-        passed=bool(worst_err < tol),
-        worst_point=None if k is None else pts[k],
-        details={"max_rel_err": worst_err})
-
-
-def composition_identity_check(gamma, gfun, samples, tol: float = 1e-5) -> Certificate:
-    """``-dd^C(g o gamma) = -g'' dgamma ^ d^C gamma - g' dd^C gamma``.
-
-    ``gfun`` is a triple ``(g, dg, d2g)`` of scalar callables.  Both sides
-    are evaluated on ``(v, Jv)``, ``v`` as in :func:`quadratic_identity_check`.
-    """
-    g, dg, d2g = gfun
-    pts = list(samples)
-
-    def composed(z1, z2):
-        return g(gamma(z1, z2))
-
-    errs = []
-    for p, v in zip(pts, _unit_vectors(len(pts))):
-        Jv = apply_J(v)
-        lhs = neg_ddc(composed, p, v, Jv)
-        h = _step(p, 1e-5)
-        dv = _dir_deriv(gamma, p, v, h)
-        dJv = _dir_deriv(gamma, p, Jv, h)
-        gval = float(gamma(*_to_z(p)))
-        # -g'' (dgamma ^ d^C gamma)(v, Jv) = g'' ((dgamma v)^2 + (dgamma Jv)^2)/2
-        quad = 0.5 * (dv * dv + dJv * dJv)
-        rhs = d2g(gval) * quad + dg(gval) * neg_ddc(gamma, p, v, Jv)
-        errs.append(abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
-    k, worst_err = Certificate.sup_error(errs)
-    return Certificate(
-        name="composition_identity",
-        grid=f"{len(pts)} sample/vector pairs",
-        margin=tol - worst_err,
-        passed=bool(worst_err < tol),
-        worst_point=None if k is None else pts[k],
-        details={"max_rel_err": worst_err})
+        details={"regime": regime, "tol": _HARTOGS_TOL})
 
 
 # ---------------------------------------------------------------------------

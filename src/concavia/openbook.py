@@ -43,7 +43,6 @@ __all__ = [
     "Part",
     "MPoint",
     "TwistSpec",
-    "check_disjointness",
     "monodromy_delta",
     "q_chart",
     "q_inverse",
@@ -167,45 +166,6 @@ def _check_page_radius(spec: TwistSpec, z):
     _require((spec.a - _MTOL <= r) & (r <= spec.b + _MTOL),
              f"|z| outside the page annulus [{spec.a}, {spec.b}]", r)
     return r
-
-
-# ---------------------------------------------------------------------------
-# Disjointness of the page from its lambda-orbit
-# ---------------------------------------------------------------------------
-
-def check_disjointness(params: Params, k_range: int = 8) -> Certificate:
-    """``(lambda^k A) n A`` is empty for ``0 < |k| <= k_range``, ``|lambda| in [c, rho1]``.
-
-    ``k = 0`` is excluded (the identity always meets ``A``).  Besides the
-    modulus-grid sweep, the two sufficient inequalities ``rho1*b < a`` and
-    ``a/rho1 > b`` are verified; they settle every ``|k| >= 1`` at once.
-    It holds by construction: every gap is at least one of the two, which
-    ``validate_params`` enforces, so the margin is ``min(a - rho1 b, a/rho1 - b)``.
-    """
-    a, b = params.a, params.b
-    margin_shrink = a - params.rho1 * b
-    margin_expand = a / params.rho1 - b
-    worst = min(margin_shrink, margin_expand)
-    worst_tag = None
-    for lam in np.linspace(params.c, params.rho1, 64):
-        for k in range(-k_range, k_range + 1):
-            if k == 0:
-                continue
-            scale = lam ** k
-            if scale < 1.0:
-                gap = a - scale * b      # scaled interval sits below [a, b]
-            else:
-                gap = scale * a - b      # scaled interval sits above [a, b]
-            if gap < worst:
-                worst, worst_tag = gap, (float(lam), k)
-    return Certificate(
-        name="orbit_disjointness",
-        grid=f"64 moduli x k in [-{k_range}, {k_range}] \\ {{0}}",
-        margin=float(worst),
-        passed=bool(worst > 0 and margin_shrink > 0 and margin_expand > 0),
-        worst_point=worst_tag,
-        details={"margin_shrink": float(margin_shrink),
-                 "margin_expand": float(margin_expand)})
 
 
 # ---------------------------------------------------------------------------

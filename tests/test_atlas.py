@@ -24,7 +24,6 @@ from concavia.atlas import (
     z_action,
 )
 from concavia.errors import ChainViolation, ConfigError, DomainError
-from concavia.openbook import check_disjointness
 
 
 @pytest.fixture(scope="module")
@@ -84,10 +83,22 @@ def test_params_rejects_garbage():
         validate_params(bad)
 
 
+def _orbit_gaps(par, k_range=8):
+    """Gaps between the page annulus ``[a, b]`` and its scalings by ``lam^k``,
+    ``0 < |k| <= k_range``, over 64 moduli ``lam in [c, rho1]``: ``k > 0``
+    moves it below ``[a, b]`` (gap ``a - lam^k b``), ``k < 0`` above it (gap
+    ``a / lam^|k| - b``)."""
+    lam = np.linspace(par.c, par.rho1, 64)[:, None]
+    k = np.arange(1, k_range + 1)
+    return np.concatenate([par.a - lam ** k * par.b, par.a / lam ** k - par.b], axis=1)
+
+
 def test_disjointness_margins(P):
     # The two collar inequalities, with the concrete margins at defaults.
     assert P.a - P.rho1 * P.b == pytest.approx(0.019764, abs=1e-5)
     assert P.a / P.rho1 - P.b == pytest.approx(0.021960, abs=1e-5)
+    # the page misses its lambda-orbit, nearest at k = 1, |lam| = rho1
+    assert _orbit_gaps(P).min() == P.a - P.rho1 * P.b
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +221,11 @@ def test_the_chain_certificates_are_the_page_inequalities(f):
             "zeta1": zeta1, "zeta2": _lerp(zeta1, rho2, f[9])})
     except ChainViolation:
         reject()
-    # both certificates hold by construction: for a validated chain their
-    # margins are the two page inequalities validate_params enforces
+    # the page's lambda-orbit clears it by exactly the two page inequalities
+    # that validate_params enforces, so the orbit needs no certificate
     want = min(par.a - par.rho1 * par.b, par.a / par.rho1 - par.b)
     assert want > 0
-    assert commands._suite_atlas(par)["params_chain"].margin == want
-    assert check_disjointness(par).margin == want
+    assert _orbit_gaps(par).min() == want
 
 
 def test_phi_branch_law_calls_phi_once_per_branch(monkeypatch):

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import gc
 import importlib
 import inspect
@@ -9,11 +10,12 @@ import pkgutil
 import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
 import concavia
-from concavia import cli, commands, family
+from concavia import cli, commands, family, levi
 from concavia.atlas import phi
 from concavia.cli import main
 from concavia.config import RUN_DEFAULTS, default_params
@@ -116,7 +118,6 @@ def test_verify_atlas_writes_passing_report(tmp_path, capsys):
     rep = json.loads((tmp_path / "report_atlas.json").read_text())
     assert rep["passed"] is True
     certs = rep["suites"]["atlas"]["certificates"]
-    assert certs["params_chain"]["passed"]
     assert certs["phi_branch_law"]["passed"]
     assert certs["Phi_branch_independence"]["passed"]
 
@@ -297,7 +298,7 @@ def test_verify_all_reports_lambda(tmp_path, capsys):
 # the report; a certificate is added or removed here on purpose only
 _DEFAULT_CERTIFICATES = {
     *(f"suites.atlas.certificates.{k}" for k in (
-        "Phi_branch_independence", "params_chain", "phi_branch_law")),
+        "Phi_branch_independence", "phi_branch_law")),
     *(f"suites.family.checks.{k}" for k in (
         "compatibility", "find_lambda", "pseudoconcavity")),
     *(f"suites.family.family.{k}" for k in (
@@ -307,9 +308,8 @@ _DEFAULT_CERTIFICATES = {
         "clearances", "membership", "seam_C1", "seam_contact", "seam_join",
         "seam_slopes", "wall1_shape", "wall2_shape")),
     *(f"suites.levi.certificates.{k}" for k in (
-        "hartogs_reference", "psh_reference", "quadratic_identity")),
-    *(f"suites.openbook.certificates.{k}" for k in (
-        "conjugation", "disjointness", "welldef")),
+        "hartogs_reference", "psh_reference")),
+    *(f"suites.openbook.certificates.{k}" for k in ("conjugation", "welldef")),
     *(f"suites.profiles.certificates.{k}" for k in (
         "identity_f1", "identity_f2", "identity_seam", "seam_C1", "seam_contact",
         "wall1_shape", "wall2_shape")),
@@ -500,3 +500,51 @@ def test_every_name_in_all_exists():
         mod = importlib.import_module(name)
         missing += [f"{name}.{x}" for x in getattr(mod, "__all__", ()) if not hasattr(mod, x)]
     assert missing == []
+
+
+def test_public_names_are_pinned():
+    assert concavia.__all__ == [
+        "Certificate", "BranchError", "ChainViolation", "ConcaviaError", "ConfigError",
+        "CorridorViolation", "DomainError", "Exhausted", "FeasibilityError",
+        "FoliationError", "Infeasible", "NotContact", "NotRegular", "OutOfFoliation",
+        "VerificationError", "__version__"]
+    assert levi.__all__ == [
+        "ScalarField", "apply_J", "jet", "exp_jet", "polar_stencil", "polar_diff",
+        "polar_jet", "polar_lift", "jet_d_c", "jet_neg_ddc", "levi_min_eig",
+        "levi_min_eig_batch", "is_strictly_psh", "hartogs_boundary_test", "find_lambda",
+        "lambda_from_values"]
+
+
+def _identifiers(tree) -> set:
+    """Every name, attribute and imported name in an AST."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def test_levi_holds_only_what_the_commands_and_the_bench_reach():
+    # every top-level name of levi.py is named in commands, family or the
+    # bench harness, or in the definition of a levi name that is
+    defs = {}
+    for node in ast.parse(Path(levi.__file__).read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, ast.Assign):
+            defs.update((t.id, node) for t in node.targets)
+    del defs["__all__"]
+    callers = [commands.__file__, family.__file__,
+               Path(__file__).resolve().parent.parent / "bench" / "run.py"]
+    named = set().union(*(_identifiers(ast.parse(Path(f).read_text())) for f in callers))
+    reached = named & defs.keys()
+    todo = sorted(reached)
+    while todo:
+        new = (_identifiers(defs[todo.pop()]) & defs.keys()) - reached
+        reached |= new
+        todo += sorted(new)
+    assert sorted(defs.keys() - reached) == []

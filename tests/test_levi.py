@@ -5,36 +5,22 @@ import math
 import numpy as np
 import pytest
 
+from _levi_oracle import _unit_vectors, composition_identity_check, d_c, grad4, neg_ddc
 from concavia import family, levi
 from concavia.atlas import default_params
-from concavia.certs import Certificate
-from concavia.errors import (
-    ConcaviaError,
-    DomainError,
-    Exhausted,
-    NotContact,
-    NotRegular,
-    RegionError,
-)
+from concavia.errors import ConcaviaError, DomainError, Exhausted, NotContact, NotRegular
 from concavia.levi import (
-    HermitianForm,
     ScalarField,
     apply_J,
-    composition_identity_check,
-    d_c,
     exp_jet,
     find_lambda,
-    grad4,
     hartogs_boundary_test,
     is_strictly_psh,
     jet,
     jet_d_c,
     jet_neg_ddc,
-    levi_matrix,
     levi_min_eig,
     levi_min_eig_batch,
-    neg_ddc,
-    quadratic_identity_check,
 )
 
 E = np.eye(4)
@@ -87,15 +73,6 @@ def test_d_c_linearity():
         lhs = d_c(u, p, a * v + b * w)
         rhs = a * d_c(u, p, v) + b * d_c(u, p, w)
         assert abs(lhs - rhs) < 1e-8
-
-
-def test_region_enforcement():
-    u = ScalarField(lambda z1, z2: np.log(np.abs(z1)),
-                    region=lambda z1, z2: abs(z1) > 0.1, name="log_r1")
-    with pytest.raises(RegionError):
-        d_c(u, (0.0, 1.0), E[0])
-    with pytest.raises(RegionError):
-        levi_matrix(u, (0.05, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -210,36 +187,46 @@ def test_exp_jet_matches_jet_of_the_exponential():
 # Levi matrices: closed forms
 # ---------------------------------------------------------------------------
 
+def _levi_matrix(u, p):
+    """The complex Hessian ``[d^2 u / dz_i dzbar_j]`` at one point, from its
+    jet: the entries that ``levi_min_eig`` reads."""
+    _, _, H = jet(u, [p[0]], [p[1]])
+    L11, L22, L12 = (x[0] for x in levi._levi_entries(H))
+    return np.array([[L11, L12], [np.conj(L12), L22]])
+
+
 def test_levi_identity_for_sq_norm():
-    L = levi_matrix(ScalarField(sq_norm), (0.2 + 0.1j, -0.4 + 0.3j))
-    assert np.allclose(L.entries, np.eye(2), atol=1e-6)
-    assert L.defect < 1e-9
+    L = _levi_matrix(ScalarField(sq_norm), (0.2 + 0.1j, -0.4 + 0.3j))
+    assert np.allclose(L, np.eye(2), atol=1e-6)
 
 
 def test_levi_pluriharmonic_is_zero():
-    L = levi_matrix(ScalarField(re_z1_sq), (0.7 - 0.2j, 0.5 + 0.5j))
-    assert np.allclose(L.entries, 0.0, atol=1e-6)
+    L = _levi_matrix(ScalarField(re_z1_sq), (0.7 - 0.2j, 0.5 + 0.5j))
+    assert np.allclose(L, 0.0, atol=1e-6)
 
 
 def test_levi_mixed_signature():
-    L = levi_matrix(ScalarField(mixed_sig), (1.1 + 0.3j, 0.2 - 0.8j))
-    assert np.allclose(L.entries, np.diag([1.0, -2.0]), atol=1e-6)
-    ev = L.eigenvalues()
+    L = _levi_matrix(ScalarField(mixed_sig), (1.1 + 0.3j, 0.2 - 0.8j))
+    assert np.allclose(L, np.diag([1.0, -2.0]), atol=1e-6)
+    ev = np.linalg.eigvalsh(L)
     assert ev[0] < 0 < ev[1]
 
 
 def test_levi_off_diagonal_oracle():
     # u = Re(z1 * conj(z2)) has d^2 u / dz1 dzbar2 = 1/2
     u = ScalarField(lambda z1, z2: np.real(z1 * np.conj(z2)))
-    L = levi_matrix(u, (0.3 + 0.9j, -0.6 + 0.2j))
-    assert np.allclose(L.entries, np.array([[0, 0.5], [0.5, 0]]), atol=1e-6)
+    L = _levi_matrix(u, (0.3 + 0.9j, -0.6 + 0.2j))
+    assert np.allclose(L, np.array([[0, 0.5], [0.5, 0]]), atol=1e-6)
 
 
 def test_hermitian_form_eigs_match_numpy():
-    A = np.array([[2.0, 0.3 + 0.1j], [0.3 - 0.1j, -1.0]])
-    H = HermitianForm.from_matrix(A)
-    assert np.allclose(H.eigenvalues(), np.linalg.eigvalsh(A))
-    assert H.min_eig == pytest.approx(np.linalg.eigvalsh(A)[0])
+    # levi_min_eig's closed-form least eigenvalue of [[a, b], [conj(b), c]]
+    rng = np.random.default_rng(13)
+    forms = [(2.0, -1.0, 0.3 + 0.1j)] + [
+        (a, c, complex(br, bi)) for a, c, br, bi in rng.normal(size=(20, 4))]
+    for a, c, b in forms:
+        want = np.linalg.eigvalsh(np.array([[a, b], [np.conj(b), c]]))[0]
+        assert levi._min_eig(a, c, b) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_batch_min_eig_matches_pointwise():
@@ -249,7 +236,7 @@ def test_batch_min_eig_matches_pointwise():
     z2 = np.array([p[1] for p in pts])
     batch = levi_min_eig_batch(mixed_sig, z1, z2)
     for k, p in enumerate(pts):
-        single = levi_matrix(ScalarField(mixed_sig), p).min_eig
+        single = np.linalg.eigvalsh(_levi_matrix(ScalarField(mixed_sig), p))[0]
         # agreement up to stencil rounding (coordinate sums differ by ulps,
         # amplified by the 1/h^2 of the second difference)
         assert batch[k] == pytest.approx(single, abs=1e-5)
@@ -279,9 +266,8 @@ def test_bridge_factor_two_random_sweep():
         v /= np.linalg.norm(v)
         w /= np.linalg.norm(w)
         direct = neg_ddc(u, p, v, apply_J(v))
-        L = levi_matrix(u, p)
         vc = np.array([v[0] + 1j * v[1], v[2] + 1j * v[3]])
-        bridged = 2.0 * L.quad(vc)
+        bridged = 2.0 * np.real(vc.conj() @ _levi_matrix(u, p) @ vc)
         worst = max(worst, abs(direct - bridged) / max(1.0, abs(bridged)))
         _, g, H = jet(u, [p[0]], [p[1]])
         ref = neg_ddc(u, p, v, w)
@@ -316,10 +302,10 @@ def test_psh_log_modulus_fails_strictness():
 def test_psh_exponential_hand_oracle():
     lam = 1.0
     u = ScalarField(lambda z1, z2: np.exp(lam * sq_norm(z1, z2)))
-    L = levi_matrix(u, (1.0, 0.0))
+    L = _levi_matrix(u, (1.0, 0.0))
     e = math.e
     # Levi(e^gamma) = e^gamma (Levi(gamma) + dgamma dgamma*) = e*[[2,0],[0,1]]
-    assert np.allclose(L.entries, e * np.array([[2.0, 0.0], [0.0, 1.0]]), atol=1e-4)
+    assert np.allclose(L, e * np.array([[2.0, 0.0], [0.0, 1.0]]), atol=1e-4)
     rng = np.random.default_rng(5)
     cert = is_strictly_psh(u, _shell_points(rng, 48, 0.5, 1.1))
     assert cert.passed
@@ -384,72 +370,14 @@ EXP_TRIPLE = (np.exp, np.exp, np.exp)
 ID_TRIPLE = (lambda t: t, lambda t: 1.0, lambda t: 0.0)
 
 
-def test_quadratic_identity_sweep():
-    rng = np.random.default_rng(41)
-    cert = quadratic_identity_check(sq_norm, _shell_points(rng, 100))
-    assert cert.passed
-    assert cert.details["max_rel_err"] < 1e-6
-
-
-def test_quadratic_identity_fails_on_a_nan_field():
-    cert = quadratic_identity_check(lambda z1, z2: math.nan,
-                                    _shell_points(np.random.default_rng(41), 5))
-    assert not cert.passed
-    assert cert.margin == -math.inf
-    assert cert.details["max_rel_err"] == math.inf
-
-
-def _quadratic_identity_by_loop(gamma, samples, tol=1e-6):
-    """quadratic_identity_check as a per-point scalar loop: the reference for
-    the batched one."""
-    pts = list(samples)
-    errs = []
-    for p, v in zip(pts, levi._unit_vectors(len(pts))):
-        Jv = apply_J(v)
-        h = levi._step(p, 1e-5)
-        dv = levi._dir_deriv(gamma, p, v, h)
-        dJv = levi._dir_deriv(gamma, p, Jv, h)
-        lhs = -0.5 * (dv * levi._dir_deriv(gamma, p, apply_J(Jv), h)
-                      - dJv * levi._dir_deriv(gamma, p, apply_J(v), h))
-        rhs = 0.5 * (dv * dv + dJv * dJv)
-        errs.append(abs(lhs - rhs) / max(1.0, abs(rhs)))
-    k, worst_err = Certificate.sup_error(errs)
-    return Certificate(
-        name="quadratic_identity", grid=f"{len(pts)} sample/vector pairs",
-        margin=tol - worst_err, passed=bool(worst_err < tol),
-        worst_point=None if k is None else pts[k],
-        details={"max_rel_err": worst_err})
-
-
 def test_identity_vectors_are_unit_and_span_R4():
     for n in (1, 48, 10 ** 4):
-        v = levi._unit_vectors(n)
+        v = _unit_vectors(n)
         assert v.shape == (n, 4)
         assert np.max(abs(np.linalg.norm(v, axis=1) - 1.0)) <= 1e-15
-    # the levi suite's 48 vectors: smallest singular value 3.1676, against
-    # sqrt(48 / 4) = 3.46 for a perfectly isotropic set
-    assert np.linalg.svd(levi._unit_vectors(48), compute_uv=False).min() > 3.0
-
-
-@pytest.mark.parametrize("field", [sq_norm, mixed_sig, lambda z1, z2: math.nan],
-                         ids=["sq_norm", "mixed_sig", "nan"])
-def test_quadratic_identity_matches_the_scalar_loop_bit_for_bit(field):
-    pts = _shell_points(np.random.default_rng(53), 60)
-    got = quadratic_identity_check(field, pts)
-    ref = _quadratic_identity_by_loop(field, pts)
-    assert got == ref
-    assert np.float64(got.margin).tobytes() == np.float64(ref.margin).tobytes()
-
-
-def test_quadratic_identity_calls_its_field_eight_times():
-    shapes = []
-
-    def counted(z1, z2):
-        shapes.append(np.shape(z1))
-        return sq_norm(z1, z2)
-
-    assert quadratic_identity_check(counted, _shell_points(np.random.default_rng(59), 48)).passed
-    assert shapes == [(48,)] * 8
+    # 48 vectors: smallest singular value 3.1676, against sqrt(48 / 4) = 3.46
+    # for a perfectly isotropic set
+    assert np.linalg.svd(_unit_vectors(48), compute_uv=False).min() > 3.0
 
 
 def test_composition_identity_fails_on_a_nan_field():

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from concavia.atlas import ChartPoint, Chart, Params, canonical_rep, default_params, \
+from concavia.atlas import ChartPoint, Chart, canonical_rep, default_params, \
     fibration_f, map_Phi, phi, same_point
 from concavia import openbook
 from concavia._numerics import BRONZE, GOLD, SILVER, kronecker
@@ -16,7 +16,6 @@ from concavia.openbook import (
     MPoint,
     Part,
     TwistSpec,
-    check_disjointness,
     conjugation_check,
     corner_tori,
     default_seam_samples,
@@ -83,30 +82,6 @@ def test_twist_spec_validation():
                   + 0.4 * np.sin(2 * np.pi * (r - P.a) / span),
                   dtau=lambda r: (1 + 0.8 * np.pi * np.cos(
                       2 * np.pi * (r - P.a) / span)) / span)
-
-
-# ---------------------------------------------------------------------------
-# Orbit disjointness
-# ---------------------------------------------------------------------------
-
-def test_disjointness_default_margins():
-    cert = check_disjointness(P)
-    assert cert.passed
-    assert cert.details["margin_shrink"] == pytest.approx(P.a - P.rho1 * P.b, abs=1e-15)
-    assert cert.details["margin_shrink"] == pytest.approx(0.0197640, abs=1e-6)
-    assert cert.details["margin_expand"] == pytest.approx(0.0219601, abs=1e-6)
-
-
-def test_disjointness_fails_for_oversized_eps():
-    # eps = 0.02 on the perturbed radii breaks rho1*b < a; the parameter
-    # validator would reject it, so force the raw record through
-    eps = 0.02
-    forced = Params(rho0=0.9, rho1=0.92, rho2=1.04, s=1.12, c=0.91, eps=eps,
-                    c1=1.035, c2=1.02, zeta1=1.032, zeta2=1.034,
-                    a=1.04 - eps, b=1 / 0.91 + eps)
-    cert = check_disjointness(forced)
-    assert not cert.passed
-    assert cert.details["margin_shrink"] < 0
 
 
 # ---------------------------------------------------------------------------
