@@ -14,7 +14,6 @@ from .errors import (
     Infeasible,
     NotContact,
     NotRegular,
-    OutOfFoliation,
     VerificationError,
 )
 
@@ -34,7 +33,6 @@ __all__ = [
     "Infeasible",
     "NotContact",
     "NotRegular",
-    "OutOfFoliation",
     "VerificationError",
     "__version__",
 ]

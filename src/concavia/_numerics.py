@@ -18,12 +18,11 @@ from bisect import bisect_right
 
 import numpy as np
 
-__all__ = ["PPoly", "brentq", "kronecker", "GOLD", "SILVER", "BRONZE"]
+__all__ = ["PPoly", "brentq", "kronecker", "GOLD", "SILVER"]
 
-#: 1 / the golden, silver and bronze means: rationally independent with 1
+#: 1 / the golden and silver means: rationally independent with 1
 GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 SILVER = math.sqrt(2.0) - 1.0
-BRONZE = (math.sqrt(13.0) - 3.0) / 2.0
 
 
 def kronecker(n: int, steps) -> np.ndarray:

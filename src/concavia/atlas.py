@@ -36,12 +36,10 @@ __all__ = [
     "validate_params",
     "default_params",
     "phi",
-    "z_action",
     "canonical_rep",
     "map_Phi",
     "map_psi",
     "same_point",
-    "fibration_f",
     "in_complement_C",
 ]
 
@@ -98,7 +96,7 @@ class ChartPoint:
 
 
 # ---------------------------------------------------------------------------
-# The multivalued gluing factor and the integer action
+# The multivalued gluing factor
 # ---------------------------------------------------------------------------
 
 def phi(w, k: int = 0):
@@ -117,15 +115,6 @@ def phi(w, k: int = 0):
     if out.ndim == 0:
         return complex(out)
     return out
-
-
-def z_action(n: int, w1: complex, w2: complex) -> tuple[complex, complex]:
-    """Integer action on the covering annulus: ``n . (w1, w2) = (w1*w2**n, w2)``."""
-    if w1 == 0:
-        raise DomainError("z_action needs w1 != 0")
-    if not (0.0 < abs(w2) < 1.0):
-        raise DomainError(f"z_action needs 0 < |w2| < 1, got |w2|={abs(w2)}")
-    return w1 * w2 ** n, w2
 
 
 def _require_moduli(z1, z2, bounds) -> None:
@@ -274,17 +263,6 @@ def same_point(params: Params, p: ChartPoint, q: ChartPoint, tol: float = 1e-9) 
     if _in_phi_band(params, p) and _in_phi_band(params, q):
         return _same_annulus_point(_to_annulus(params, p), _to_annulus(params, q), tol)
     return False
-
-
-def fibration_f(params: Params, p: ChartPoint) -> tuple[complex, str]:
-    """Value of the holomorphic fibration under the point, with a chart tag.
-
-    Points of ``V``/``V'`` project to ``z2`` in the base-disk chart; annulus
-    points project to ``w2`` in the opposite disk chart of the base sphere.
-    """
-    if p.chart is Chart.W_ANNULUS:
-        return p.z2, "fiber_disk"
-    return p.z2, "base_disk"
 
 
 def in_complement_C(params: Params, p: ChartPoint) -> bool:

@@ -20,7 +20,6 @@ __all__ = [
     "NotContact",
     "Exhausted",
     "FoliationError",
-    "OutOfFoliation",
     "VerificationError",
 ]
 
@@ -96,10 +95,6 @@ class Exhausted(ConcaviaError):
 
 class FoliationError(ConcaviaError):
     """Two slices of a sphere family intersect; reports the pair and the ray."""
-
-
-class OutOfFoliation(DomainError):
-    """A queried point lies outside the region swept by the sphere family."""
 
 
 class VerificationError(ConcaviaError):

@@ -39,13 +39,12 @@ from .atlas import Chart, ChartPoint, Params
 from .certs import Certificate
 # the knob names live in the numpy-free config module; re-exported here
 from .config import RUN_DEFAULTS, Knobs, default_knobs
-from .convexjoin import EndpointData, JoinProblem, SplineC2, feasible, solve
+from .convexjoin import EndpointData, JoinProblem, SplineC2, solve
 from .errors import (
     BranchError,
     DomainError,
     FeasibilityError,
     FoliationError,
-    OutOfFoliation,
     VerificationError,
 )
 from .levi import (ScalarField, apply_J, exp_jet, find_lambda, jet_d_c, jet_neg_ddc,
@@ -68,7 +67,6 @@ __all__ = [
     "build_M1",
     "sample_M1",
     "build_family",
-    "gamma_field",
     "normalized_potential",
     "pseudoconcavity_check",
     "compatibility_check",
@@ -163,27 +161,23 @@ def _seam_residuals(htilde: SplineC2, h1: Profile, h2: Profile) -> dict:
     }
 
 
-def _profile_conditions_cert(name: str, prof: Profile) -> Certificate:
-    conds = dict(prof.meta.get("conditions", {}))
-    margins = []
-    for key, val in conds.items():
-        if isinstance(val, (int, float)) and not isinstance(val, bool):
-            if key.endswith(("margin", "slope")):
-                margins.append(abs(val) if key == "end_slope" else float(val))
-    margin = min(margins) if margins else float("inf")
-    return Certificate(
-        name=name, grid=f"domain [{prof.x_lo:.6g}, {prof.x_hi:.6g}]",
-        margin=margin, passed=margin > 0, details=conds)
-
-
 def build_M1(params: Params, knobs: Knobs | None = None) -> SphereModel:
     """Assemble the sphere from two walls and a convex seam join.
 
-    Raises :class:`FeasibilityError` naming the binding constraint when the
-    shape knobs cannot satisfy the construction (for instance when the right
-    wall cannot reach log-slope below -1 with the requested margin, reported
-    as ``"endpoint slope"``), and :class:`VerificationError` if an assembled
-    model fails one of its own certificates.
+    Each construction constraint is stated once, as the error that stops the
+    build: :func:`make_f1` and :func:`make_f2` raise
+    :class:`FeasibilityError` for a wall that is not strictly log-convex
+    (log-concave), misses its end slope or leaves its range; a right wall
+    that cannot reach log-slope below -1 with the requested margin is
+    reported as ``"endpoint slope"``; and :func:`solve` raises
+    :class:`Infeasible` unless ``left.deriv < chord < right.deriv``.
+
+    The model's certificates are the facts that can fail on a built model:
+    ``seam_C1``, ``seam_contact``, ``clearances`` and ``membership``.  A
+    failing one raises :class:`VerificationError`.  ``seam_C1`` (absolute
+    ``SEAM_TOL``) restates :func:`solve`'s end-jet check (``1e-9 * max(1,
+    |v|, |d|)``, 2e-8 at the right end, where ``|d| = 20``) 20 times
+    tighter; the left residuals are 0 since the join is seeded with them.
     """
     knobs = knobs or default_knobs()
     y_star = math.log(1.0 / params.rho1)
@@ -202,7 +196,6 @@ def build_M1(params: Params, knobs: Knobs | None = None) -> SphereModel:
     right = EndpointData(h2.x_lo, float(h2.L(h2.x_lo)), float(h2.dL(h2.x_lo)))
     floor = math.log(params.rho0) + 0.1 * budget
     problem = JoinProblem(left, right, floor=floor)
-    ok, slope_diag = feasible(problem)
     htilde = solve(problem, knots=knobs.knots, target_depth=knobs.depth_frac * budget)
     h = Profile.from_spline(htilde, meta={"kind": "seam"})
 
@@ -212,22 +205,6 @@ def build_M1(params: Params, knobs: Knobs | None = None) -> SphereModel:
     model = SphereModel(params=params, knobs=knobs, f1=f1, f2=f2,
                         h1=h1, h2=h2, htilde=htilde, h=h, depth=depth)
     certs = model.certificates
-
-    certs["wall1_shape"] = _profile_conditions_cert("wall1_shape", f1)
-    certs["wall2_shape"] = _profile_conditions_cert("wall2_shape", f2)
-
-    sd = dict(slope_diag)
-    sl, sr, ch = left.deriv, right.deriv, sd.get("chord", float("nan"))
-    certs["seam_slopes"] = Certificate(
-        name="seam_slopes", grid="2 endpoints",
-        margin=min(ch - sl, sr - ch), passed=bool(ok),
-        details={"left_slope": sl, "right_slope": sr, **sd})
-
-    jd = dict(htilde.diagnostics)
-    certs["seam_join"] = Certificate(
-        name="seam_join", grid=f"{knobs.knots} knots",
-        margin=float(jd.get("eps_mid", 0.0)), passed=jd.get("eps_mid", 0.0) > 0,
-        details=jd)
 
     res = _seam_residuals(htilde, h1, h2)
     worst = max(res.values())
@@ -842,25 +819,6 @@ def build_family(params: Params, n_tau: int, knobs: Knobs | None = None,
     return _certify_levels(fam, t, fam.fol.gamma(z1, z2))
 
 
-def gamma_field(fam: FamilySpec) -> ScalarField:
-    """The family's level function as a scalar field.
-
-    Scalar evaluation outside the swept collar raises
-    :class:`OutOfFoliation`; array evaluation returns NaN there so sweeps
-    can mask.
-    """
-    fol = fam.fol
-
-    def fn(z1, z2):
-        val = fol.gamma(z1, z2)
-        if np.ndim(val) == 0 and isinstance(val, float) and math.isnan(val):
-            raise OutOfFoliation(f"point (|z1|={abs(z1):.6g}, |z2|={abs(z2):.6g}) "
-                                 "is outside the collar")
-        return val
-
-    return ScalarField(fn=fn, name="gamma")
-
-
 def normalized_potential(fam: FamilySpec, lam: float) -> ScalarField:
     """``exp(lam * (gamma - 1))``: the collar's potential scaled into (0, 1].
 
@@ -908,7 +866,7 @@ def _lambda_grid(fam: FamilySpec) -> list[tuple]:
 def find_collar_lambda(fam: FamilySpec, lambda_max: float) -> tuple[float, Certificate]:
     """:func:`find_lambda` for the family's ``gamma`` on the lambda grid, the
     union of :func:`verification_grid` at densities 1 and 2."""
-    return find_lambda(gamma_field(fam), _lambda_grid(fam), lambda_max=lambda_max)
+    return find_lambda(fam.fol.gamma, _lambda_grid(fam), lambda_max=lambda_max)
 
 
 # ---------------------------------------------------------------------------

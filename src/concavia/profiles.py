@@ -34,7 +34,6 @@ __all__ = [
     "ContactTag",
     "ContactClass",
     "eval_profile",
-    "slope",
     "second_derivative_identity_check",
     "classify_contact",
     "make_f1",
@@ -176,15 +175,6 @@ def eval_profile(p: Profile, r):
     return val, first, second
 
 
-def slope(p: Profile, r):
-    """Characteristic-foliation slope ``r p'/p = L'(log r)``."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise DomainError("slope needs r > 0")
-    out = p.dL(np.log(r))
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def second_derivative_identity_check(p: Profile, grid) -> Certificate:
     """Check that ``L''`` matches the slope's radial derivative in sign.
 
@@ -293,7 +283,7 @@ def make_f1(params, eps1: float, x_lo: float = -8.0) -> Profile:
             "range_margin": params.rho2 - top,
         },
     }
-    if meta["conditions"]["log_convexity_margin"] <= 0 or end_slope <= 0:
+    if not (meta["conditions"]["log_convexity_margin"] > 0 and end_slope > 0):
         raise FeasibilityError("f1 conditions", str(meta["conditions"]))
     return Profile.from_callables(x_lo, x_hi, L, dL, d2L, meta)
 
@@ -329,7 +319,7 @@ def make_f2(params, eps2: float, x_lo: float = -8.0, x_switch: float = -0.3,
                         float(np.exp(prof.L(xs).max()))),
     }
     prof.meta["conditions"] = conds
-    if conds["log_concavity_margin"] <= 0 or conds["end_slope_margin"] <= 0:
+    if not (conds["log_concavity_margin"] > 0 and conds["end_slope_margin"] > 0):
         raise FeasibilityError("f2 conditions", str(conds))
     if not (1.0 < conds["value_range"][0] and conds["value_range"][1] < params.rho2):
         raise FeasibilityError("f2 range in (1, rho2)", str(conds["value_range"]))

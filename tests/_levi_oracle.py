@@ -7,11 +7,16 @@ oracle compare the package against them.  Conventions are ``levi``'s: ``J``
 by ``levi.apply_J`` and two-forms in the 1/2 convention.
 """
 
+import math
+
 import numpy as np
 
-from concavia._numerics import BRONZE, GOLD, SILVER, kronecker
+from concavia._numerics import GOLD, SILVER, kronecker
 from concavia.certs import Certificate
 from concavia.levi import apply_J
+
+#: 1 / the bronze mean, a third Kronecker step beside ``GOLD`` and ``SILVER``
+BRONZE = (math.sqrt(13.0) - 3.0) / 2.0
 
 
 def _shift(p, v, t: float) -> tuple[complex, complex]:

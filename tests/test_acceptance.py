@@ -408,12 +408,12 @@ def test_default_pipeline_certifies_model_family_and_potential():
     # independent re-check of the returned lambda on a doubled grid; probe
     # exp(lam*gamma), whose Levi form is the potential's times e^lam > 0, at
     # two steps and remove the O(h^2) error per point before the minimum
-    gam = family.gamma_field(fam)
+    gam = fam.fol.gamma
     grid2 = family.verification_grid(fam, 2)
     z1 = np.array([p[0] for p in grid2], dtype=complex)
     z2 = np.array([p[1] for p in grid2], dtype=complex)
     m1, m3 = (levi_min_eig_batch(
-        lambda a, b: np.exp(lam * np.asarray(gam.fn(a, b), dtype=float)),
+        lambda a, b: np.exp(lam * np.asarray(gam(a, b), dtype=float)),
         z1, z2, h_rel) for h_rel in (1e-5, 3e-5))
     refined_min = float((m1 + (m1 - m3) / 8.0).min())
 

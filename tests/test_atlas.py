@@ -14,14 +14,12 @@ from concavia.atlas import (
     DEFAULT_PARAM_VALUES,
     canonical_rep,
     default_params,
-    fibration_f,
     in_complement_C,
     map_Phi,
     map_psi,
     phi,
     same_point,
     validate_params,
-    z_action,
 )
 from concavia.errors import ChainViolation, ConfigError, DomainError
 
@@ -136,17 +134,6 @@ def test_phi_rejects_zero():
 # ---------------------------------------------------------------------------
 # Integer action and canonical representatives
 # ---------------------------------------------------------------------------
-
-def test_z_action_example():
-    assert z_action(2, 3.0, 0.5j) == (-0.75 + 0j, 0.5j)
-
-
-def test_z_action_group_law():
-    w1, w2 = 1.7 * cmath.exp(0.4j), 0.85 * cmath.exp(-1.1j)
-    a = z_action(3, *z_action(-5, w1, w2))
-    b = z_action(-2, w1, w2)
-    assert abs(a[0] - b[0]) < 1e-14 and a[1] == b[1]
-
 
 def test_canonical_rep_frozen_examples():
     # (8, 0.5): u = log 8 / log 2 = 3, band shift n = 3, 8 * 0.5^3 = 1.
@@ -420,14 +407,15 @@ def test_same_point_orbit_neighbor_robust(P):
 
 
 def test_fibration_values(P):
+    # the fibration is z2 in V and w2 = 1/z2 in the annulus chart
     z1, z2 = 1.03, 1.12 * cmath.exp(0.7j)
-    v, tag = fibration_f(P, ChartPoint.v(P, z1, z2))
-    assert v == z2 and tag == "base_disk"
-    w, tagw = fibration_f(P, map_Phi(P, z1, z2))
-    assert tagw == "fiber_disk"
-    assert abs(w - 1.0 / z2) < 1e-14
+    v = ChartPoint.v(P, z1, z2)
+    assert v.z2 == z2
+    w = map_Phi(P, z1, z2)
+    assert w.chart is Chart.W_ANNULUS
+    assert abs(w.z2 - 1.0 / z2) < 1e-14
     # shared fiber: 1/w2 equals the base-chart value
-    assert abs(1.0 / w - v) < 1e-13
+    assert abs(1.0 / w.z2 - v.z2) < 1e-13
 
 
 # ---------------------------------------------------------------------------

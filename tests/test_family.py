@@ -17,7 +17,6 @@ from concavia.errors import (
     DomainError,
     FeasibilityError,
     FoliationError,
-    OutOfFoliation,
     VerificationError,
 )
 from concavia.levi import _levi_entries, find_lambda, jet, levi_min_eig
@@ -35,7 +34,7 @@ def _family16():
 
 @functools.lru_cache(maxsize=None)
 def _lambda():
-    return find_lambda(family.gamma_field(_family16()), _lambda_grid())
+    return find_lambda(_family16().fol.gamma, _lambda_grid())
 
 
 @functools.lru_cache(maxsize=None)
@@ -63,9 +62,8 @@ def test_build_M1_frozen_geometry():
 
 def test_build_M1_certificates_pass():
     m = _model()
-    names = {"wall1_shape", "wall2_shape", "seam_slopes", "seam_join",
-             "seam_C1", "seam_contact", "clearances", "membership"}
-    assert names <= set(m.certificates)
+    names = {"seam_C1", "seam_contact", "clearances", "membership"}
+    assert set(m.certificates) == names
     for name in names:
         cert = m.certificates[name]
         assert cert.passed, f"{name} failed with margin {cert.margin}"
@@ -484,13 +482,13 @@ def test_custom_curve_inverse_matches_the_bisection_oracle():
 
 
 # ---------------------------------------------------------------------------
-# gamma_field
+# gamma
 # ---------------------------------------------------------------------------
 
 def test_gamma_is_the_level_on_each_slice():
     fam = _family16()
     fol = fam.fol
-    gam = family.gamma_field(fam)
+    gam = fam.fol.gamma
     for tau in (0.25, 0.5, 1.0):
         r2 = math.exp(-2.0)
         z1 = float(fol.wall1(tau, r2)) * np.exp(0.7j)
@@ -506,7 +504,7 @@ def test_gamma_is_the_level_on_each_slice():
 def test_gamma_continuous_at_dome_attachment():
     fam = _family16()
     fol = fam.fol
-    gam = family.gamma_field(fam)
+    gam = fam.fol.gamma
     tau = 0.6
     q2a = float(fol.y_cut(tau)) - 1e-6
     r1 = float(fol.wall1(tau, math.exp(q2a)))
@@ -660,17 +658,16 @@ def test_polar_stencil_stays_inside_the_thin_perturbed_collar():
     assert np.isfinite(out).all()
 
 
-def test_gamma_raises_outside_the_collar():
-    gam = family.gamma_field(_family16())
-    with pytest.raises(OutOfFoliation):
-        gam(2.0 + 0.0j, 0.5 + 0.0j)
+def test_gamma_is_nan_outside_the_collar():
+    gam = _family16().fol.gamma
+    assert math.isnan(gam(2.0 + 0.0j, 0.5 + 0.0j))
     arr = gam(np.array([2.0 + 0.0j]), np.array([0.5 + 0.0j]))
     assert np.isnan(arr).all()
 
 
 def test_normalized_potential_is_affine_in_gamma():
     fam = _family16()
-    gam = family.gamma_field(fam)
+    gam = fam.fol.gamma
     u = family.normalized_potential(fam, 4.0)
     fol = fam.fol
     r2 = math.exp(-1.5)
@@ -771,7 +768,7 @@ def test_lifted_lambda_keeps_the_polar_bits_on_the_old_grid(which, lam, margin):
     # the real-slice grid moves the moduli by an ulp, and 0.004's lambda by 2.7e-8
     fam = _family_for(which)
     grid = _golden(family.verification_grid(fam, 1)) + _golden(family.verification_grid(fam, 2))
-    got, cert = find_lambda(family.gamma_field(fam), grid)
+    got, cert = find_lambda(fam.fol.gamma, grid)
     assert (got, cert.margin) == (lam, margin)
 
 
@@ -779,7 +776,7 @@ def test_polar_lambda_on_the_density_16_grid_passes_the_cartesian_oracle():
     # 9,557 points, where the 4-D minimum eigenvalues at lambda are about
     # 1.5e-6 (h) and 5.9e-7 (2h)
     fam = _family16()
-    lam, cert = find_lambda(family.gamma_field(fam), family.verification_grid(fam, 16))
+    lam, cert = find_lambda(fam.fol.gamma, family.verification_grid(fam, 16))
     assert cert.passed and cert.grid == "9557 pts"
     assert min(_min_eig_4d(_cartesian_jets(16), lam)) > cert.details["tol"]
 

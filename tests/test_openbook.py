@@ -7,10 +7,11 @@ import math
 import numpy as np
 import pytest
 
+from _levi_oracle import BRONZE
 from concavia.atlas import ChartPoint, Chart, canonical_rep, default_params, \
-    fibration_f, map_Phi, phi, same_point
+    map_Phi, phi, same_point
 from concavia import openbook
-from concavia._numerics import BRONZE, GOLD, SILVER, kronecker
+from concavia._numerics import GOLD, SILVER, kronecker
 from concavia.errors import ConfigError, DomainError
 from concavia.openbook import (
     MPoint,
@@ -306,9 +307,8 @@ def test_phi_prime_fiber_modulus_is_c():
         w1 = rng.uniform(P.a, P.b) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
         w2 = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
         cp = map_Phi_prime(P, w1, w2)
-        val, kind = fibration_f(P, cp)
-        assert kind == "fiber_disk"
-        assert abs(abs(val) - P.c) < 1e-12
+        assert cp.chart is Chart.W_ANNULUS
+        assert abs(abs(cp.z2) - P.c) < 1e-12
 
 
 def test_phi_prime_cr_residual():
@@ -424,7 +424,7 @@ def _page(theta: float, n: int) -> list[ChartPoint]:
 
 def test_sample_page_shares_fiber_value():
     pts = _page(0.8, 20)
-    vals = [fibration_f(P, cp)[0] for cp in pts]
+    vals = [cp.z2 for cp in pts]
     for v in vals[1:]:
         assert abs(v - vals[0]) < 1e-10
 

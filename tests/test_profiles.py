@@ -18,7 +18,6 @@ from concavia.profiles import (
     pushforward_h1,
     pushforward_h2,
     second_derivative_identity_check,
-    slope,
 )
 
 
@@ -110,22 +109,6 @@ def test_domain_check_passes_nan_but_not_a_point_beside_it():
     for x in (3.1, -math.inf, np.array([np.nan, 4.0]), np.array([[np.nan], [-4.0]])):
         with pytest.raises(DomainError):
             p.L(x)
-
-
-def test_slope_power_profiles():
-    for k in (-2, 1, 3):
-        p = _affine(k)
-        for r in (0.5, 1.0, 2.0):
-            assert slope(p, r) == pytest.approx(k, abs=1e-12)
-    assert slope(_exp_profile(), 1.0) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_slope_equals_dL_random():
-    rng = np.random.default_rng(21)
-    p = _exp_profile()
-    for _ in range(100):
-        r = rng.uniform(0.2, 5.0)
-        assert abs(slope(p, r) - p.dL(math.log(r))) <= 1e-9 * max(1, abs(slope(p, r)))
 
 
 def test_second_derivative_identity_levi_flat():
