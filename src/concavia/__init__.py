@@ -1,6 +1,10 @@
-"""concavia: certificate-based checks for an annulus-fibered surface model."""
+"""concavia: certificate-based checks for an annulus-fibered surface model.
 
-from .certs import Certificate
+Importing the package loads only :mod:`concavia.errors`; ``Certificate``
+(and with it :mod:`dataclasses`) is imported on first use, so that the
+numpy-free CLI front end starts without either.
+"""
+
 from .errors import (
     BranchError,
     ChainViolation,
@@ -36,3 +40,10 @@ __all__ = [
     "VerificationError",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name == "Certificate":
+        from .certs import Certificate
+        return Certificate
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,4 +1,5 @@
-"""Piecewise polynomials, Brent's root finder and a Kronecker sequence.
+"""Piecewise polynomials, Brent's root finder, a Kronecker sequence and
+the per-process cache of the sample tables built on it.
 
 :class:`PPoly` and :func:`brentq` reproduce ``scipy.interpolate.PPoly`` and
 ``scipy.optimize.brentq`` bit for bit on the inputs this package gives them
@@ -12,13 +13,14 @@ scipy with ``tobytes()``.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from bisect import bisect_right
 
 import numpy as np
 
-__all__ = ["PPoly", "brentq", "kronecker", "GOLD", "SILVER"]
+__all__ = ["PPoly", "brentq", "kronecker", "sample_table", "GOLD", "SILVER"]
 
 #: 1 / the golden and silver means: rationally independent with 1
 GOLD = (math.sqrt(5.0) - 1.0) / 2.0
@@ -32,6 +34,23 @@ def kronecker(n: int, steps) -> np.ndarray:
     the bits of ``x % 1.0``, and numpy computes it faster."""
     x = np.arange(n)[:, None] * np.asarray(steps)
     return x - np.floor(x)
+
+
+def sample_table(build):
+    """Cache ``build(n)``, an array or a tuple of arrays that depend on ``n``
+    alone, for the life of the process, and make the arrays read-only.
+
+    The sweeps call a builder for the parameter-free part of their samples
+    (Kronecker angles and the like) on every run; with the cache only the
+    first call per size computes it.  Four sizes are kept per builder.
+    """
+    @functools.lru_cache(maxsize=4)
+    def cached(n: int):
+        out = build(n)
+        for a in out if isinstance(out, tuple) else (out,):
+            a.flags.writeable = False
+        return out
+    return functools.wraps(build)(cached)
 
 
 def _rising(k: int, nu: int) -> float:
@@ -62,7 +81,7 @@ class PPoly:
     its final coefficients and never edited.
     """
 
-    __slots__ = ("c", "x", "_inner", "_inner_list", "_xs", "_pieces")
+    __slots__ = ("c", "x", "_rows", "_inner", "_inner_list", "_xs", "_pieces")
 
     def __init__(self, c, x):
         c = np.array(c, dtype=float)
@@ -75,6 +94,7 @@ class PPoly:
         c.flags.writeable = False
         x.flags.writeable = False
         self.c, self.x = c, x
+        self._rows = tuple(c)   # array evaluation gathers one row per power
         self._inner = x[1:-1]
         # scalar evaluation runs on Python floats
         self._inner_list = self._inner.tolist()
@@ -97,12 +117,11 @@ class PPoly:
         flat = a.ravel()
         i = np.searchsorted(self._inner, flat, "right")
         s = flat - self.x.take(i)
-        c = self.c.take(i, axis=1)
-        k = c.shape[0]
-        res = c[k - 1] + 0.0
+        rows = self._rows
+        res = rows[-1].take(i) + 0.0
         z = s
-        for m in range(k - 2, -1, -1):
-            res = res + c[m] * z
+        for m in range(len(rows) - 2, -1, -1):
+            res = res + rows[m].take(i) * z
             if m:
                 z = z * s
         res[np.isnan(flat)] = np.nan

@@ -14,18 +14,23 @@ The model is assembled from three coordinate charts:
 ``U' = {|z2| < |z1|}`` by ``psi(z1, z2) = (z1/z2, z2)``.  The map ``Phi``
 carries both into the quotient annulus chart via the multivalued factor
 :func:`phi`.  All verification modules sit on top of the operations here.
+
+:class:`Params` is the validated parameter record every operation takes.
+:func:`validate_params` builds it from the numpy-free chain check
+:func:`concavia.config.check_chain`, which the CLI front end runs alone.
 """
 
 from __future__ import annotations
 
 import enum
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-# the parameter names live in the numpy-free config module; re-exported here
-from .config import DEFAULT_PARAM_VALUES, Params, default_params, validate_params
+# the numpy-free chain check of the CLI front end; the default values are re-exported
+from .config import _RAW_FIELDS, DEFAULT_PARAM_VALUES, check_chain
 from .errors import DomainError
 
 __all__ = [
@@ -46,6 +51,61 @@ __all__ = [
 # Orbit shifts larger than this are treated as out of the supported range;
 # every point of the model needs |n| of at most a few to canonicalize.
 MAX_ORBIT_SHIFT = 64
+
+
+# ---------------------------------------------------------------------------
+# Parameters
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Params:
+    """Validated model parameters plus the derived page radii ``a`` and ``b``.
+
+    Instances are only built through :func:`validate_params`, which checks the
+    full inequality chain.  ``a = rho2 - eps`` and ``b = 1/c + eps`` are the
+    inner/outer radii of the page annulus ``A``.
+    """
+
+    rho0: float
+    rho1: float
+    rho2: float
+    s: float
+    c: float
+    eps: float
+    c1: float
+    c2: float
+    zeta1: float
+    zeta2: float
+    a: float
+    b: float
+
+    def raw_dict(self) -> dict[str, float]:
+        return {name: getattr(self, name) for name in _RAW_FIELDS}
+
+    def to_dict(self) -> dict:
+        out = self.raw_dict()
+        out["a"] = self.a
+        out["b"] = self.b
+        out["validated"] = True
+        return out
+
+    def to_json(self, **kwargs) -> str:
+        kwargs.setdefault("sort_keys", True)
+        return json.dumps(self.to_dict(), **kwargs)
+
+
+def validate_params(values: dict) -> Params:
+    """Check the ordered inequality chain and return a frozen Params.
+
+    Raises ``ConfigError`` on missing/non-finite fields and ``ChainViolation``
+    naming the first violated inequality otherwise (see
+    :func:`concavia.config.check_chain`).
+    """
+    return Params(**check_chain(values))
+
+
+def default_params() -> Params:
+    return validate_params(DEFAULT_PARAM_VALUES)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,11 @@ checks pass, 1 verification failure, 2 config/parse failure.  Reports are
 pretty-printed JSON written under the outputs directory; repeated runs with
 the same config and seed produce byte-identical files.
 
-This module and :mod:`concavia.config` import no numpy: ``params``,
-``--help`` and every rejected config (exit 2) end before the computing
-commands of :mod:`concavia.commands`, and with them numpy and the model
-modules, are imported.
+This module and :mod:`concavia.config` import neither numpy nor
+:mod:`dataclasses`: the config is a plain record and the parameter chain a
+dict check, so ``params``, ``--help`` and every rejected config (exit 2)
+end before the computing commands of :mod:`concavia.commands`, and with
+them numpy, the model modules and their frozen records, are imported.
 
 CSV headers (fixed):
 
@@ -31,22 +32,17 @@ CSV headers (fixed):
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 
-from .config import _RAW_FIELDS, RUN_DEFAULTS, Knobs, Params, default_params, validate_params
+from .config import _RAW_FIELDS, DEFAULT_PARAM_VALUES, KNOB_DEFAULTS, RUN_DEFAULTS, check_chain
 from .errors import ConcaviaError, ConfigError
 
 # the family knobs, then run_verification's keyword defaults and the CLI-only
 # export density
-_KNOB_DEFAULTS: dict = {
-    **{f.name: f.default for f in dataclasses.fields(Knobs)},
-    **RUN_DEFAULTS,
-}
+_KNOB_DEFAULTS: dict = {**KNOB_DEFAULTS, **RUN_DEFAULTS}
 
 # knobs that count or size something; every other knob is a finite real
 _INT_KNOBS = ("n_tau", "n_samples", "knots", "density")
@@ -61,14 +57,13 @@ EXPORTS = ("m1", "pages", "binding", "corners", "family", "levi_field")
 # Configuration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class RunConfig:
     """Validated run configuration: raw params, knob map, outputs, seed."""
 
-    params: dict
-    knobs: dict
-    outputs: str = "out"
-    seed: int = 0
+    __slots__ = ("params", "knobs", "outputs", "seed")
+
+    def __init__(self, params: dict, knobs: dict, outputs: str = "out", seed: int = 0):
+        self.params, self.knobs, self.outputs, self.seed = params, knobs, outputs, seed
 
     @classmethod
     def load(cls, path: str | None = None, overrides: dict | None = None) -> "RunConfig":
@@ -78,7 +73,7 @@ class RunConfig:
         A ``params`` block replaces the default parameters (so a missing
         field is a config error); a ``knobs`` block is a partial override.
         """
-        cfg: dict = {"params": default_params().raw_dict(), "knobs": {},
+        cfg: dict = {"params": dict(DEFAULT_PARAM_VALUES), "knobs": {},
                      "outputs": "out", "seed": 0}
         if path is not None:
             try:
@@ -130,10 +125,6 @@ class RunConfig:
         if kn["density"] < 1:
             raise ConfigError(f"knob density must be >= 1, got {kn['density']}")
 
-    def family_knobs(self) -> Knobs:
-        fields = (f.name for f in dataclasses.fields(Knobs))
-        return Knobs(**{name: self.knobs[name] for name in fields})
-
 
 def _is_int(value) -> bool:
     """A JSON integer: ``True`` and ``16.0`` are not."""
@@ -178,8 +169,9 @@ def _parse_overrides(tokens: list[str]) -> dict:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_params(par: Params) -> int:
-    print(par.to_json(indent=2))
+def cmd_params(values: dict) -> int:
+    """Print :func:`check_chain`'s ``values``, the validated parameters."""
+    print(json.dumps({**values, "validated": True}, indent=2, sort_keys=True))
     return 0
 
 
@@ -209,14 +201,14 @@ def main(argv=None) -> int:
     args, unknown = _parser().parse_known_args(argv)
     try:
         cfg = RunConfig.load(args.config, _parse_overrides(unknown))
-        par = validate_params(cfg.params)   # a ChainViolation is a ConfigError
+        values = check_chain(cfg.params)   # a ChainViolation is a ConfigError
         if args.command == "params":
-            return cmd_params(par)
+            return cmd_params(values)
         # only a valid config that computes loads numpy and the model modules
         from . import commands
         if args.command == "verify":
-            return commands.cmd_verify(cfg, par, args.suite)
-        return commands.cmd_export(cfg, par, args.what)
+            return commands.cmd_verify(cfg, args.suite)
+        return commands.cmd_export(cfg, args.what)
     except ConfigError as err:
         print(json.dumps({"error": type(err).__name__, "message": str(err)},
                          indent=2, sort_keys=True))

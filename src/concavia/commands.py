@@ -3,7 +3,9 @@
 :func:`concavia.cli.main` imports this module only once the config has
 loaded and the parameter chain holds, so ``concavia params`` and every
 rejected config run without numpy or the model modules.  ``verify`` and
-``export`` load them here.
+``export`` load them here, and turn the config's plain data into the frozen
+records the model takes: :func:`concavia.atlas.validate_params` makes the
+``Params`` and :func:`family_knobs` the ``Knobs``.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import family
+from . import atlas, family
 from ._numerics import GOLD
 from .atlas import map_Phi, phi, same_point
 from .certs import Certificate
+from .config import KNOB_DEFAULTS
 from .errors import ConcaviaError
 from .levi import (ScalarField, exp_jet, hartogs_boundary_test, is_strictly_psh, levi_min_eig,
                    polar_jet, polar_lift)
@@ -28,6 +31,11 @@ from .profiles import second_derivative_identity_check
 
 if TYPE_CHECKING:
     from .cli import RunConfig
+
+
+def family_knobs(cfg: RunConfig) -> family.Knobs:
+    """The construction knobs of the config's knob map."""
+    return family.Knobs(**{name: cfg.knobs[name] for name in KNOB_DEFAULTS})
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +116,7 @@ def _suite_levi(par) -> dict[str, Certificate]:
 def _suite_family(cfg: RunConfig, par, model) -> tuple[bool, dict]:
     kn = cfg.knobs
     return family.run_verification(
-        par, cfg.family_knobs(), model, n_tau=kn["n_tau"],
+        par, family_knobs(cfg), model, n_tau=kn["n_tau"],
         n_samples=kn["n_samples"], lambda_max=kn["lambda_max"])
 
 
@@ -144,15 +152,16 @@ def _run_suite(name: str, cfg: RunConfig, par, model) -> tuple[bool, dict]:
 # verify
 # ---------------------------------------------------------------------------
 
-def cmd_verify(cfg: RunConfig, par, suite: str) -> int:
-    """Run ``suite`` (or every suite for ``"all"``) on the validated ``par``,
-    write the report and return the exit code."""
+def cmd_verify(cfg: RunConfig, suite: str) -> int:
+    """Run ``suite`` (or every suite for ``"all"``) on the config's
+    parameters, write the report and return the exit code."""
+    par = atlas.validate_params(cfg.params)
     names = list(_SUITES) if suite == "all" else [suite]
     # one model for every suite that reads it
     model = None
     if _MODEL_SUITES & set(names):
         try:
-            model = family.build_M1(par, cfg.family_knobs())
+            model = family.build_M1(par, family_knobs(cfg))
         except ConcaviaError as err:
             model = err
     results = {n: _run_suite(n, cfg, par, model) for n in names}
@@ -191,7 +200,7 @@ def _phase(cfg: RunConfig) -> float:
 
 
 def _export_m1(cfg: RunConfig, par, outdir: str) -> list[str]:
-    model = family.build_M1(par, cfg.family_knobs())
+    model = family.build_M1(par, family_knobs(cfg))
     samples = family.sample_M1(model, cfg.knobs["n_samples"])
     rows = [(tag, pt.chart.name, pt.z1.real, pt.z1.imag, pt.z2.real, pt.z2.imag)
             for pt, tag in samples]
@@ -201,7 +210,7 @@ def _export_m1(cfg: RunConfig, par, outdir: str) -> list[str]:
 
 
 def _export_pages(cfg: RunConfig, par, outdir: str) -> list[str]:
-    model = family.build_M1(par, cfg.family_knobs())
+    model = family.build_M1(par, family_knobs(cfg))
     ph = _phase(cfg)
     rows = []
     for page in range(8):
@@ -255,7 +264,7 @@ def _export_corners(cfg: RunConfig, par, outdir: str) -> list[str]:
 
 def _export_family(cfg: RunConfig, par, outdir: str) -> list[str]:
     kn = cfg.knobs
-    fam = family.build_family(par, kn["n_tau"], cfg.family_knobs())
+    fam = family.build_family(par, kn["n_tau"], family_knobs(cfg))
     fol = fam.fol
     paths = []
     for i, tau in enumerate(fam.taus):
@@ -279,7 +288,7 @@ def _export_family(cfg: RunConfig, par, outdir: str) -> list[str]:
 
 def _export_levi_field(cfg: RunConfig, par, outdir: str) -> list[str]:
     kn = cfg.knobs
-    fam = family.build_family(par, kn["n_tau"], cfg.family_knobs())
+    fam = family.build_family(par, kn["n_tau"], family_knobs(cfg))
     lam, _ = family.find_collar_lambda(fam, kn["lambda_max"])
     pts = family.verification_grid(fam, kn["density"])   # on the real slice
     r1, r2 = (np.array([p[i].real for p in pts]) for i in (0, 1))
@@ -302,8 +311,9 @@ _EXPORTS = {
 }
 
 
-def cmd_export(cfg: RunConfig, par, what: str) -> int:
-    """Write the ``what`` point clouds of the validated ``par``."""
+def cmd_export(cfg: RunConfig, what: str) -> int:
+    """Write the ``what`` point clouds of the config's parameters."""
+    par = atlas.validate_params(cfg.params)
     os.makedirs(cfg.outputs, exist_ok=True)
     paths = _EXPORTS[what](cfg, par, cfg.outputs)
     print(json.dumps({"written": paths}, indent=2))

@@ -1,21 +1,21 @@
-"""Model parameters, construction knobs and run defaults, without numpy.
+"""Model parameter values, construction knob defaults and run defaults, as plain data.
 
-The CLI front end loads a config and validates the parameter chain with
-this module alone, so ``concavia params`` and every rejected config exit
-before numpy or any model module is imported.  :mod:`concavia.atlas`
-re-exports the parameter names and :mod:`concavia.family` the knob names.
+The CLI front end loads a config and checks the parameter chain with this
+module alone, so ``concavia params`` and every rejected config exit before
+numpy, :mod:`dataclasses` or any model module is imported.  The frozen
+records are built where they are used: :func:`concavia.atlas.validate_params`
+makes a ``Params`` of :func:`check_chain`'s values, and
+:class:`concavia.family.Knobs` takes its field defaults from
+:data:`KNOB_DEFAULTS`.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 
 from .errors import ChainViolation, ConfigError
 
-__all__ = ["Params", "DEFAULT_PARAM_VALUES", "validate_params", "default_params",
-           "Knobs", "default_knobs", "RUN_DEFAULTS"]
+__all__ = ["DEFAULT_PARAM_VALUES", "KNOB_DEFAULTS", "RUN_DEFAULTS", "check_chain"]
 
 _RAW_FIELDS = ("rho0", "rho1", "rho2", "s", "c", "eps", "c1", "c2", "zeta1", "zeta2")
 
@@ -35,50 +35,28 @@ DEFAULT_PARAM_VALUES: dict[str, float] = {
     "zeta2": 1.039,
 }
 
+#: The construction knobs and their defaults, in the field order of
+#: :class:`concavia.family.Knobs`, which documents them and takes its
+#: defaults from here.
+KNOB_DEFAULTS: dict = {
+    "eps1": 0.004,
+    "eps2": 0.005,
+    "x_switch": -0.3,
+    "x_lo": -8.0,
+    "knots": 16,
+    "depth_frac": 0.30,
+    "branch_margin": 1e-3,
+}
+
 #: Run sizes: ``run_verification``'s keyword defaults (slice count, sweep
 #: samples, lambda ceiling) and the export density of the CLI.
 RUN_DEFAULTS: dict = {"n_tau": 16, "n_samples": 240, "lambda_max": 1e4, "density": 1}
 
 
-@dataclass(frozen=True)
-class Params:
-    """Validated model parameters plus the derived page radii ``a`` and ``b``.
-
-    Instances are only built through :func:`validate_params`, which checks the
-    full inequality chain.  ``a = rho2 - eps`` and ``b = 1/c + eps`` are the
-    inner/outer radii of the page annulus ``A``.
-    """
-
-    rho0: float
-    rho1: float
-    rho2: float
-    s: float
-    c: float
-    eps: float
-    c1: float
-    c2: float
-    zeta1: float
-    zeta2: float
-    a: float
-    b: float
-
-    def raw_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in _RAW_FIELDS}
-
-    def to_dict(self) -> dict:
-        out = self.raw_dict()
-        out["a"] = self.a
-        out["b"] = self.b
-        out["validated"] = True
-        return out
-
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("sort_keys", True)
-        return json.dumps(self.to_dict(), **kwargs)
-
-
-def validate_params(values: dict) -> Params:
-    """Check the ordered inequality chain and return a frozen Params.
+def check_chain(values: dict) -> dict:
+    """Check the ordered inequality chain; return the ten parameters as
+    floats plus the derived page radii ``a = rho2 - eps`` and
+    ``b = 1/c + eps``.
 
     Raises ``ConfigError`` on missing/non-finite fields and ``ChainViolation``
     naming the first violated inequality otherwise.
@@ -129,33 +107,4 @@ def validate_params(values: dict) -> Params:
         if not ok:
             raise ChainViolation(name)
 
-    return Params(a=a, b=b, **vals)
-
-
-def default_params() -> Params:
-    return validate_params(DEFAULT_PARAM_VALUES)
-
-
-@dataclass(frozen=True)
-class Knobs:
-    """Shape parameters of the construction that are free within the chain.
-
-    ``eps1``/``eps2`` are the quadratic coefficients of the two wall germs,
-    ``x_switch``/``x_lo`` delimit the steep extension of the right wall,
-    ``knots`` sizes every spline, ``depth_frac`` requests the dome depth as a
-    fraction of the radial budget ``log(rho1/rho0)``, and ``branch_margin``
-    is the slope clearance below -1 required of the pushed-forward right
-    wall.
-    """
-
-    eps1: float = 0.004
-    eps2: float = 0.005
-    x_switch: float = -0.3
-    x_lo: float = -8.0
-    knots: int = 16
-    depth_frac: float = 0.30
-    branch_margin: float = 1e-3
-
-
-def default_knobs() -> Knobs:
-    return Knobs()
+    return {**vals, "a": a, "b": b}

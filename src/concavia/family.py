@@ -24,6 +24,12 @@ Coordinate conventions, fixed once:
 * ``u = exp(lambda * (gamma - 1))`` maps the collar into ``(0, 1]`` with
   ``u = 1`` exactly on ``M1``; it is a positive multiple of
   ``exp(lambda*gamma)``, so plurisubharmonicity certificates transfer.
+
+The construction knobs are the frozen :class:`Knobs`, whose defaults are
+the numpy-free :data:`concavia.config.KNOB_DEFAULTS`.  The model samples'
+golden/silver angle factors depend on the sample count alone and are built
+once per process and count, as read-only arrays; the profile abscissas,
+the radii and every certificate are computed per model.
 """
 
 from __future__ import annotations
@@ -34,11 +40,10 @@ from functools import cached_property
 
 import numpy as np
 
-from ._numerics import GOLD, SILVER, kronecker
+from ._numerics import GOLD, SILVER, kronecker, sample_table
 from .atlas import Chart, ChartPoint, Params
 from .certs import Certificate
-# the knob names live in the numpy-free config module; re-exported here
-from .config import RUN_DEFAULTS, Knobs, default_knobs
+from .config import KNOB_DEFAULTS, RUN_DEFAULTS
 from .convexjoin import EndpointData, JoinProblem, SplineC2, solve
 from .errors import (
     BranchError,
@@ -86,6 +91,32 @@ CORNER_MARGIN = 1e-3
 # ---------------------------------------------------------------------------
 # The sphere model
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Knobs:
+    """Shape parameters of the construction that are free within the chain.
+
+    ``eps1``/``eps2`` are the quadratic coefficients of the two wall germs,
+    ``x_switch``/``x_lo`` delimit the steep extension of the right wall,
+    ``knots`` sizes every spline, ``depth_frac`` requests the dome depth as a
+    fraction of the radial budget ``log(rho1/rho0)``, and ``branch_margin``
+    is the slope clearance below -1 required of the pushed-forward right
+    wall.  The defaults are :data:`concavia.config.KNOB_DEFAULTS`, in field
+    order, where the numpy-free CLI front end reads them.
+    """
+
+    eps1: float = KNOB_DEFAULTS["eps1"]
+    eps2: float = KNOB_DEFAULTS["eps2"]
+    x_switch: float = KNOB_DEFAULTS["x_switch"]
+    x_lo: float = KNOB_DEFAULTS["x_lo"]
+    knots: int = KNOB_DEFAULTS["knots"]
+    depth_frac: float = KNOB_DEFAULTS["depth_frac"]
+    branch_margin: float = KNOB_DEFAULTS["branch_margin"]
+
+
+def default_knobs() -> Knobs:
+    return Knobs()
+
 
 @dataclass(frozen=True)
 class SphereModel:
@@ -322,6 +353,13 @@ def _seam_band_boost(xs: np.ndarray, w: np.ndarray, ends: tuple) -> np.ndarray:
     return w * boost
 
 
+@sample_table
+def _sample_angles(n: int) -> np.ndarray:
+    """``n`` rows of unit factors ``(e^{i th1}, e^{i th2})`` at golden/silver
+    Kronecker angles, the angles of :func:`_sample_arrays`."""
+    return np.exp(2j * np.pi * kronecker(n, (GOLD, SILVER)))
+
+
 def _sample_arrays(model: SphereModel, n: int) -> tuple[np.ndarray, ...]:
     """Quasi-uniform area-weighted samples of the sphere: piece tags, ``z1``
     and ``z2`` arrays.
@@ -342,7 +380,7 @@ def _sample_arrays(model: SphereModel, n: int) -> tuple[np.ndarray, ...]:
     counts["H1"] += n - sum(counts.values())  # absorb rounding in the largest piece
 
     pts = []
-    angles = np.exp(2j * np.pi * kronecker(n, (GOLD, SILVER)))
+    angles = _sample_angles(n)
     j = 0
     for tag, (grid, dens, _) in tables.items():
         xs = _inverse_cdf(grid, dens, counts[tag])

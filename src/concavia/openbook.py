@@ -13,7 +13,10 @@ outer seam through exactly one integer shift.
 
 The twist and chart maps are elementwise (a scalar in gives a Python scalar
 out), and so must be a ``TwistSpec``'s profiles; both sweeps call each map
-once on their whole sample arrays.
+once on their whole sample arrays.  Their default samples do not depend on
+the parameters: the Kronecker points, their twisted images and the seam
+angle factors are built once per process and size, as read-only arrays,
+and only the parameter-dependent part is computed on each call.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import GOLD, SILVER, brentq, kronecker
+from ._numerics import GOLD, SILVER, brentq, kronecker, sample_table
 from .atlas import (
     ChartPoint,
     Params,
@@ -212,6 +215,16 @@ def q_jacobian_det(spec: TwistSpec, z: complex, h: float = 1e-6) -> float:
     return float(Fx[0] * Fy[1] - Fx[1] * Fy[0])
 
 
+@sample_table
+def _twist_samples(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``conjugation_check``'s default samples ``(w, t)``, ``n`` golden/silver
+    Kronecker points, and the left twist's image ``w e^{-2 pi i t}`` of them."""
+    x, t = kronecker(n, (GOLD, SILVER)).T
+    w = np.exp(2j * np.pi * x)
+    # a copy of the column, so that the table does not hold all of kronecker's array
+    return w, t.copy(), w * np.exp(-2j * np.pi * t)
+
+
 def conjugation_check(spec: TwistSpec, samples=None, n: int = 10 ** 4,
                       tol: float = 1e-9) -> Certificate:
     """Certify ``q o delta o q^{-1} = (w, t) -> (w e^{-2 pi i t}, t)``.
@@ -221,13 +234,12 @@ def conjugation_check(spec: TwistSpec, samples=None, n: int = 10 ** 4,
     collar parameter.  Default: ``n`` golden/silver Kronecker samples.
     """
     if samples is None:
-        x, t = kronecker(n, (GOLD, SILVER)).T
-        w = np.exp(2j * np.pi * x)
+        w, t, w_ref = _twist_samples(n)
     else:
         w = np.array([s[0] for s in samples], dtype=complex)
         t = np.array([s[1] for s in samples], dtype=float)
+        w_ref = w * np.exp(-2j * np.pi * t)
     w_out, t_out = q_chart(spec, monodromy_delta(spec, q_inverse(spec, w, t)))
-    w_ref = w * np.exp(-2j * np.pi * t)
     k, worst = Certificate.sup_error(np.maximum(abs(w_out - w_ref), abs(t_out - t)))
     worst_at = None if k is None else (w[k].item(), t[k].item())
     return Certificate(
@@ -298,12 +310,20 @@ def embed_g(params: Params, p: MPoint) -> ChartPoint:
     return ChartPoint.v(params, params.c * p.u1, p.u2 / params.c)
 
 
-def _seam_arrays(params: Params, n: int = 1000) -> tuple[np.ndarray, np.ndarray]:
-    """``n`` seam samples ``(u1, u2)`` at golden/silver Kronecker angles,
-    alternately on ``|u1| = a, b``."""
+@sample_table
+def _seam_angles(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The unit factors ``e^{i th1}``, ``e^{i th2}`` of ``n`` golden/silver
+    Kronecker angle pairs."""
     th1, th2 = 2 * math.pi * kronecker(n, (GOLD, SILVER)).T
+    return np.exp(1j * th1), np.exp(1j * th2)
+
+
+def _seam_arrays(params: Params, n: int = 1000) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` seam samples ``(u1, u2)`` at :func:`_seam_angles`, alternately
+    on ``|u1| = a, b``; ``u2`` is the read-only table itself."""
+    e1, e2 = _seam_angles(n)
     r = np.where(np.arange(n) % 2 == 0, params.a, params.b)
-    return r * np.exp(1j * th1), np.exp(1j * th2)
+    return r * e1, e2
 
 
 def default_seam_samples(params: Params, n: int = 1000) -> list[MPoint]:

@@ -116,12 +116,14 @@ class Profile:
                 if not isinstance(x, float):  # a float skips the 0-d array
                     x = np.asarray(x, dtype=float)
                     if x.ndim:
+                        m = x <= x_switch   # NaN goes to the spline
+                        if m.all():         # one side: no masks to gather by
+                            return g(x)
+                        if not m.any():
+                            return s(x)
                         out = np.empty_like(x)
-                        m = x <= x_switch
-                        if m.any():
-                            out[m] = g(x[m])
-                        if (~m).any():
-                            out[~m] = s(x[~m])
+                        out[m] = g(x[m])
+                        out[~m] = s(x[~m])
                         return out
                 return g(x) if x <= x_switch else s(x)
             return f

@@ -17,10 +17,11 @@ import numpy as np
 import pytest
 
 import concavia
-from concavia import cli, commands, family, levi, profiles
-from concavia.atlas import phi
+from concavia import atlas, certs, cli, commands, family, levi, openbook, profiles
+from concavia._numerics import GOLD, SILVER, kronecker
+from concavia.atlas import default_params, phi
 from concavia.cli import main
-from concavia.config import RUN_DEFAULTS, default_params
+from concavia.config import KNOB_DEFAULTS, RUN_DEFAULTS
 
 
 def _run(capsys, argv):
@@ -414,6 +415,60 @@ def test_verify_report_byte_identical(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# per-process sample tables
+# ---------------------------------------------------------------------------
+
+def _fresh_tables():
+    """The parameter-free sample arrays as the sweeps built them on every call."""
+    x, t = kronecker(10 ** 4, (GOLD, SILVER)).T
+    w = np.exp(2j * np.pi * x)
+    th1, th2 = 2 * math.pi * kronecker(1000, (GOLD, SILVER)).T
+    return [(openbook._twist_samples, 10 ** 4, (w, t, w * np.exp(-2j * np.pi * t))),
+            (openbook._seam_angles, 1000, (np.exp(1j * th1), np.exp(1j * th2)))] + [
+        (family._sample_angles, n, (np.exp(2j * np.pi * kronecker(n, (GOLD, SILVER))),))
+        for n in (240, 400)]
+
+
+def _clear_tables():
+    for build in {build for build, _, _ in _fresh_tables()}:
+        build.cache_clear()
+
+
+def test_sample_tables_are_read_only_fresh_builds():
+    _clear_tables()
+    for build, n, fresh in _fresh_tables():
+        table = build(n)
+        assert build(n) is table   # built once
+        arrays = table if isinstance(table, tuple) else (table,)
+        assert len(arrays) == len(fresh)
+        for a, b in zip(arrays, fresh):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
+
+# the acceptance battery's perturbed set (tests/test_family.py)
+_PERTURBED_ARGS = [f"--params.{k}={v!r}" for k, v in {
+    "rho0": 0.9, "rho1": 0.92, "rho2": 1.04, "s": 1.12, "c": 0.91,
+    "eps": 0.007, "c1": 1.035, "c2": 1.02, "zeta1": 1.032, "zeta2": 1.034}.items()]
+
+
+@pytest.mark.parametrize("extra", [[], _PERTURBED_ARGS], ids=["default", "perturbed"])
+def test_reports_do_not_depend_on_warm_sample_tables(tmp_path, capsys, extra):
+    # a cold and a warm call here, then a fresh interpreter's cold call
+    _clear_tables()
+    argv = ["verify", "--suite", "all", *extra, "--outputs"]
+    codes = [_run(capsys, [*argv, str(tmp_path / run)])[0] for run in ("cold", "warm")]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(concavia.__file__))}
+    proc = subprocess.run([sys.executable, "-m", "concavia.cli", *argv, str(tmp_path / "fresh")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert codes + [proc.returncode] == [0, 0, 0], proc.stderr
+    cold, warm, fresh = ((tmp_path / run / "report_all.json").read_bytes()
+                         for run in ("cold", "warm", "fresh"))
+    assert cold == warm == fresh
+
+
+# ---------------------------------------------------------------------------
 # export
 # ---------------------------------------------------------------------------
 
@@ -479,12 +534,17 @@ def test_cli_loads_neither_scipy_nor_numpy_random(tmp_path):
         assert proc.stderr.strip() == "[]"
 
 
-# numpy and every module that imports it; the last stderr line lists the
-# loaded ones
+# numpy and every module that imports it; the last stderr line but one lists
+# the loaded ones
 _NUMERIC = ("numpy", *(f"concavia.{m}" for m in (
     "_numerics", "atlas", "convexjoin", "profiles", "levi", "family", "openbook", "commands")))
+# the frozen records' imports; the last stderr line lists those loaded after
+# the bare interpreter's start-up, so that a site hook that loads one does
+# not count
+_RECORDS = ("dataclasses", "inspect", "concavia.certs")
 _FRONT_END = f"""
 import sys
+bare = set(sys.modules)
 try:
     import concavia
     if sys.argv[1:]:
@@ -492,6 +552,7 @@ try:
         sys.exit(cli.main(sys.argv[1:]))
 finally:
     print(sorted(m for m in sys.modules if m in {_NUMERIC!r}), file=sys.stderr)
+    print(sorted(m for m in set(sys.modules) - bare if m in {_RECORDS!r}), file=sys.stderr)
 """
 
 _PARAMS_OUT = """{
@@ -537,7 +598,7 @@ def test_front_end_imports_no_numeric_module(tmp_path, argv, code, out):
     proc = subprocess.run([sys.executable, "-c", _FRONT_END, *argv], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == code, proc.stderr
-    assert proc.stderr.splitlines()[-1] == "[]"
+    assert proc.stderr.splitlines()[-2:] == ["[]", "[]"]
     if argv and argv[-1] == "--help":
         assert out in proc.stdout
     else:
@@ -555,6 +616,32 @@ def test_run_defaults_have_one_source():
         "eps1": 0.004, "eps2": 0.005, "x_switch": -0.3, "x_lo": -8.0, "knots": 16,
         "depth_frac": 0.3, "branch_margin": 0.001,
         "n_tau": 16, "n_samples": 240, "lambda_max": 10000.0, "density": 1})
+
+
+def test_knob_defaults_have_one_source():
+    assert [(f.name, f.default) for f in dataclasses.fields(family.Knobs)] == \
+        list(KNOB_DEFAULTS.items())
+    assert family.default_knobs() == family.Knobs(**KNOB_DEFAULTS)
+
+
+def test_frozen_records_replace_as_before():
+    par = default_params()
+    moved = dataclasses.replace(par, eps=0.02)
+    assert (moved.eps, moved.a, type(moved)) == (0.02, par.a, atlas.Params)
+    knobs = dataclasses.replace(family.default_knobs(), eps2=0.006)
+    assert knobs == family.Knobs(**{**KNOB_DEFAULTS, "eps2": 0.006})
+    model = family.build_M1(par)
+    assert dataclasses.replace(model, depth=1.0).f1 is model.f1
+    # the front end's record is plain data
+    assert not dataclasses.is_dataclass(cli.RunConfig)
+
+
+def test_certificate_resolves_on_first_use():
+    from concavia import Certificate
+    assert Certificate is certs.Certificate
+    assert concavia.Certificate is certs.Certificate
+    with pytest.raises(AttributeError, match="no attribute 'Certificat'"):
+        concavia.Certificat
 
 
 def test_front_end_choices_are_the_command_tables():

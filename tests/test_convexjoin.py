@@ -332,6 +332,24 @@ def test_ppoly_matches_scipy_on_random_densities():
         jet = (breaks[0], rng.normal(), rng.normal())
         ours = convexjoin._integrate_density(breaks, values, *jet)
         _assert_matches_scipy(ours, _scipy_integrate_density(breaks, values, *jet), rng)
+    # coefficients as given: a constant piece among cubic ones, where 0 * inf
+    # makes an infinite abscissa NaN, and a piece of negative zeros, which
+    # scipy's sum from 0.0 evaluates to +0.0; probed at NaN, +-inf, the
+    # breakpoints and the floats beside them
+    sp = pytest.importorskip("scipy.interpolate")
+    for k in (1, 2, 4):
+        for _ in range(20):
+            x = np.unique(rng.uniform(-2.0, 2.0, rng.integers(3, 9)))
+            c = rng.normal(size=(k, x.size - 1))
+            j = rng.permutation(x.size - 1)
+            c[:-1, j[0]] = 0.0
+            c[:, j[-1]] = -0.0
+            ours, ref = PPoly(c, x), sp.PPoly(c, x)
+            _assert_matches_scipy(ours, ref, rng)
+            v = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
+                                [np.nan, np.inf, -np.inf]])
+            with np.errstate(invalid="ignore"):
+                assert _same_bits(ours(v), ref(v))
 
 
 def test_ppoly_matches_scipy_on_the_model_splines(monkeypatch):

@@ -7,10 +7,12 @@ import pytest
 from concavia import _numerics
 from concavia._numerics import brentq
 from concavia.atlas import default_params
+from concavia.convexjoin import SplineC2
 from concavia.errors import BranchError, DomainError, FeasibilityError
 from concavia.profiles import (
     ContactTag,
     Profile,
+    _quad_log_germ,
     classify_contact,
     eval_profile,
     make_f1,
@@ -185,6 +187,38 @@ def test_f2_scalar_path_is_bit_identical_to_arrays(f2):
             one = np.float64(fn(float(x)))
             assert one.tobytes() == np.float64(fn(np.asarray(x))).tobytes()
             assert one.tobytes() == fn(np.array([x]))[0].tobytes()
+
+
+def test_f2_dispatch_matches_the_masked_path(f2):
+    # every array split by the x_switch mask, germ and spline evaluated on
+    # their parts: the reference for the one-sided shortcut
+    meta = f2.meta["params"]
+    germ = _quad_log_germ(meta["c2"], meta["eps2"], -1)
+    spline = SplineC2.from_dict(f2.meta["spline"])
+    x_sw = meta["x_switch"]
+
+    def masked(g, s, x):
+        out = np.empty_like(x)
+        m = x <= x_sw
+        out[m] = g(x[m])
+        out[~m] = s(x[~m])
+        return out
+
+    below = np.linspace(f2.x_lo, x_sw, 33)
+    above = np.linspace(np.nextafter(x_sw, np.inf), f2.x_hi, 33)
+    mixed = np.linspace(f2.x_lo, f2.x_hi, 65)
+    inputs = [below, above, mixed, np.full(3, x_sw), np.array([x_sw]),
+              np.array([np.nextafter(x_sw, np.inf)]), np.array([np.nan]),
+              np.array([x_sw - 0.1, np.nan]), below.reshape(3, 11), above.reshape(11, 3),
+              mixed[:64].reshape(8, 8), mixed[:64].reshape(8, 8).T, np.empty(0)]
+    for fn, g, s in zip((f2.L_fn, f2.dL_fn, f2.d2L_fn), germ, (spline.f, spline.df, spline.d2f)):
+        for x in inputs:
+            out = fn(x)
+            assert (out.dtype, out.shape) == (np.float64, x.shape)
+            assert out.tobytes() == masked(g, s, x).tobytes()
+        for x in (x_sw - 0.1, x_sw, np.nextafter(x_sw, np.inf), x_sw + 0.1):
+            ref = g(x) if x <= x_sw else s(x)
+            assert np.float64(fn(np.asarray(x))).tobytes() == np.float64(ref).tobytes()
 
 
 def test_germ_curvature_scalar_calls_match_arrays(f1, f2):
