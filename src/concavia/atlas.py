@@ -23,7 +23,6 @@ carries both into the quotient annulus chart via the multivalued factor
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 
@@ -88,10 +87,6 @@ class Params:
         out["b"] = self.b
         out["validated"] = True
         return out
-
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("sort_keys", True)
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def validate_params(values: dict) -> Params:

@@ -11,7 +11,9 @@ field can be overridden on the command line with dotted keys, for example
 ``--knobs.eps2=0.006`` or ``--outputs report_dir``.  Exit codes: 0 all
 checks pass, 1 verification failure, 2 config/parse failure.  Reports are
 pretty-printed JSON written under the outputs directory; repeated runs with
-the same config and seed produce byte-identical files.
+the same config and seed produce byte-identical files.  A report or export
+that exists is rewritten in place, never truncated to zero first (see
+``concavia.commands._rewrite``).
 
 This module and :mod:`concavia.config` import neither numpy nor
 :mod:`dataclasses`: the config is a plain record and the parameter chain a

@@ -149,6 +149,41 @@ def _run_suite(name: str, cfg: RunConfig, par, model) -> tuple[bool, dict]:
 
 
 # ---------------------------------------------------------------------------
+# Writing outputs
+# ---------------------------------------------------------------------------
+
+def _rewrite(path: str, text: str) -> None:
+    """Make ``text`` the whole content of the file at ``path``, rewriting it
+    in place: written over the old bytes from the start, then truncated to
+    the file position.  As with a truncating open, the file keeps its inode
+    and mode, a symlink is followed, a new file is created ``0o666`` less the
+    umask, and a text-mode descriptor (Windows) writes each newline as
+    CRLF.
+
+    The file is never truncated to zero: that frees the old content's disk
+    blocks through the journal, and on close ext4 (with the default
+    ``auto_da_alloc``), XFS and btrfs start writeback of the new content.
+
+    This gives up that close-time flush, on purpose.  After a power loss
+    the file can hold the new length with a mix of old and new pages; a
+    report of the same length can be the complete earlier one.  Nothing
+    here calls ``fsync``, so neither way is durable; a report is a pure
+    function of config and seed, and rerunning rewrites it.  A process
+    killed between the write and the truncation leaves the new text
+    followed by the old tail, where a truncating open left a partial file.
+    """
+    raw = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        written = 0
+        while written < len(raw):
+            written += os.write(fd, raw[written:])
+        os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+    finally:
+        os.close(fd)
+
+
+# ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
 
@@ -176,9 +211,7 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
     }
     text = json.dumps(report, indent=2, sort_keys=True)
     os.makedirs(cfg.outputs, exist_ok=True)
-    path = os.path.join(cfg.outputs, f"report_{suite}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    _rewrite(os.path.join(cfg.outputs, f"report_{suite}.json"), text + "\n")
     print(text)
     return 0 if ok else 1
 
@@ -188,11 +221,12 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
 # ---------------------------------------------------------------------------
 
 def _write_csv(path: str, header: str, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+    """Write ``header`` and one line per row (floats as ``repr``) to ``path``
+    with :func:`_rewrite`."""
+    lines = [header]
+    lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
+    _rewrite(path, "\n".join(lines) + "\n")
 
 
 def _phase(cfg: RunConfig) -> float:

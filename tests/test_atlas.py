@@ -39,7 +39,7 @@ def test_derived_radii(P):
 
 
 def test_params_json_roundtrip(P):
-    blob = json.loads(P.to_json())
+    blob = json.loads(json.dumps(P.to_dict()))
     assert blob["validated"] is True
     assert blob["a"] == P.a and blob["b"] == P.b
     again = validate_params(blob)

@@ -502,6 +502,138 @@ def test_export_m1_respects_seeded_determinism(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# writing outputs
+# ---------------------------------------------------------------------------
+
+def _fresh_and_over(tmp_path, capsys, argv, stale):
+    """Run ``argv`` into a fresh directory and into one holding ``stale``
+    (file name -> bytes).  Return both directories, both runs' stdout and
+    each stale file's inode before the run."""
+    fresh, over = tmp_path / "fresh", tmp_path / "over"
+    over.mkdir()
+    for name, blob in stale.items():
+        (over / name).write_bytes(blob)
+    inodes = {name: os.stat(over / name).st_ino for name in stale}
+    outs = []
+    for outdir in (fresh, over):
+        code, out = _run(capsys, [*argv, "--outputs", str(outdir)])
+        assert code == 0
+        outs.append(out)
+    return fresh, over, outs, inodes
+
+
+def test_report_over_a_longer_file_is_rewritten_in_place(tmp_path, capsys):
+    junk = bytes(range(256)) * 256   # 64 KiB
+    fresh, over, outs, inodes = _fresh_and_over(
+        tmp_path, capsys, ["verify", "--suite", "levi"], {"report_levi.json": junk})
+    report = (over / "report_levi.json").read_bytes()
+    assert report == (fresh / "report_levi.json").read_bytes()
+    assert report.decode() == outs[0] == outs[1]
+    assert os.stat(over / "report_levi.json").st_ino == inodes["report_levi.json"]
+
+
+def test_default_report_over_a_longer_perturbed_one(tmp_path, capsys):
+    fresh, over = tmp_path / "fresh", tmp_path / "over"
+    code, _ = _run(capsys, ["verify", "--suite", "all", *_PERTURBED_ARGS, "--outputs", str(over)])
+    assert code == 0
+    perturbed = (over / "report_all.json").stat()
+    for outdir in (over, fresh):
+        code, _ = _run(capsys, ["verify", "--suite", "all", "--outputs", str(outdir)])
+        assert code == 0
+    report = (over / "report_all.json").read_bytes()
+    assert report == (fresh / "report_all.json").read_bytes()
+    assert len(report) < perturbed.st_size
+    assert os.stat(over / "report_all.json").st_ino == perturbed.st_ino
+
+
+def test_export_over_a_longer_csv(tmp_path, capsys):
+    fresh, over, _, inodes = _fresh_and_over(
+        tmp_path, capsys, ["export", "--what", "binding"], {"binding.csv": b"stale,row\n" * 4096})
+    assert (over / "binding.csv").read_bytes() == (fresh / "binding.csv").read_bytes()
+    assert os.stat(over / "binding.csv").st_ino == inodes["binding.csv"]
+
+
+def test_family_export_over_sixteen_longer_slices(tmp_path, capsys):
+    names = [f"family_tau_{i:02d}.csv" for i in range(1, 17)]
+    stale = {name: f"stale slice {name}\n".encode() * 4096 for name in names}
+    fresh, over, _, inodes = _fresh_and_over(
+        tmp_path, capsys, ["export", "--what", "family", "--knobs.n_tau=8"], stale)
+    assert sorted(p.name for p in fresh.iterdir()) == names[:8]
+    for name in names[:8]:
+        assert (over / name).read_bytes() == (fresh / name).read_bytes()
+        assert os.stat(over / name).st_ino == inodes[name]
+    for name in names[8:]:   # slices the run does not make are left alone
+        assert (over / name).read_bytes() == stale[name]
+
+
+def test_report_keeps_its_mode_and_writes_through_a_symlink(tmp_path, capsys):
+    target = tmp_path / "kept" / "levi.json"
+    target.parent.mkdir()
+    target.write_bytes(b"{" * 70000)
+    target.chmod(0o600)
+    over = tmp_path / "over"
+    over.mkdir()
+    (over / "report_levi.json").symlink_to(target)
+    code, out = _run(capsys, ["verify", "--suite", "levi", "--outputs", str(over)])
+    assert code == 0
+    assert (over / "report_levi.json").is_symlink()
+    assert target.read_text() == out
+    assert target.stat().st_mode & 0o777 == 0o600
+
+
+def test_outputs_are_opened_without_truncation(tmp_path, capsys, monkeypatch):
+    # every output goes through os.open without O_TRUNC, none through open
+    opened, os_open = [], os.open
+
+    def spy_os_open(path, flags, *args, **kwargs):
+        opened.append((os.fspath(path), "os.open", flags))
+        return os_open(path, flags, *args, **kwargs)
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        opened.append((os.fspath(file), "open", mode))
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(commands.os, "open", spy_os_open)
+    monkeypatch.setattr(commands, "open", spy_open, raising=False)
+    for argv in (["verify", "--suite", "levi"], ["export", "--what", "binding"]):
+        code, _ = _run(capsys, [*argv, "--outputs", str(tmp_path)])
+        assert code == 0
+    outputs = {str(tmp_path / name) for name in ("report_levi.json", "binding.csv")}
+    calls = [call for call in opened if call[0] in outputs]
+    assert {path for path, _, _ in calls} == outputs
+    assert [call for call in calls if call[1] != "os.open" or call[2] & os.O_TRUNC] == []
+
+
+def test_rewrite_truncates_at_the_file_position(tmp_path, monkeypatch):
+    # a text-mode descriptor (Windows) writes "\n" as "\r\n" and returns
+    # the count of bytes it was given: none of the written text is cut off
+    os_write = os.write
+
+    def text_mode_write(fd, data):
+        os_write(fd, bytes(data).replace(b"\n", b"\r\n"))
+        return len(data)
+
+    path = tmp_path / "binding.csv"
+    path.write_bytes(b"x" * 100)
+    with monkeypatch.context() as m:
+        m.setattr(commands.os, "write", text_mode_write)
+        commands._rewrite(str(path), "a,b\n1,2\n")
+    assert path.read_bytes() == b"a,b\r\n1,2\r\n"
+
+
+def test_write_errors_exit_2(tmp_path, capsys):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("x")
+    code, out = _run(capsys, ["verify", "--suite", "levi", "--outputs", str(not_a_dir)])
+    assert (code, out) == (2, _error_out("OSError", f"[Errno 17] File exists: '{not_a_dir}'"))
+    report = tmp_path / "out" / "report_levi.json"
+    report.mkdir(parents=True)
+    code, out = _run(capsys, ["verify", "--suite", "levi", "--outputs", str(report.parent)])
+    assert (code, out) == (2, _error_out("OSError", f"[Errno 21] Is a directory: '{report}'"))
+    assert list(report.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
