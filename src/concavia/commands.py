@@ -302,7 +302,7 @@ def _export_family(cfg: RunConfig, par, outdir: str) -> list[str]:
     fol = fam.fol
     paths = []
     for i, tau in enumerate(fam.taus):
-        yc = float(fol.y_cut(tau))
+        yc, xl, xr = map(float, fol.cap(tau))
         rows = []
         for q2 in np.linspace(-4.0, yc - 1e-9, 200):
             rows.append(("H1", float(q2), float(fol.wall1(tau, math.exp(float(q2)))),
@@ -310,13 +310,17 @@ def _export_family(cfg: RunConfig, par, outdir: str) -> list[str]:
         for q2 in np.linspace(-4.0, yc - 1e-9, 200):
             rows.append(("H2", float(q2), float(fol.wall2(tau, float(q2))),
                          math.exp(float(q2))))
-        xl, xr = float(fol.Xl(tau)), float(fol.Xr(tau))
         for q1 in np.linspace(xl, xr, 100):
             rows.append(("S", float(q1), math.exp(float(q1)),
                          math.exp(float(fol.dish(tau, float(q1))))))
         path = os.path.join(outdir, f"family_tau_{i + 1:02d}.csv")
         _write_csv(path, "piece,abscissa,r1,r2", rows)
         paths.append(path)
+    # the slices of an earlier run with more of them
+    k = len(paths) + 1
+    while os.path.isfile(stale := os.path.join(outdir, f"family_tau_{k:02d}.csv")):
+        os.remove(stale)
+        k += 1
     return paths
 
 

@@ -408,15 +408,6 @@ def sample_M1(model: SphereModel, n: int) -> list[tuple[ChartPoint, str]]:
 # The interpolating family and its level function
 # ---------------------------------------------------------------------------
 
-def _broadcast_curve(fn):
-    """Wrap a user parameter curve so scalar-valued curves vectorize."""
-    def wrapped(t):
-        t = np.asarray(t, dtype=float)
-        out = np.asarray(fn(t), dtype=float)
-        return out if out.shape == t.shape else np.broadcast_to(out, t.shape)
-    return wrapped
-
-
 def _crossing(F, lo, hi, f_lo, f_hi):
     """Adjacent floats ``a < b`` with ``F(a) < 0 <= F(b)``, one pair per point.
 
@@ -430,7 +421,8 @@ def _crossing(F, lo, hi, f_lo, f_hi):
     Bisection on ``F(mid) < 0`` then runs until the midpoint rounds to an
     end, dropping the points that got there, and returns as soon as no
     point is left.  Where ``F`` is monotone in floating point this is the
-    pair a bisection of ``[lo, hi]`` reaches.
+    pair a bisection of ``[lo, hi]`` reaches.  It serves the dish levels of
+    :meth:`_Foliation.gamma` alone: a wall's level is read in closed form.
     """
     def straddles(a, b, i):
         f_a, f_b = np.split(F(np.concatenate([a, b]), np.concatenate([i, i])), 2)
@@ -484,6 +476,9 @@ class _Foliation:
     attachment height ``y_cut(tau)`` that rises to the band bottom at
     ``tau = 1``.  Outside the dome window the dome continues with fixed
     mild slopes, which keeps the whole field strictly increasing in ``tau``.
+    The walls move along the parameter curves ``c1``, ``c2``, linear in
+    ``tau`` from ``rho2`` and ``1`` at ``tau = 0`` to the built ``c1``,
+    ``c2`` at ``tau = 1``.
     """
 
     #: total descent of the attachment height below the band bottom
@@ -495,7 +490,7 @@ class _Foliation:
     #: continuation slopes left/right of the dome window
     EXT_L, EXT_R = 3.0, -3.0
 
-    def __init__(self, model: SphereModel, curves: dict | None = None):
+    def __init__(self, model: SphereModel):
         self.model = model
         p = model.params
         self.rho2 = p.rho2
@@ -509,19 +504,18 @@ class _Foliation:
         self._f2_lo, self._f2_hi = f2.x_lo, f2.x_hi
         self._f2_L, self._f2_dhi = f2.L_fn, float(f2.dL(f2.x_hi))
         self._ht_f = model.htilde.f
-        self._custom = curves is not None
-        # the parameter curves
-        if curves is None:
-            # locals, not self: a closure over self is a cycle that keeps the model alive
-            rho2, c1_0, c2_0 = self.rho2, self.c1_0, self.c2_0
-            self.c1 = lambda t: rho2 - (rho2 - c1_0) * np.asarray(t, float)
-            self.c2 = lambda t: 1.0 + (c2_0 - 1.0) * np.asarray(t, float)
-        else:
-            self.c1 = _broadcast_curve(curves["c1"])
-            self.c2 = _broadcast_curve(curves["c2"])
+
+    # the parameter curves, linear in tau
+    def c1(self, t):
+        return self.rho2 - (self.rho2 - self.c1_0) * np.asarray(t, float)
+
+    def c2(self, t):
+        return 1.0 + (self.c2_0 - 1.0) * np.asarray(t, float)
 
     def g1(self, t):
-        """Left-wall interpolation factor; equals tau for the linear curves."""
+        """Left-wall interpolation factor: ``tau`` up to the last bits, which
+        the ``nesting``, ``slice_validity`` and ``top_slice_equality`` margins
+        read."""
         return (self.rho2 - self.c1(t)) / (self.rho2 - self.c1_0)
 
     def g2(self, t):
@@ -550,16 +544,10 @@ class _Foliation:
         return 1.0 + self.g2(t) * (self.f2c_x(q2) - 1.0)
 
     def cap(self, t):
-        """``(y_cut, Xl, Xr)`` at ``t``: the attachment height and the dome
+        """``(y_cut, xl, xr)`` at ``t``: the attachment height and the dome
         window's ends in ``log|z1|``, from one ``y_cut``."""
         yc = self.y_cut(t)
         return yc, np.log(self.wall1(t, np.exp(yc))), np.log(self.wall2(t, yc)) + yc
-
-    def Xl(self, t):
-        return self.cap(t)[1]
-
-    def Xr(self, t):
-        return self.cap(t)[2]
 
     def phat(self, s):
         sc = np.clip(s, 0.0, 1.0)
@@ -576,29 +564,6 @@ class _Foliation:
         return yc + np.where(
             s < 0.0, self.EXT_L * (q1 - xl),
             np.where(s > 1.0, self.EXT_R * (q1 - xr), self.D(t) * self.phat(s)))
-
-    def _invert_factor(self, g, fac):
-        """Invert a monotone interpolation factor back to the level ``tau``.
-
-        Identity for the default linear curves; :func:`_crossing` otherwise.
-        Out-of-bracket factors map to levels outside the validity window so
-        the sector conditions reject them, and NaN factors to NaN.
-        """
-        if not self._custom:
-            return fac
-        lo = np.full(fac.shape, 0.25 * self.TAU_LO)
-        hi = np.full(fac.shape, self.TAU_HI)
-        g_lo, g_hi = g(lo), g(hi)
-        with np.errstate(invalid="ignore"):
-            below = fac < g_lo
-            above = fac > g_hi
-        t = np.full(fac.shape, np.nan)
-        ins = (g_lo <= fac) & (fac <= g_hi)
-        fi = fac[ins]
-        a, b = _crossing(lambda s, j: g(s) - fi[j], lo[ins], hi[ins],
-                         g_lo[ins] - fi, g_hi[ins] - fi)
-        t[ins] = 0.5 * (a + b)
-        return np.where(below, 0.0, np.where(above, self.TAU_HI + 1.0, t))
 
     # the level function --------------------------------------------------
     def gamma(self, z1, z2):
@@ -617,15 +582,13 @@ class _Foliation:
             q2 = np.log(r2)
         out = np.full(r1.shape, np.nan)
 
-        t1 = self._invert_factor(
-            self.g1, (self.rho2 - r1) / (self.rho2 - self.f1c(r2)))
+        # on a wall the level is the interpolation factor: the curves are linear
+        t1 = (self.rho2 - r1) / (self.rho2 - self.f1c(r2))
         v1 = (t1 > self.TAU_LO) & (t1 <= self.TAU_HI) & (q2 <= self.y_cut(t1) + 1e-12)
         out[v1] = t1[v1]
 
-        den2 = self.f2c_x(q2) - 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            fac2 = (r1 - 1.0) / den2
-        t2 = self._invert_factor(self.g2, fac2)
+            t2 = (r1 - 1.0) / (self.f2c_x(q2) - 1.0)
         v2 = ((t2 > self.TAU_LO) & (t2 <= self.TAU_HI)
               & (q2 <= self.y_cut(t2) + 1e-12) & ~v1)
         out[v2] = t2[v2]
@@ -772,19 +735,19 @@ def _family_levels(fam: FamilySpec) -> tuple[np.ndarray, ...]:
 
 
 def _assemble_family(params: Params, n_tau: int, knobs: Knobs,
-                     curves: dict | None, model: SphereModel | None) -> FamilySpec:
+                     model: SphereModel | None) -> FamilySpec:
     """The family with every certificate but ``level_consistency``, which
     reads ``gamma``; nothing is raised for a failing certificate yet."""
     if n_tau < 8:
         raise DomainError(f"build_family needs n_tau >= 8, got {n_tau}")
     if model is None:
         model = build_M1(params, knobs)
-    fol = _Foliation(model, curves)
+    fol = _Foliation(model)
     taus = tuple((i + 1) / n_tau for i in range(n_tau))
     fam = FamilySpec(model=model, n_tau=n_tau, taus=taus, fol=fol)
     certs = fam.certificates
 
-    # nesting along rays (checked first: degenerate curves fail fast)
+    # nesting along rays (checked first: touching slices fail fast)
     certs["nesting"] = _nesting_cert(fol, taus)
 
     # parameter-curve monotonicity
@@ -836,9 +799,7 @@ def _certify_levels(fam: FamilySpec, t: np.ndarray, values: np.ndarray) -> Famil
     return fam
 
 
-def build_family(params: Params, n_tau: int, knobs: Knobs | None = None,
-                 curves: dict | None = None,
-                 model: SphereModel | None = None) -> FamilySpec:
+def build_family(params: Params, n_tau: int, knobs: Knobs | None = None) -> FamilySpec:
     """Build the nested family; every slice is itself a valid sphere.
 
     Strict nesting is checked along 64 radial rays; any touching pair of
@@ -847,12 +808,12 @@ def build_family(params: Params, n_tau: int, knobs: Knobs | None = None,
     separation, cap window, band avoidance); the top slice reproduces
     ``build_M1`` exactly; ``gamma`` returns ``tau`` on 9 points of every
     ``(n_tau // 8)``-th slice and the top one, read in one call.  A failing
-    certificate raises :class:`VerificationError`.  ``model``, if given, is
-    the top slice already built as ``build_M1(params, knobs)``.
+    certificate raises :class:`VerificationError`.  The slices interpolate
+    along the linear parameter curves of :class:`_Foliation`.
     :func:`run_verification` reads the level points in its one ``gamma``
     call instead.
     """
-    fam = _assemble_family(params, n_tau, knobs or default_knobs(), curves, model)
+    fam = _assemble_family(params, n_tau, knobs or default_knobs(), None)
     t, z1, z2 = _family_levels(fam)
     return _certify_levels(fam, t, fam.fol.gamma(z1, z2))
 
@@ -1188,7 +1149,7 @@ def run_verification(params: Params, knobs: Knobs | None = None,
     read.
     """
     knobs = knobs or default_knobs()
-    fam = _assemble_family(params, n_tau, knobs, curves=None, model=model)
+    fam = _assemble_family(params, n_tau, knobs, model)
     model = fam.model
     t, z1, z2 = _family_levels(fam)
     grid = _lambda_grid(fam)

@@ -13,10 +13,10 @@ outer seam through exactly one integer shift.
 
 The twist and chart maps are elementwise (a scalar in gives a Python scalar
 out), and so must be a ``TwistSpec``'s profiles; both sweeps call each map
-once on their whole sample arrays.  Their default samples do not depend on
-the parameters: the Kronecker points, their twisted images and the seam
-angle factors are built once per process and size, as read-only arrays,
-and only the parameter-dependent part is computed on each call.
+once on their whole sample arrays.  Their samples do not depend on the
+parameters: the Kronecker points, their twisted images and the seam angle
+factors are built once per process and size, as read-only arrays, and only
+the parameter-dependent part is computed on each call.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ __all__ = [
     "phi_prime_cr_residual",
     "embed_g",
     "welldef_check",
-    "default_seam_samples",
     "corner_tori",
     "twist_winding",
 ]
@@ -217,7 +216,7 @@ def q_jacobian_det(spec: TwistSpec, z: complex, h: float = 1e-6) -> float:
 
 @sample_table
 def _twist_samples(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``conjugation_check``'s default samples ``(w, t)``, ``n`` golden/silver
+    """``conjugation_check``'s samples ``(w, t)``, ``n`` golden/silver
     Kronecker points, and the left twist's image ``w e^{-2 pi i t}`` of them."""
     x, t = kronecker(n, (GOLD, SILVER)).T
     w = np.exp(2j * np.pi * x)
@@ -225,20 +224,15 @@ def _twist_samples(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return w, t.copy(), w * np.exp(-2j * np.pi * t)
 
 
-def conjugation_check(spec: TwistSpec, samples=None, n: int = 10 ** 4,
-                      tol: float = 1e-9) -> Certificate:
+def conjugation_check(spec: TwistSpec, n: int = 10 ** 4, tol: float = 1e-9) -> Certificate:
     """Certify ``q o delta o q^{-1} = (w, t) -> (w e^{-2 pi i t}, t)``.
 
     This is the machine witness that the monodromy is the *left-handed*
     annulus twist: the conjugated map rotates the circle backwards by the
-    collar parameter.  Default: ``n`` golden/silver Kronecker samples.
+    collar parameter.  It is checked on the ``n`` golden/silver Kronecker
+    samples of :func:`_twist_samples`.
     """
-    if samples is None:
-        w, t, w_ref = _twist_samples(n)
-    else:
-        w = np.array([s[0] for s in samples], dtype=complex)
-        t = np.array([s[1] for s in samples], dtype=float)
-        w_ref = w * np.exp(-2j * np.pi * t)
+    w, t, w_ref = _twist_samples(n)
     w_out, t_out = q_chart(spec, monodromy_delta(spec, q_inverse(spec, w, t)))
     k, worst = Certificate.sup_error(np.maximum(abs(w_out - w_ref), abs(t_out - t)))
     worst_at = None if k is None else (w[k].item(), t[k].item())
@@ -326,12 +320,7 @@ def _seam_arrays(params: Params, n: int = 1000) -> tuple[np.ndarray, np.ndarray]
     return r * e1, e2
 
 
-def default_seam_samples(params: Params, n: int = 1000) -> list[MPoint]:
-    """``_seam_arrays``' collar-boundary samples, half on each seam circle."""
-    return [MPoint.collar(params, u1, u2) for u1, u2 in zip(*_seam_arrays(params, n))]
-
-
-def welldef_check(params: Params, seam_samples=None, tol: float = 1e-8) -> Certificate:
+def welldef_check(params: Params, tol: float = 1e-8) -> Certificate:
     """Both seams close up in the quotient atlas.
 
     Seam ``|u1| = a``: the gluing is the identity, and the collar's ``V``
@@ -342,15 +331,9 @@ def welldef_check(params: Params, seam_samples=None, tol: float = 1e-8) -> Certi
     ``psi_2(u1, u2) = (u1 u2, u2)`` the two raw annulus representatives
     differ by *exactly one* integer shift — the certificate asserts the
     shift value, matching ``w1_collar = w2 * w1_torus`` in raw coordinates.
-    Default samples are ``default_seam_samples``' points, as arrays.
+    It is checked on the 1000 seam samples of :func:`_seam_arrays`.
     """
-    if seam_samples is None:
-        u1, u2 = _seam_arrays(params)
-    elif any(p.part is not Part.COLLAR for p in seam_samples):
-        raise DomainError("welldef_check needs collar-boundary samples")
-    else:
-        u1 = np.array([p.u1 for p in seam_samples], dtype=complex)
-        u2 = np.array([p.u2 for p in seam_samples], dtype=complex)
+    u1, u2 = _seam_arrays(params)
     r1, c = abs(u1), params.c
     on_a = abs(r1 - params.a) <= _MTOL
     _require(on_a | (abs(r1 - params.b) <= _MTOL), "seam samples need |u1| in {a, b}", r1)

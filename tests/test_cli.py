@@ -555,15 +555,21 @@ def test_export_over_a_longer_csv(tmp_path, capsys):
 
 def test_family_export_over_sixteen_longer_slices(tmp_path, capsys):
     names = [f"family_tau_{i:02d}.csv" for i in range(1, 17)]
-    stale = {name: f"stale slice {name}\n".encode() * 4096 for name in names}
-    fresh, over, _, inodes = _fresh_and_over(
+    # past a gap in the numbering, and under other names, nothing is a slice
+    kept = ["family_tau_18.csv", "family_tau_9.csv", "notes.csv"]
+    stale = {name: f"stale slice {name}\n".encode() * 4096 for name in names + kept}
+    fresh, over, outs, inodes = _fresh_and_over(
         tmp_path, capsys, ["export", "--what", "family", "--knobs.n_tau=8"], stale)
     assert sorted(p.name for p in fresh.iterdir()) == names[:8]
     for name in names[:8]:
         assert (over / name).read_bytes() == (fresh / name).read_bytes()
         assert os.stat(over / name).st_ino == inodes[name]
-    for name in names[8:]:   # slices the run does not make are left alone
+    # the stale slices 9-16 of the longer run are removed, and nothing else
+    assert sorted(p.name for p in over.iterdir()) == sorted(names[:8] + kept)
+    for name in kept:
         assert (over / name).read_bytes() == stale[name]
+    assert json.loads(outs[1]) == {"written": [str(over / name) for name in names[:8]]}
+    assert outs[0] == outs[1].replace(str(over), str(fresh))
 
 
 def test_report_keeps_its_mode_and_writes_through_a_symlink(tmp_path, capsys):
@@ -824,8 +830,6 @@ def _identifiers(tree) -> set:
 _UNREACHED_ALLOWED = {
     # the reference for same_point's psi route
     "map_psi",
-    # the list input of welldef_check in the tests
-    "default_seam_samples",
     # diagnostics of the open book that are to become certificates
     "q_jacobian_det", "twist_winding", "phi_prime_cr_residual",
 }
@@ -864,5 +868,7 @@ def test_levi_holds_only_what_the_commands_and_the_bench_reach():
     public = {(mod.__name__, x) for mod in modules for x in getattr(mod, "__all__", ())}
     assert sorted((m, x) for m, x in public
                   if x not in reached and x not in _UNREACHED_ALLOWED) == []
-    # an allowed name that the commands come to reach leaves the list
+    # an allowed name that the commands come to reach leaves the list,
+    # and so does one that the package no longer defines
     assert sorted(_UNREACHED_ALLOWED & reached) == []
+    assert sorted(_UNREACHED_ALLOWED - defs.keys()) == []

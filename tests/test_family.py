@@ -421,33 +421,41 @@ def test_family_needs_eight_slices():
         family.build_family(default_params(), 7)
 
 
-def test_constant_curves_break_nesting():
+def _constant(v):
+    """A parameter curve that stands still at ``v``."""
+    return lambda t: np.full(np.shape(t), v)
+
+
+def _patch_curves(monkeypatch, curves):
+    """Every ``_Foliation`` follows ``curves`` (name -> curve of ``t``)."""
+    for name, fn in curves.items():
+        monkeypatch.setattr(family._Foliation, name, staticmethod(fn))
+
+
+def test_constant_curves_break_nesting(monkeypatch):
     par = default_params()
+    _patch_curves(monkeypatch, {"c1": _constant(par.c1), "c2": _constant(par.c2)})
     with pytest.raises(FoliationError, match="meet along ray"):
-        family.build_family(par, 8, curves={"c1": lambda t: par.c1,
-                                            "c2": lambda t: par.c2})
+        family.build_family(par, 8)
 
 
-def test_custom_monotone_curves_pass():
+def test_a_dipping_curve_fails_curve_monotone(monkeypatch):
+    # c2 dips between the slices 0.25 and 0.375 and is the linear curve at
+    # every slice level, so the rays nest and gamma reads the levels back
     par = default_params()
-    fam = family.build_family(par, 8, curves={
-        "c1": lambda t: par.rho2 - (par.rho2 - par.c1) * t ** 1.2,
-        "c2": lambda t: 1.0 + (par.c2 - 1.0) * t ** 1.2,
-    })
-    assert fam.certificates["nesting"].passed
-    assert fam.certificates["level_consistency"].passed
+    c2 = family._Foliation.c2
 
+    def dipping(self, t):
+        t = np.asarray(t, float)
+        dip = np.where((0.25 < t) & (t < 0.375), np.sin(8.0 * np.pi * t) ** 2, 0.0)
+        return c2(self, t) - 0.1 * (par.c2 - 1.0) * dip
 
-def _invert_by_bisection(fol, g, fac):
-    """The 60-step bisection ``_invert_factor`` used to run: the oracle."""
-    lo = np.full(fac.shape, 0.25 * fol.TAU_LO)
-    hi = np.full(fac.shape, fol.TAU_HI)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        up = g(mid) < fac
-        lo = np.where(up, mid, lo)
-        hi = np.where(up, hi, mid)
-    return 0.5 * (lo + hi)
+    monkeypatch.setattr(family._Foliation, "c2", dipping)
+    with pytest.raises(VerificationError) as ei:
+        family.build_family(par, 8)
+    assert str(ei.value) == "family certificates failed: ['curve_monotone']"
+    assert ei.value.certificate.name == "curve_monotone"
+    assert ei.value.certificate.margin < 0
 
 
 def _in_adjacent_bracket(f, root, target):
@@ -457,28 +465,6 @@ def _in_adjacent_bracket(f, root, target):
     upper = np.nextafter(root, np.inf)
     return (((f(lower) < target) & (f(root) >= target))
             | ((f(root) < target) & (f(upper) >= target)))
-
-
-def test_custom_curve_inverse_matches_the_bisection_oracle():
-    par = default_params()
-    fam = family.build_family(par, 8, curves={
-        "c1": lambda t: par.rho2 - (par.rho2 - par.c1) * t ** 1.2,
-        "c2": lambda t: 1.0 + (par.c2 - 1.0) * t ** 1.2,
-    })
-    fol = fam.fol
-    for g in (fol.g1, fol.g2):
-        lo, hi = float(g(0.25 * fol.TAU_LO)), float(g(fol.TAU_HI))
-        fac = np.concatenate([np.linspace(lo, hi, 4001)[1:-1],
-                              np.random.default_rng(3).uniform(lo, hi, 4000)])
-        got = fol._invert_factor(g, fac)
-        ref = _invert_by_bisection(fol, g, fac)
-        assert np.all(_in_adjacent_bracket(g, got, fac))
-        assert np.mean(got == ref) >= 0.995
-        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
-        # out-of-bracket factors keep their mapping; NaN stays outside the window
-        out = fol._invert_factor(g, np.array([lo - 1e-3, hi + 1e-3, np.nan]))
-        assert out[0] == 0.0 and out[1] == fol.TAU_HI + 1.0
-        assert not fol.TAU_LO < out[2] <= fol.TAU_HI
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +481,8 @@ def test_gamma_is_the_level_on_each_slice():
         assert gam(z1, r2 * np.exp(0.3j)) == pytest.approx(tau, abs=1e-9)
         r1b = float(fol.wall2(tau, -2.0))
         assert gam(r1b * np.exp(0.1j), r2) == pytest.approx(tau, abs=1e-9)
-        q1 = 0.5 * (float(fol.Xl(tau)) + float(fol.Xr(tau)))
+        _, xl, xr = fol.cap(tau)
+        q1 = 0.5 * (float(xl) + float(xr))
         q2 = float(fol.dish(tau, q1))
         assert gam(math.exp(q1) * np.exp(2.1j), math.exp(q2)) == \
             pytest.approx(tau, abs=1e-9)
@@ -543,7 +530,8 @@ def _gamma_by_bisection(fol, z1, z2):
         lo = np.where(up, mid, lo)
         hi = np.where(up, hi, mid)
     tau = 0.5 * (lo + hi)
-    sig = (qq1 - fol.Xl(tau)) / (fol.Xr(tau) - fol.Xl(tau))
+    _, xl, xr = fol.cap(tau)
+    sig = (qq1 - xl) / (xr - xl)
     ok &= (sig > -0.05) & (sig < 1.05)
     out[rest] = np.where(ok, tau, np.nan)
     dish = np.zeros(r1.shape, dtype=bool)
@@ -615,7 +603,8 @@ def test_gamma_agrees_with_the_bisection_oracle(which):
 
 def test_gamma_outside_the_dish_bracket_is_nan_without_warnings():
     fol = _family16().fol
-    good = 0.5 * (float(fol.Xl(0.5)) + float(fol.Xr(0.5)))
+    _, xl, xr = fol.cap(0.5)
+    good = 0.5 * (float(xl) + float(xr))
     q1 = np.array([good, good, good, 3.0, -3.0, good])
     q2 = np.array([float(fol.dish(0.5, good)), 5.0, -50.0, 0.0, 0.0, -np.inf])
     z1 = np.exp(q1) + 0j
@@ -956,7 +945,7 @@ def _verification_grid_by_loop(fam, density=1):
             r2 = math.exp(q2)
             pts.append((complex(fol.wall1(t, r2)), complex(r2)))
             pts.append((complex(fol.wall2(t, q2)), complex(r2)))
-        xl, xr = float(fol.Xl(t)), float(fol.Xr(t))
+        _, xl, xr = map(float, fol.cap(t))
         for s in np.linspace(0.05, 0.95, 3 * density + 1):
             q1 = xl + s * (xr - xl)
             q2 = float(fol.dish(t, q1))
@@ -985,8 +974,9 @@ def _level_points_by_loop(fol, slices):
         for q2 in (-1.5, -0.2, float(fol.y_cut(t)) - 0.004):
             pts.append((t, fol.wall1(t, math.exp(q2)) * np.exp(0.9j), math.exp(q2) + 0j))
             pts.append((t, fol.wall2(t, q2) * np.exp(-1.7j), math.exp(q2) + 0j))
+        _, xl, xr = map(float, fol.cap(t))
         for s in (0.1, 0.5, 0.9):
-            q1 = float(fol.Xl(t)) + s * (float(fol.Xr(t)) - float(fol.Xl(t)))
+            q1 = xl + s * (xr - xl)
             q2 = float(fol.dish(t, q1))
             pts.append((t, np.exp(q1 + 0.3j), np.exp(q2 - 1.1j)))
     return tuple(np.array(col) for col in zip(*pts))
@@ -1012,9 +1002,8 @@ def _nesting_by_loop(fol, taus):
         rays.append((f"wall1 q2={q2:.4f}", -fol.wall1(t_arr, math.exp(q2))))
     for q2 in np.linspace(-5.5, q2_top, 28):
         rays.append((f"wall2 q2={q2:.4f}", fol.wall2(t_arr, q2)))
-    xl = float(fol.Xl(t_arr.min())) + 2e-3
-    xr = float(fol.Xr(t_arr.min())) - 2e-3
-    for q1 in np.linspace(xl, xr, 8):
+    _, xl, xr = map(float, fol.cap(t_arr.min()))
+    for q1 in np.linspace(xl + 2e-3, xr - 2e-3, 8):
         rays.append((f"dome q1={q1:.4f}", fol.dish(t_arr, q1)))
     min_gap, worst = float("inf"), None
     for name, radial in rays:
@@ -1030,11 +1019,6 @@ def _nesting_by_loop(fol, taus):
     return rays, min_gap, worst
 
 
-def _linear_curves(par):
-    return {"c1": lambda t: par.rho2 - (par.rho2 - par.c1) * t,
-            "c2": lambda t: 1.0 + (par.c2 - 1.0) * t}
-
-
 def _sweep_inputs(which):
     """``(fol, taus, params)``: a family of ``_family_for``, or, for
     ``"nan_c2"``, the default model under a ``c2`` curve that is NaN below
@@ -1042,30 +1026,35 @@ def _sweep_inputs(which):
     if which != "nan_c2":
         fam = _family_for(which)
         return fam.fol, fam.taus, fam.model.params
-    par = default_params()
-    c2 = _linear_curves(par)["c2"]
-    curves = {**_linear_curves(par), "c2": lambda t: np.where(t < 0.3, np.nan, c2(t))}
-    return family._Foliation(_model(), curves), (0.1, 0.2, 0.4, 1.0), par
+    fol = family._Foliation(_model())
+    c2 = fol.c2
+    fol.c2 = lambda t: np.where(np.asarray(t) < 0.3, np.nan, c2(t))
+    return fol, (0.1, 0.2, 0.4, 1.0), fol.model.params
 
 
 @pytest.mark.parametrize("kind", ["constant", "c1_only", "c2_only", "creep"])
-def test_degenerate_curves_name_the_first_failing_ray(kind):
+def test_degenerate_curves_name_the_first_failing_ray(kind, monkeypatch):
     par = default_params()
-    const = {"c1": lambda t: par.c1, "c2": lambda t: par.c2}
+    const = {"c1": _constant(par.c1), "c2": _constant(par.c2)}
+    # the curves that stand in for the linear ones
     curves = {
         "constant": const,
-        "c1_only": {**_linear_curves(par), "c2": const["c2"]},
-        "c2_only": {**_linear_curves(par), "c1": const["c1"]},
+        "c1_only": {"c2": const["c2"]},
+        "c2_only": {"c1": const["c1"]},
         # wall1 rays creep (gaps about 1e-10 > 0) while wall2 rays stand
         # still (gaps 0): the first failing ray has not the smallest gap
-        "creep": {"c1": lambda t: par.c1 + 1e-9 * (1.0 - t), "c2": const["c2"]},
+        "creep": {"c1": lambda t: par.c1 + 1e-9 * (1.0 - np.asarray(t, float)),
+                  "c2": const["c2"]},
     }[kind]
     taus = tuple((i + 1) / 8 for i in range(8))
-    fol = family._Foliation(family.build_M1(par), curves)
+    fol = family._Foliation(family.build_M1(par))
+    for name, fn in curves.items():
+        setattr(fol, name, fn)
     with pytest.raises(FoliationError) as ref:
         _nesting_by_loop(fol, taus)
+    _patch_curves(monkeypatch, curves)
     with pytest.raises(FoliationError) as got:
-        family.build_family(par, 8, curves=curves)
+        family.build_family(par, 8)
     assert str(got.value) == str(ref.value)
     if kind == "creep":
         assert "ray 'wall1 q2=-5.5000'" in str(got.value)
@@ -1116,7 +1105,7 @@ def _slice_shape_by_loop(fol, taus, params):
                                        float(np.min(np.log(r1a))) - lz2)
         gaps["wall2_below_band"] = min(gaps["wall2_below_band"],
                                        lz1 - float(np.max(np.log(r1b))))
-        xl, xr = float(fol.Xl(t)), float(fol.Xr(t))
+        _, xl, xr = map(float, fol.cap(t))
         gaps["cap_window"] = min(gaps["cap_window"], xr - xl)
         gaps["cap_above_band"] = min(gaps["cap_above_band"], xl - lz2)
         gaps["peak_headroom"] = min(gaps["peak_headroom"],
@@ -1199,7 +1188,7 @@ def _parent_f2c_x(fol, x):
 
 
 def _parent_ends(fol, t):
-    """``Xl`` and ``Xr`` composed separately, each with its own ``y_cut``."""
+    """The cap window's ends composed separately, each with its own ``y_cut``."""
     xl = np.log(fol.wall1(t, np.exp(fol.y_cut(t))))
     yc = fol.y_cut(t)
     xr = np.log(1.0 + fol.g2(t) * (_parent_f2c_x(fol, yc) - 1.0)) + yc
@@ -1230,7 +1219,8 @@ def test_dish_matches_the_parent_composition_bit_for_bit(which):
     xl, xr = _parent_ends(fol, t)
     # both sides of the cap window and its inside
     q1 = xl + rng.uniform(-0.5, 1.5, t.size) * (xr - xl)
-    assert _bits(fol.Xl(t)) == _bits(xl) and _bits(fol.Xr(t)) == _bits(xr)
+    _, cap_l, cap_r = fol.cap(t)
+    assert _bits(cap_l) == _bits(xl) and _bits(cap_r) == _bits(xr)
     assert _bits(fol.dish(t, q1)) == _bits(_parent_dish(fol, t, q1))
     q2 = np.linspace(fol.model.f2.x_lo - 0.5, fol.model.f2.x_hi + 0.5, 3001)
     assert _bits(fol.f2c_x(q2)) == _bits(_parent_f2c_x(fol, q2))
@@ -1239,7 +1229,7 @@ def test_dish_matches_the_parent_composition_bit_for_bit(which):
     assert _bits(fol.dish(*grid)) == _bits(_parent_dish(fol, *grid))
     for tt, qq in zip(t[:100].tolist(), q1[:100].tolist()):
         assert _bits(fol.dish(tt, qq)) == _bits(_parent_dish(fol, tt, qq))
-        assert _bits(fol.Xr(tt)) == _bits(_parent_ends(fol, tt)[1])
+        assert _bits(fol.cap(tt)[2]) == _bits(_parent_ends(fol, tt)[1])
 
 
 # ---------------------------------------------------------------------------

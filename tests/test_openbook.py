@@ -19,7 +19,6 @@ from concavia.openbook import (
     TwistSpec,
     conjugation_check,
     corner_tori,
-    default_seam_samples,
     embed_g,
     map_Phi_prime,
     monodromy_delta,
@@ -193,7 +192,6 @@ def test_conjugation_arrays_match_the_scalar_loop(spec, n):
     cert = conjugation_check(spec, n=n)
     assert abs(cert.details["sup_error"] - oracle.max()) <= ulps
     assert cert.passed == bool(oracle.max() < 1e-9)
-    assert cert == conjugation_check(spec, samples=list(zip(w.tolist(), t.tolist())))
 
 
 def test_conjugation_samples_cover_every_cell(monkeypatch):
@@ -250,8 +248,6 @@ def test_out_of_annulus_sample_is_named():
     for fn in (monodromy_delta, q_chart):
         with pytest.raises(DomainError, match="at sample 3, got 0.9"):
             fn(SPEC, z)
-    with pytest.raises(DomainError, match="at sample 2"):
-        conjugation_check(SPEC, samples=[(1.0, 0.5), (1j, 0.1), (1.1, 0.2)])
 
 
 def test_twist_spec_checks_profiles_with_one_array_call():
@@ -288,7 +284,7 @@ def test_sweeps_call_each_map_a_fixed_number_of_times(monkeypatch, n):
     assert conjugation_check(SPEC, n=n).passed
     assert counts == {"q_inverse": 1, "q_chart": 1, "monodromy_delta": 1}
     counts.clear()
-    assert welldef_check(P, seam_samples=default_seam_samples(P, n=n)).passed
+    assert welldef_check(P).passed
     assert counts == {"canonical_rep": 2, "phi": 1}
 
 
@@ -383,32 +379,27 @@ def test_welldef_fails_on_a_nan_error(monkeypatch):
 
 def test_welldef_matches_the_scalar_seam_loop():
     # the per-sample outer-seam comparison welldef_check once made, point by point
-    samples = default_seam_samples(P)
+    u1, u2 = openbook._seam_arrays(P)
     errs, shifts = [], set()
-    for p in samples[1::2]:
-        f = P.c / p.u2
-        c1, _, n1 = canonical_rep(P.c * p.u1 * phi(f, 0), f)
-        c2, _, n2 = canonical_rep(p.u1 * p.u2 * phi(f, 0), f)
+    for w1, w2 in zip(u1[1::2].tolist(), u2[1::2].tolist()):
+        f = P.c / w2
+        c1, _, n1 = canonical_rep(P.c * w1 * phi(f, 0), f)
+        c2, _, n2 = canonical_rep(w1 * w2 * phi(f, 0), f)
         errs.append(abs(c1 - c2) / max(1.0, abs(c2)))
         shifts.add(n2 - n1)
     cert = welldef_check(P)
-    assert cert == welldef_check(P, seam_samples=samples)
     assert abs(cert.details["sup_error"] - max(errs)) <= 1e-15
     assert cert.details["psi2_shifts"] == sorted(shifts) == [1]
     assert all(type(k) is int for k in cert.details["psi2_shifts"])
 
 
 def test_default_seam_samples_keep_the_scalar_stream():
-    for k, p in enumerate(default_seam_samples(P, n=200)):
+    u1, u2 = openbook._seam_arrays(P, 200)
+    for k, pair in enumerate(zip(u1.tolist(), u2.tolist())):
         th1 = 2 * math.pi * ((k * GOLD) % 1.0)
         th2 = 2 * math.pi * ((k * SILVER) % 1.0)
         r = P.a if k % 2 == 0 else P.b
-        assert (p.u1, p.u2) == (r * cmath.exp(1j * th1), cmath.exp(1j * th2))
-
-
-def test_welldef_rejects_non_seam_samples():
-    with pytest.raises(DomainError):
-        welldef_check(P, seam_samples=[MPoint.collar(P, P.a, 0.5)])
+        assert pair == (r * cmath.exp(1j * th1), cmath.exp(1j * th2))
 
 
 # ---------------------------------------------------------------------------
