@@ -115,9 +115,8 @@ def _suite_levi(par) -> dict[str, Certificate]:
 
 def _suite_family(cfg: RunConfig, par, model) -> tuple[bool, dict]:
     kn = cfg.knobs
-    return family.run_verification(
-        par, family_knobs(cfg), model, n_tau=kn["n_tau"],
-        n_samples=kn["n_samples"], lambda_max=kn["lambda_max"])
+    return family.run_verification(par, family_knobs(cfg), model, n_tau=kn["n_tau"],
+                                   lambda_max=kn["lambda_max"])
 
 
 # suite -> the function of its section: the certificates of the params, or of
@@ -303,16 +302,14 @@ def _export_family(cfg: RunConfig, par, outdir: str) -> list[str]:
     paths = []
     for i, tau in enumerate(fam.taus):
         yc, xl, xr = map(float, fol.cap(tau))
-        rows = []
-        for q2 in np.linspace(-4.0, yc - 1e-9, 200):
-            rows.append(("H1", float(q2), float(fol.wall1(tau, math.exp(float(q2)))),
-                         math.exp(float(q2))))
-        for q2 in np.linspace(-4.0, yc - 1e-9, 200):
-            rows.append(("H2", float(q2), float(fol.wall2(tau, float(q2))),
-                         math.exp(float(q2))))
-        for q1 in np.linspace(xl, xr, 100):
-            rows.append(("S", float(q1), math.exp(float(q1)),
-                         math.exp(float(fol.dish(tau, float(q1))))))
+        # one array pass per piece; the radii keep math.exp's bits
+        q2 = np.linspace(-4.0, yc - 1e-9, 200)
+        r2 = family._libm(math.exp, q2)
+        q1 = np.linspace(xl, xr, 100)
+        pieces = {"H1": (q2, fol.wall1(tau, r2), r2), "H2": (q2, fol.wall2(tau, q2), r2),
+                  "S": (q1, family._libm(math.exp, q1), family._libm(math.exp, fol.dish(tau, q1)))}
+        rows = [(tag, *row) for tag, cols in pieces.items()
+                for row in zip(*(c.tolist() for c in cols))]
         path = os.path.join(outdir, f"family_tau_{i + 1:02d}.csv")
         _write_csv(path, "piece,abscissa,r1,r2", rows)
         paths.append(path)

@@ -52,8 +52,7 @@ from .errors import (
     FoliationError,
     VerificationError,
 )
-from .levi import (ScalarField, apply_J, exp_jet, find_lambda, jet_d_c, jet_neg_ddc,
-                   lambda_from_values, polar_diff, polar_lift, polar_stencil)
+from .levi import ScalarField, find_lambda, lambda_from_values, lambda_stencil
 from .profiles import (
     ContactTag,
     Profile,
@@ -84,8 +83,6 @@ __all__ = [
 SEAM_TOL = 1e-9
 #: strict nesting floor along rays
 NESTING_FLOOR = 1e-6
-#: log-radius margin kept between check grids and the two seam corners
-CORNER_MARGIN = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -630,6 +627,12 @@ class FamilySpec:
     fol: _Foliation = field(repr=False)
     certificates: dict = field(default_factory=dict, repr=False)
 
+    @cached_property
+    def top_slice(self) -> _TopSlice:
+        """The closed forms of the 3-form certificates (:func:`_top_slice`),
+        computed once for both sweeps."""
+        return _top_slice(self)
+
 
 def _nesting_rays(fol: _Foliation, taus) -> tuple[list[str], np.ndarray]:
     """64 radial sweeps: 28 per wall plus 8 through the dome cap.
@@ -869,252 +872,231 @@ def find_collar_lambda(fam: FamilySpec, lambda_max: float) -> tuple[float, Certi
 
 
 # ---------------------------------------------------------------------------
-# Frames and the two global sweeps
+# The sphere's 3-form certificates, in closed form on the top slice
 # ---------------------------------------------------------------------------
 
-def _unit_rows(V: np.ndarray) -> np.ndarray:
-    """Rows of ``V`` scaled to unit length.  The stacked ``matmul`` forms each
-    row's dot product as ``np.linalg.norm`` does for one vector, so a row gets
-    the same bits as on its own; ``np.linalg.norm(V, axis=1)`` sums
-    differently."""
-    return V / np.sqrt(V[:, None, :] @ V[:, :, None])[:, 0]
+#: the model samples whose area-uniform abscissas (:func:`_sample_arrays`'s
+#: placement) each piece's closed-form grid starts from
+SPHERE_POINTS = 240
+#: the rounding bound of a closed-form value, in ulps of the value per unit
+#: of the cancellation factor of the level's denominator
+ROUNDING_ULPS = 64
 
 
-def _piece_abscissa(model: SphereModel, tags, z1, z2) -> tuple[np.ndarray, ...]:
-    """Tags, ``|z1|``, ``|z2|`` (the real slice of each torus orbit) and
-    profile abscissas, ``log|z2|`` on the walls and ``log|z1|`` on the seam,
-    of the samples ``(tags, z1, z2)`` (see :func:`_sample_arrays`) farther
-    than ``CORNER_MARGIN`` from a seam corner.  ``np.hypot`` and ``math.log``
-    keep the bits of Python's ``abs`` and ``math.log``."""
-    for tag in set(tags.tolist()) - {"H1", "H2", "S"}:
-        raise DomainError(f"unknown piece tag {tag!r}")
-    r1, r2 = np.hypot(z1.real, z1.imag), np.hypot(z2.real, z2.imag)
-    cap = tags == "S"
-    x = _libm(math.log, np.where(cap, r1, r2))
-    X1, X2 = model.window
-    keep = ~(np.where(cap, np.minimum(x - X1, X2 - x), model.y_star - x) < CORNER_MARGIN)
-    return tags[keep], r1[keep], r2[keep], x[keep]
-
-
-def _sample_frames(model: SphereModel, pieces):
-    """Angular frames ``e1``, ``e2`` and profile tangents ``V`` as ``[N, 4]``
-    arrays at the real slice of the orbits of the samples whose
-    :func:`_piece_abscissa` is ``pieces``, where the
-    angular directions are the constant ``dy1`` and ``dy2``.  ``V`` is the
-    unit tangent of the profile curve, oriented along the page from the left
-    binding circle toward the right one."""
-    tags, r1, r2, x = pieces
-    zero = np.zeros(x.shape)
-    e1, e2 = (np.repeat(np.eye(4)[[k]], x.size, axis=0) for k in (1, 3))
-    # log-radius direction (dq1, dq2) of the profile, per piece
-    dq1, dq2 = np.ones(x.shape), np.ones(x.shape)
-    h1, h2, cap = tags == "H1", tags == "H2", tags == "S"
-    dq1[h1] = model.f1.dL(x[h1])
-    dq1[h2] = -model.f2.dL(x[h2])   # descending toward the binding
-    dq2[h2] = -1.0
-    dq2[cap] = -model.htilde.df(x[cap])
-    V = _unit_rows(np.stack([dq1 * r1, zero, dq2 * r2, zero], axis=1))
-    return e1, e2, V
-
-
-def _oriented_curvature(model: SphereModel, pieces) -> np.ndarray:
-    """Transverse log-curvature of each sample's local profile, from the
-    samples' :func:`_piece_abscissa` ``pieces``, signed so
-    that the value is positive exactly when the piece classifies as negative
-    contact in the fixed co-orientation (left wall: +L'', right wall: -L'',
-    seam: +htilde'')."""
-    tags, _, _, x = pieces
-    out = np.empty(x.shape)
-    h1, h2, cap = tags == "H1", tags == "H2", tags == "S"
-    out[h1] = model.f1.d2L(x[h1])
-    out[h2] = -model.f2.d2L(x[h2])
-    out[cap] = model.htilde.d2f(x[cap])
+def _sphere_abscissas(model: SphereModel) -> dict[str, np.ndarray]:
+    """Per piece, the profile abscissas of the closed-form grid, ``log|z2|``
+    on the walls and ``log|z1|`` on the seam, ascending: the area-uniform
+    placement of :data:`SPHERE_POINTS` samples and every point where a
+    piece's profile changes formula or ends at a corner, namely the left
+    wall's corner ``y_star``, the knots of ``f2``'s spline (from the germ's
+    end to the corner) and the breakpoints of ``htilde`` (both corners
+    included)."""
+    tables = model.density_tables
+    total = sum(area for _, _, area in tables.values())
+    knots = {"H1": [model.y_star], "H2": model.f2.meta["spline"]["breakpoints"],
+             "S": model.htilde.ppoly.x}
+    out = {}
+    for tag, (grid, dens, area) in tables.items():
+        m = max(8, round(SPHERE_POINTS * area / total))
+        x = np.sort(np.concatenate([_inverse_cdf(grid, dens, m), knots[tag]]))
+        out[tag] = x[np.concatenate([[True], x[1:] != x[:-1]])]
     return out
 
 
-def _normalize_grid(grid) -> tuple[np.ndarray, ...]:
-    """The sweeps' list input, :func:`sample_M1` pairs or ``(z1, z2, tag)``
-    triples, as the ``(tags, z1, z2)`` arrays of :func:`_sample_arrays`."""
-    z1, z2, tags = zip(*((item[0].z1, item[0].z2, item[1])
-                         if isinstance(item[0], ChartPoint) else item for item in grid))
-    return np.array(tags, dtype=str), np.array(z1, dtype=complex), np.array(z2, dtype=complex)
+# Each piece's jet is ``(r1, r2, g1, g2, N, P, kappa)`` at the real points
+# (r1, r2) of M1 = {gamma = 1}: gamma's log-coordinate derivatives g1 =
+# gamma_q1 and g2 = gamma_q2, the contact numerator N = g11 g2^2 - 2 g12 g1 g2
+# + g22 g1^2 and the page numerator P = g2 g11 - g1 g12, and the cancellation
+# factor kappa of the level's denominator, by which its relative rounding
+# error exceeds a few ulps.
+
+def _wall1_jet(fol: _Foliation, q2: np.ndarray) -> tuple:
+    """The left wall, ``gamma = (rho2 - r1) / (rho2 - f1c(r2))``, on
+    ``r1 = f1c(r2)``: ``g11 = g1``, ``g12 = g1 g2``, ``g22 = 2 g2 (1 + g2)``."""
+    r2 = np.exp(q2)
+    r1 = fol.f1c(r2)
+    g1 = -r1 / (fol.rho2 - r1)
+    g2 = 2.0 * fol.eps1 * r2 * r2 / (fol.rho2 - r1)
+    return r1, r2, g1, g2, g1 * g2 * (g2 + 2.0 * g1), g1 * g2 * (1.0 - g1), -g1
+
+
+def _wall2_jet(fol: _Foliation, q2: np.ndarray) -> tuple:
+    """The right wall, ``gamma = (r1 - 1) / (F(q2) - 1)`` with ``F = exp(L)``
+    of ``f2``'s germ or spline, on ``r1 = F``: ``g2 = -g1 L'``, ``g11 = g1``,
+    ``g12 = g1 g2`` and ``g22 = 2 g1^2 L'^2 - g1 (L'' + L'^2)``, so ``N =
+    -g1^3 L''``."""
+    f2 = fol.model.f2
+    r1 = np.exp(f2.L_fn(q2))
+    dL, d2L = f2.dL_fn(q2), f2.d2L_fn(q2)
+    g1 = r1 / (r1 - 1.0)
+    return r1, np.exp(q2), g1, -g1 * dL, -g1 * g1 * g1 * d2L, g1 * g1 * dL * (g1 - 1.0), g1
+
+
+def _dish_jet(fol: _Foliation, q1: np.ndarray) -> tuple:
+    """The dish, where ``gamma`` solves ``dish(gamma, q1) = q2``.  With ``A =
+    dish_q1`` and ``B = dish_tau``, implicit differentiation gives ``g1 =
+    -A/B``, ``g2 = 1/B``, ``N = -A_q1 / B^3`` and ``P = (A B_q1 - A_q1 B) /
+    B^3``; ``dish_tau_tau`` cancels from both.  ``kappa`` is the ratio of
+    ``B``'s terms' magnitudes to ``|B|``."""
+    yc, xl, xr = (float(v) for v in fol.cap(1.0))
+    w = xr - xl
+    s = np.clip((q1 - xl) / w, 0.0, 1.0)
+    X = fol.X1 + s * fol.span
+    ht, span, D1 = fol.model.htilde, fol.span, fol.D1
+    ph = (-ht.f(X) - fol.y_star) / D1            # phat and its s-derivatives
+    ph1 = -ht.df(X) * span / D1
+    ph2 = -ht.d2f(X) * span * span / D1
+    D, dD = float(fol.D(1.0)), D1 * (1.0 - fol.D_FLOOR)
+    # tau-derivatives of the window's ends xl = log wall1(tau, e^yc) and
+    # xr = log wall2(tau, yc) + yc, with yc' = SM; at tau = 1, yc = y_star
+    # is the end of f2's domain, past which f2c_x keeps the end slope
+    rc, fc = math.exp(yc), float(fol.f2c_x(yc))
+    dxl = (2.0 * fol.eps1 * rc * rc * fol.SM - (fol.rho2 - float(fol.f1c(rc)))) \
+        / float(fol.wall1(1.0, rc))
+    dxr = (fc - 1.0 + fc * fol._f2_dhi * fol.SM) / float(fol.wall2(1.0, yc)) + fol.SM
+    st = -(dxl + s * (dxr - dxl)) / w            # s_tau
+    A, Aq = D * ph1 / w, D * ph2 / (w * w)
+    terms = (fol.SM, dD * ph, D * ph1 * st)
+    B = terms[0] + terms[1] + terms[2]
+    Bq = (dD * ph1 + D * ph2 * st) / w - D * ph1 * (dxr - dxl) / (w * w)
+    B3 = B * B * B
+    kappa = (abs(terms[0]) + np.abs(terms[1]) + np.abs(terms[2])) / np.abs(B)
+    return (np.exp(q1), np.exp(yc + D * ph), -A / B, 1.0 / B, -Aq / B3,
+            (A * Bq - Aq * B) / B3, kappa)
 
 
 @dataclass(frozen=True)
-class _SampleJet:
-    """The :func:`_piece_abscissa` of a sample set, with ``gamma``'s
-    jets at steps ``h`` and ``2h`` and the frames (:func:`_sample_frames`)
-    there, and ``gamma``'s radial jet at step ``h`` at the two binding points
-    ``(c_j, 0)``: the ``lam``-free part of the 3-form sweeps.
-    :func:`_sample_jet_from` builds it from ``gamma``'s values on
-    :func:`_sample_stencil`.  The sweeps compose ``u = exp(lam * (gamma -
-    1))`` exactly from the jets, so ``alpha ^ d alpha = (lam u)^2 beta ^ d
-    beta``, ``beta = -d^C gamma``, keeps its sign at every ``lam``."""
+class _TopSlice:
+    """The 3-form certificates' values on the top slice ``M1``, per grid
+    point in piece order: the contact term ``beta ^ d beta``, the page form
+    ``d beta`` and the frame span, and ``ulps``, the relative rounding bound
+    of the first two; and the binding pairing ``beta(d/d theta1)`` at ``(c1,
+    0)`` and ``(c2, 0)`` with its own ``binding_ulps``.
 
-    pieces: tuple
-    jets: tuple
-    frames: tuple
-    binding: tuple
+    ``beta = -d^C gamma``.  The potential ``u = exp(lambda (gamma - 1))``
+    has ``alpha = -d^C u = lambda u beta``, and on the tangent space of
+    ``M1``, where ``u = 1`` and ``dgamma = 0``, ``alpha ^ d alpha =
+    lambda^2 beta ^ d beta`` and ``d alpha = lambda d beta``: every sign
+    holds at every ``lambda``, and the values read no ``lambda``.
 
-
-def _binding_radii(fam: FamilySpec) -> tuple[np.ndarray, np.ndarray]:
-    """``(|z1|, |z2|)`` of one point per binding circle, ``(c_j, 0)``."""
-    return np.array([fam.model.params.c1, fam.model.params.c2]), np.zeros(2)
-
-
-def _sample_stencil(fam: FamilySpec, pieces) -> tuple[np.ndarray, np.ndarray]:
-    """The radii at which a :class:`_SampleJet` reads ``gamma``: the polar
-    stencil of the samples with :func:`_piece_abscissa` ``pieces``, then
-    that of the binding points."""
-    _, r1, r2, _ = pieces
-    return tuple(np.concatenate(rr) for rr in zip(polar_stencil(r1, r2),
-                                                  polar_stencil(*_binding_radii(fam))))
-
-
-def _sample_jet_from(fam: FamilySpec, pieces, u) -> _SampleJet:
-    """The :class:`_SampleJet` of the samples with :func:`_piece_abscissa`
-    ``pieces`` from ``gamma``'s values ``u`` on their
-    :func:`_sample_stencil`."""
-    _, r1, r2, _ = pieces
-    u_s, u_b = np.split(np.asarray(u), [17 * r1.size])
-    return _SampleJet(pieces,
-                      tuple(polar_lift(pj, r1, r2) for pj in polar_diff(u_s, r1, r2)),
-                      _sample_frames(fam.model, pieces),
-                      polar_diff(u_b, *_binding_radii(fam))[0])
-
-
-def _sample_jet(fam: FamilySpec, grid) -> _SampleJet:
-    """``grid`` (list input, see :func:`_normalize_grid`) prepared for the
-    sweeps, with one ``gamma`` call; a :class:`_SampleJet` is returned as it
-    is."""
-    if isinstance(grid, _SampleJet):
-        return grid
-    pieces = _piece_abscissa(fam.model, *_normalize_grid(grid))
-    R1, R2 = _sample_stencil(fam, pieces)
-    return _sample_jet_from(fam, pieces, fam.fol.gamma(R1 + 0j, R2 + 0j))
-
-
-def _contact_volumes(fam: FamilySpec, lam: float, grid) -> np.ndarray:
-    """``alpha ^ d alpha`` on each sample's oriented tangent frame from the
-    jets at ``h`` and ``2h``, ``[2, N]``.  ``grid`` is as for
-    :func:`_sample_jet`."""
-    sweep = _sample_jet(fam, grid)
-    out = []
-    for jet_f in sweep.jets:
-        _, g, H = exp_jet(jet_f, lam, 1.0)
-        nu = -g / np.linalg.norm(g, axis=1, keepdims=True)  # outward from the compact side
-        e1, e2, e3 = sweep.frames
-        swap = (np.linalg.det(np.stack([nu, e1, e2, e3], axis=2)) < 0)[:, None]
-        e2, e3 = np.where(swap, e3, e2), np.where(swap, e2, e3)
-        al = [-jet_d_c(g, v) for v in (e1, e2, e3)]
-        da = [jet_neg_ddc(H, e2, e3), jet_neg_ddc(H, e1, e3), jet_neg_ddc(H, e1, e2)]
-        out.append(al[0] * da[0] - al[1] * da[1] + al[2] * da[2])
-    return np.array(out)
-
-
-def pseudoconcavity_check(fam: FamilySpec, lam: float, grid) -> Certificate:
-    """Certify the sphere's contact sign: ``alpha ^ d alpha`` constant
-    negative in the fixed orientation, agreeing with the per-piece profile
-    classification at every sample.
-
-    ``alpha = -d^C u`` for the potential ``u = exp(lam * (gamma - 1))`` of
-    the family ``fam``.  ``grid`` is a list of model samples (as produced by
-    :func:`sample_M1`), or their :class:`_SampleJet`; samples closer than
-    the corner margin to a seam corner are skipped.
+    The values are those of ``gamma``'s jet at the real point ``(r1, 0,
+    r2, 0)``, gradient ``(g1/r1, 0, g2/r2, 0)``, on the frame of the angular
+    directions ``dy1``, ``dy2`` and the level curve's unit tangent ``V =
+    (g2/r2, 0, -g1/r1, 0) / |grad gamma|``, which runs along the page from
+    the left binding circle toward the right one since ``gamma`` grows
+    outward.  The torus acts by isometries commuting with ``J``, so they
+    hold on the whole orbit.  With ``N`` and ``P`` of the piece jets:
+    ``beta ^ d beta = -N / (2 r1^2 r2^2 |grad gamma|)`` in either
+    orientation of ``(dy1, dy2, V)`` led by ``-grad gamma``; ``d beta(dy1,
+    W) = -P / (2 r1^2 r2 |grad gamma|)`` with ``W = V`` on the walls and
+    ``-V`` on the cap; and the frame ``(dy1, V, J grad gamma)`` spans with
+    determinant and ``theta2``-component ``g2 / (r2 |grad gamma|)``.
     """
-    model = fam.model
-    sweep = _sample_jet(fam, grid)
-    vals, vals_2h = _contact_volumes(fam, lam, sweep)
-    tags, r1, r2, _ = sweep.pieces
-    kappa = _oriented_curvature(model, sweep.pieces)
-    agree = int(np.sum((kappa > 0) & (vals < 0)))
-    per_piece = {t: vals[tags == t] for t in ("H1", "H2", "S")}
+
+    tags: np.ndarray
+    r1: np.ndarray
+    r2: np.ndarray
+    contact: np.ndarray
+    page: np.ndarray
+    span: np.ndarray
+    ulps: np.ndarray
+    binding: np.ndarray
+    binding_ulps: np.ndarray
+    grid: str
+
+
+def _top_slice(fam: FamilySpec) -> _TopSlice:
+    """The :class:`_TopSlice` of ``fam`` on the :func:`_sphere_abscissas`
+    of its model."""
+    fol = fam.fol
+    xs = _sphere_abscissas(fam.model)
+    jets = (_wall1_jet(fol, xs["H1"]), _wall2_jet(fol, xs["H2"]), _dish_jet(fol, xs["S"]))
+    tags = np.repeat(["H1", "H2", "S"], [x.size for x in xs.values()])
+    r1, r2, g1, g2, N, P, kappa = (np.concatenate(a) for a in zip(*jets))
+    g = np.hypot(g1 / r1, g2 / r2)
+    # the binding circles, r2 = 0, on the left wall and on f2's germ
+    ends = [piece(fol, np.array([-np.inf])) for piece in (_wall1_jet, _wall2_jet)]
+    ulp = ROUNDING_ULPS * np.finfo(float).eps
+    knots = len(fam.model.f2.meta["spline"]["breakpoints"]), fam.model.htilde.ppoly.x.size
+    return _TopSlice(
+        tags, r1, r2, -N / (2.0 * r1 * r1 * r2 * r2 * g),
+        np.where(tags == "S", P, -P) / (2.0 * r1 * r1 * r2 * g), g2 / r2 / g, ulp * kappa,
+        np.array([e[2][0] for e in ends]), ulp * np.array([e[6][0] for e in ends]),
+        f"{tags.size} points (H1 {xs['H1'].size}, H2 {xs['H2'].size}, S {xs['S'].size}): "
+        f"area-uniform abscissas, the left wall's corner, f2's {knots[0]} spline knots "
+        f"and htilde's {knots[1]} breakpoints")
+
+
+def pseudoconcavity_check(fam: FamilySpec) -> Certificate:
+    """Certify the sphere's contact sign: ``beta ^ d beta``, ``beta = -d^C
+    gamma``, negative at every point of the closed-form grid, in the
+    orientation led by the outward normal ``-grad gamma`` (see
+    :class:`_TopSlice`); it reads neither ``lambda`` nor ``gamma``."""
+    top = fam.top_slice
+    vals = top.contact
     i = int(np.argmax(vals))
-    passed = bool(np.all(vals < 0)) and agree == tags.size
+    per_piece = {t: vals[top.tags == t] for t in ("H1", "H2", "S")}
     return Certificate(
-        name="pseudoconcavity",
-        grid=f"{tags.size} samples "
-             f"(H1 {len(per_piece['H1'])}, H2 {len(per_piece['H2'])}, S {len(per_piece['S'])})",
-        margin=float(-vals[i]),
-        passed=passed, worst_point=(complex(r1[i]), complex(r2[i])),
+        name="pseudoconcavity", grid=top.grid,
+        margin=float(-vals[i]), passed=bool(np.all(vals < 0)),
+        worst_point=(complex(top.r1[i]), complex(top.r2[i])),
         details={
-            "method": "radial_stencil",
-            "error_estimate": float(abs(vals[i] - vals_2h[i])),
+            "method": "closed_form",
+            "error_estimate": float(top.ulps[i] * abs(vals[i])),
             "min_abs_volume": float(np.min(np.abs(vals))),
-            "classification_agreements": agree,
-            "disagreements": tags.size - agree,
-            "per_piece_max": {t: (float(np.max(v)) if v.size else None)
-                              for t, v in per_piece.items()},
+            "per_piece_max": {t: float(np.max(v)) for t, v in per_piece.items()},
         })
 
 
-def compatibility_check(fam: FamilySpec, lam: float, grid) -> Certificate:
-    """Certify the open-book compatibility of the contact form
-    ``alpha = -d^C u``, ``u = exp(lam * (gamma - 1))``.
+def compatibility_check(fam: FamilySpec) -> Certificate:
+    """Certify the open-book compatibility of the contact form ``beta =
+    -d^C gamma`` from the closed forms of :class:`_TopSlice`; it reads
+    neither ``lambda`` nor ``gamma``.
 
-    Three sub-certificates: (i) the binding pairing ``alpha(d/d theta1) =
-    lam u r1 gamma_r1`` is nonzero with opposite signs on the two binding
-    circles, the two boundary components of a page, read at one point
-    ``(c_j, 0)`` per circle since ``gamma`` is torus-invariant; (ii) the
-    page 2-form ``d alpha`` is positive on every measured page tangent
-    plane in the plane's natural orientation — the cap's page plane is
-    nearly a complex line and carries its complex orientation, while the
-    wall pages are almost totally real and carry the fibration
-    co-orientation (frame positive when preceded by the outward normal and
-    the theta2 direction); nondegeneracy of ``d alpha`` on pages follows
-    from (iii), which is how the certificate should be read — the two
-    recorded orientations are not a single global convention; (iii) the
-    triple (binding direction, page direction, Reeb direction) spans the
-    tangent space at every off-binding sample, with the theta2-component
-    of the Reeb direction positive.  ``grid`` is as for
-    :func:`pseudoconcavity_check`.
+    Three sub-certificates: (i) the binding pairing ``beta(d/d theta1) =
+    r1 gamma_r1`` is nonzero with opposite signs on the two binding
+    circles, the two boundary components of a page: ``-c1 / (rho2 - c1)``
+    at ``(c1, 0)`` and ``c2 / (c2 - 1)`` at ``(c2, 0)``; (ii) the page
+    2-form ``d beta`` is positive on every page tangent plane in the
+    plane's natural orientation — the cap's page plane is nearly a complex
+    line and carries its complex orientation, while the wall pages are
+    almost totally real and carry the fibration co-orientation (frame
+    positive when preceded by the outward normal and the theta2
+    direction); nondegeneracy of ``d beta`` on pages follows from (iii),
+    which is how the certificate should be read — the two recorded
+    orientations are not a single global convention; (iii) the triple
+    (binding direction, page direction, Reeb direction) spans the tangent
+    space at every off-binding point, with the theta2-component of the
+    Reeb direction positive.
     """
-    sweep = _sample_jet(fam, grid)
-
-    # (i) binding circles, from gamma's radial jet at (c_j, 0); the ring
-    # through r2 = 0 reads gamma at |z2| = mh
-    u, g1 = sweep.binding[:2]
-    b1, b2 = (lam * np.exp(lam * (u - 1.0)) * _binding_radii(fam)[0] * g1).tolist()
+    top = fam.top_slice
+    b1, b2 = top.binding.tolist()
     cert_bind = Certificate(
         name="binding_pairing", grid="2 circles, one point each",
-        margin=float(np.min(np.abs([b1, b2]))), passed=b1 * b2 < 0,
-        details={"sign_c1": float(np.sign(b1)), "sign_c2": float(np.sign(b2)),
+        margin=min(abs(b1), abs(b2)), passed=b1 * b2 < 0,
+        details={"method": "closed_form",
+                 "error_estimate": float(np.max(top.binding_ulps * np.abs(top.binding))),
+                 "sign_c1": float(np.sign(b1)), "sign_c2": float(np.sign(b2)),
                  "value_c1": b1, "value_c2": b2})
 
-    # (ii) pages and (iii) span, on off-binding samples
-    tags, r1, r2, _ = sweep.pieces
-    (_, g, H), (_, _, H_2h) = (exp_jet(jet_f, lam, 1.0) for jet_f in sweep.jets)
-    e1, e2, V = sweep.frames
-    # Page-plane orientation: the traversal vector V runs from the left
-    # binding toward the right one.  On the wall pieces that is the
-    # fibration-positive direction; on the cap the complex orientation of
-    # the (nearly complex) page plane reverses it.
-    W = np.where((tags == "S")[:, None], -V, V)
-    page_arr, page_2h = jet_neg_ddc(H, e1, W), jet_neg_ddc(H_2h, e1, W)
-    k = int(np.argmin(page_arr))
-    R = apply_J(g / np.linalg.norm(g, axis=1, keepdims=True))
-    # (e1, e2, V) is an orthonormal tangent frame: angular directions are
-    # exactly orthogonal to the radial profile tangent
-    basis = np.stack([e1, e2, V], axis=1)
-    det_arr = np.abs(np.linalg.det(basis @ np.stack([e1, V, R], axis=2)))
-    th2_arr = np.sum(e2 * R, axis=1)
-    piece_ranges = {t: [float(page_arr[tags == t].min()), float(page_arr[tags == t].max())]
-                    for t in ("H1", "S", "H2") if np.any(tags == t)}
+    tags, page, span = top.tags, top.page, top.span
+    k = int(np.argmin(page))
+    grid = f"{tags.size} off-binding points"
     cert_pages = Certificate(
-        name="page_area_form", grid=f"{tags.size} off-binding samples",
-        margin=float(page_arr[k]), passed=bool(np.all(page_arr > 0)),
-        worst_point=(complex(r1[k]), complex(r2[k])),
-        details={"method": "radial_stencil",
-                 "error_estimate": float(abs(page_arr[k] - page_2h[k])),
-                 "max": float(page_arr.max()),
-                 "per_piece_range": piece_ranges,
+        name="page_area_form", grid=grid,
+        margin=float(page[k]), passed=bool(np.all(page > 0)),
+        worst_point=(complex(top.r1[k]), complex(top.r2[k])),
+        details={"method": "closed_form",
+                 "error_estimate": float(top.ulps[k] * abs(page[k])),
+                 "max": float(page.max()),
+                 "per_piece_range": {t: [float(page[tags == t].min()),
+                                         float(page[tags == t].max())]
+                                     for t in ("H1", "S", "H2")},
                  "orientation": "fibration on walls, complex on cap"})
+    low = float(np.min(span))
     cert_span = Certificate(
-        name="frame_span", grid=f"{tags.size} off-binding samples",
-        margin=float(min(det_arr.min(), th2_arr.min())),
-        passed=bool(np.all(det_arr > 0) and np.all(th2_arr > 0)),
-        details={"min_abs_det": float(det_arr.min()),
-                 "min_theta2_component": float(th2_arr.min())})
+        name="frame_span", grid=grid, margin=low, passed=bool(np.all(span > 0)),
+        details={"min_abs_det": float(np.min(np.abs(span))), "min_theta2_component": low})
 
     return Certificate.merge("compatibility", [cert_bind, cert_pages, cert_span])
 
@@ -1126,7 +1108,6 @@ def compatibility_check(fam: FamilySpec, lam: float, grid) -> Certificate:
 def run_verification(params: Params, knobs: Knobs | None = None,
                      model: SphereModel | None = None, *,
                      n_tau: int = RUN_DEFAULTS["n_tau"],
-                     n_samples: int = RUN_DEFAULTS["n_samples"],
                      lambda_max: float = RUN_DEFAULTS["lambda_max"]) -> tuple[bool, dict]:
     """Run the full pipeline and assemble a deterministic report.
 
@@ -1138,31 +1119,25 @@ def run_verification(params: Params, knobs: Knobs | None = None,
 
     ``gamma`` is read in one call on every point the run needs, gathered as
     soon as the family is assembled: the level-consistency points, then the
-    polar stencils of the lambda grid, of the ``n_samples`` model samples
-    (:func:`_sample_arrays`) and of the two binding points.  ``gamma`` is
-    elementwise, so the certificates are bit for bit those of
-    :func:`build_family`, :func:`find_collar_lambda`,
-    :func:`pseudoconcavity_check` and :func:`compatibility_check` called on
-    their own, and so is the error raised: a failing family certificate
-    first, then :func:`find_lambda`'s errors.  A bad argument (``n_tau <
-    8``, ``n_samples < 100``) raises its ``DomainError`` before ``gamma`` is
-    read.
+    :func:`lambda_stencil` of the lambda grid.  ``gamma`` is elementwise, so
+    the certificates are bit for bit those of :func:`build_family` and
+    :func:`find_collar_lambda` called on their own, and so is the error
+    raised: a failing family certificate first, then :func:`find_lambda`'s
+    errors.  :func:`pseudoconcavity_check` and :func:`compatibility_check`
+    read the closed forms of the top slice, not ``gamma``.  ``n_tau < 8``
+    raises its ``DomainError`` before ``gamma`` is read.
     """
     knobs = knobs or default_knobs()
     fam = _assemble_family(params, n_tau, knobs, model)
     model = fam.model
     t, z1, z2 = _family_levels(fam)
     grid = _lambda_grid(fam)
-    pieces = _piece_abscissa(model, *_sample_arrays(model, n_samples))
-    Z1, Z2 = zip((z1, z2), polar_stencil(*(np.abs([p[i] for p in grid]) for i in (0, 1))),
-                 _sample_stencil(fam, pieces))
-    u = fam.fol.gamma(np.concatenate(Z1), np.concatenate(Z2))
-    u_level, u_lam, u_samples = np.split(u, np.cumsum([z.size for z in Z1])[:-1])
-    _certify_levels(fam, t, u_level)
-    lam, cert_lam = lambda_from_values(u_lam, grid, lambda_max=lambda_max)
-    sweep = _sample_jet_from(fam, pieces, u_samples)
-    cert_pc = pseudoconcavity_check(fam, lam, sweep)
-    cert_cp = compatibility_check(fam, lam, sweep)
+    R1, R2 = lambda_stencil(grid)
+    u = fam.fol.gamma(np.concatenate([z1, R1]), np.concatenate([z2, R2]))
+    _certify_levels(fam, t, u[:t.size])
+    lam, cert_lam = lambda_from_values(u[t.size:], grid, lambda_max=lambda_max)
+    cert_pc = pseudoconcavity_check(fam)
+    cert_cp = compatibility_check(fam)
 
     certs = {
         "find_lambda": cert_lam,

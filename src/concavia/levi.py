@@ -19,10 +19,11 @@ steps ``h`` and ``2h`` for torus-invariant fields such as ``gamma``, which
 :func:`polar_lift` makes the exact 4-D jet at each orbit's real point.  Its
 points (:func:`polar_stencil`) and its differences (:func:`polar_diff`) are
 also separate functions, so that a caller can read one field on several
-stencils in one call.  The rest is linear algebra on jets: ``d^C u(v) = g .
-Jv``, ``-dd^C u(v, w) = -(H(v, Jw) - H(w, Jv)) / 2`` and the Levi 2x2;
-:func:`exp_jet` composes ``exp(lam * (f - shift))`` exactly from a jet of
-``f``, so exponentials are never differenced.  No symbolic engine.
+stencils in one call; :func:`lambda_stencil` is the polar stencil of a
+grid's distinct radius pairs.  The rest is linear algebra on jets: the
+Levi 2x2 and :func:`exp_jet`, which composes ``exp(lam * (f - shift))``
+exactly from a jet of ``f``, so exponentials are never differenced.  No
+symbolic engine.
 """
 
 from __future__ import annotations
@@ -36,19 +37,17 @@ from .errors import DomainError, Exhausted, NotContact, NotRegular
 
 __all__ = [
     "ScalarField",
-    "apply_J",
     "jet",
     "exp_jet",
     "polar_stencil",
     "polar_diff",
     "polar_jet",
     "polar_lift",
-    "jet_d_c",
-    "jet_neg_ddc",
     "levi_min_eig",
     "levi_min_eig_batch",
     "is_strictly_psh",
     "hartogs_boundary_test",
+    "lambda_stencil",
     "find_lambda",
     "lambda_from_values",
 ]
@@ -57,12 +56,6 @@ __all__ = [
 # the zero bands of is_strictly_psh and hartogs_boundary_test
 _PSH_TOL = 1e-8
 _HARTOGS_TOL = 1e-5
-
-
-def apply_J(v: np.ndarray) -> np.ndarray:
-    """``J`` on a vector, or row by row on a stack of vectors."""
-    v = np.asarray(v, dtype=float)
-    return np.stack([-v[..., 1], v[..., 0], -v[..., 3], v[..., 2]], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -195,18 +188,6 @@ def exp_jet(jet, lam: float, shift: float = 0.0):
     return u, lu[:, None] * g, lu[:, None, None] * (H + lam * g[:, :, None] * g[:, None, :])
 
 
-def jet_d_c(grad, v):
-    """``d^C u(v) = du(Jv)`` from jet gradients; rows of ``grad`` and ``v`` pair up."""
-    return np.sum(grad * apply_J(v), axis=-1)
-
-
-def jet_neg_ddc(hess, v, w):
-    """``-d(d^C u)(v, w) = -(H(v, Jw) - H(w, Jv)) / 2`` from jet Hessians."""
-    def form(a, b):
-        return np.einsum("...i,...ij,...j->...", a, hess, b)
-    return -0.5 * (form(v, apply_J(w)) - form(w, apply_J(v)))
-
-
 def _levi_entries(hess):
     """``(L11, L22, L12)`` of the complex Hessian, from real Hessians ``[N, 4, 4]``."""
     L11 = 0.25 * (hess[:, 0, 0] + hess[:, 1, 1])
@@ -329,12 +310,18 @@ def _rank_one_terms(L, B, tol):
             A11 * B22 + A22 * B11 - 2.0 * (A12 * B12.conj()).real)
 
 
-def _polar_grid(pts, h_rel):
-    """``z1, z2, |z1|, |z2|`` of a point list; ``DomainError`` at the first
-    point whose polar stencil reaches an axis (``min(r1, r2) <= 2h``)."""
+def _radii(pts):
+    """``z1, z2, |z1|, |z2|`` of a point list."""
     z1 = np.array([p[0] for p in pts], dtype=complex)
     z2 = np.array([p[1] for p in pts], dtype=complex)
-    r1, r2, h = _polar_step(np.abs(z1), np.abs(z2), h_rel)
+    return z1, z2, np.abs(z1), np.abs(z2)
+
+
+def _polar_grid(pts, h_rel):
+    """:func:`_radii`; ``DomainError`` at the first point whose polar stencil
+    reaches an axis (``min(r1, r2) <= 2h``)."""
+    z1, z2, r1, r2 = _radii(pts)
+    r1, r2, h = _polar_step(r1, r2, h_rel)
     near = np.minimum(r1, r2) <= 2.0 * h
     if near.any():
         i = int(np.argmax(near))
@@ -342,26 +329,49 @@ def _polar_grid(pts, h_rel):
     return z1, z2, r1, r2
 
 
+def _distinct_rows(r1, r2):
+    """``(first, where)``: the index of the first occurrence of each distinct
+    ``(r1, r2)`` row, in grid order, and each row's place in that list."""
+    seen, first, where = {}, [], []
+    for i, row in enumerate(zip(r1.tolist(), r2.tolist())):
+        j = seen.setdefault(row, len(first))
+        if j == len(first):
+            first.append(i)
+        where.append(j)
+    return np.array(first, dtype=np.intp), np.array(where, dtype=np.intp)
+
+
+def lambda_stencil(grid, h_rel: float = 1e-5):
+    """The radii at which :func:`find_lambda` reads ``gamma``: the
+    :func:`polar_stencil` of the grid's distinct ``(|z1|, |z2|)`` rows, each
+    once, in the order of their first occurrence."""
+    _, _, r1, r2 = _radii(list(grid))
+    first, _ = _distinct_rows(r1, r2)
+    return polar_stencil(r1[first], r2[first], h_rel)
+
+
 def find_lambda(gamma, grid, lambda_max: float = 1e4, tol: float = 1e-8,
                 h_rel: float = 1e-5) -> tuple[float, Certificate]:
     """Closed-form ``lam`` making ``e^{lam gamma}`` strictly psh on ``grid``.
 
     ``gamma`` must depend on ``|z1|, |z2|`` only; it is called once, on the
-    grid's :func:`polar_stencil`, after the axis check, and
+    grid's :func:`lambda_stencil`, after the axis check, and
     :func:`lambda_from_values` does the rest.
     """
     pts = list(grid)
-    R1, R2 = polar_stencil(*_polar_grid(pts, h_rel)[2:], h_rel)
+    _polar_grid(pts, h_rel)
+    R1, R2 = lambda_stencil(pts, h_rel)
     return lambda_from_values(gamma(R1 + 0j, R2 + 0j), pts, lambda_max, tol, h_rel)
 
 
 def lambda_from_values(u, grid, lambda_max: float = 1e4, tol: float = 1e-8,
                        h_rel: float = 1e-5) -> tuple[float, Certificate]:
-    """:func:`find_lambda` from the values ``u`` of ``gamma`` on the grid's
-    ``polar_stencil(|z1|, |z2|, h_rel)``.
+    """:func:`find_lambda` from the values ``u`` of ``gamma`` on
+    ``lambda_stencil(grid, h_rel)``.
 
-    The Levi form of ``gamma`` at steps ``h`` and ``2h`` is read from the
-    :func:`polar_diff` of ``u``, lifted.  ``Levi(gamma) + lam dgamma
+    ``u`` is expanded to every grid point, repeats included, and the Levi
+    form of ``gamma`` at steps ``h`` and ``2h`` is read from its
+    :func:`polar_diff`, lifted.  ``Levi(gamma) + lam dgamma
     dgamma*`` is positive definite above the root ``-det A / c`` of
     :func:`_rank_one_terms` when ``c > 0``, so each point's ``lam`` is
     ``max(0, -det A / c)``: ``a`` at step ``h``, ``b`` at ``2h``.  ``lam =
@@ -380,6 +390,9 @@ def lambda_from_values(u, grid, lambda_max: float = 1e4, tol: float = 1e-8,
     """
     pts = list(grid)
     z1, z2, r1, r2 = _polar_grid(pts, h_rel)
+    first, where = _distinct_rows(r1, r2)
+    u = np.broadcast_to(np.asarray(u, dtype=float), (17 * first.size,))
+    u = u.reshape(17, -1)[:, where].ravel()
     lifted = [polar_lift(pj, r1, r2) for pj in polar_diff(u, r1, r2, h_rel)]
     (La, Ba, gnorm), (Lb, Bb, gnorm_b) = (
         (_levi_entries(H), _levi_entries(g[:, :, None] * g[:, None, :]),

@@ -326,8 +326,8 @@ def welldef_check(params: Params, tol: float = 1e-8) -> Certificate:
     Seam ``|u1| = a``: the gluing is the identity, and the collar's ``V``
     point ``(u1, c^{-1} u2)`` and ``Phi'(u1, u2)`` agree by construction
     (``same_point`` carries the ``V`` point through the same ``map_Phi``), so
-    only their domains are checked: the seam radii, the ``V`` chart, the
-    ``phi`` band and the orbit-shift range.  Seam ``|u1| = b``: after
+    only their domains are checked: the ``V`` chart, the ``phi`` band and
+    the orbit-shift range.  Seam ``|u1| = b``: after
     ``psi_2(u1, u2) = (u1 u2, u2)`` the two raw annulus representatives
     differ by *exactly one* integer shift — the certificate asserts the
     shift value, matching ``w1_collar = w2 * w1_torus`` in raw coordinates.
@@ -336,8 +336,6 @@ def welldef_check(params: Params, tol: float = 1e-8) -> Certificate:
     u1, u2 = _seam_arrays(params)
     r1, c = abs(u1), params.c
     on_a = abs(r1 - params.a) <= _MTOL
-    _require(on_a | (abs(r1 - params.b) <= _MTOL), "seam samples need |u1| in {a, b}", r1)
-    _require(abs(abs(u2) - 1.0) <= _MTOL, "seam samples need |u2| = 1", abs(u2))
     f = c / u2  # the fiber coordinate w2 = 1/z2 of every placement
     z1 = np.where(on_a, u1, c * u1)  # embed_g's V point (z1, u2/c)
     rz1 = abs(z1)

@@ -1,10 +1,13 @@
-"""Scalar nested-difference reference for ``concavia.levi``'s jets.
+"""Scalar nested-difference reference for ``concavia.levi``'s jets, and the
+4-D oracle of the sphere's 3-form certificates.
 
 ``grad4``, ``d_c`` and ``neg_ddc`` difference a field point by point along
 single directions and share no code with ``levi.jet``; the bridge-factor
-tests, the composition identity and the acceptance battery's contact-volume
-oracle compare the package against them.  Conventions are ``levi``'s: ``J``
-by ``levi.apply_J`` and two-forms in the 1/2 convention.
+tests and the composition identity compare the package against them.
+:func:`sphere_forms_4d` assembles ``beta ^ d beta``, the page form and the
+frame span on 4-D tangent frames from ``levi.jet``'s Cartesian jets of
+``gamma``, the reference of ``family``'s closed forms.  Conventions are
+``levi``'s: ``J`` as :func:`apply_J` and two-forms in the 1/2 convention.
 """
 
 import math
@@ -13,10 +16,15 @@ import numpy as np
 
 from concavia._numerics import GOLD, SILVER, kronecker
 from concavia.certs import Certificate
-from concavia.levi import apply_J
 
 #: 1 / the bronze mean, a third Kronecker step beside ``GOLD`` and ``SILVER``
 BRONZE = (math.sqrt(13.0) - 3.0) / 2.0
+
+
+def apply_J(v: np.ndarray) -> np.ndarray:
+    """``J`` on a vector, or row by row on a stack of vectors."""
+    v = np.asarray(v, dtype=float)
+    return np.stack([-v[..., 1], v[..., 0], -v[..., 3], v[..., 2]], axis=-1)
 
 
 def _shift(p, v, t: float) -> tuple[complex, complex]:
@@ -108,3 +116,125 @@ def composition_identity_check(gamma, gfun, samples, tol: float = 1e-5) -> Certi
         passed=bool(worst_err < tol),
         worst_point=None if k is None else pts[k],
         details={"max_rel_err": worst_err})
+
+
+# ---------------------------------------------------------------------------
+# The 4-D oracle of the sphere's 3-form certificates
+# ---------------------------------------------------------------------------
+
+def jet_d_c(grad, v):
+    """``d^C u(v) = du(Jv)`` from jet gradients; rows of ``grad`` and ``v`` pair up."""
+    return np.sum(grad * apply_J(v), axis=-1)
+
+
+def jet_neg_ddc(hess, v, w):
+    """``-d(d^C u)(v, w) = -(H(v, Jw) - H(w, Jv)) / 2`` from jet Hessians."""
+    def form(a, b):
+        return np.einsum("...i,...ij,...j->...", a, hess, b)
+    return -0.5 * (form(v, apply_J(w)) - form(w, apply_J(v)))
+
+
+def unit_rows(V: np.ndarray) -> np.ndarray:
+    """Rows of ``V`` scaled to unit length, each with the bits
+    ``np.linalg.norm`` gives it on its own."""
+    return V / np.sqrt(V[:, None, :] @ V[:, :, None])[:, 0]
+
+
+def sphere_frames(model, tags, z1, z2):
+    """Angular frames ``e1``, ``e2`` and profile tangents ``V`` as ``[N, 4]``
+    arrays at points ``(z1, z2)`` of the sphere's pieces ``tags``.  ``V`` is
+    the unit tangent of the profile curve, oriented along the page from the
+    left binding circle toward the right one, turned with the point."""
+    tags = np.asarray(tags)
+    z1, z2 = np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex)
+    r1, r2 = np.hypot(z1.real, z1.imag), np.hypot(z2.real, z2.imag)
+    # componentwise: numpy's complex division multiplies by 1/r
+    u1, u2 = (np.stack([z.real / r, z.imag / r]) for z, r in ((z1, r1), (z2, r2)))
+    x = np.array([math.log(v) for v in np.where(tags == "S", r1, r2).tolist()])
+    zero = np.zeros(x.shape)
+    # log-radius direction (dq1, dq2) of the profile, per piece
+    dq1, dq2 = np.ones(x.shape), np.ones(x.shape)
+    h1, h2, cap = tags == "H1", tags == "H2", tags == "S"
+    dq1[h1] = model.f1.dL(x[h1])
+    dq1[h2] = -model.f2.dL(x[h2])   # descending toward the binding
+    dq2[h2] = -1.0
+    dq2[cap] = -model.htilde.df(x[cap])
+    V = unit_rows(np.stack([dq1 * r1, zero, dq2 * r2, zero], axis=1))
+    e1 = np.stack([-u1[1], u1[0], zero, zero], axis=1)
+    e2 = np.stack([zero, zero, -u2[1], u2[0]], axis=1)
+    return e1, e2, np.stack([V[:, 0] * u1[0], V[:, 0] * u1[1],
+                             V[:, 2] * u2[0], V[:, 2] * u2[1]], axis=1)
+
+
+def contact_volumes(jet4, frames) -> np.ndarray:
+    """``beta ^ d beta``, ``beta = -d^C f``, on each point's tangent frame
+    ``frames`` from a 4-D jet ``(f, grad, hess)`` of ``f``, oriented by the
+    outward normal ``-grad f`` first."""
+    _, g, H = jet4
+    nu = -g / np.linalg.norm(g, axis=1, keepdims=True)
+    e1, e2, e3 = frames
+    swap = (np.linalg.det(np.stack([nu, e1, e2, e3], axis=2)) < 0)[:, None]
+    e2, e3 = np.where(swap, e3, e2), np.where(swap, e2, e3)
+    al = [-jet_d_c(g, v) for v in (e1, e2, e3)]
+    da = [jet_neg_ddc(H, e2, e3), jet_neg_ddc(H, e1, e3), jet_neg_ddc(H, e1, e2)]
+    return al[0] * da[0] - al[1] * da[1] + al[2] * da[2]
+
+
+def page_forms(jet4, frames, tags) -> np.ndarray:
+    """``d beta(e1, W)`` on each page plane: ``W = V`` on the walls
+    (fibration orientation), ``-V`` on the cap (complex orientation)."""
+    e1, _, V = frames
+    return jet_neg_ddc(jet4[2], e1, np.where((np.asarray(tags) == "S")[:, None], -V, V))
+
+
+def frame_spans(jet4, frames) -> np.ndarray:
+    """The smaller of ``|det|`` of (binding direction, page direction, Reeb
+    direction ``J grad f / |grad f|``) in the tangent frame and the Reeb
+    direction's ``theta2``-component."""
+    _, g, _ = jet4
+    e1, e2, V = frames
+    R = apply_J(g / np.linalg.norm(g, axis=1, keepdims=True))
+    det = np.abs(np.linalg.det(np.stack([e1, e2, V], axis=1) @ np.stack([e1, V, R], axis=2)))
+    return np.minimum(det, np.sum(e2 * R, axis=1))
+
+
+def sphere_forms_4d(fam, tags, z1, z2, h_rel: float = 1e-4, lam=None) -> dict:
+    """The 3-form certificates' values at ``(z1, z2)`` on the pieces
+    ``tags`` from ``levi.jet``'s 33-point Cartesian jets of ``gamma`` at
+    steps ``h_rel`` and ``2 h_rel``: ``contact``, ``page`` and ``span``, each
+    ``[2, N]``, and ``binding``, ``beta(d/d theta1)`` at ``(c1, 0)`` and
+    ``(c2, 0)`` at step ``h_rel``.  With ``lam`` the forms are those of
+    ``alpha = -d^C exp(lam (gamma - 1))``, composed by ``levi.exp_jet``."""
+    from concavia.levi import exp_jet, jet
+
+    gamma, par = fam.fol.gamma, fam.model.params
+    frames = sphere_frames(fam.model, tags, z1, z2)
+    out = {"contact": [], "page": [], "span": []}
+    for h in (h_rel, 2.0 * h_rel):
+        jet4 = jet(gamma, z1, z2, h)
+        if lam is not None:
+            jet4 = exp_jet(jet4, lam, 1.0)
+        out["contact"].append(contact_volumes(jet4, frames))
+        out["page"].append(page_forms(jet4, frames, tags))
+        out["span"].append(frame_spans(jet4, frames))
+    out = {k: np.array(v) for k, v in out.items()}
+    r = np.array([par.c1, par.c2])
+    _, g, _ = jet(gamma, r, np.zeros(2), h_rel)
+    out["binding"] = r * g[:, 0]
+    return out
+
+
+def clear_of_knots(fam, reach: float = 1e-3) -> np.ndarray:
+    """The points of ``fam.top_slice`` whose profile abscissa lies at least
+    ``reach`` from every corner and from every knot of ``f2``'s spline and
+    of ``htilde``.  A centred stencil closer than that straddles a corner or
+    a jump of the profile's third derivative (up to about 5e3 in ``f2``'s
+    last interval) and measures the jump: at ``f2``'s knot 0.0847 the
+    contact term reads -163 at ``h_rel = 1e-4`` and -322 at ``2e-4``,
+    where both sides' closed form is -4.988."""
+    top, model = fam.top_slice, fam.model
+    x = np.log(np.where(top.tags == "S", top.r1, top.r2))
+    knots = {"H1": [model.y_star], "H2": model.f2.meta["spline"]["breakpoints"],
+             "S": model.htilde.ppoly.x}
+    return np.array([np.min(np.abs(np.asarray(knots[t]) - v)) >= reach
+                     for t, v in zip(top.tags.tolist(), x)])

@@ -492,6 +492,34 @@ def test_export_family_one_csv_per_slice(tmp_path, capsys):
     assert header == "piece,abscissa,r1,r2"
 
 
+def _family_rows_by_loop(fol, tau):
+    """One ``export --what family`` slice, point by point: the reference
+    for the array pass."""
+    yc, xl, xr = map(float, fol.cap(tau))
+    rows = []
+    for q2 in np.linspace(-4.0, yc - 1e-9, 200):
+        rows.append(("H1", float(q2), float(fol.wall1(tau, math.exp(float(q2)))),
+                     math.exp(float(q2))))
+    for q2 in np.linspace(-4.0, yc - 1e-9, 200):
+        rows.append(("H2", float(q2), float(fol.wall2(tau, float(q2))), math.exp(float(q2))))
+    for q1 in np.linspace(xl, xr, 100):
+        rows.append(("S", float(q1), math.exp(float(q1)),
+                     math.exp(float(fol.dish(tau, float(q1))))))
+    return rows
+
+
+@pytest.mark.parametrize("extra", [[], _PERTURBED_ARGS], ids=["default", "perturbed"])
+def test_family_export_matches_the_scalar_loop(tmp_path, capsys, extra):
+    code, _ = _run(capsys, ["export", "--what", "family", *extra, "--outputs", str(tmp_path)])
+    assert code == 0
+    cfg = cli.RunConfig.load(overrides=cli._parse_overrides(extra))
+    fam = family.build_family(atlas.validate_params(cfg.params), 16, commands.family_knobs(cfg))
+    for i, tau in enumerate(fam.taus):
+        want = tmp_path / "want.csv"
+        commands._write_csv(str(want), "piece,abscissa,r1,r2", _family_rows_by_loop(fam.fol, tau))
+        assert (tmp_path / f"family_tau_{i + 1:02d}.csv").read_bytes() == want.read_bytes()
+
+
 def test_export_m1_respects_seeded_determinism(tmp_path, capsys):
     for sub in ("a", "b"):
         code, _ = _run(capsys, ["export", "--what", "m1", "--seed=7",
@@ -745,9 +773,11 @@ def test_front_end_imports_no_numeric_module(tmp_path, argv, code, out):
 
 
 def test_run_defaults_have_one_source():
+    # n_samples sizes export m1 and density export levi_field; run_verification
+    # takes the other two
     kw = {p.name: p.default for p in inspect.signature(family.run_verification).parameters.values()
           if p.kind is p.KEYWORD_ONLY}
-    assert {**kw, "density": 1} == RUN_DEFAULTS
+    assert {**kw, "n_samples": 240, "density": 1} == RUN_DEFAULTS
     # Knobs' field defaults, then RUN_DEFAULTS: the knob map of a config with
     # no knobs, its order and types included
     assert json.dumps(cli.RunConfig.load().knobs) == json.dumps({
@@ -807,10 +837,9 @@ def test_public_names_are_pinned():
         "FoliationError", "Infeasible", "NotContact", "NotRegular", "VerificationError",
         "__version__"]
     assert levi.__all__ == [
-        "ScalarField", "apply_J", "jet", "exp_jet", "polar_stencil", "polar_diff",
-        "polar_jet", "polar_lift", "jet_d_c", "jet_neg_ddc", "levi_min_eig",
-        "levi_min_eig_batch", "is_strictly_psh", "hartogs_boundary_test", "find_lambda",
-        "lambda_from_values"]
+        "ScalarField", "jet", "exp_jet", "polar_stencil", "polar_diff",
+        "polar_jet", "polar_lift", "levi_min_eig", "levi_min_eig_batch", "is_strictly_psh",
+        "hartogs_boundary_test", "lambda_stencil", "find_lambda", "lambda_from_values"]
 
 
 def _identifiers(tree) -> set:

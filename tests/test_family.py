@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import functools
+import inspect
 import itertools
 import json
 import math
@@ -9,12 +10,14 @@ import warnings
 import numpy as np
 import pytest
 
-from concavia import family
+from _levi_oracle import clear_of_knots, sphere_forms_4d, sphere_frames
+from concavia import family, levi
 from concavia._numerics import GOLD, SILVER, kronecker
 from concavia.atlas import Chart, ChartPoint, default_params, in_complement_C, validate_params
 from concavia.errors import (
     ConcaviaError,
     DomainError,
+    Exhausted,
     FeasibilityError,
     FoliationError,
     VerificationError,
@@ -33,13 +36,13 @@ def _family16():
 
 
 @functools.lru_cache(maxsize=None)
-def _lambda():
-    return find_lambda(_family16().fol.gamma, _lambda_grid())
+def _samples240():
+    return family.sample_M1(_model(), 240)
 
 
 @functools.lru_cache(maxsize=None)
-def _samples240():
-    return family.sample_M1(_model(), 240)
+def _lambda():
+    return find_lambda(_family16().fol.gamma, _lambda_grid())
 
 
 # ---------------------------------------------------------------------------
@@ -279,28 +282,6 @@ def _sample_M1_by_chart_points(model, n):
     return out
 
 
-def _normalize_grid_by_loop(model, grid):
-    """The sweeps' corner filter and real-slice move, one sample at a time."""
-    X1, X2 = model.window
-    out = []
-    for item in grid:
-        if isinstance(item[0], ChartPoint):
-            item = (item[0].z1, item[0].z2, item[1])
-        r1, r2, tag = abs(item[0]), abs(item[1]), item[2]
-        q = math.log(r1 if tag == "S" else r2)
-        if not (min(q - X1, X2 - q) if tag == "S" else model.y_star - q) < family.CORNER_MARGIN:
-            out.append((complex(r1), complex(r2), tag))
-    return out
-
-
-def _piece_abscissa_by_loop(samples):
-    """Tags, moduli and abscissas of normalized samples, one at a time."""
-    r1 = [abs(z1) for z1, _, _ in samples]
-    r2 = [abs(z2) for _, z2, _ in samples]
-    x = [math.log(a if tag == "S" else b) for a, b, (_, _, tag) in zip(r1, r2, samples)]
-    return [t for _, _, t in samples], np.array(r1), np.array(r2), np.array(x)
-
-
 @pytest.mark.parametrize("which", ["default", "perturbed"])
 @pytest.mark.parametrize("n", [100, 240, 400])
 def test_sample_arrays_match_the_chart_point_loop_bit_for_bit(which, n):
@@ -315,16 +296,6 @@ def test_sample_arrays_match_the_chart_point_loop_bit_for_bit(which, n):
     assert [(pt.chart, t) for pt, t in got] == [(pt.chart, t) for pt, t in ref]
     assert all(type(pt.z1) is complex and type(pt.z2) is complex for pt, _ in got)
     assert np.array([pt.z1 for pt, _ in got]).tobytes() == z1.tobytes()
-    # the sweeps' one array pass keeps the loop's survivors and abscissas,
-    # from the arrays and from the list input alike
-    kept = _normalize_grid_by_loop(model, ref)
-    want = _piece_abscissa_by_loop(kept)
-    for pieces in (family._piece_abscissa(model, tags, z1, z2),
-                   family._piece_abscissa(model, *family._normalize_grid(ref))):
-        assert pieces[0].tolist() == want[0]
-        for a, b in zip(pieces[1:], want[1:]):
-            assert a.tobytes() == b.tobytes()
-    assert len(kept) < n   # the corner filter drops some samples
 
 
 @pytest.mark.parametrize("field, piece, quantile", [
@@ -541,10 +512,9 @@ def _gamma_by_bisection(fol, z1, z2):
 
 @functools.lru_cache(maxsize=None)
 def _recorded_gamma_calls(which):
-    """The point sets of one pipeline run's one ``gamma`` call, as
+    """The two point sets of one pipeline run's one ``gamma`` call, as
     ``(fol, z1, z2, out)``: the 81 level-consistency points, then the polar
-    stencils of the lambda grid (17 x 253), the sweep samples and the two
-    binding points (17 x 2).
+    stencil of the lambda grid's 191 distinct points (17 x 191).
 
     ``perturbed`` is the ``_PERTURBED`` set at ``eps1=0.003``,
     ``perturbed_0.004`` the same set at the default knobs.
@@ -569,14 +539,13 @@ def _recorded_gamma_calls(which):
         ok, _ = family.run_verification(par, knobs)
     assert ok and len(calls) == 1
     (fol, *arrays), = calls
-    ends = [81, 81 + 17 * 253, arrays[0].size - 17 * 2]
-    return tuple((fol, *parts) for parts in zip(*(np.split(a, ends) for a in arrays)))
+    assert arrays[0].size == 81 + 17 * 191
+    return tuple((fol, *parts) for parts in zip(*(np.split(a, [81]) for a in arrays)))
 
 
-# level_consistency, the lambda grid's polar stencil (h and 2h rings), the
-# sample stencil and the binding circles, which never reach the dish
+# level_consistency and the lambda grid's polar stencil (h and 2h rings)
 @pytest.mark.parametrize("which", ["default", "perturbed"])
-@pytest.mark.parametrize("call", range(3))
+@pytest.mark.parametrize("call", range(2))
 def test_dish_roots_end_in_an_adjacent_float_bracket(which, call):
     fol, z1, z2, out = _recorded_gamma_calls(which)[call]
     _, dish, q1, q2 = _gamma_by_bisection(fol, z1, z2)
@@ -584,9 +553,10 @@ def test_dish_roots_end_in_an_adjacent_float_bracket(which, call):
     assert np.all(_in_adjacent_bracket(lambda t: fol.dish(t, q1[dish]), out[dish], q2[dish]))
 
 
-# the dish points of a run: the polar stencils' 17 x 253 lambda-grid points
-# and 17 x 230 sweep samples reach the dish far less often than the 33-point
-# Cartesian jets did
+# the dish points of a run: the level points and the polar stencil of the
+# 191 distinct lambda-grid points (1,625 on the default set while the stencil
+# took all 253 grid points and the 3-form sweeps' 230 samples, 1,557 on the
+# perturbed one)
 @pytest.mark.parametrize("which", ["default", "perturbed"])
 def test_gamma_agrees_with_the_bisection_oracle(which):
     n_dish = n_same = 0
@@ -597,7 +567,7 @@ def test_gamma_agrees_with_the_bisection_oracle(which):
         np.testing.assert_allclose(out[dish], ref[dish], rtol=0, atol=1e-12)
         n_dish += int(dish.sum())
         n_same += int(np.sum(out[dish] == ref[dish]))
-    assert n_dish == {"default": 1625, "perturbed": 1557}[which]
+    assert n_dish == {"default": 1098, "perturbed": 1098}[which]
     assert n_same >= 0.995 * n_dish
 
 
@@ -627,9 +597,8 @@ def test_gamma_on_the_h_stencil_makes_at_most_32_dish_calls(calls):
 
 # the perturbed set's lambda-grid stencil (call 1) has a point whose secant
 # window misses the root: a wider window catches it, where bisecting all of
-# [TAU_LO, TAU_HI] took 66 dish calls per Cartesian jet; the sweep samples'
-# stencil (call 2) stays under the same bound
-@pytest.mark.parametrize("call", [1, 2])
+# [TAU_LO, TAU_HI] took 66 dish calls per Cartesian jet
+@pytest.mark.parametrize("call", [1])
 def test_gamma_on_the_perturbed_stencils_makes_at_most_36_dish_calls(calls, call):
     fol, z1, z2, out = _recorded_gamma_calls("perturbed")[call]
     dish = calls(family._Foliation, "dish")
@@ -643,7 +612,7 @@ def test_polar_stencil_stays_inside_the_thin_perturbed_collar():
     # at lambda-grid points 6 and 74 (NaN H[0, 1]); the polar stencil never
     # evaluates them: its lowest level is 0.032, above TAU_LO = 0.02
     _, _, _, out = _recorded_gamma_calls("perturbed_0.004")[1]
-    assert out.size == 17 * 253
+    assert out.size == 17 * 191
     assert np.isfinite(out).all()
 
 
@@ -770,31 +739,94 @@ def test_polar_lambda_on_the_density_16_grid_passes_the_cartesian_oracle():
     assert min(_min_eig_4d(_cartesian_jets(16), lam)) > cert.details["tol"]
 
 
+def _lambda_rows_each_once(r1, r2):
+    """``levi._distinct_rows`` with every row its own: find_lambda's stencil
+    on every grid point, repeats included, as it was read before."""
+    idx = np.arange(r1.size)
+    return idx, idx
+
+
+@pytest.mark.parametrize("which", ["default", "perturbed", "repeated"])
+def test_lambda_on_the_distinct_rows_matches_the_full_stencil(monkeypatch, calls, which):
+    # the reference reads gamma on the full 17 x 253 = 4,301-point stencil and
+    # hands every value to lambda_from_values; 62 of the 253 grid points
+    # repeat density 1's points inside density 2's, bit for bit
+    fam = _family_for("0.003") if which == "perturbed" else _family16()
+    grid = family._lambda_grid(fam)
+    if which == "repeated":
+        grid = [p for p in grid for _ in range(2)]
+    gamma = calls(family._Foliation, "gamma")
+    got = find_lambda(fam.fol.gamma, grid)
+    with pytest.raises(Exhausted) as got_err:
+        find_lambda(fam.fol.gamma, grid, lambda_max=5.0)
+    with monkeypatch.context() as mp:
+        mp.setattr(levi, "_distinct_rows", _lambda_rows_each_once)
+        want = find_lambda(fam.fol.gamma, grid)
+        with pytest.raises(Exhausted) as want_err:
+            find_lambda(fam.fol.gamma, grid, lambda_max=5.0)
+    assert gamma == [17 * 191] * 2 + [17 * len(grid)] * 2
+    assert got[0] == want[0]
+    assert json.dumps(got[1].to_dict()) == json.dumps(want[1].to_dict())
+    assert got[1].grid == f"{len(grid)} pts"
+    assert str(got_err.value) == str(want_err.value)
+
+
+def test_the_closed_form_grid_holds_every_knot():
+    for model in (_model(), _perturbed_model()):
+        xs = family._sphere_abscissas(model)
+        for x in xs.values():
+            assert np.all(np.diff(x) > 0)
+        assert set(model.f2.meta["spline"]["breakpoints"]) <= set(xs["H2"].tolist())
+        assert set(model.htilde.ppoly.x.tolist()) <= set(xs["S"].tolist())
+        assert xs["H1"][-1] == xs["H2"][-1] == model.y_star
+        assert (xs["S"][0], xs["S"][-1]) == model.window
+
+
+def test_no_sphere_certificate_takes_lam_or_calls_gamma(monkeypatch):
+    fam = family.build_family(default_params(), 16)
+
+    def no_gamma(self, z1, z2):
+        raise AssertionError("gamma called")
+
+    monkeypatch.setattr(family._Foliation, "gamma", no_gamma)
+    for check in (family.pseudoconcavity_check, family.compatibility_check):
+        assert list(inspect.signature(check).parameters) == ["fam"]
+        assert check(fam).passed
+
+
 def test_pseudoconcavity_certificate():
-    lam, _ = _lambda()
-    cert = family.pseudoconcavity_check(_family16(), lam, _samples240())
+    cert = family.pseudoconcavity_check(_family16())
     assert cert.passed
-    assert cert.margin > 0
     d = cert.details
-    assert d["disagreements"] == 0
+    assert d["method"] == "closed_form"
     assert all(v < 0 for v in d["per_piece_max"].values())
+    # beta ^ d beta peaks on the right wall at f2's knot 0.0847498, where the
+    # end ramp of its piecewise-linear L'' starts; the nearest area-uniform
+    # point, 0.0834939, reads 4.995299
+    assert cert.margin == pytest.approx(4.988358573941308, rel=1e-12)
+    knot = _model().f2.meta["spline"]["breakpoints"][-2]
+    assert math.log(cert.worst_point[1].real) == pytest.approx(knot, abs=1e-15)
+    assert 0.0 < d["error_estimate"] < 1e-11
+    assert cert.grid.startswith("278 points (H1 113, H2 128, S 37)")
 
 
 def test_compatibility_three_subcertificates():
-    lam, _ = _lambda()
-    cert = family.compatibility_check(_family16(), lam, _samples240())
+    cert = family.compatibility_check(_family16())
     assert cert.passed
     parts = {c["name"]: c for c in cert.details["parts"]}
     assert set(parts) == {"binding_pairing", "page_area_form", "frame_span"}
     bind = parts["binding_pairing"]
     assert bind["passed"]
-    assert bind["details"]["sign_c1"] * bind["details"]["sign_c2"] == -1.0
+    # -c1 / (rho2 - c1) and c2 / (c2 - 1)
+    assert bind["details"]["value_c1"] == pytest.approx(-104.0, rel=1e-13)
+    assert bind["details"]["value_c2"] == pytest.approx(51.0, rel=1e-13)
     pages = parts["page_area_form"]
-    assert pages["passed"] and pages["margin"] > 0
+    assert pages["passed"] and pages["details"]["method"] == "closed_form"
+    assert pages["margin"] == pytest.approx(1.0520863303073411, rel=1e-12)
     for rng in pages["details"]["per_piece_range"].values():
         assert rng[0] > 0
     span = parts["frame_span"]
-    assert span["passed"] and span["margin"] > 0
+    assert span["passed"] and span["margin"] == pytest.approx(6.767204e-4, rel=1e-6)
 
 
 def _turned(z, phase):
@@ -808,56 +840,55 @@ def _turned(z, phase):
     raise AssertionError(f"no turn of {z!r} keeps its modulus")
 
 
-def _cartesian_sweep(samples):
-    """The 4-D oracle of the sweeps: 33-point jets of ``gamma`` at ``h`` and
-    ``2h`` and the angular frames at the samples' own angles, and the value
-    and ``x1``-derivative of ``gamma`` at the binding points."""
-    model, gamma = _model(), _family16().fol.gamma
-    z1, z2 = (np.array([p[i] for p in samples]) for i in (0, 1))
-    u1, u2 = z1 / abs(z1), z2 / abs(z2)
-    zero = np.zeros(z1.shape)
-    # the real slice's tangent (V1, 0, V2, 0), turned with the sample
-    pieces = family._piece_abscissa(model, *family._normalize_grid(samples))
-    V = family._sample_frames(model, pieces)[2]
-    frames = (np.stack([-u1.imag, u1.real, zero, zero], axis=1),
-              np.stack([zero, zero, -u2.imag, u2.real], axis=1),
-              np.stack([V[:, 0] * u1.real, V[:, 0] * u1.imag,
-                        V[:, 2] * u2.real, V[:, 2] * u2.imag], axis=1))
-    jets = tuple(jet(gamma, z1, z2, h) for h in (1e-5, 2e-5))
-    u, g, _ = jet(gamma, [model.params.c1, model.params.c2], [0j, 0j])
-    return family._SampleJet(pieces, jets, frames, (u, g[:, 0]))
+def _assert_the_oracle_agrees(forms, top, on):
+    """The closed forms at the points ``on`` against the 4-D oracle's
+    ``forms``: the same sign at both steps, and a value within the oracle's
+    h/2h spread plus its rounding floor.  A step difference measures
+    truncation, not the rounding noise of a second difference, about eps /
+    h_rel^2 = 2e-8 of gamma at h_rel = 1e-4, which |grad gamma| lifts to at
+    most 8e-6 of the contact term on these grids."""
+    for name in ("contact", "page", "span"):
+        closed = getattr(top, name)[on]
+        a, b = forms[name]
+        assert np.array_equal(np.sign(a), np.sign(closed)), name
+        assert np.array_equal(np.sign(b), np.sign(closed)), name
+        assert np.all(np.abs(a - closed) <= np.abs(a - b) + 2e-5 * np.abs(closed)), name
+
+
+@pytest.mark.parametrize("which, contact, page, span", [
+    ("default", 4.995298958602527, 1.0520863303073411, 6.767204e-4),
+    ("0.003", 5.422294405008791, 1.019795926661679, 4.960433e-4)])
+def test_the_4d_oracle_agrees_with_the_closed_forms(which, contact, page, span):
+    # at every grid point clear of the knots and corners (clear_of_knots), on
+    # the real slice, at h_rel = 1e-4; the certificate's own worst point is a
+    # knot, where only the closed form reads the one value both sides share
+    fam = _family_for(which)
+    top = fam.top_slice
+    on = clear_of_knots(fam)
+    assert 210 < on.sum() < on.size
+    forms = sphere_forms_4d(fam, top.tags[on], top.r1[on] + 0j, top.r2[on] + 0j)
+    _assert_the_oracle_agrees(forms, top, on)
+    assert -float(np.max(top.contact[on])) == pytest.approx(contact, rel=1e-12)
+    assert -float(np.max(forms["contact"][0])) == pytest.approx(contact, rel=1e-4)
+    assert float(np.min(forms["page"][0])) == pytest.approx(page, rel=1e-7)
+    assert float(np.min(forms["span"][0])) == pytest.approx(span, rel=1e-6)
+    # the oracle reads r2 = 0 at |z2| = h, where gamma's wall2 level takes f2
+    # at its domain end x_lo = -8, 5.6e-10 below the germ's limit c2
+    np.testing.assert_allclose(forms["binding"], top.binding, rtol=1e-7)
 
 
 @pytest.mark.parametrize("turn", range(3))
 def test_the_sweeps_are_torus_invariant(turn):
-    fam, model = _family16(), _model()
-    lam, _ = _lambda()
+    # the closed forms read each point at the real point of its torus orbit;
+    # the 4-D oracle at the points turned by two random phases agrees
+    fam = _family16()
+    top = fam.top_slice
+    on = clear_of_knots(fam)
     phases = np.random.default_rng(20240603).uniform(0.0, 2.0 * math.pi, (3, 2))[turn]
-    samples = [(_turned(pt.z1, phases[0]), _turned(pt.z2, phases[1]), tag)
-               for pt, tag in _samples240()]
-    kept = [p for p in samples if _normalize_grid_by_loop(model, [p])]
-    assert len(kept) == 230 and kept[0][0].imag != 0.0
-    # the turned samples give the certificates' bits
-    for check in (family.pseudoconcavity_check, family.compatibility_check):
-        want = json.dumps(check(fam, lam, _samples240()).to_dict())
-        assert json.dumps(check(fam, lam, samples).to_dict()) == want
-    # and the 4-D stencil at the turned samples agrees with the radial margins
-    # within their h/2h spread.  A step difference measures truncation, not
-    # the rounding noise of a second difference, about lam eps / h^2 at
-    # h = 1e-5 (2e-5 here): the page margin's 4-D values at these three turns
-    # spread 4.8e-6 while its step differences are 3e-7 to 3e-6
-    noise = lam * np.finfo(float).eps / 1e-10
-    oracle = _cartesian_sweep(kept)
-    radial = family.pseudoconcavity_check(fam, lam, samples)
-    cart = family.pseudoconcavity_check(fam, lam, oracle)
-    pages = [{c["name"]: c for c in family.compatibility_check(fam, lam, g).details["parts"]}
-             ["page_area_form"] for g in (samples, oracle)]
-    for rad, car in ((radial.to_dict(), cart.to_dict()), pages):
-        assert rad["passed"] and car["passed"]
-        assert rad["details"]["method"] == "radial_stencil"
-        spread = rad["details"]["error_estimate"] + car["details"]["error_estimate"]
-        assert abs(rad["margin"] - car["margin"]) <= spread + noise
-    assert cart.details["disagreements"] == 0
+    z1, z2 = (np.array([_turned(complex(r), ph) for r in rr[on].tolist()])
+              for rr, ph in ((top.r1, phases[0]), (top.r2, phases[1])))
+    assert z1[0].imag != 0.0 and z2[0].imag != 0.0
+    _assert_the_oracle_agrees(sphere_forms_4d(fam, top.tags[on], z1, z2), top, on)
 
 
 def _sample_frames_by_loop(model, samples):
@@ -883,39 +914,20 @@ def _sample_frames_by_loop(model, samples):
     return tuple(np.array(col) for col in zip(*rows))
 
 
-def _oriented_curvature_by_loop(model, samples):
-    out = []
-    for z1, z2, tag in samples:
-        if tag == "H1":
-            out.append(float(model.f1.d2L(math.log(abs(z2)))))
-        elif tag == "H2":
-            out.append(-float(model.f2.d2L(math.log(abs(z2)))))
-        else:
-            out.append(float(model.htilde.d2f(math.log(abs(z1)))))
-    return np.array(out)
-
-
 @pytest.mark.parametrize("which", ["default", "perturbed"])
 @pytest.mark.parametrize("n", [100, 240, 1000])
 def test_sample_frames_match_the_scalar_loop_bit_for_bit(which, n):
+    # the 4-D oracle's frames at the real points of the model samples
     model = _model() if which == "default" else _perturbed_model()
-    samples = _normalize_grid_by_loop(model, family.sample_M1(model, n))
-    assert all(z1.imag == z2.imag == 0.0 for z1, z2, _ in samples)
-    pieces = family._piece_abscissa(model, *family._sample_arrays(model, n))
-    got = family._sample_frames(model, pieces)
+    samples = [(complex(abs(pt.z1)), complex(abs(pt.z2)), tag)
+               for pt, tag in family.sample_M1(model, n)]
+    z1, z2, tags = (np.array(col) for col in zip(*samples))
+    got = sphere_frames(model, tags, z1, z2)
     ref = _sample_frames_by_loop(model, samples)
     for name, a, b in zip(("e1", "e2", "V"), got, ref):
-        assert a.shape == (len(samples), 4)
-        # the loop's angular entries at the real slice may be -0.0
-        assert a.tobytes() == (b + 0.0).tobytes(), name
-    kappa = family._oriented_curvature(model, pieces)
-    assert kappa.tobytes() == _oriented_curvature_by_loop(model, samples).tobytes()
-
-
-def test_sample_frames_reject_an_unknown_tag():
-    z1, z2, _ = _normalize_grid_by_loop(_model(), _samples240())[0]
-    with pytest.raises(DomainError, match="unknown piece tag 'X'"):
-        family._piece_abscissa(_model(), *family._normalize_grid([(z1, z2, "X")]))
+        assert a.shape == (n, 4)
+        # either side's angular entries at the real slice may be -0.0
+        assert (a + 0.0).tobytes() == (b + 0.0).tobytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -1247,24 +1259,23 @@ def test_run_verification_is_deterministic():
 
 
 def test_pipeline_evaluates_gamma_once_per_point_set(calls):
-    # one call on every point set: the 81 level-consistency points, and the
-    # polar stencils of find_lambda's grid, of the 230 samples that both
-    # 3-form sweeps share, and of the two binding points
+    # one call on both point sets: the 81 level-consistency points and the
+    # polar stencil of the 191 distinct points of find_lambda's 253-point
+    # grid; the 3-form sweeps read closed forms
     gamma = calls(family._Foliation, "gamma")
     ok, _ = family.run_verification(default_params())
     assert ok
-    assert gamma == [81 + 17 * 253 + 17 * 230 + 17 * 2] == [8326]
+    assert gamma == [81 + 17 * 191] == [3328]
 
 
-def _standalone(par, knobs, n_samples=240, lambda_max=1e4):
+def _standalone(par, knobs, n_tau=16, lambda_max=1e4):
     """The pipeline's steps as their own calls, each with its own ``gamma``
     call(s): ``lambda``, the family and the three checks."""
-    fam = family.build_family(par, 16, knobs)
+    fam = family.build_family(par, n_tau, knobs)
     lam, cert_lam = family.find_collar_lambda(fam, lambda_max)
-    samples = family.sample_M1(fam.model, n_samples)
     return lam, fam, {"find_lambda": cert_lam,
-                      "pseudoconcavity": family.pseudoconcavity_check(fam, lam, samples),
-                      "compatibility": family.compatibility_check(fam, lam, samples)}
+                      "pseudoconcavity": family.pseudoconcavity_check(fam),
+                      "compatibility": family.compatibility_check(fam)}
 
 
 def _params_knobs(which):
@@ -1305,29 +1316,29 @@ def _axis_point(monkeypatch):
                         lambda fam, density=1: grid(fam, density) + [(1.0 + 0j, 1e-6 + 0j)])
 
 
-# (eps1, lambda_max, n_samples, patches): the first error of the standalone
+# (eps1, lambda_max, n_tau, patches): the first error of the standalone
 # calls is the pipeline's, a failing family certificate before any of
 # find_lambda's errors, and those in find_lambda's order
-@pytest.mark.parametrize("eps1, lambda_max, n_samples, patches", [
-    (0.008, 1e4, 240, ()),                       # DomainError: not finite
-    (0.004, 5.0, 240, ()),                       # Exhausted
-    (0.004, 1e4, 240, (_axis_point,)),           # DomainError: reaches an axis
-    (0.008, 1e4, 240, (_axis_point,)),           # the axis before finiteness
-    (0.004, 5.0, 240, (_nan_level,)),            # VerificationError
-    (0.008, 1e4, 240, (_nan_level, _axis_point)),
-    (0.004, 1e4, 99, ()),                        # sample_M1's DomainError
+@pytest.mark.parametrize("eps1, lambda_max, n_tau, patches", [
+    (0.008, 1e4, 16, ()),                        # DomainError: not finite
+    (0.004, 5.0, 16, ()),                        # Exhausted
+    (0.004, 1e4, 16, (_axis_point,)),            # DomainError: reaches an axis
+    (0.008, 1e4, 16, (_axis_point,)),            # the axis before finiteness
+    (0.004, 5.0, 16, (_nan_level,)),             # VerificationError
+    (0.008, 1e4, 16, (_nan_level, _axis_point)),
+    (0.004, 1e4, 7, ()),                         # build_family's DomainError
 ], ids=["not_finite", "exhausted", "axis", "axis_first", "family_first",
-        "family_before_axis", "n_samples"])
+        "family_before_axis", "n_tau"])
 def test_run_verification_raises_what_the_standalone_calls_raise(
-        monkeypatch, eps1, lambda_max, n_samples, patches):
+        monkeypatch, eps1, lambda_max, n_tau, patches):
     par = default_params()
     knobs = dataclasses.replace(family.default_knobs(), eps1=eps1)
     for patch in patches:
         patch(monkeypatch)
     with pytest.raises(ConcaviaError) as want:
-        _standalone(par, knobs, n_samples, lambda_max)
+        _standalone(par, knobs, n_tau, lambda_max)
     with pytest.raises(ConcaviaError) as got:
-        family.run_verification(par, knobs, n_samples=n_samples, lambda_max=lambda_max)
+        family.run_verification(par, knobs, n_tau=n_tau, lambda_max=lambda_max)
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
     if isinstance(want.value, VerificationError):
@@ -1335,10 +1346,10 @@ def test_run_verification_raises_what_the_standalone_calls_raise(
 
 
 def test_run_verification_checks_its_arguments_before_the_family(monkeypatch):
-    # the samples are gathered for the one gamma call, so sample_M1's
-    # argument check comes before the family's certificates are read
+    # the slice count is checked before the one gamma call, and so before
+    # the family's certificates are read
     _nan_level(monkeypatch)
     with pytest.raises(VerificationError):
         family.build_family(default_params(), 16)
-    with pytest.raises(DomainError, match="sample_M1 needs n >= 100"):
-        family.run_verification(default_params(), n_samples=99)
+    with pytest.raises(DomainError, match="build_family needs n_tau >= 8"):
+        family.run_verification(default_params(), n_tau=7)

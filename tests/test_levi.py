@@ -5,20 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from _levi_oracle import _unit_vectors, composition_identity_check, d_c, grad4, neg_ddc
+from _levi_oracle import (_unit_vectors, apply_J, composition_identity_check, d_c, grad4,
+                          jet_d_c, jet_neg_ddc, neg_ddc)
 from concavia import family, levi
 from concavia.atlas import default_params
 from concavia.errors import ConcaviaError, DomainError, Exhausted, NotContact, NotRegular
 from concavia.levi import (
     ScalarField,
-    apply_J,
     exp_jet,
     find_lambda,
     hartogs_boundary_test,
     is_strictly_psh,
     jet,
-    jet_d_c,
-    jet_neg_ddc,
     levi_min_eig,
     levi_min_eig_batch,
 )
