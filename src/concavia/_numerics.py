@@ -1,13 +1,15 @@
-"""Piecewise polynomials, Brent's root finder, a Kronecker sequence and
-the per-process cache of the sample tables built on it.
+"""Piecewise polynomials, Brent's root finder, a lock-step bracketing root
+finder for many points at once, a Kronecker sequence and the per-process
+cache of the sample tables built on it.
 
 :class:`PPoly` and :func:`brentq` reproduce ``scipy.interpolate.PPoly`` and
 ``scipy.optimize.brentq`` bit for bit on the inputs this package gives them
 (1-D coefficients on strictly increasing breakpoints, extrapolation on), so
 the package needs numpy only at run time.  Each operation is performed in
-scipy's order: the power sum below is not Horner's rule, because the
-finite-difference jets downstream amplify a last-bit change in a profile
-value to about 1e-6 relative in lambda.  The tests compare both against
+scipy's order: the power sum below is not Horner's rule, because
+finite-difference jets (the ``levi_field`` export's and the tests'
+oracles') amplify a last-bit change in a profile value to about 1e-6
+relative in a root.  The tests compare both against
 scipy with ``tobytes()``.
 """
 
@@ -20,7 +22,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-__all__ = ["PPoly", "brentq", "kronecker", "sample_table", "GOLD", "SILVER"]
+__all__ = ["PPoly", "brentq", "crossing", "kronecker", "sample_table", "GOLD", "SILVER"]
 
 #: 1 / the golden and silver means: rationally independent with 1
 GOLD = (math.sqrt(5.0) - 1.0) / 2.0
@@ -219,3 +221,62 @@ def brentq(f, a: float, b: float, xtol: float) -> float:
             xcur += delta if sbis > 0 else -delta
         fcur = _value(f, xcur)
     raise RuntimeError(f"Failed to converge after {_MAXITER} iterations, value is {xcur:f}")
+
+
+def crossing(F, lo, hi, f_lo, f_hi):
+    """Adjacent floats ``a < b`` with ``F(a) < 0 <= F(b)``, one pair per point.
+
+    ``F(t, i)`` evaluates an increasing function of the points with indices
+    ``i`` at levels ``t``; ``f_lo <= 0 <= f_hi`` are its values at the bracket
+    ``lo``, ``hi``.  Four clipped secant steps estimate the root ``x``, and
+    ``[x - d, x + d]`` with ``d = 4|F(x)| / slope + 1024 ulp`` replaces the
+    bracket wherever ``F`` changes sign across it; where it does not, ``d``
+    grows by 16, 256 and 4096 on those points alone, and only then is all of
+    ``[lo, hi]`` kept; each window test reads both ends in one ``F`` call.
+    Bisection on ``F(mid) < 0`` then runs until the midpoint rounds to an
+    end, dropping the points that got there, and returns as soon as no
+    point is left.  Where ``F`` is monotone in floating point this is the
+    pair a bisection of ``[lo, hi]`` reaches.  It serves the dish levels of
+    ``family._Foliation.gamma``, whose wall levels are closed forms.
+    """
+    def straddles(a, b, i):
+        f_a, f_b = np.split(F(np.concatenate([a, b]), np.concatenate([i, i])), 2)
+        return (f_a < 0.0) & (f_b >= 0.0)
+
+    idx = np.arange(lo.size)
+    x0, y0, x1, y1 = lo, f_lo, hi, f_hi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(4):
+            x = np.clip(x1 - y1 * (x1 - x0) / (y1 - y0), lo, hi)
+            x = np.where(np.isnan(x), x1, x)   # 0/0: the step has stalled
+            x0, y0, x1, y1 = x1, y1, x, F(x, idx)
+        # float F has plateaus near the root, where the last secant is flat
+        slope = (y1 - y0) / (x1 - x0)
+        slope = np.where(slope > 0.0, slope, (f_hi - f_lo) / (hi - lo))
+        d = 4.0 * np.abs(y1) / slope + 1024.0 * np.spacing(x1)
+        a = np.clip(x1 - d, lo, hi)
+        b = np.clip(x1 + d, lo, hi)
+        keep = straddles(a, b, idx)
+        # one point bisecting all of [lo, hi] keeps the loop running about
+        # 55 steps for every point, so a miss first retries a wider window
+        miss = idx[~keep]
+        for grow in (16.0, 256.0, 4096.0):
+            if not miss.size:
+                break
+            am = np.clip(x1[miss] - grow * d[miss], lo[miss], hi[miss])
+            bm = np.clip(x1[miss] + grow * d[miss], lo[miss], hi[miss])
+            hit = straddles(am, bm, miss)
+            a[miss[hit]], b[miss[hit]] = am[hit], bm[hit]
+            keep[miss[hit]] = True
+            miss = miss[~hit]
+    lo, hi = np.where(keep, a, lo), np.where(keep, b, hi)
+    while True:
+        a, b = lo[idx], hi[idx]
+        mid = 0.5 * (a + b)
+        live = (mid != a) & (mid != b)
+        if not live.any():
+            return lo, hi
+        idx, mid = idx[live], mid[live]
+        up = F(mid, idx) < 0.0
+        lo[idx[up]] = mid[up]
+        hi[idx[~up]] = mid[~up]

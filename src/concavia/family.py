@@ -40,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._numerics import GOLD, SILVER, kronecker, sample_table
+from ._numerics import GOLD, SILVER, crossing, kronecker, sample_table
 from .atlas import Chart, ChartPoint, Params
 from .certs import Certificate
 from .config import KNOB_DEFAULTS, RUN_DEFAULTS
@@ -52,7 +52,7 @@ from .errors import (
     FoliationError,
     VerificationError,
 )
-from .levi import ScalarField, find_lambda, lambda_from_values, lambda_stencil
+from .levi import ROUNDING_ULPS, LogJet, ScalarField, log_lambda
 from .profiles import (
     ContactTag,
     Profile,
@@ -405,65 +405,6 @@ def sample_M1(model: SphereModel, n: int) -> list[tuple[ChartPoint, str]]:
 # The interpolating family and its level function
 # ---------------------------------------------------------------------------
 
-def _crossing(F, lo, hi, f_lo, f_hi):
-    """Adjacent floats ``a < b`` with ``F(a) < 0 <= F(b)``, one pair per point.
-
-    ``F(t, i)`` evaluates an increasing function of the points with indices
-    ``i`` at levels ``t``; ``f_lo <= 0 <= f_hi`` are its values at the bracket
-    ``lo``, ``hi``.  Four clipped secant steps estimate the root ``x``, and
-    ``[x - d, x + d]`` with ``d = 4|F(x)| / slope + 1024 ulp`` replaces the
-    bracket wherever ``F`` changes sign across it; where it does not, ``d``
-    grows by 16, 256 and 4096 on those points alone, and only then is all of
-    ``[lo, hi]`` kept; each window test reads both ends in one ``F`` call.
-    Bisection on ``F(mid) < 0`` then runs until the midpoint rounds to an
-    end, dropping the points that got there, and returns as soon as no
-    point is left.  Where ``F`` is monotone in floating point this is the
-    pair a bisection of ``[lo, hi]`` reaches.  It serves the dish levels of
-    :meth:`_Foliation.gamma` alone: a wall's level is read in closed form.
-    """
-    def straddles(a, b, i):
-        f_a, f_b = np.split(F(np.concatenate([a, b]), np.concatenate([i, i])), 2)
-        return (f_a < 0.0) & (f_b >= 0.0)
-
-    idx = np.arange(lo.size)
-    x0, y0, x1, y1 = lo, f_lo, hi, f_hi
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(4):
-            x = np.clip(x1 - y1 * (x1 - x0) / (y1 - y0), lo, hi)
-            x = np.where(np.isnan(x), x1, x)   # 0/0: the step has stalled
-            x0, y0, x1, y1 = x1, y1, x, F(x, idx)
-        # float F has plateaus near the root, where the last secant is flat
-        slope = (y1 - y0) / (x1 - x0)
-        slope = np.where(slope > 0.0, slope, (f_hi - f_lo) / (hi - lo))
-        d = 4.0 * np.abs(y1) / slope + 1024.0 * np.spacing(x1)
-        a = np.clip(x1 - d, lo, hi)
-        b = np.clip(x1 + d, lo, hi)
-        keep = straddles(a, b, idx)
-        # one point bisecting all of [lo, hi] keeps the loop running about
-        # 55 steps for every point, so a miss first retries a wider window
-        miss = idx[~keep]
-        for grow in (16.0, 256.0, 4096.0):
-            if not miss.size:
-                break
-            am = np.clip(x1[miss] - grow * d[miss], lo[miss], hi[miss])
-            bm = np.clip(x1[miss] + grow * d[miss], lo[miss], hi[miss])
-            hit = straddles(am, bm, miss)
-            a[miss[hit]], b[miss[hit]] = am[hit], bm[hit]
-            keep[miss[hit]] = True
-            miss = miss[~hit]
-    lo, hi = np.where(keep, a, lo), np.where(keep, b, hi)
-    while True:
-        a, b = lo[idx], hi[idx]
-        mid = 0.5 * (a + b)
-        live = (mid != a) & (mid != b)
-        if not live.any():
-            return lo, hi
-        idx, mid = idx[live], mid[live]
-        up = F(mid, idx) < 0.0
-        lo[idx[up]] = mid[up]
-        hi[idx[~up]] = mid[~up]
-
-
 class _Foliation:
     """Closed-form nested slices interpolating walls and dome.
 
@@ -599,7 +540,7 @@ class _Foliation:
             d_lo, d_hi = self.dish(lo, qq1), self.dish(hi, qq1)
             ok = (d_lo <= qq2) & (d_hi >= qq2)
             p1, p2 = qq1[ok], qq2[ok]
-            a, b = _crossing(lambda t, j: self.dish(t, p1[j]) - p2[j],
+            a, b = crossing(lambda t, j: self.dish(t, p1[j]) - p2[j],
                              lo[ok], hi[ok], d_lo[ok] - p2, d_hi[ok] - p2)
             tau = 0.5 * (a + b)
             _, xl, xr = self.cap(tau)
@@ -728,19 +669,9 @@ def _level_points(fol: _Foliation, slices) -> tuple[np.ndarray, ...]:
     return np.repeat(ts, 9), z1.ravel(), z2.ravel()
 
 
-def _family_levels(fam: FamilySpec) -> tuple[np.ndarray, ...]:
-    """:func:`_level_points` on every ``(n_tau // 8)``-th slice and the top
-    one, each slice once."""
-    slices = fam.taus[:: max(1, fam.n_tau // 8)]
-    if 1.0 not in slices:
-        slices += (1.0,)
-    return _level_points(fam.fol, slices)
-
-
-def _assemble_family(params: Params, n_tau: int, knobs: Knobs,
-                     model: SphereModel | None) -> FamilySpec:
-    """The family with every certificate but ``level_consistency``, which
-    reads ``gamma``; nothing is raised for a failing certificate yet."""
+def _build_family(params: Params, n_tau: int, knobs: Knobs,
+                  model: SphereModel | None) -> FamilySpec:
+    """:func:`build_family` on ``model``, built here if it is ``None``."""
     if n_tau < 8:
         raise DomainError(f"build_family needs n_tau >= 8, got {n_tau}")
     if model is None:
@@ -781,17 +712,15 @@ def _assemble_family(params: Params, n_tau: int, knobs: Knobs,
         name="top_slice_equality", grid="3 x 257 points",
         margin=1e-10 - res, passed=res < 1e-10,
         details={"wall1": e_w1, "wall2": e_w2, "dome": e_dome})
-    return fam
 
-
-def _certify_levels(fam: FamilySpec, t: np.ndarray, values: np.ndarray) -> FamilySpec:
-    """Add ``level_consistency`` from ``gamma``'s ``values`` at the
-    :func:`_family_levels` points of levels ``t``, then raise
-    :class:`VerificationError` on the first failing family certificate."""
-    certs = fam.certificates
-    _, worst_dev = Certificate.sup_error(np.abs(values - t))
+    # gamma returns each level on every (n_tau // 8)-th slice and the top one
+    slices = taus[:: max(1, n_tau // 8)]
+    if 1.0 not in slices:
+        slices += (1.0,)
+    t, z1, z2 = _level_points(fol, slices)
+    _, worst_dev = Certificate.sup_error(np.abs(fol.gamma(z1, z2) - t))
     certs["level_consistency"] = Certificate(
-        name="level_consistency", grid=f"{t.size // 9} slices x 9 points",
+        name="level_consistency", grid=f"{len(slices)} slices x 9 points",
         margin=1e-8 - worst_dev, passed=worst_dev < 1e-8,
         details={"max_deviation": worst_dev})
 
@@ -813,12 +742,8 @@ def build_family(params: Params, n_tau: int, knobs: Knobs | None = None) -> Fami
     ``(n_tau // 8)``-th slice and the top one, read in one call.  A failing
     certificate raises :class:`VerificationError`.  The slices interpolate
     along the linear parameter curves of :class:`_Foliation`.
-    :func:`run_verification` reads the level points in its one ``gamma``
-    call instead.
     """
-    fam = _assemble_family(params, n_tau, knobs or default_knobs(), None)
-    t, z1, z2 = _family_levels(fam)
-    return _certify_levels(fam, t, fam.fol.gamma(z1, z2))
+    return _build_family(params, n_tau, knobs or default_knobs(), None)
 
 
 def normalized_potential(fam: FamilySpec, lam: float) -> ScalarField:
@@ -835,40 +760,158 @@ def normalized_potential(fam: FamilySpec, lam: float) -> ScalarField:
     return ScalarField(fn=fn, name=f"u(lambda={lam:g})")
 
 
+#: the grid's points beside the binding plane: the left wall at these levels,
+#: at ``|z2| = AXIS_RADIUS``
+AXIS_LEVELS = (0.3, 1.0)
+AXIS_RADIUS = 1e-4
+
+
+def _lattice(fol: _Foliation, density: int) -> tuple[np.ndarray, ...]:
+    """:func:`verification_grid`'s levels ``t`` and, per level, its ``m = 3
+    density + 1`` wall heights ``q2`` and dish abscissae ``q1``, each ``[m,
+    levels]``."""
+    m = 3 * density + 1
+    t = np.linspace(0.1, 1.0, 4 * density + 1)
+    yc, xl, xr = fol.cap(t)
+    q2 = np.linspace(-2.0, yc - 3e-3, m)
+    q1 = xl + np.linspace(0.05, 0.95, m)[:, None] * (xr - xl)
+    return t, q2, q1
+
+
 def verification_grid(fam: FamilySpec, density: int = 1) -> list[tuple]:
     """Multi-sector point grid for the plurisubharmonicity search.
 
     Covers both walls at several depths and levels, the dome cap away from
     its corners, and points adjacent to the binding plane.  ``density``
-    scales the per-sector counts; :func:`find_collar_lambda` uses the union of
-    densities 1 and 2 (62 + 191 points).  Points lie on the real slice: a
-    torus-invariant ``gamma`` needs one point per orbit.
+    scales the per-sector counts (:func:`_lattice`); :func:`find_collar_lambda`
+    takes the jets of density 2's 191 points.  Points lie on the real slice:
+    a torus-invariant ``gamma`` needs one point per orbit.
     """
     fol = fam.fol
-    m = 3 * density + 1
-    t = np.linspace(0.1, 1.0, 4 * density + 1)
-    yc, xl, xr = fol.cap(t)
-    q2 = np.linspace(-2.0, yc - 3e-3, m)   # [m, levels], as is q1
+    t, q2, q1 = _lattice(fol, density)
+    m = q2.shape[0]
     r2 = _libm(math.exp, q2)
-    q1 = xl + np.linspace(0.05, 0.95, m)[:, None] * (xr - xl)
     walls = np.stack([fol.wall1(t, r2), r2, fol.wall2(t, q2), r2])
     dish = np.stack([_libm(math.exp, q1), _libm(math.exp, fol.dish(t, q1))])
     # per level, (|z1|, |z2|) of both walls at each height, then of each dish point
     z = np.concatenate([walls.T.reshape(t.size, 4 * m),
                         dish.T.reshape(t.size, 2 * m)], axis=1).reshape(-1, 2) + 0j
-    return list(zip(z[:, 0], z[:, 1])) + [(complex(fol.wall1(t_axis, 1e-4)), 1e-4 + 0j)
-                                          for t_axis in (0.3, 1.0)]
+    return list(zip(z[:, 0], z[:, 1])) + [(complex(fol.wall1(t_axis, AXIS_RADIUS)),
+                                           AXIS_RADIUS + 0j) for t_axis in AXIS_LEVELS]
 
 
-def _lambda_grid(fam: FamilySpec) -> list[tuple]:
-    """The lambda grid: :func:`verification_grid` at densities 1 and 2."""
-    return verification_grid(fam, 1) + verification_grid(fam, 2)
+# ---------------------------------------------------------------------------
+# gamma's exact jets in log coordinates
+# ---------------------------------------------------------------------------
+
+# Each piece's jet is taken at a given level t <= 1 and profile abscissa, so
+# no level is solved for.  The factors of t are placed so that at t = 1, on
+# M1, each expression rounds as its t-free form does: the 3-form
+# certificates read these jets there.
+
+def _wall1_jet(fol: _Foliation, t, q2) -> LogJet:
+    """The left wall, ``gamma = (rho2 - r1) / b`` with ``b = rho2 -
+    f1c(r2)``, at ``r1 = wall1(t, r2)``: with ``beta = 2 eps1 r2^2 / b``,
+    ``g1 = h11 = -r1 / b``, ``g2 = t beta``, ``h12 = g1 beta`` and ``h22 =
+    2 g2 (1 + beta)``, so ``N = g1 g2 (g2 + 2 g1)``."""
+    r2 = np.exp(q2)
+    b = fol.rho2 - fol.f1c(r2)
+    r1 = fol.wall1(t, r2)
+    g1 = -r1 / b
+    beta = 2.0 * fol.eps1 * r2 * r2 / b
+    g2 = t * beta
+    h12, h22 = g1 * beta, 2.0 * g2 * (1.0 + beta)
+    return LogJet(r1, r2, g1, g2, g1, h12, h22, g1 * h22 - h12 * h12,
+                g1 * g2 * (g2 + 2.0 * g1), g1 * g2 * (1.0 - g1 / t), -g1)
+
+
+def _wall2_jet(fol: _Foliation, t, q2) -> LogJet:
+    """The right wall, ``gamma = (r1 - 1) / (F - 1)`` with ``F = exp(L(q2))``
+    of ``f2``'s germ or spline, at ``r1 = 1 + t (F - 1)``: with ``e = F /
+    r1`` and ``d = g1 e L'``, ``g1 = h11 = r1 / (F - 1)``, ``g2 = -t d``,
+    ``h12 = -g1 d`` and ``h22 = t (2 d^2 - g1 e (L'' + L'^2))``, so ``N = t
+    g1^3 e ((t - 1) L'^2 / r1 - L'')``."""
+    f2 = fol.model.f2
+    F = np.exp(f2.L_fn(q2))
+    dL, d2L = f2.dL_fn(q2), f2.d2L_fn(q2)
+    r1 = 1.0 + fol.g2(t) * (F - 1.0)
+    g1, e = r1 / (F - 1.0), F / r1
+    g2 = -t * g1 * e * dL
+    h12 = -g1 * g1 * e * dL
+    h22 = t * (2.0 * (g1 * e * dL) ** 2 - g1 * e * (d2L + dL * dL))
+    return LogJet(r1, np.exp(q2), g1, g2, g1, h12, h22, g1 * h22 - h12 * h12,
+                t * g1 * g1 * g1 * e * ((t - 1.0) * dL * dL / r1 - d2L),
+                g1 * g1 * e * dL * (g1 - t), g1)
+
+
+def _dish_jet(fol: _Foliation, t, q1) -> LogJet:
+    """The dish, where ``gamma`` solves ``G(gamma, q1) = q2`` with ``G =
+    dish``.  With ``A = G_q1``, ``B = G_tau`` and ``C = G_tau_tau``,
+    implicit differentiation gives ``g1 = -A/B``, ``g2 = 1/B``, ``h22 =
+    -C/B^3``, ``det = (A_q1 C - B_q1^2) / B^4``, ``N = -A_q1 / B^3`` and
+    ``P = (A B_q1 - A_q1 B) / B^3``.  ``C`` reads the window ends' second
+    tau-derivatives, and at ``t = 1``, where ``y_cut`` is the end of
+    ``f2``'s domain, it takes ``f2``'s ``L''`` from inside the domain: the
+    one-sided jet of the slices ``t <= 1``.  ``kappa`` is the ratio of
+    ``B``'s terms' magnitudes to ``|B|``."""
+    yc, xl, xr = fol.cap(t)
+    w = xr - xl
+    s = np.clip((q1 - xl) / w, 0.0, 1.0)
+    X = fol.X1 + s * fol.span
+    ht, span, D1, SM = fol.model.htilde, fol.span, fol.D1, fol.SM
+    ph = (-ht.f(X) - fol.y_star) / D1            # phat and its s-derivatives
+    ph1 = -ht.df(X) * span / D1
+    ph2 = -ht.d2f(X) * span * span / D1
+    D, dD = fol.D(t), D1 * (1.0 - fol.D_FLOOR)
+    # the window's ends are xl = log W1 and xr = log W2 + yc, with W1 =
+    # wall1(tau, e^yc) = rho2 - tau (rho2 - f1c(e^yc)), W2 = wall2(tau, yc) =
+    # 1 + tau (F(yc) - 1) and yc' = SM
+    rc, f2 = _libm(math.exp, yc), fol.model.f2
+    F, dL, d2L = np.exp(f2.L_fn(yc)), f2.dL_fn(yc), f2.d2L_fn(yc)
+    W1, W2 = fol.wall1(t, rc), fol.wall2(t, yc)
+    dxl = (2.0 * fol.eps1 * rc * rc * SM * t - (fol.rho2 - fol.f1c(rc))) / W1
+    dlw2 = (F - 1.0 + F * dL * SM * t) / W2      # (log W2)'
+    dxr = dlw2 + SM
+    d2xl = 4.0 * fol.eps1 * rc * rc * SM * (1.0 + t * SM) / W1 - dxl * dxl
+    d2xr = F * SM * (2.0 * dL + t * SM * (d2L + dL * dL)) / W2 - dlw2 * dlw2
+    dw = dxr - dxl
+    st = -(dxl + s * dw) / w                     # s_tau and s_tau_tau
+    stt = -(d2xl + s * (d2xr - d2xl) + 2.0 * st * dw) / w
+    A, Aq = D * ph1 / w, D * ph2 / (w * w)
+    terms = (SM, dD * ph, D * ph1 * st)
+    B = terms[0] + terms[1] + terms[2]
+    Bq = (dD * ph1 + D * ph2 * st) / w - D * ph1 * dw / (w * w)
+    C = 2.0 * dD * ph1 * st + D * ph2 * st * st + D * ph1 * stt
+    B3 = B * B * B
+    g1, g2 = -A / B, 1.0 / B
+    kappa = (abs(terms[0]) + np.abs(terms[1]) + np.abs(terms[2])) / np.abs(B)
+    return LogJet(np.exp(q1), np.exp(yc + D * ph), g1, g2,
+                -(C * g1 * g1 + 2.0 * Bq * g1 + Aq) / B, -(C * g1 + Bq) * g2 / B, -C / B3,
+                (Aq * C - Bq * Bq) / (B3 * B), -Aq / B3, (A * Bq - Aq * B) / B3, kappa)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form lambda for exp(lambda * gamma)
+# ---------------------------------------------------------------------------
+
+def _lambda_jets(fam: FamilySpec) -> LogJet:
+    """``gamma``'s jets on the lambda grid, the points of
+    ``verification_grid(fam, 2)`` by piece: the left wall with the two axis
+    points, the right wall, then the dish."""
+    fol = fam.fol
+    t, q2, q1 = _lattice(fol, 2)
+    t = np.broadcast_to(t, q2.shape).ravel()
+    t1 = np.concatenate([t, AXIS_LEVELS])
+    q21 = np.concatenate([q2.ravel(), np.full(len(AXIS_LEVELS), math.log(AXIS_RADIUS))])
+    jets = (_wall1_jet(fol, t1, q21), _wall2_jet(fol, t, q2.ravel()), _dish_jet(fol, t, q1.ravel()))
+    return LogJet(*(np.concatenate(a) for a in zip(*jets)))
 
 
 def find_collar_lambda(fam: FamilySpec, lambda_max: float) -> tuple[float, Certificate]:
-    """:func:`find_lambda` for the family's ``gamma`` on the lambda grid, the
-    union of :func:`verification_grid` at densities 1 and 2."""
-    return find_lambda(fam.fol.gamma, _lambda_grid(fam), lambda_max=lambda_max)
+    """Closed-form ``lam`` making ``exp(lam * gamma)`` strictly psh on the
+    lambda grid: :func:`~concavia.levi.log_lambda` on ``gamma``'s exact jets
+    at the grid's levels (:func:`_lambda_jets`), so no ``gamma`` is read."""
+    return log_lambda(_lambda_jets(fam), lambda_max, "verification_grid(fam, 2)")
 
 
 # ---------------------------------------------------------------------------
@@ -878,9 +921,6 @@ def find_collar_lambda(fam: FamilySpec, lambda_max: float) -> tuple[float, Certi
 #: the model samples whose area-uniform abscissas (:func:`_sample_arrays`'s
 #: placement) each piece's closed-form grid starts from
 SPHERE_POINTS = 240
-#: the rounding bound of a closed-form value, in ulps of the value per unit
-#: of the cancellation factor of the level's denominator
-ROUNDING_ULPS = 64
 
 
 def _sphere_abscissas(model: SphereModel) -> dict[str, np.ndarray]:
@@ -901,68 +941,6 @@ def _sphere_abscissas(model: SphereModel) -> dict[str, np.ndarray]:
         x = np.sort(np.concatenate([_inverse_cdf(grid, dens, m), knots[tag]]))
         out[tag] = x[np.concatenate([[True], x[1:] != x[:-1]])]
     return out
-
-
-# Each piece's jet is ``(r1, r2, g1, g2, N, P, kappa)`` at the real points
-# (r1, r2) of M1 = {gamma = 1}: gamma's log-coordinate derivatives g1 =
-# gamma_q1 and g2 = gamma_q2, the contact numerator N = g11 g2^2 - 2 g12 g1 g2
-# + g22 g1^2 and the page numerator P = g2 g11 - g1 g12, and the cancellation
-# factor kappa of the level's denominator, by which its relative rounding
-# error exceeds a few ulps.
-
-def _wall1_jet(fol: _Foliation, q2: np.ndarray) -> tuple:
-    """The left wall, ``gamma = (rho2 - r1) / (rho2 - f1c(r2))``, on
-    ``r1 = f1c(r2)``: ``g11 = g1``, ``g12 = g1 g2``, ``g22 = 2 g2 (1 + g2)``."""
-    r2 = np.exp(q2)
-    r1 = fol.f1c(r2)
-    g1 = -r1 / (fol.rho2 - r1)
-    g2 = 2.0 * fol.eps1 * r2 * r2 / (fol.rho2 - r1)
-    return r1, r2, g1, g2, g1 * g2 * (g2 + 2.0 * g1), g1 * g2 * (1.0 - g1), -g1
-
-
-def _wall2_jet(fol: _Foliation, q2: np.ndarray) -> tuple:
-    """The right wall, ``gamma = (r1 - 1) / (F(q2) - 1)`` with ``F = exp(L)``
-    of ``f2``'s germ or spline, on ``r1 = F``: ``g2 = -g1 L'``, ``g11 = g1``,
-    ``g12 = g1 g2`` and ``g22 = 2 g1^2 L'^2 - g1 (L'' + L'^2)``, so ``N =
-    -g1^3 L''``."""
-    f2 = fol.model.f2
-    r1 = np.exp(f2.L_fn(q2))
-    dL, d2L = f2.dL_fn(q2), f2.d2L_fn(q2)
-    g1 = r1 / (r1 - 1.0)
-    return r1, np.exp(q2), g1, -g1 * dL, -g1 * g1 * g1 * d2L, g1 * g1 * dL * (g1 - 1.0), g1
-
-
-def _dish_jet(fol: _Foliation, q1: np.ndarray) -> tuple:
-    """The dish, where ``gamma`` solves ``dish(gamma, q1) = q2``.  With ``A =
-    dish_q1`` and ``B = dish_tau``, implicit differentiation gives ``g1 =
-    -A/B``, ``g2 = 1/B``, ``N = -A_q1 / B^3`` and ``P = (A B_q1 - A_q1 B) /
-    B^3``; ``dish_tau_tau`` cancels from both.  ``kappa`` is the ratio of
-    ``B``'s terms' magnitudes to ``|B|``."""
-    yc, xl, xr = (float(v) for v in fol.cap(1.0))
-    w = xr - xl
-    s = np.clip((q1 - xl) / w, 0.0, 1.0)
-    X = fol.X1 + s * fol.span
-    ht, span, D1 = fol.model.htilde, fol.span, fol.D1
-    ph = (-ht.f(X) - fol.y_star) / D1            # phat and its s-derivatives
-    ph1 = -ht.df(X) * span / D1
-    ph2 = -ht.d2f(X) * span * span / D1
-    D, dD = float(fol.D(1.0)), D1 * (1.0 - fol.D_FLOOR)
-    # tau-derivatives of the window's ends xl = log wall1(tau, e^yc) and
-    # xr = log wall2(tau, yc) + yc, with yc' = SM; at tau = 1, yc = y_star
-    # is the end of f2's domain, past which f2c_x keeps the end slope
-    rc, fc = math.exp(yc), float(fol.f2c_x(yc))
-    dxl = (2.0 * fol.eps1 * rc * rc * fol.SM - (fol.rho2 - float(fol.f1c(rc)))) \
-        / float(fol.wall1(1.0, rc))
-    dxr = (fc - 1.0 + fc * fol._f2_dhi * fol.SM) / float(fol.wall2(1.0, yc)) + fol.SM
-    st = -(dxl + s * (dxr - dxl)) / w            # s_tau
-    A, Aq = D * ph1 / w, D * ph2 / (w * w)
-    terms = (fol.SM, dD * ph, D * ph1 * st)
-    B = terms[0] + terms[1] + terms[2]
-    Bq = (dD * ph1 + D * ph2 * st) / w - D * ph1 * (dxr - dxl) / (w * w)
-    B3 = B * B * B
-    kappa = (abs(terms[0]) + np.abs(terms[1]) + np.abs(terms[2])) / np.abs(B)
-    return (np.exp(q1), np.exp(yc + D * ph), -A / B, 1.0 / B, -Aq / B3,
-            (A * Bq - Aq * B) / B3, kappa)
 
 
 @dataclass(frozen=True)
@@ -1010,18 +988,19 @@ def _top_slice(fam: FamilySpec) -> _TopSlice:
     of its model."""
     fol = fam.fol
     xs = _sphere_abscissas(fam.model)
-    jets = (_wall1_jet(fol, xs["H1"]), _wall2_jet(fol, xs["H2"]), _dish_jet(fol, xs["S"]))
+    jets = (_wall1_jet(fol, 1.0, xs["H1"]), _wall2_jet(fol, 1.0, xs["H2"]),
+            _dish_jet(fol, 1.0, xs["S"]))
     tags = np.repeat(["H1", "H2", "S"], [x.size for x in xs.values()])
-    r1, r2, g1, g2, N, P, kappa = (np.concatenate(a) for a in zip(*jets))
+    r1, r2, g1, g2, _, _, _, _, N, P, kappa = (np.concatenate(a) for a in zip(*jets))
     g = np.hypot(g1 / r1, g2 / r2)
     # the binding circles, r2 = 0, on the left wall and on f2's germ
-    ends = [piece(fol, np.array([-np.inf])) for piece in (_wall1_jet, _wall2_jet)]
+    ends = [piece(fol, 1.0, np.array([-np.inf])) for piece in (_wall1_jet, _wall2_jet)]
     ulp = ROUNDING_ULPS * np.finfo(float).eps
     knots = len(fam.model.f2.meta["spline"]["breakpoints"]), fam.model.htilde.ppoly.x.size
     return _TopSlice(
         tags, r1, r2, -N / (2.0 * r1 * r1 * r2 * r2 * g),
         np.where(tags == "S", P, -P) / (2.0 * r1 * r1 * r2 * g), g2 / r2 / g, ulp * kappa,
-        np.array([e[2][0] for e in ends]), ulp * np.array([e[6][0] for e in ends]),
+        np.array([e.g1[0] for e in ends]), ulp * np.array([e.kappa[0] for e in ends]),
         f"{tags.size} points (H1 {xs['H1'].size}, H2 {xs['H2'].size}, S {xs['S'].size}): "
         f"area-uniform abscissas, the left wall's corner, f2's {knots[0]} spline knots "
         f"and htilde's {knots[1]} breakpoints")
@@ -1117,25 +1096,16 @@ def run_verification(params: Params, knobs: Knobs | None = None,
     runs serialize identically.  ``model``, if given, is
     ``build_M1(params, knobs)`` built by the caller.
 
-    ``gamma`` is read in one call on every point the run needs, gathered as
-    soon as the family is assembled: the level-consistency points, then the
-    :func:`lambda_stencil` of the lambda grid.  ``gamma`` is elementwise, so
-    the certificates are bit for bit those of :func:`build_family` and
-    :func:`find_collar_lambda` called on their own, and so is the error
-    raised: a failing family certificate first, then :func:`find_lambda`'s
-    errors.  :func:`pseudoconcavity_check` and :func:`compatibility_check`
-    read the closed forms of the top slice, not ``gamma``.  ``n_tau < 8``
-    raises its ``DomainError`` before ``gamma`` is read.
+    ``gamma`` is read in one call, on the family's level-consistency
+    points: :func:`find_collar_lambda` reads ``gamma``'s exact jets, and
+    :func:`pseudoconcavity_check` and :func:`compatibility_check` the closed
+    forms of the top slice.  A failing family certificate is raised before
+    :func:`find_collar_lambda`'s errors.
     """
     knobs = knobs or default_knobs()
-    fam = _assemble_family(params, n_tau, knobs, model)
+    fam = _build_family(params, n_tau, knobs, model)
     model = fam.model
-    t, z1, z2 = _family_levels(fam)
-    grid = _lambda_grid(fam)
-    R1, R2 = lambda_stencil(grid)
-    u = fam.fol.gamma(np.concatenate([z1, R1]), np.concatenate([z2, R2]))
-    _certify_levels(fam, t, u[:t.size])
-    lam, cert_lam = lambda_from_values(u[t.size:], grid, lambda_max=lambda_max)
+    lam, cert_lam = find_collar_lambda(fam, lambda_max)
     cert_pc = pseudoconcavity_check(fam)
     cert_cp = compatibility_check(fam)
 

@@ -18,22 +18,23 @@ a generic field, and :func:`polar_jet`, 17 points in ``(|z1|, |z2|)`` at
 steps ``h`` and ``2h`` for torus-invariant fields such as ``gamma``, which
 :func:`polar_lift` makes the exact 4-D jet at each orbit's real point.  Its
 points (:func:`polar_stencil`) and its differences (:func:`polar_diff`) are
-also separate functions, so that a caller can read one field on several
-stencils in one call; :func:`lambda_stencil` is the polar stencil of a
-grid's distinct radius pairs.  The rest is linear algebra on jets: the
-Levi 2x2 and :func:`exp_jet`, which composes ``exp(lam * (f - shift))``
-exactly from a jet of ``f``, so exponentials are never differenced.  No
-symbolic engine.
+also separate functions.  The rest is linear algebra on jets: the Levi 2x2
+and :func:`exp_jet`, which composes ``exp(lam * (f - shift))`` exactly from
+a jet of ``f``, so exponentials are never differenced.  No symbolic engine.
+:func:`log_lambda` finds the ``lambda`` of ``exp(lambda * gamma)`` from
+exact jets of ``gamma`` in log coordinates (:class:`LogJet`), with no
+stencil: a real 2x2 rank-one problem per point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .certs import Certificate
-from .errors import DomainError, Exhausted, NotContact, NotRegular
+from .errors import DomainError, Exhausted, NotContact
 
 __all__ = [
     "ScalarField",
@@ -47,15 +48,18 @@ __all__ = [
     "levi_min_eig_batch",
     "is_strictly_psh",
     "hartogs_boundary_test",
-    "lambda_stencil",
-    "find_lambda",
-    "lambda_from_values",
+    "LogJet",
+    "log_lambda",
 ]
 
 
-# the zero bands of is_strictly_psh and hartogs_boundary_test
+# the zero bands of strict plurisubharmonicity (is_strictly_psh, log_lambda)
+# and of hartogs_boundary_test
 _PSH_TOL = 1e-8
 _HARTOGS_TOL = 1e-5
+#: the rounding bound of a closed-form value, in ulps of the value per unit
+#: of its cancellation factors
+ROUNDING_ULPS = 64
 
 
 @dataclass(frozen=True)
@@ -293,138 +297,101 @@ def hartogs_boundary_test(psi, grid) -> Certificate:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form lambda for exp(lambda * gamma)
+# Closed-form lambda for exp(lambda * gamma), from jets in log coordinates
 # ---------------------------------------------------------------------------
 
-def _rank_one_terms(L, B, tol):
-    """``(det A, c)`` such that ``det(A + lam B) = det A + lam c`` per point.
+class LogJet(NamedTuple):
+    """A torus-invariant field's jet at the real points ``(r1, r2)``, in the
+    log coordinates ``x_j = log|z_j|``: the gradient ``(g1, g2)``, the
+    Hessian ``[[h11, h12], [h12, h22]]`` and, in closed form, its
+    determinant ``det``, the contact numerator ``N = h11 g2^2 - 2 h12 g1 g2
+    + h22 g1^2`` and the page numerator ``P = g2 h11 - g1 h12``; ``kappa``
+    is the cancellation factor of the field's value, by which its relative
+    rounding error exceeds a few ulps."""
 
-    ``A = Levi(gamma) - tol I`` and ``B = dgamma dgamma*`` has rank one, so
-    ``det B = 0`` and the determinant is linear in ``lam``; ``c = A11 B22 +
-    A22 B11 - 2 Re(A12 conj(B12))`` is ``A`` on the complex tangent of the
-    level set, scaled by ``|dgamma|^2``.  ``L``, ``B``: ``(11, 22, 12)`` entries.
+    r1: np.ndarray
+    r2: np.ndarray
+    g1: np.ndarray
+    g2: np.ndarray
+    h11: np.ndarray
+    h12: np.ndarray
+    h22: np.ndarray
+    det: np.ndarray
+    N: np.ndarray
+    P: np.ndarray
+    kappa: np.ndarray
+
+
+def _rank_one_roots(j: LogJet, tol: float) -> tuple[np.ndarray, ...]:
+    """``(Ht11, Ht22, det Ht, Nt, root, bound)`` per point of ``j``, for
+    :func:`log_lambda`: the tol-shifted Hessian's diagonal, its determinant
+    and contact numerator, the root ``max(0, -det Ht / Nt)`` and its
+    rounding bound."""
+    s1, s2 = 4.0 * tol * j.r1 * j.r1, 4.0 * tol * j.r2 * j.r2
+    det = j.det - s1 * j.h22 - s2 * j.h11 + s1 * s2
+    N = j.N - s1 * j.g2 * j.g2 - s2 * j.g1 * j.g1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cancel = ((np.abs(j.h11 * j.h22) + j.h12 * j.h12 + np.abs(s1 * j.h22)
+                   + np.abs(s2 * j.h11) + s1 * s2) / np.abs(det)
+                  + (np.abs(j.h11) * j.g2 * j.g2 + 2.0 * np.abs(j.h12 * j.g1 * j.g2)
+                     + np.abs(j.h22) * j.g1 * j.g1 + s1 * j.g2 * j.g2 + s2 * j.g1 * j.g1)
+                  / np.abs(N))
+        root = np.maximum(0.0, -det / N)
+        bound = np.where(root > 0, ROUNDING_ULPS * np.finfo(float).eps * j.kappa * cancel * root,
+                         0.0)
+    return j.h11 - s1, j.h22 - s2, det, N, root, bound
+
+
+def log_lambda(j: LogJet, lambda_max: float, grid: str) -> tuple[float, Certificate]:
+    """Closed-form ``lam`` making ``exp(lam * u)`` strictly psh at the points
+    of ``j``, the jets of a field ``u`` of ``x_j = log|z_j|``.
+
+    There the complex Hessian of ``exp(lam * u)`` is congruent to ``H + lam
+    g g^T``, with ``g`` and ``H`` the gradient and Hessian in ``x``.  The
+    criterion is ``Levi(u) + lam du du* > tol I`` in ``z`` (``tol = 1e-8``),
+    that is ``Ht + lam g g^T`` positive definite with ``Ht = H - 4 tol
+    diag(r1^2, r2^2)``.  Its determinant is ``det Ht + lam Nt`` (``Nt`` the
+    contact numerator of ``Ht``), so where ``Nt > 0`` each point's root is
+    ``max(0, -det Ht / Nt)``.  ``lam`` is the largest root padded by its
+    rounding bound: ``ROUNDING_ULPS`` ulps of the root times ``kappa``
+    times the sum of the cancellation factors of ``det Ht`` and ``Nt``
+    (their terms' magnitudes over the value); ``error_estimate`` is that
+    bound.  The margin
+    is the least eigenvalue of ``Ht + lam g g^T``, computed as its
+    determinant over the larger eigenvalue; ``grid`` names the points.
+
+    A jet that is not finite raises ``DomainError``, ``Nt <= 0``
+    ``NotContact`` with a witness (the exponential cannot repair the level
+    curve's curvature), and ``lam > lambda_max`` ``Exhausted``, each at the
+    first such point.
     """
-    A11, A22, A12 = L[0] - tol, L[1] - tol, L[2]
-    B11, B22, B12 = B
-    return (A11 * A22 - (A12 * A12.conj()).real,
-            A11 * B22 + A22 * B11 - 2.0 * (A12 * B12.conj()).real)
+    def point(i):
+        return complex(j.r1[i]), complex(j.r2[i])
 
-
-def _radii(pts):
-    """``z1, z2, |z1|, |z2|`` of a point list."""
-    z1 = np.array([p[0] for p in pts], dtype=complex)
-    z2 = np.array([p[1] for p in pts], dtype=complex)
-    return z1, z2, np.abs(z1), np.abs(z2)
-
-
-def _polar_grid(pts, h_rel):
-    """:func:`_radii`; ``DomainError`` at the first point whose polar stencil
-    reaches an axis (``min(r1, r2) <= 2h``)."""
-    z1, z2, r1, r2 = _radii(pts)
-    r1, r2, h = _polar_step(r1, r2, h_rel)
-    near = np.minimum(r1, r2) <= 2.0 * h
-    if near.any():
-        i = int(np.argmax(near))
-        raise DomainError(f"polar stencil of step {2.0 * h[i]:.3g} reaches an axis at {pts[i]!r}")
-    return z1, z2, r1, r2
-
-
-def _distinct_rows(r1, r2):
-    """``(first, where)``: the index of the first occurrence of each distinct
-    ``(r1, r2)`` row, in grid order, and each row's place in that list."""
-    seen, first, where = {}, [], []
-    for i, row in enumerate(zip(r1.tolist(), r2.tolist())):
-        j = seen.setdefault(row, len(first))
-        if j == len(first):
-            first.append(i)
-        where.append(j)
-    return np.array(first, dtype=np.intp), np.array(where, dtype=np.intp)
-
-
-def lambda_stencil(grid, h_rel: float = 1e-5):
-    """The radii at which :func:`find_lambda` reads ``gamma``: the
-    :func:`polar_stencil` of the grid's distinct ``(|z1|, |z2|)`` rows, each
-    once, in the order of their first occurrence."""
-    _, _, r1, r2 = _radii(list(grid))
-    first, _ = _distinct_rows(r1, r2)
-    return polar_stencil(r1[first], r2[first], h_rel)
-
-
-def find_lambda(gamma, grid, lambda_max: float = 1e4, tol: float = 1e-8,
-                h_rel: float = 1e-5) -> tuple[float, Certificate]:
-    """Closed-form ``lam`` making ``e^{lam gamma}`` strictly psh on ``grid``.
-
-    ``gamma`` must depend on ``|z1|, |z2|`` only; it is called once, on the
-    grid's :func:`lambda_stencil`, after the axis check, and
-    :func:`lambda_from_values` does the rest.
-    """
-    pts = list(grid)
-    _polar_grid(pts, h_rel)
-    R1, R2 = lambda_stencil(pts, h_rel)
-    return lambda_from_values(gamma(R1 + 0j, R2 + 0j), pts, lambda_max, tol, h_rel)
-
-
-def lambda_from_values(u, grid, lambda_max: float = 1e4, tol: float = 1e-8,
-                       h_rel: float = 1e-5) -> tuple[float, Certificate]:
-    """:func:`find_lambda` from the values ``u`` of ``gamma`` on
-    ``lambda_stencil(grid, h_rel)``.
-
-    ``u`` is expanded to every grid point, repeats included, and the Levi
-    form of ``gamma`` at steps ``h`` and ``2h`` is read from its
-    :func:`polar_diff`, lifted.  ``Levi(gamma) + lam dgamma
-    dgamma*`` is positive definite above the root ``-det A / c`` of
-    :func:`_rank_one_terms` when ``c > 0``, so each point's ``lam`` is
-    ``max(0, -det A / c)``: ``a`` at step ``h``, ``b`` at ``2h``.  ``lam =
-    max_p [max(a, b) + |a - b|]`` passes at both steps plus its Richardson
-    error, and can only grow with the grid.
-
-    Preconditions, named at the first failing point in grid order and
-    checked in this order: a stencil clear of the axes (``min(r1, r2) >
-    2h``) and a finite Levi form and gradient at both steps (else
-    ``DomainError``), ``|grad gamma| >= 1e-6`` (else ``NotRegular``) and ``c
-    > 0`` (else ``NotContact`` with a witness; the exponential cannot repair
-    the complex tangency of the level set).  ``lam > lambda_max`` raises
-    ``Exhausted``.  The margin is the least eigenvalue of ``Levi(gamma) +
-    lam dgamma dgamma*`` at ``h`` (``-dd^C = 2 Levi``); ``error_estimate``
-    is ``|a - b|`` where ``lam`` is set.
-    """
-    pts = list(grid)
-    z1, z2, r1, r2 = _polar_grid(pts, h_rel)
-    first, where = _distinct_rows(r1, r2)
-    u = np.broadcast_to(np.asarray(u, dtype=float), (17 * first.size,))
-    u = u.reshape(17, -1)[:, where].ravel()
-    lifted = [polar_lift(pj, r1, r2) for pj in polar_diff(u, r1, r2, h_rel)]
-    (La, Ba, gnorm), (Lb, Bb, gnorm_b) = (
-        (_levi_entries(H), _levi_entries(g[:, :, None] * g[:, None, :]),
-         np.hypot(g[:, 0], g[:, 2])) for _, g, H in lifted)
-    (det_a, c_a), (det_b, c_b) = _rank_one_terms(La, Ba, tol), _rank_one_terms(Lb, Bb, tol)
-
-    finite = np.isfinite([det_a, c_a, det_b, c_b]).all(axis=0)
+    h11, h22, det, N, root, bound = _rank_one_roots(j, _PSH_TOL)
+    finite = np.isfinite(np.array(j)).all(axis=0)
     if not finite.all():
-        i = int(np.argmin(finite))
-        raise DomainError(f"Levi form of gamma is not finite at {pts[i]!r} "
-                          f"(h_rel {h_rel:g} or {2.0 * h_rel:g})")
-    irregular = np.minimum(gnorm, gnorm_b) < 1e-6
-    c = np.minimum(c_a, c_b)
-    bad = irregular | (c <= 0)
-    if bad.any():
-        i = int(np.argmax(bad))
-        if irregular[i]:
-            raise NotRegular(f"|grad gamma| = {gnorm[i]:.3g} < 1e-6 at {pts[i]!r}")
-        raise NotContact(f"contact term {c[i]:.3g} <= 0 at {pts[i]!r}", witness=pts[i])
-
-    a, b = np.maximum(0.0, -det_a / c_a), np.maximum(0.0, -det_b / c_b)
-    per_point = np.maximum(a, b) + np.abs(a - b)
-    k = int(np.argmax(per_point))
+        raise DomainError(f"jets are not finite at {point(np.argmin(finite))!r}")
+    if (N <= 0).any():
+        i = np.argmax(N <= 0)
+        raise NotContact(f"contact term {N[i]:.3g} <= 0 at {point(i)!r}", witness=point(i))
+    per_point = root + bound
+    k = np.argmax(per_point)
     lam = float(per_point[k])
     if lam > lambda_max:
-        raise Exhausted(f"lambda {lam:.6g} > {lambda_max:g} needed at {pts[k]!r}")
+        raise Exhausted(f"lambda {lam:.6g} > {lambda_max:g} needed at {point(k)!r}")
 
-    eigs = _min_eig(*(x + lam * y for x, y in zip(La, Ba)))
-    i = int(np.argmin(eigs))
+    a, c, b = h11 + lam * j.g1 * j.g1, h22 + lam * j.g2 * j.g2, j.h12 + lam * j.g1 * j.g2
+    eigs = (det + lam * N) / ((a + c) / 2.0 + np.hypot((a - c) / 2.0, b))
+    i = np.argmin(eigs)
+    gnorm = np.hypot(j.g1 / j.r1, j.g2 / j.r2)
     return lam, Certificate(
-        name="find_lambda", grid=f"{len(pts)} pts", margin=float(eigs[i]),
-        passed=bool(eigs[i] > tol), worst_point=(complex(z1[i]), complex(z2[i])),
-        details={"lambda": lam, "method": "closed_form", "h_rel": h_rel,
-                 "error_estimate": float(abs(a[k] - b[k])), "tol": tol,
+        name="find_lambda", grid=f"{eigs.size} points: {grid}",
+        margin=float(eigs[i]), passed=bool(eigs[i] > 0), worst_point=point(i),
+        details={"lambda": lam, "method": "closed_form", "coordinates": "log|z1|, log|z2|",
+                 "margin_units": "least eigenvalue of H - 4 tol diag(|z1|^2, |z2|^2) "
+                                 "+ lambda g g^T, with the Hessian H and gradient g "
+                                 "in the coordinates",
+                 "tol": _PSH_TOL, "tol_form": "Levi(u) + lambda du du* > tol I in z",
+                 "error_estimate": float(bound[k]),
                  "gradient_norm_range": [float(gnorm.min()), float(gnorm.max())]})

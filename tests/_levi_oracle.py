@@ -6,7 +6,10 @@ single directions and share no code with ``levi.jet``; the bridge-factor
 tests and the composition identity compare the package against them.
 :func:`sphere_forms_4d` assembles ``beta ^ d beta``, the page form and the
 frame span on 4-D tangent frames from ``levi.jet``'s Cartesian jets of
-``gamma``, the reference of ``family``'s closed forms.  Conventions are
+``gamma``, the reference of ``family``'s closed forms.  :func:`find_lambda`
+reads a radial field's Levi form from its 17-point polar stencil and solves
+the complex rank-one problem per point: the finite-difference reference of
+``family.find_collar_lambda``'s exact log-coordinate jets.  Conventions are
 ``levi``'s: ``J`` as :func:`apply_J` and two-forms in the 1/2 convention.
 """
 
@@ -16,6 +19,9 @@ import numpy as np
 
 from concavia._numerics import GOLD, SILVER, kronecker
 from concavia.certs import Certificate
+from concavia.errors import DomainError, Exhausted, NotContact, NotRegular
+from concavia.levi import (_levi_entries, _min_eig, _polar_step, polar_diff, polar_lift,
+                           polar_stencil)
 
 #: 1 / the bronze mean, a third Kronecker step beside ``GOLD`` and ``SILVER``
 BRONZE = (math.sqrt(13.0) - 3.0) / 2.0
@@ -238,3 +244,158 @@ def clear_of_knots(fam, reach: float = 1e-3) -> np.ndarray:
              "S": model.htilde.ppoly.x}
     return np.array([np.min(np.abs(np.asarray(knots[t]) - v)) >= reach
                      for t, v in zip(top.tags.tolist(), x)])
+
+
+# ---------------------------------------------------------------------------
+# The finite-difference lambda: the polar stencil's closed form, the oracle of
+# family.find_collar_lambda's exact jets
+# ---------------------------------------------------------------------------
+
+def _rank_one_terms(L, B, tol):
+    """``(det A, c)`` such that ``det(A + lam B) = det A + lam c`` per point.
+
+    ``A = Levi(gamma) - tol I`` and ``B = dgamma dgamma*`` has rank one, so
+    ``det B = 0`` and the determinant is linear in ``lam``; ``c = A11 B22 +
+    A22 B11 - 2 Re(A12 conj(B12))`` is ``A`` on the complex tangent of the
+    level set, scaled by ``|dgamma|^2``.  ``L``, ``B``: ``(11, 22, 12)`` entries.
+    """
+    A11, A22, A12 = L[0] - tol, L[1] - tol, L[2]
+    B11, B22, B12 = B
+    return (A11 * A22 - (A12 * A12.conj()).real,
+            A11 * B22 + A22 * B11 - 2.0 * (A12 * B12.conj()).real)
+
+
+def _radii(pts):
+    """``z1, z2, |z1|, |z2|`` of a point list."""
+    z1 = np.array([p[0] for p in pts], dtype=complex)
+    z2 = np.array([p[1] for p in pts], dtype=complex)
+    return z1, z2, np.abs(z1), np.abs(z2)
+
+
+def _polar_grid(pts, h_rel):
+    """:func:`_radii`; ``DomainError`` at the first point whose polar stencil
+    reaches an axis (``min(r1, r2) <= 2h``)."""
+    z1, z2, r1, r2 = _radii(pts)
+    r1, r2, h = _polar_step(r1, r2, h_rel)
+    near = np.minimum(r1, r2) <= 2.0 * h
+    if near.any():
+        i = int(np.argmax(near))
+        raise DomainError(f"polar stencil of step {2.0 * h[i]:.3g} reaches an axis at {pts[i]!r}")
+    return z1, z2, r1, r2
+
+
+def _distinct_rows(r1, r2):
+    """``(first, where)``: the index of the first occurrence of each distinct
+    ``(r1, r2)`` row, in grid order, and each row's place in that list."""
+    seen, first, where = {}, [], []
+    for i, row in enumerate(zip(r1.tolist(), r2.tolist())):
+        j = seen.setdefault(row, len(first))
+        if j == len(first):
+            first.append(i)
+        where.append(j)
+    return np.array(first, dtype=np.intp), np.array(where, dtype=np.intp)
+
+
+def lambda_stencil(grid, h_rel: float = 1e-5):
+    """The radii at which :func:`find_lambda` reads ``gamma``: the
+    :func:`polar_stencil` of the grid's distinct ``(|z1|, |z2|)`` rows, each
+    once, in the order of their first occurrence."""
+    _, _, r1, r2 = _radii(list(grid))
+    first, _ = _distinct_rows(r1, r2)
+    return polar_stencil(r1[first], r2[first], h_rel)
+
+
+def find_lambda(gamma, grid, lambda_max: float = 1e4, tol: float = 1e-8,
+                h_rel: float = 1e-5) -> tuple[float, Certificate]:
+    """Closed-form ``lam`` making ``e^{lam gamma}`` strictly psh on ``grid``.
+
+    ``gamma`` must depend on ``|z1|, |z2|`` only; it is called once, on the
+    grid's :func:`lambda_stencil`, after the axis check, and
+    :func:`lambda_from_values` does the rest.
+    """
+    pts = list(grid)
+    _polar_grid(pts, h_rel)
+    R1, R2 = lambda_stencil(pts, h_rel)
+    return lambda_from_values(gamma(R1 + 0j, R2 + 0j), pts, lambda_max, tol, h_rel)
+
+
+def lambda_from_values(u, grid, lambda_max: float = 1e4, tol: float = 1e-8,
+                       h_rel: float = 1e-5) -> tuple[float, Certificate]:
+    """:func:`find_lambda` from the values ``u`` of ``gamma`` on
+    ``lambda_stencil(grid, h_rel)``.
+
+    ``u`` is expanded to every grid point, repeats included, and the Levi
+    form of ``gamma`` at steps ``h`` and ``2h`` is read from its
+    :func:`polar_diff`, lifted.  ``Levi(gamma) + lam dgamma
+    dgamma*`` is positive definite above the root ``-det A / c`` of
+    :func:`_rank_one_terms` when ``c > 0``, so each point's ``lam`` is
+    ``max(0, -det A / c)``: ``a`` at step ``h``, ``b`` at ``2h``.  ``lam =
+    max_p [max(a, b) + |a - b|]`` passes at both steps plus its Richardson
+    error, and can only grow with the grid.
+
+    Preconditions, named at the first failing point in grid order and
+    checked in this order: a stencil clear of the axes (``min(r1, r2) >
+    2h``) and a finite Levi form and gradient at both steps (else
+    ``DomainError``), ``|grad gamma| >= 1e-6`` (else ``NotRegular``) and ``c
+    > 0`` (else ``NotContact`` with a witness; the exponential cannot repair
+    the complex tangency of the level set).  ``lam > lambda_max`` raises
+    ``Exhausted``.  The margin is the least eigenvalue of ``Levi(gamma) +
+    lam dgamma dgamma*`` at ``h`` (``-dd^C = 2 Levi``); ``error_estimate``
+    is ``|a - b|`` where ``lam`` is set.
+    """
+    pts = list(grid)
+    z1, z2, r1, r2 = _polar_grid(pts, h_rel)
+    first, where = _distinct_rows(r1, r2)
+    u = np.broadcast_to(np.asarray(u, dtype=float), (17 * first.size,))
+    u = u.reshape(17, -1)[:, where].ravel()
+    lifted = [polar_lift(pj, r1, r2) for pj in polar_diff(u, r1, r2, h_rel)]
+    (La, Ba, gnorm), (Lb, Bb, gnorm_b) = (
+        (_levi_entries(H), _levi_entries(g[:, :, None] * g[:, None, :]),
+         np.hypot(g[:, 0], g[:, 2])) for _, g, H in lifted)
+    (det_a, c_a), (det_b, c_b) = _rank_one_terms(La, Ba, tol), _rank_one_terms(Lb, Bb, tol)
+
+    finite = np.isfinite([det_a, c_a, det_b, c_b]).all(axis=0)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise DomainError(f"Levi form of gamma is not finite at {pts[i]!r} "
+                          f"(h_rel {h_rel:g} or {2.0 * h_rel:g})")
+    irregular = np.minimum(gnorm, gnorm_b) < 1e-6
+    c = np.minimum(c_a, c_b)
+    bad = irregular | (c <= 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if irregular[i]:
+            raise NotRegular(f"|grad gamma| = {gnorm[i]:.3g} < 1e-6 at {pts[i]!r}")
+        raise NotContact(f"contact term {c[i]:.3g} <= 0 at {pts[i]!r}", witness=pts[i])
+
+    a, b = np.maximum(0.0, -det_a / c_a), np.maximum(0.0, -det_b / c_b)
+    per_point = np.maximum(a, b) + np.abs(a - b)
+    k = int(np.argmax(per_point))
+    lam = float(per_point[k])
+    if lam > lambda_max:
+        raise Exhausted(f"lambda {lam:.6g} > {lambda_max:g} needed at {pts[k]!r}")
+
+    eigs = _min_eig(*(x + lam * y for x, y in zip(La, Ba)))
+    i = int(np.argmin(eigs))
+    return lam, Certificate(
+        name="find_lambda", grid=f"{len(pts)} pts", margin=float(eigs[i]),
+        passed=bool(eigs[i] > tol), worst_point=(complex(z1[i]), complex(z2[i])),
+        details={"lambda": lam, "method": "closed_form", "h_rel": h_rel,
+                 "error_estimate": float(abs(a[k] - b[k])), "tol": tol,
+                 "gradient_norm_range": [float(gnorm.min()), float(gnorm.max())]})
+
+
+def stencil_roots(gamma, r1, r2, h_rel: float, tol: float = 1e-8) -> np.ndarray:
+    """Each point's root ``max(0, -det A / c)`` of :func:`_rank_one_terms`,
+    read from ``gamma``'s polar stencil at the real points ``(r1, r2)`` at
+    steps ``h`` and ``2h``: ``[2, N]``, NaN where a ring leaves ``gamma``'s
+    domain."""
+    R1, R2 = polar_stencil(r1, r2, h_rel)
+    roots = []
+    for pj in polar_diff(gamma(R1 + 0j, R2 + 0j), r1, r2, h_rel):
+        _, g, H = polar_lift(pj, r1, r2)
+        det, c = _rank_one_terms(_levi_entries(H), _levi_entries(g[:, :, None] * g[:, None, :]),
+                                 tol)
+        with np.errstate(invalid="ignore"):
+            roots.append(np.where(np.isnan(det + c), np.nan, np.maximum(0.0, -det / c)))
+    return np.array(roots)

@@ -16,9 +16,9 @@ def test_bench_smoke_passes():
     assert proc.stdout.splitlines()[-1] == "bench smoke: ok"
 
 
-def test_traced_default_all_reads_gamma_once_on_3328_points():
+def test_traced_default_all_reads_gamma_once_on_81_points():
     # the tracer's gamma hook on the family path: one call per verify, on the
-    # level points and the lambda grid's distinct stencil (81 + 17 x 191)
+    # level-consistency points; the lambda search reads exact jets
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", "default_all",
                            "--seed", "3", "--seconds", "0.5", "--trace", "1", "--smoke"],
                           cwd=ROOT, capture_output=True, text=True, timeout=600)
@@ -27,4 +27,4 @@ def test_traced_default_all_reads_gamma_once_on_3328_points():
     metrics = result["metrics"]
     assert result["correct"] is True
     assert metrics["family.gamma.calls"]["value"] == 1
-    assert metrics["family.gamma.points"]["value"] == 3328
+    assert metrics["family.gamma.points"]["value"] == 81

@@ -10,7 +10,9 @@ import warnings
 import numpy as np
 import pytest
 
-from _levi_oracle import clear_of_knots, sphere_forms_4d, sphere_frames
+import _levi_oracle
+from _levi_oracle import (clear_of_knots, find_lambda, lambda_stencil, sphere_forms_4d,
+                          sphere_frames, stencil_roots)
 from concavia import family, levi
 from concavia._numerics import GOLD, SILVER, kronecker
 from concavia.atlas import Chart, ChartPoint, default_params, in_complement_C, validate_params
@@ -20,9 +22,10 @@ from concavia.errors import (
     Exhausted,
     FeasibilityError,
     FoliationError,
+    NotContact,
     VerificationError,
 )
-from concavia.levi import _levi_entries, find_lambda, jet, levi_min_eig
+from concavia.levi import _levi_entries, jet, levi_min_eig
 
 
 @functools.lru_cache(maxsize=None)
@@ -42,7 +45,7 @@ def _samples240():
 
 @functools.lru_cache(maxsize=None)
 def _lambda():
-    return find_lambda(_family16().fol.gamma, _lambda_grid())
+    return family.find_collar_lambda(_family16(), 1e4)
 
 
 # ---------------------------------------------------------------------------
@@ -511,21 +514,21 @@ def _gamma_by_bisection(fol, z1, z2):
 
 
 @functools.lru_cache(maxsize=None)
-def _recorded_gamma_calls(which):
-    """The two point sets of one pipeline run's one ``gamma`` call, as
-    ``(fol, z1, z2, out)``: the 81 level-consistency points, then the polar
-    stencil of the lambda grid's 191 distinct points (17 x 191).
+def _gamma_point_sets(which):
+    """Two point sets of ``gamma``, as ``(fol, z1, z2, out)``: the one
+    ``gamma`` call of a pipeline run, on the 81 level-consistency points,
+    and the finite-difference oracle's polar stencil of the lambda grid's
+    191 distinct points (17 x 191), which the pipeline read until it took
+    exact jets.
 
-    ``perturbed`` is the ``_PERTURBED`` set at ``eps1=0.003``,
-    ``perturbed_0.004`` the same set at the default knobs.
+    ``perturbed`` is the ``_PERTURBED`` set at ``eps1=0.003``.
     """
     knobs = family.default_knobs()
     if which == "default":
         par = default_params()
     else:
         par = validate_params(_PERTURBED)
-        if which == "perturbed":
-            knobs = dataclasses.replace(knobs, eps1=0.003)
+        knobs = dataclasses.replace(knobs, eps1=0.003)
     gamma = family._Foliation.gamma
     calls = []
 
@@ -537,38 +540,40 @@ def _recorded_gamma_calls(which):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(family._Foliation, "gamma", recording)
         ok, _ = family.run_verification(par, knobs)
-    assert ok and len(calls) == 1
-    (fol, *arrays), = calls
-    assert arrays[0].size == 81 + 17 * 191
-    return tuple((fol, *parts) for parts in zip(*(np.split(a, [81]) for a in arrays)))
+    assert ok and len(calls) == 1 and calls[0][1].size == 81
+    fam = family.build_family(par, 16, knobs)
+    R1, R2 = lambda_stencil(family.verification_grid(fam, 1) + family.verification_grid(fam, 2))
+    assert R1.size == 17 * 191
+    return calls[0], (fam.fol, R1 + 0j, R2 + 0j, fam.fol.gamma(R1 + 0j, R2 + 0j))
 
 
 # level_consistency and the lambda grid's polar stencil (h and 2h rings)
 @pytest.mark.parametrize("which", ["default", "perturbed"])
 @pytest.mark.parametrize("call", range(2))
 def test_dish_roots_end_in_an_adjacent_float_bracket(which, call):
-    fol, z1, z2, out = _recorded_gamma_calls(which)[call]
+    fol, z1, z2, out = _gamma_point_sets(which)[call]
     _, dish, q1, q2 = _gamma_by_bisection(fol, z1, z2)
     assert dish.sum() > 0
     assert np.all(_in_adjacent_bracket(lambda t: fol.dish(t, q1[dish]), out[dish], q2[dish]))
 
 
-# the dish points of a run: the level points and the polar stencil of the
-# 191 distinct lambda-grid points (1,625 on the default set while the stencil
-# took all 253 grid points and the 3-form sweeps' 230 samples, 1,557 on the
-# perturbed one)
+# the dish points of the level points and of the polar stencil of the 191
+# distinct lambda-grid points, on both sets (1,625 and 1,557 in all while
+# the pipeline's stencil took all 253 grid points and the 3-form sweeps'
+# 230 samples)
 @pytest.mark.parametrize("which", ["default", "perturbed"])
 def test_gamma_agrees_with_the_bisection_oracle(which):
-    n_dish = n_same = 0
-    for fol, z1, z2, out in _recorded_gamma_calls(which):
+    n_dish, n_same = [], 0
+    for fol, z1, z2, out in _gamma_point_sets(which):
         ref, dish, _, _ = _gamma_by_bisection(fol, z1, z2)
         assert np.array_equal(np.isnan(out), np.isnan(ref))
         assert out[~dish].tobytes() == ref[~dish].tobytes()
         np.testing.assert_allclose(out[dish], ref[dish], rtol=0, atol=1e-12)
-        n_dish += int(dish.sum())
+        n_dish.append(int(dish.sum()))
         n_same += int(np.sum(out[dish] == ref[dish]))
-    assert n_dish == {"default": 1098, "perturbed": 1098}[which]
-    assert n_same >= 0.995 * n_dish
+    # the pipeline's one call has 27 dish points, 3 on each of 9 slices
+    assert n_dish == [27, 1071]
+    assert n_same >= 0.995 * sum(n_dish)
 
 
 def test_gamma_outside_the_dish_bracket_is_nan_without_warnings():
@@ -589,7 +594,7 @@ def test_gamma_outside_the_dish_bracket_is_nan_without_warnings():
 
 def test_gamma_on_the_h_stencil_makes_at_most_32_dish_calls(calls):
     # the lambda grid's polar stencil, its h and 2h rings in one call
-    fol, z1, z2, _ = _recorded_gamma_calls("default")[1]
+    fol, z1, z2, _ = _gamma_point_sets("default")[1]
     dish = calls(family._Foliation, "dish")
     fol.gamma(z1, z2)
     assert len(dish) <= 32
@@ -600,20 +605,11 @@ def test_gamma_on_the_h_stencil_makes_at_most_32_dish_calls(calls):
 # [TAU_LO, TAU_HI] took 66 dish calls per Cartesian jet
 @pytest.mark.parametrize("call", [1])
 def test_gamma_on_the_perturbed_stencils_makes_at_most_36_dish_calls(calls, call):
-    fol, z1, z2, out = _recorded_gamma_calls("perturbed")[call]
+    fol, z1, z2, out = _gamma_point_sets("perturbed")[call]
     dish = calls(family._Foliation, "dish")
     again = fol.gamma(z1, z2)
     assert len(dish) <= 36
     assert again.tobytes() == out.tobytes()
-
-
-def test_polar_stencil_stays_inside_the_thin_perturbed_collar():
-    # at eps1 = 0.004 the 2h Cartesian jet's x1-y1 corners left the collar
-    # at lambda-grid points 6 and 74 (NaN H[0, 1]); the polar stencil never
-    # evaluates them: its lowest level is 0.032, above TAU_LO = 0.02
-    _, _, _, out = _recorded_gamma_calls("perturbed_0.004")[1]
-    assert out.size == 17 * 191
-    assert np.isfinite(out).all()
 
 
 def test_gamma_is_nan_outside_the_collar():
@@ -649,9 +645,17 @@ def test_verification_grid_shape_and_determinism():
 def test_find_lambda_on_the_family_grid():
     lam, cert = _lambda()
     assert cert.passed
-    assert lam == pytest.approx(9.593949631370169, rel=1e-9)
-    assert lam <= 1e4
+    assert lam == pytest.approx(9.592311326478931, rel=1e-9)
+    assert cert.grid == "191 points: verification_grid(fam, 2)"
     assert cert.margin > 0
+    # lambda is the largest root padded by its rounding bound; it is set, and
+    # the margin is least, at wall1's top point on the lowest level: tau =
+    # 0.1, 3e-3 below y_cut
+    assert 0 < cert.details["error_estimate"] < 1e-9
+    fol = _family16().fol
+    q2 = float(fol.y_cut(0.1)) - 3e-3
+    assert cert.worst_point == pytest.approx((fol.wall1(0.1, math.exp(q2)), math.exp(q2)),
+                                             rel=1e-15)
 
 
 def _lambda_grid():
@@ -710,7 +714,7 @@ def test_polar_lambda_passes_the_cartesian_oracle():
     # the reported lambda passes an independent 4-D check at both steps
     assert min(_min_eig_4d(jets, lam)) > cert.details["tol"]
     # and agrees with the 4-D closed form within both error estimates:
-    # 9.593950 vs 9.592855, 1.09e-3 <= 1.64e-3 + 8.1e-4
+    # 9.592311 vs 9.592855, 5.4e-4 <= 1.6e-10 + 8.1e-4
     lam_4d, err_4d = _lambda_4d(jets)
     assert lam_4d == pytest.approx(9.592854823272186, rel=1e-9)
     assert abs(lam - lam_4d) <= cert.details["error_estimate"] + err_4d
@@ -739,20 +743,96 @@ def test_polar_lambda_on_the_density_16_grid_passes_the_cartesian_oracle():
     assert min(_min_eig_4d(_cartesian_jets(16), lam)) > cert.details["tol"]
 
 
+def _lambda_levels(fam):
+    """The level of each point of ``family._lambda_jets``."""
+    t, q2, _ = family._lattice(fam.fol, 2)
+    t = np.broadcast_to(t, q2.shape).ravel()
+    return np.concatenate([t, family.AXIS_LEVELS, t, t])
+
+
+# the lambda-grid points whose h_rel = 1e-4 polar stencil leaves the thin
+# collar of _PERTURBED (NaN): wall1's top row, 3e-3 below y_cut, on the
+# lowest levels
+_STENCIL_OUTSIDE = {"default": [], "0.003": [54], "0.004": list(range(54, 62))}
+
+
+@pytest.mark.parametrize("which, lam", [
+    ("default", 9.592311326478931), ("0.003", 23.585807027779314),
+    ("0.004", 146.6906264272343)])
+def test_exact_roots_agree_with_the_stencil_oracle(which, lam):
+    # at h_rel = 1e-4 every stencil root below the top slice lies within its
+    # h/2h spread, plus a 2e-5 relative rounding floor (the stencil's own
+    # noise reaches 4.5e-6), of the exact root; only the points where the
+    # stencil leaves the collar are excluded
+    fam = _family_for(which)
+    jets = family._lambda_jets(fam)
+    exact = levi._rank_one_roots(jets, levi._PSH_TOL)[4]
+    a, b = stencil_roots(fam.fol.gamma, jets.r1, jets.r2, 1e-4)
+    outside = np.isnan(a + b)
+    assert np.flatnonzero(outside).tolist() == _STENCIL_OUTSIDE[which]
+    below = (_lambda_levels(fam) < 1.0) & ~outside
+    assert below.sum() == 169 - outside.sum()
+    assert np.all((np.abs(a - exact) <= np.abs(a - b) + 2e-5 * exact)[below])
+    got, cert = family.find_collar_lambda(fam, 1e4)
+    assert got == lam and cert.passed and cert.margin > 0
+    assert exact.max() < got <= exact.max() + 2.0 * cert.details["error_estimate"]
+
+
+def test_top_slice_dish_jets_are_one_sided():
+    # at tau = 1, y_cut is the end of f2's domain and f2c_x'' jumps: the
+    # dish jets take L'' from inside, so they are the limit of the slices
+    # below; the polar stencil straddles the jump, and 4 of the 7 top-slice
+    # dish roots are 9.9e-5 to 1.3e-3 off (its O(h^2) error on the dish below
+    # the top slice is at most 1.7e-5)
+    fam = _family16()
+    fol = fam.fol
+    q = family._lattice(fol, 2)[2][:, -1]
+    at, h, h2 = (family._dish_jet(fol, np.full(q.size, t), q) for t in (1.0, 1 - 1e-7, 1 - 2e-7))
+    for name in ("g1", "g2", "h11", "h12", "h22", "det", "N"):
+        np.testing.assert_allclose(getattr(at, name), 2 * getattr(h, name) - getattr(h2, name),
+                                   rtol=1e-10)
+    jets = family._lambda_jets(fam)
+    dish_top = np.flatnonzero(_lambda_levels(fam) == 1.0)[-7:]
+    exact = levi._rank_one_roots(jets, levi._PSH_TOL)[4][dish_top]
+    a, _ = stencil_roots(fol.gamma, jets.r1[dish_top], jets.r2[dish_top], 1e-4)
+    off = np.abs(a - exact)
+    assert np.flatnonzero(off > 9e-5).tolist() == [0, 1, 2, 6] and off.max() < 1.3e-3
+
+
+@pytest.mark.parametrize("depth_frac", [0.1, 0.2, 0.3, 0.45, 0.6])
+def test_the_eps1_0_008_cells_end_in_a_pass_or_a_named_certificate(depth_frac):
+    # the 2h polar stencil left wall1's 2.2e-4-wide collar there and ended in
+    # a DomainError; the exact jets read no gamma, and the lambda is set at
+    # the axis point on level 0.3
+    knobs = dataclasses.replace(family.default_knobs(), eps1=0.008, depth_frac=depth_frac)
+    if depth_frac == 0.6:
+        with pytest.raises(VerificationError) as ei:
+            family.run_verification(default_params(), knobs)
+        assert ei.value.certificate.name == "clearances"
+        return
+    ok, rep = family.run_verification(default_params(), knobs)
+    cert = rep["checks"]["find_lambda"]
+    assert ok and cert["passed"] and cert["margin"] > 0
+    assert rep["lambda"] == pytest.approx(449.53665384417343, rel=1e-12)
+    assert cert["worst_point"][1]["re"] == pytest.approx(family.AXIS_RADIUS, rel=1e-14)
+
+
 def _lambda_rows_each_once(r1, r2):
-    """``levi._distinct_rows`` with every row its own: find_lambda's stencil
-    on every grid point, repeats included, as it was read before."""
+    """The oracle's ``_distinct_rows`` with every row its own: find_lambda's
+    stencil on every grid point, repeats included."""
     idx = np.arange(r1.size)
     return idx, idx
 
 
 @pytest.mark.parametrize("which", ["default", "perturbed", "repeated"])
 def test_lambda_on_the_distinct_rows_matches_the_full_stencil(monkeypatch, calls, which):
-    # the reference reads gamma on the full 17 x 253 = 4,301-point stencil and
-    # hands every value to lambda_from_values; 62 of the 253 grid points
-    # repeat density 1's points inside density 2's, bit for bit
+    # the finite-difference oracle reads gamma on the polar stencil of the
+    # grid's distinct rows; the reference reads it on the full 17 x 253 =
+    # 4,301-point stencil and hands every value to lambda_from_values. 62 of
+    # the 253 points of densities 1 and 2 repeat density 1's points inside
+    # density 2's, bit for bit
     fam = _family_for("0.003") if which == "perturbed" else _family16()
-    grid = family._lambda_grid(fam)
+    grid = family.verification_grid(fam, 1) + family.verification_grid(fam, 2)
     if which == "repeated":
         grid = [p for p in grid for _ in range(2)]
     gamma = calls(family._Foliation, "gamma")
@@ -760,7 +840,7 @@ def test_lambda_on_the_distinct_rows_matches_the_full_stencil(monkeypatch, calls
     with pytest.raises(Exhausted) as got_err:
         find_lambda(fam.fol.gamma, grid, lambda_max=5.0)
     with monkeypatch.context() as mp:
-        mp.setattr(levi, "_distinct_rows", _lambda_rows_each_once)
+        mp.setattr(_levi_oracle, "_distinct_rows", _lambda_rows_each_once)
         want = find_lambda(fam.fol.gamma, grid)
         with pytest.raises(Exhausted) as want_err:
             find_lambda(fam.fol.gamma, grid, lambda_max=5.0)
@@ -769,6 +849,8 @@ def test_lambda_on_the_distinct_rows_matches_the_full_stencil(monkeypatch, calls
     assert json.dumps(got[1].to_dict()) == json.dumps(want[1].to_dict())
     assert got[1].grid == f"{len(grid)} pts"
     assert str(got_err.value) == str(want_err.value)
+
+
 
 
 def test_the_closed_form_grid_holds_every_knot():
@@ -1253,19 +1335,18 @@ def test_run_verification_is_deterministic():
     ok2, rep2 = family.run_verification(default_params())
     assert ok1 and ok2
     assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
-    assert rep1["lambda"] == pytest.approx(9.593949631370169, rel=1e-9)
+    assert rep1["lambda"] == pytest.approx(9.592311326478931, rel=1e-9)
     for cert in rep1["checks"].values():
         assert cert["passed"]
 
 
 def test_pipeline_evaluates_gamma_once_per_point_set(calls):
-    # one call on both point sets: the 81 level-consistency points and the
-    # polar stencil of the 191 distinct points of find_lambda's 253-point
-    # grid; the 3-form sweeps read closed forms
+    # one call, on the 81 level-consistency points: the lambda search and
+    # the 3-form sweeps read closed forms
     gamma = calls(family._Foliation, "gamma")
     ok, _ = family.run_verification(default_params())
     assert ok
-    assert gamma == [81 + 17 * 191] == [3328]
+    assert gamma == [81]
 
 
 def _standalone(par, knobs, n_tau=16, lambda_max=1e4):
@@ -1310,27 +1391,39 @@ def _nan_level(monkeypatch):
 
 
 def _axis_point(monkeypatch):
-    """The lambda grid gains a point whose polar stencil crosses ``z2 = 0``."""
-    grid = family.verification_grid
-    monkeypatch.setattr(family, "verification_grid",
-                        lambda fam, density=1: grid(fam, density) + [(1.0 + 0j, 1e-6 + 0j)])
+    """The lambda grid's axis points move to ``|z2| = 1e-200``, where log
+    coordinates degenerate: the contact term underflows to 0."""
+    monkeypatch.setattr(family, "AXIS_RADIUS", 1e-200)
+
+
+def _nan_jet(monkeypatch):
+    """The right wall's jet reads NaN at lambda-grid point 5."""
+    jet = family._wall2_jet
+
+    def one_nan(fol, t, q2):
+        out = jet(fol, t, q2)
+        if np.ndim(t):   # the lambda grid's levels, not the top slice
+            out.h22[5] = np.nan
+        return out
+
+    monkeypatch.setattr(family, "_wall2_jet", one_nan)
 
 
 # (eps1, lambda_max, n_tau, patches): the first error of the standalone
 # calls is the pipeline's, a failing family certificate before any of
-# find_lambda's errors, and those in find_lambda's order
-@pytest.mark.parametrize("eps1, lambda_max, n_tau, patches", [
-    (0.008, 1e4, 16, ()),                        # DomainError: not finite
-    (0.004, 5.0, 16, ()),                        # Exhausted
-    (0.004, 1e4, 16, (_axis_point,)),            # DomainError: reaches an axis
-    (0.008, 1e4, 16, (_axis_point,)),            # the axis before finiteness
-    (0.004, 5.0, 16, (_nan_level,)),             # VerificationError
-    (0.008, 1e4, 16, (_nan_level, _axis_point)),
-    (0.004, 1e4, 7, ()),                         # build_family's DomainError
+# find_collar_lambda's errors, and those in find_collar_lambda's order
+@pytest.mark.parametrize("eps1, lambda_max, n_tau, patches, error", [
+    (0.004, 1e4, 16, (_nan_jet, _axis_point), DomainError),   # before the axis
+    (0.004, 5.0, 16, (), Exhausted),
+    (0.004, 1e4, 16, (_axis_point,), NotContact),             # on the axis
+    (0.004, 5.0, 16, (_axis_point,), NotContact),             # before lambda_max
+    (0.004, 5.0, 16, (_nan_level,), VerificationError),
+    (0.008, 1e4, 16, (_nan_level, _axis_point), VerificationError),
+    (0.004, 1e4, 7, (), DomainError),                         # build_family's
 ], ids=["not_finite", "exhausted", "axis", "axis_first", "family_first",
         "family_before_axis", "n_tau"])
 def test_run_verification_raises_what_the_standalone_calls_raise(
-        monkeypatch, eps1, lambda_max, n_tau, patches):
+        monkeypatch, eps1, lambda_max, n_tau, patches, error):
     par = default_params()
     knobs = dataclasses.replace(family.default_knobs(), eps1=eps1)
     for patch in patches:
@@ -1339,7 +1432,7 @@ def test_run_verification_raises_what_the_standalone_calls_raise(
         _standalone(par, knobs, n_tau, lambda_max)
     with pytest.raises(ConcaviaError) as got:
         family.run_verification(par, knobs, n_tau=n_tau, lambda_max=lambda_max)
-    assert type(got.value) is type(want.value)
+    assert type(got.value) is type(want.value) is error
     assert str(got.value) == str(want.value)
     if isinstance(want.value, VerificationError):
         assert got.value.certificate.to_dict() == want.value.certificate.to_dict()

@@ -5,15 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from _levi_oracle import (_unit_vectors, apply_J, composition_identity_check, d_c, grad4,
-                          jet_d_c, jet_neg_ddc, neg_ddc)
+from _levi_oracle import (_unit_vectors, apply_J, composition_identity_check, d_c,
+                          find_lambda, grad4, jet_d_c, jet_neg_ddc, neg_ddc)
 from concavia import family, levi
 from concavia.atlas import default_params
 from concavia.errors import ConcaviaError, DomainError, Exhausted, NotContact, NotRegular
 from concavia.levi import (
     ScalarField,
     exp_jet,
-    find_lambda,
     hartogs_boundary_test,
     is_strictly_psh,
     jet,
@@ -416,7 +415,7 @@ def test_composition_identity_random_pairs():
 
 
 # ---------------------------------------------------------------------------
-# Lambda search
+# Lambda search: the finite-difference oracle on generic radial fields
 # ---------------------------------------------------------------------------
 
 def _patch_points(n=40, seed=13):
