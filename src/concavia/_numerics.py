@@ -6,11 +6,10 @@ cache of the sample tables built on it.
 ``scipy.optimize.brentq`` bit for bit on the inputs this package gives them
 (1-D coefficients on strictly increasing breakpoints, extrapolation on), so
 the package needs numpy only at run time.  Each operation is performed in
-scipy's order: the power sum below is not Horner's rule, because
-finite-difference jets (the ``levi_field`` export's and the tests'
-oracles') amplify a last-bit change in a profile value to about 1e-6
-relative in a root.  The tests compare both against
-scipy with ``tobytes()``.
+scipy's order: the power sum below is not Horner's rule, because the
+tests' finite-difference oracles amplify a last-bit change in a profile
+value to about 1e-6 relative in a root; the package itself differences no
+profile.  The tests compare both against scipy with ``tobytes()``.
 """
 
 from __future__ import annotations

@@ -24,8 +24,7 @@ from .atlas import map_Phi, phi, same_point
 from .certs import Certificate
 from .config import KNOB_DEFAULTS
 from .errors import ConcaviaError
-from .levi import (ScalarField, exp_jet, hartogs_boundary_test, is_strictly_psh, levi_min_eig,
-                   polar_jet, polar_lift)
+from .levi import ScalarField, hartogs_boundary_test, is_strictly_psh
 from .openbook import TwistSpec, conjugation_check, corner_tori, welldef_check
 from .profiles import second_derivative_identity_check
 
@@ -325,11 +324,7 @@ def _export_levi_field(cfg: RunConfig, par, outdir: str) -> list[str]:
     kn = cfg.knobs
     fam = family.build_family(par, kn["n_tau"], family_knobs(cfg))
     lam, _ = family.find_collar_lambda(fam, kn["lambda_max"])
-    pts = family.verification_grid(fam, kn["density"])   # on the real slice
-    r1, r2 = (np.array([p[i].real for p in pts]) for i in (0, 1))
-    # Levi form of u = exp(lam (gamma - 1)), composed from gamma's radial jet
-    eigs = levi_min_eig(exp_jet(polar_lift(polar_jet(fam.fol.gamma, r1, r2)[0], r1, r2),
-                                lam, 1.0)[2])
+    r1, r2, eigs = family.levi_field(fam, lam, kn["density"])   # on the real slice
     rows = [(a, 0.0, b, 0.0, e) for a, b, e in zip(r1.tolist(), r2.tolist(), eigs.tolist())]
     path = os.path.join(outdir, "levi_field.csv")
     _write_csv(path, "re_z1,im_z1,re_z2,im_z2,min_eig", rows)

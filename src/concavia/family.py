@@ -76,6 +76,7 @@ __all__ = [
     "compatibility_check",
     "verification_grid",
     "find_collar_lambda",
+    "levi_field",
     "run_verification",
 ]
 
@@ -783,9 +784,11 @@ def verification_grid(fam: FamilySpec, density: int = 1) -> list[tuple]:
 
     Covers both walls at several depths and levels, the dome cap away from
     its corners, and points adjacent to the binding plane.  ``density``
-    scales the per-sector counts (:func:`_lattice`); :func:`find_collar_lambda`
-    takes the jets of density 2's 191 points.  Points lie on the real slice:
-    a torus-invariant ``gamma`` needs one point per orbit.
+    scales the per-sector counts (:func:`_lattice`).  Points lie on the real
+    slice: a torus-invariant ``gamma`` needs one point per orbit.  The
+    commands do not read this list: :func:`find_collar_lambda` and
+    :func:`levi_field` take ``gamma``'s exact jets on the same lattice
+    (:func:`_lambda_jets`), at density 2 and at the export's density.
     """
     fol = fam.fol
     t, q2, q1 = _lattice(fol, density)
@@ -891,27 +894,50 @@ def _dish_jet(fol: _Foliation, t, q1) -> LogJet:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form lambda for exp(lambda * gamma)
+# Closed-form lambda and Levi form of exp(lambda * gamma)
 # ---------------------------------------------------------------------------
 
-def _lambda_jets(fam: FamilySpec) -> LogJet:
-    """``gamma``'s jets on the lambda grid, the points of
-    ``verification_grid(fam, 2)`` by piece: the left wall with the two axis
-    points, the right wall, then the dish."""
+def _lambda_jets(fam: FamilySpec, density: int) -> tuple[np.ndarray, LogJet]:
+    """``gamma``'s levels and jets at the points of ``verification_grid(fam,
+    density)`` by piece: the left wall with the two axis points, the right
+    wall, then the dish."""
     fol = fam.fol
-    t, q2, q1 = _lattice(fol, 2)
+    t, q2, q1 = _lattice(fol, density)
     t = np.broadcast_to(t, q2.shape).ravel()
     t1 = np.concatenate([t, AXIS_LEVELS])
     q21 = np.concatenate([q2.ravel(), np.full(len(AXIS_LEVELS), math.log(AXIS_RADIUS))])
     jets = (_wall1_jet(fol, t1, q21), _wall2_jet(fol, t, q2.ravel()), _dish_jet(fol, t, q1.ravel()))
-    return LogJet(*(np.concatenate(a) for a in zip(*jets)))
+    return np.concatenate([t1, t, t]), LogJet(*(np.concatenate(a) for a in zip(*jets)))
 
 
 def find_collar_lambda(fam: FamilySpec, lambda_max: float) -> tuple[float, Certificate]:
     """Closed-form ``lam`` making ``exp(lam * gamma)`` strictly psh on the
     lambda grid: :func:`~concavia.levi.log_lambda` on ``gamma``'s exact jets
-    at the grid's levels (:func:`_lambda_jets`), so no ``gamma`` is read."""
-    return log_lambda(_lambda_jets(fam), lambda_max, "verification_grid(fam, 2)")
+    at the levels of ``verification_grid(fam, 2)`` (:func:`_lambda_jets`),
+    so no ``gamma`` is read."""
+    return log_lambda(_lambda_jets(fam, 2)[1], lambda_max, "verification_grid(fam, 2)")
+
+
+def levi_field(fam: FamilySpec, lam: float, density: int) -> tuple[np.ndarray, ...]:
+    """Radii ``r1``, ``r2`` and least Levi eigenvalue of ``u = exp(lam
+    (gamma - 1))`` at the real points of ``verification_grid(fam, density)``,
+    in :func:`_lambda_jets`' piece order, from ``gamma``'s exact jets at the
+    lattice's levels: no ``gamma`` is read.  The radii are the jets', whose
+    ``np.exp`` differs from the list's ``math.exp`` in the last bit at a few
+    points.
+
+    With ``g`` and ``H`` the jets in ``x_j = log|z_j|``, the Levi form is
+    ``L_jk = lam u (H + lam g g^T)_jk / (4 r_j r_k)``; its least eigenvalue
+    is taken as determinant over the larger eigenvalue, with ``det(H + lam g
+    g^T) = det H + lam N``, so it does not cancel where it is small.
+    """
+    t, j = _lambda_jets(fam, density)
+    s = 0.25 * lam * np.exp(lam * (t - 1.0))
+    a = s * (j.h11 + lam * j.g1 * j.g1) / (j.r1 * j.r1)
+    c = s * (j.h22 + lam * j.g2 * j.g2) / (j.r2 * j.r2)
+    b = s * (j.h12 + lam * j.g1 * j.g2) / (j.r1 * j.r2)
+    det = s * s * (j.det + lam * j.N) / (j.r1 * j.r1 * j.r2 * j.r2)
+    return j.r1, j.r2, det / ((a + c) / 2.0 + np.hypot((a - c) / 2.0, b))
 
 
 # ---------------------------------------------------------------------------

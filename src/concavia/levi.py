@@ -12,18 +12,16 @@ Conventions (fixed here, tested, and used everywhere downstream):
   complex Hessian ``[d^2 u / dz_i dzbar_j]`` (the *bridge factor* is 2; with
   the determinant convention it would be 4).
 
-Two stencils: :func:`jet`, a batched 33-point central difference on C^2
+One stencil: :func:`jet`, a batched 33-point central difference on C^2
 (relative step ``1e-5``) returning value, real gradient and real Hessian of
-a generic field, and :func:`polar_jet`, 17 points in ``(|z1|, |z2|)`` at
-steps ``h`` and ``2h`` for torus-invariant fields such as ``gamma``, which
-:func:`polar_lift` makes the exact 4-D jet at each orbit's real point.  Its
-points (:func:`polar_stencil`) and its differences (:func:`polar_diff`) are
-also separate functions.  The rest is linear algebra on jets: the Levi 2x2
-and :func:`exp_jet`, which composes ``exp(lam * (f - shift))`` exactly from
-a jet of ``f``, so exponentials are never differenced.  No symbolic engine.
-:func:`log_lambda` finds the ``lambda`` of ``exp(lambda * gamma)`` from
-exact jets of ``gamma`` in log coordinates (:class:`LogJet`), with no
-stencil: a real 2x2 rank-one problem per point.
+a generic field.  The rest is linear algebra on jets: the Levi 2x2 in
+closed form.  No symbolic engine.  The torus-invariant ``gamma`` is not
+differenced here: :func:`log_lambda` finds the ``lambda`` of ``exp(lambda *
+gamma)`` from exact jets of ``gamma`` in log coordinates (:class:`LogJet`),
+a real 2x2 rank-one problem per point, and
+:func:`concavia.family.levi_field` reads the potential's Levi form from the
+same jets.  The tests' finite-difference oracle keeps the polar stencil in
+``(|z1|, |z2|)`` and the exact composition with the exponential.
 """
 
 from __future__ import annotations
@@ -39,11 +37,6 @@ from .errors import DomainError, Exhausted, NotContact
 __all__ = [
     "ScalarField",
     "jet",
-    "exp_jet",
-    "polar_stencil",
-    "polar_diff",
-    "polar_jet",
-    "polar_lift",
     "levi_min_eig",
     "levi_min_eig_batch",
     "is_strictly_psh",
@@ -78,7 +71,7 @@ class ScalarField:
 
 
 # ---------------------------------------------------------------------------
-# Jets: the 4-D stencil for generic fields and the radial one
+# The 4-D jet of a generic field
 # ---------------------------------------------------------------------------
 
 def jet(fn, z1, z2, h_rel: float = 1e-5):
@@ -120,76 +113,6 @@ def jet(fn, z1, z2, h_rel: float = 1e-5):
         pp, pm, mp, mm = next(rows), next(rows), next(rows), next(rows)
         hess[:, i, j] = hess[:, j, i] = (pp - pm - mp + mm) / (4 * h * h)
     return np.array(u0), grad, hess
-
-
-def _polar_step(r1, r2, h_rel):
-    """Raveled radii and the polar stencil's step ``h_rel * max(1, r1, r2)``."""
-    r1, r2 = (np.asarray(r, dtype=float).ravel() for r in (r1, r2))
-    return r1, r2, h_rel * np.maximum(1.0, np.maximum(r1, r2))
-
-
-def polar_stencil(r1, r2, h_rel: float = 1e-5):
-    """The radii ``(R1, R2)`` at which :func:`polar_jet` reads its function:
-    ``(r1 + i m h, r2 + j m h)`` for ``i, j in {-1, 0, 1}``, ``m = 1, 2`` and
-    ``h = h_rel * max(1, r1, r2)``, 17 per point, stacked shift by shift.  A
-    ring crossing an axis reads the function at the mirrored radius."""
-    r1, r2, h = _polar_step(r1, r2, h_rel)
-    ring = [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j]  # row-major, no centre
-    shifts = [(0, 0)] + [(m * i, m * j) for m in (1, 2) for i, j in ring]
-    return (np.concatenate([r1 + i * h for i, _ in shifts]),
-            np.concatenate([r2 + j * h for _, j in shifts]))
-
-
-def polar_diff(u, r1, r2, h_rel: float = 1e-5):
-    """:func:`polar_jet` from the values ``u`` of its function on
-    ``polar_stencil(r1, r2, h_rel)``; a scalar ``u`` is broadcast."""
-    r1, _, h = _polar_step(r1, r2, h_rel)
-    u = np.broadcast_to(np.asarray(u, dtype=float), (17 * r1.size,)).reshape(17, -1)
-    jets = []
-    for m in (1, 2):   # the ring at m h as a 3 x 3 block around the centre
-        v, s = np.insert(u[8 * m - 7:8 * m + 1], 4, u[0], axis=0).reshape(3, 3, -1), m * h
-        jets.append((u[0], (v[2, 1] - v[0, 1]) / (2 * s), (v[1, 2] - v[1, 0]) / (2 * s),
-                     (v[2, 1] - 2 * v[1, 1] + v[0, 1]) / (s * s),
-                     (v[1, 2] - 2 * v[1, 1] + v[1, 0]) / (s * s),
-                     (v[2, 2] - v[2, 0] - v[0, 2] + v[0, 0]) / (4 * s * s)))
-    return tuple(jets)
-
-
-def polar_jet(fn, r1, r2, h_rel: float = 1e-5):
-    """Radial jets ``(u, u_r1, u_r2, u_r1r1, u_r2r2, u_r1r2)`` at steps ``h``
-    and ``2h`` of a function of ``(|z1|, |z2|)``, as a pair.
-
-    ``fn`` is called once, on all of :func:`polar_stencil`; :func:`polar_diff`
-    differences its values.
-    """
-    R1, R2 = polar_stencil(r1, r2, h_rel)
-    return polar_diff(fn(R1 + 0j, R2 + 0j), r1, r2, h_rel)
-
-
-def polar_lift(pj, r1, r2):
-    """A :func:`polar_jet` as the exact 4-D jet ``(value, grad, hess)`` at the
-    real points ``(r1, 0, r2, 0)``, whose angular diagonals are ``u_rj / r_j``.
-    The torus acts by isometries commuting with ``J``: elsewhere on the orbit
-    ``d^C`` and ``dd^C`` are these, turned."""
-    u, g1, g2, h11, h22, h12 = pj
-    zero = np.zeros_like(u)
-    hess = np.zeros(u.shape + (4, 4))
-    hess[:, 0, 0], hess[:, 2, 2], hess[:, 0, 2], hess[:, 2, 0] = h11, h22, h12, h12
-    hess[:, 1, 1], hess[:, 3, 3] = g1 / r1, g2 / r2
-    return u, np.stack([g1, zero, g2, zero], axis=1), hess
-
-
-def exp_jet(jet, lam: float, shift: float = 0.0):
-    """Jet of ``u = exp(lam * (f - shift))`` composed exactly from a jet of ``f``.
-
-    Returns ``(u, lam u g, lam u (H + lam g g^T))``.  The exponential itself
-    is never differenced, so its steep growth at large ``lam`` adds no
-    stencil error.
-    """
-    f, g, H = jet
-    u = np.exp(lam * (f - shift))
-    lu = lam * u
-    return u, lu[:, None] * g, lu[:, None, None] * (H + lam * g[:, :, None] * g[:, None, :])
 
 
 def _levi_entries(hess):

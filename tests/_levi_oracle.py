@@ -6,7 +6,11 @@ single directions and share no code with ``levi.jet``; the bridge-factor
 tests and the composition identity compare the package against them.
 :func:`sphere_forms_4d` assembles ``beta ^ d beta``, the page form and the
 frame span on 4-D tangent frames from ``levi.jet``'s Cartesian jets of
-``gamma``, the reference of ``family``'s closed forms.  :func:`find_lambda`
+``gamma``, the reference of ``family``'s closed forms.
+:func:`polar_stencil`, :func:`polar_diff` and :func:`polar_lift` give a
+torus-invariant field's 4-D jet at each orbit's real point from 17 values
+per point, and :func:`exp_jet` composes ``exp(lam * (f - shift))`` exactly
+from a jet of ``f``.  :func:`find_lambda`
 reads a radial field's Levi form from its 17-point polar stencil and solves
 the complex rank-one problem per point: the finite-difference reference of
 ``family.find_collar_lambda``'s exact log-coordinate jets.  Conventions are
@@ -20,8 +24,7 @@ import numpy as np
 from concavia._numerics import GOLD, SILVER, kronecker
 from concavia.certs import Certificate
 from concavia.errors import DomainError, Exhausted, NotContact, NotRegular
-from concavia.levi import (_levi_entries, _min_eig, _polar_step, polar_diff, polar_lift,
-                           polar_stencil)
+from concavia.levi import _levi_entries, _min_eig
 
 #: 1 / the bronze mean, a third Kronecker step beside ``GOLD`` and ``SILVER``
 BRONZE = (math.sqrt(13.0) - 3.0) / 2.0
@@ -210,8 +213,8 @@ def sphere_forms_4d(fam, tags, z1, z2, h_rel: float = 1e-4, lam=None) -> dict:
     steps ``h_rel`` and ``2 h_rel``: ``contact``, ``page`` and ``span``, each
     ``[2, N]``, and ``binding``, ``beta(d/d theta1)`` at ``(c1, 0)`` and
     ``(c2, 0)`` at step ``h_rel``.  With ``lam`` the forms are those of
-    ``alpha = -d^C exp(lam (gamma - 1))``, composed by ``levi.exp_jet``."""
-    from concavia.levi import exp_jet, jet
+    ``alpha = -d^C exp(lam (gamma - 1))``, composed by :func:`exp_jet`."""
+    from concavia.levi import jet
 
     gamma, par = fam.fol.gamma, fam.model.params
     frames = sphere_frames(fam.model, tags, z1, z2)
@@ -244,6 +247,72 @@ def clear_of_knots(fam, reach: float = 1e-3) -> np.ndarray:
              "S": model.htilde.ppoly.x}
     return np.array([np.min(np.abs(np.asarray(knots[t]) - v)) >= reach
                      for t, v in zip(top.tags.tolist(), x)])
+
+
+# ---------------------------------------------------------------------------
+# The polar stencil of a torus-invariant field, and the exponential composed
+# exactly from a jet
+# ---------------------------------------------------------------------------
+
+def _polar_step(r1, r2, h_rel):
+    """Raveled radii and the polar stencil's step ``h_rel * max(1, r1, r2)``."""
+    r1, r2 = (np.asarray(r, dtype=float).ravel() for r in (r1, r2))
+    return r1, r2, h_rel * np.maximum(1.0, np.maximum(r1, r2))
+
+
+def polar_stencil(r1, r2, h_rel: float = 1e-5):
+    """The radii ``(R1, R2)`` at which the polar stencil reads its function:
+    ``(r1 + i m h, r2 + j m h)`` for ``i, j in {-1, 0, 1}``, ``m = 1, 2`` and
+    ``h = h_rel * max(1, r1, r2)``, 17 per point, stacked shift by shift.  A
+    ring crossing an axis reads the function at the mirrored radius."""
+    r1, r2, h = _polar_step(r1, r2, h_rel)
+    ring = [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j]  # row-major, no centre
+    shifts = [(0, 0)] + [(m * i, m * j) for m in (1, 2) for i, j in ring]
+    return (np.concatenate([r1 + i * h for i, _ in shifts]),
+            np.concatenate([r2 + j * h for _, j in shifts]))
+
+
+def polar_diff(u, r1, r2, h_rel: float = 1e-5):
+    """Radial jets ``(u, u_r1, u_r2, u_r1r1, u_r2r2, u_r1r2)`` at steps ``h``
+    and ``2h``, as a pair, from the values ``u`` of a function of ``(|z1|,
+    |z2|)`` on ``polar_stencil(r1, r2, h_rel)``; a scalar ``u`` is broadcast."""
+    r1, _, h = _polar_step(r1, r2, h_rel)
+    u = np.broadcast_to(np.asarray(u, dtype=float), (17 * r1.size,)).reshape(17, -1)
+    jets = []
+    for m in (1, 2):   # the ring at m h as a 3 x 3 block around the centre
+        v, s = np.insert(u[8 * m - 7:8 * m + 1], 4, u[0], axis=0).reshape(3, 3, -1), m * h
+        jets.append((u[0], (v[2, 1] - v[0, 1]) / (2 * s), (v[1, 2] - v[1, 0]) / (2 * s),
+                     (v[2, 1] - 2 * v[1, 1] + v[0, 1]) / (s * s),
+                     (v[1, 2] - 2 * v[1, 1] + v[1, 0]) / (s * s),
+                     (v[2, 2] - v[2, 0] - v[0, 2] + v[0, 0]) / (4 * s * s)))
+    return tuple(jets)
+
+
+def polar_lift(pj, r1, r2):
+    """A radial jet of :func:`polar_diff` as the exact 4-D jet ``(value, grad, hess)`` at the
+    real points ``(r1, 0, r2, 0)``, whose angular diagonals are ``u_rj / r_j``.
+    The torus acts by isometries commuting with ``J``: elsewhere on the orbit
+    ``d^C`` and ``dd^C`` are these, turned."""
+    u, g1, g2, h11, h22, h12 = pj
+    zero = np.zeros_like(u)
+    hess = np.zeros(u.shape + (4, 4))
+    hess[:, 0, 0], hess[:, 2, 2], hess[:, 0, 2], hess[:, 2, 0] = h11, h22, h12, h12
+    hess[:, 1, 1], hess[:, 3, 3] = g1 / r1, g2 / r2
+    return u, np.stack([g1, zero, g2, zero], axis=1), hess
+
+
+def exp_jet(jet, lam: float, shift: float = 0.0):
+    """Jet of ``u = exp(lam * (f - shift))`` composed exactly from a jet of ``f``.
+
+    Returns ``(u, lam u g, lam u (H + lam g g^T))``.  The exponential itself
+    is never differenced, so its steep growth at large ``lam`` adds no
+    stencil error.
+    """
+    f, g, H = jet
+    u = np.exp(lam * (f - shift))
+    lu = lam * u
+    return u, lu[:, None] * g, lu[:, None, None] * (H + lam * g[:, :, None] * g[:, None, :])
+
 
 
 # ---------------------------------------------------------------------------

@@ -521,6 +521,102 @@ def test_family_export_matches_the_scalar_loop(tmp_path, capsys, extra):
         assert (tmp_path / f"family_tau_{i + 1:02d}.csv").read_bytes() == want.read_bytes()
 
 
+def _fail(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+    return fail
+
+
+def _levi_field_export(tmp_path, capsys, monkeypatch, extra):
+    """``export --what levi_field`` with ``extra`` flags, run with the
+    finite-difference jet patched to fail, and ``gamma`` too once the family
+    is built (its ``level_consistency`` certificate reads ``gamma`` on 81
+    points): the CSV's ``(r1, r2, min_eig)`` columns, and the family,
+    lambda, lambda certificate and levels of its rows."""
+    build = family.build_family
+    with monkeypatch.context() as m:
+        def build_then_fail(*args, **kwargs):
+            fam = build(*args, **kwargs)
+            m.setattr(family._Foliation, "gamma", _fail("gamma"))
+            return fam
+        m.setattr(family, "build_family", build_then_fail)
+        m.setattr(levi, "jet", _fail("levi.jet"))
+        code, _ = _run(capsys, ["export", "--what", "levi_field", *extra,
+                                "--outputs", str(tmp_path)])
+    assert code == 0
+    lines = (tmp_path / "levi_field.csv").read_text().splitlines()
+    assert lines[0] == "re_z1,im_z1,re_z2,im_z2,min_eig"
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert not rows[:, [1, 3]].any()   # the real slice
+    cfg = cli.RunConfig.load(overrides=cli._parse_overrides(extra))
+    fam = family.build_family(atlas.validate_params(cfg.params), 16, commands.family_knobs(cfg))
+    lam, cert = family.find_collar_lambda(fam, 1e4)
+    levels, _ = family._lambda_jets(fam, cfg.knobs["density"])
+    return fam, lam, cert, levels, rows[:, 0], rows[:, 2], rows[:, 4]
+
+
+def _row_at(r1, r2, point):
+    """The one row at ``point``'s radii."""
+    (k,) = np.flatnonzero(np.hypot(r1 - point[0].real, r2 - point[1].real) < 1e-12)
+    return k
+
+
+@pytest.mark.parametrize("density, n", [(1, 62), (2, 191)])
+def test_levi_field_export_is_the_certified_levi_form(tmp_path, capsys, monkeypatch, density, n):
+    fam, lam, cert, levels, r1, r2, eig = _levi_field_export(
+        tmp_path, capsys, monkeypatch, [f"--knobs.density={density}"])
+    assert eig.size == n
+    # find_lambda certifies Levi(u) >= lam u tol at these points, and its
+    # worst point meets the bound up to lambda's rounding pad: 1.33e-4
+    # relative (the closed-form 2x2 eigenvalue, which cancels, reads 6e-4)
+    u = np.exp(lam * (levels - 1.0))
+    bound = lam * u * cert.details["tol"]
+    assert np.all(eig >= bound)
+    k = _row_at(r1, r2, cert.worst_point)
+    assert eig[k] / bound[k] - 1.0 < 2e-4
+    # the Cartesian stencil of u agrees within 1e-2 (1.9e-3 at most), except
+    # on rows below 1e-3 u, where its rounding, about eps u / h^2 = 2e-6 u at
+    # h = 1e-5, is not small against the value: the lambda-setting row alone,
+    # 9.6e-8 u, where the stencil reads -1.0e-7 against the exact 1.71e-11
+    ref = levi.levi_min_eig_batch(family.normalized_potential(fam, lam), r1 + 0j, r2 + 0j)
+    rounding = eig < 1e-3 * u
+    assert np.flatnonzero(rounding).tolist() == [k]
+    np.testing.assert_allclose(ref[~rounding], eig[~rounding], rtol=1e-2)
+
+
+def test_levi_field_export_at_density_16_pins_the_uncovered_right_wall(tmp_path, capsys,
+                                                                      monkeypatch):
+    # the lambda of the 191-point grid leaves four density-16 rows negative,
+    # all on the right wall at r1 = 1.0015-1.0018 (F1's uncovered lambda): a
+    # fact pinned, not a pass
+    fam, lam, cert, _, r1, r2, eig = _levi_field_export(
+        tmp_path, capsys, monkeypatch, ["--knobs.density=16"])
+    assert eig.size == 9557
+    neg = np.flatnonzero(eig < 0)
+    assert neg.tolist() == [6112, 6177, 6242, 6243]
+    n_wall = family._lattice(fam.fol, 16)[1].size   # rows per wall, axis points aside
+    assert np.all((n_wall + 2 <= neg) & (neg < 2 * n_wall + 2))
+    assert np.all((1.0015 < r1[neg]) & (r1[neg] < 1.0018))
+    # the Cartesian stencil reads the same four, and a fifth at the
+    # lambda-setting row, where it reads rounding (-1.0e-7 against 1.71e-11)
+    ref = levi.levi_min_eig_batch(family.normalized_potential(fam, lam), r1 + 0j, r2 + 0j)
+    k = _row_at(r1, r2, cert.worst_point)
+    assert eig[k] > 0 and ref[k] < -5e-8
+    assert np.flatnonzero(ref < 0).tolist() == sorted([*neg.tolist(), k])
+
+
+def test_levi_field_export_on_the_perturbed_set_meets_its_bound(tmp_path, capsys, monkeypatch):
+    # _PERTURBED at eps1 = 0.003, where the stencil's roots are rounding-
+    # dominated: the worst point's row is lam u tol within 1e-2 (2.3e-3 here,
+    # where det H + lam N cancels)
+    fam, lam, cert, levels, r1, r2, eig = _levi_field_export(
+        tmp_path, capsys, monkeypatch, [*_PERTURBED_ARGS, "--knobs.eps1=0.003"])
+    assert eig.size == 62 and np.all(eig > 0)
+    k = _row_at(r1, r2, cert.worst_point)
+    assert eig[k] == pytest.approx(lam * np.exp(lam * (levels[k] - 1.0)) * cert.details["tol"],
+                                   rel=1e-2)
+
+
 def test_export_m1_respects_seeded_determinism(tmp_path, capsys):
     for sub in ("a", "b"):
         code, _ = _run(capsys, ["export", "--what", "m1", "--seed=7",
@@ -838,8 +934,7 @@ def test_public_names_are_pinned():
         "FoliationError", "Infeasible", "NotContact", "NotRegular", "VerificationError",
         "__version__"]
     assert levi.__all__ == [
-        "ScalarField", "jet", "exp_jet", "polar_stencil", "polar_diff",
-        "polar_jet", "polar_lift", "levi_min_eig", "levi_min_eig_batch", "is_strictly_psh",
+        "ScalarField", "jet", "levi_min_eig", "levi_min_eig_batch", "is_strictly_psh",
         "hartogs_boundary_test", "LogJet", "log_lambda"]
 
 
@@ -868,13 +963,14 @@ _UNREACHED_ALLOWED = {
 }
 
 
-def test_levi_holds_only_what_the_commands_and_the_bench_reach():
-    # every top-level name of levi.py, and every name in a module's __all__,
-    # is named in the CLI, the commands or the bench harness, or in the
-    # definition of a package name that is; _UNREACHED_ALLOWED excepted
+def test_every_module_holds_only_what_the_commands_and_the_bench_reach():
+    # every top-level name of every module is named in the CLI, the commands
+    # or the bench harness, or in the definition of a name that is; the
+    # _UNREACHED_ALLOWED names and what only they reach are excepted, and so
+    # is the module hook concavia.__getattr__
     modules = [concavia] + [importlib.import_module(f"concavia.{m.name}")
                             for m in pkgutil.iter_modules(concavia.__path__)]
-    defs, levi_defs = {}, set()
+    defs = {}
     for mod in modules:
         for node in ast.parse(Path(mod.__file__).read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -886,21 +982,22 @@ def test_levi_holds_only_what_the_commands_and_the_bench_reach():
                 continue
             for name in set(names) - {"__all__"}:
                 defs.setdefault(name, []).append(node)
-                if mod is levi:
-                    levi_defs.add(name)
+
+    def closure(names):
+        reached = names & defs.keys()
+        todo = sorted(reached)
+        while todo:
+            new = set().union(*map(_identifiers, defs[todo.pop()])) & defs.keys() - reached
+            reached |= new
+            todo += sorted(new)
+        return reached
+
     callers = [cli.__file__, commands.__file__,
                Path(__file__).resolve().parent.parent / "bench" / "run.py"]
-    named = set().union(*(_identifiers(ast.parse(Path(f).read_text())) for f in callers))
-    reached = named & defs.keys()
-    todo = sorted(reached)
-    while todo:
-        new = set().union(*map(_identifiers, defs[todo.pop()])) & defs.keys() - reached
-        reached |= new
-        todo += sorted(new)
-    assert sorted(levi_defs - reached) == []
-    public = {(mod.__name__, x) for mod in modules for x in getattr(mod, "__all__", ())}
-    assert sorted((m, x) for m, x in public
-                  if x not in reached and x not in _UNREACHED_ALLOWED) == []
+    reached = closure(set().union(*(_identifiers(ast.parse(Path(f).read_text()))
+                                    for f in callers)))
+    allowed = closure(_UNREACHED_ALLOWED)
+    assert sorted(defs.keys() - reached - allowed - {"__getattr__"}) == []
     # an allowed name that the commands come to reach leaves the list,
     # and so does one that the package no longer defines
     assert sorted(_UNREACHED_ALLOWED & reached) == []

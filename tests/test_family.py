@@ -743,13 +743,6 @@ def test_polar_lambda_on_the_density_16_grid_passes_the_cartesian_oracle():
     assert min(_min_eig_4d(_cartesian_jets(16), lam)) > cert.details["tol"]
 
 
-def _lambda_levels(fam):
-    """The level of each point of ``family._lambda_jets``."""
-    t, q2, _ = family._lattice(fam.fol, 2)
-    t = np.broadcast_to(t, q2.shape).ravel()
-    return np.concatenate([t, family.AXIS_LEVELS, t, t])
-
-
 # the lambda-grid points whose h_rel = 1e-4 polar stencil leaves the thin
 # collar of _PERTURBED (NaN): wall1's top row, 3e-3 below y_cut, on the
 # lowest levels
@@ -765,12 +758,12 @@ def test_exact_roots_agree_with_the_stencil_oracle(which, lam):
     # noise reaches 4.5e-6), of the exact root; only the points where the
     # stencil leaves the collar are excluded
     fam = _family_for(which)
-    jets = family._lambda_jets(fam)
+    levels, jets = family._lambda_jets(fam, 2)
     exact = levi._rank_one_roots(jets, levi._PSH_TOL)[4]
     a, b = stencil_roots(fam.fol.gamma, jets.r1, jets.r2, 1e-4)
     outside = np.isnan(a + b)
     assert np.flatnonzero(outside).tolist() == _STENCIL_OUTSIDE[which]
-    below = (_lambda_levels(fam) < 1.0) & ~outside
+    below = (levels < 1.0) & ~outside
     assert below.sum() == 169 - outside.sum()
     assert np.all((np.abs(a - exact) <= np.abs(a - b) + 2e-5 * exact)[below])
     got, cert = family.find_collar_lambda(fam, 1e4)
@@ -791,8 +784,8 @@ def test_top_slice_dish_jets_are_one_sided():
     for name in ("g1", "g2", "h11", "h12", "h22", "det", "N"):
         np.testing.assert_allclose(getattr(at, name), 2 * getattr(h, name) - getattr(h2, name),
                                    rtol=1e-10)
-    jets = family._lambda_jets(fam)
-    dish_top = np.flatnonzero(_lambda_levels(fam) == 1.0)[-7:]
+    levels, jets = family._lambda_jets(fam, 2)
+    dish_top = np.flatnonzero(levels == 1.0)[-7:]
     exact = levi._rank_one_roots(jets, levi._PSH_TOL)[4][dish_top]
     a, _ = stencil_roots(fol.gamma, jets.r1[dish_top], jets.r2[dish_top], 1e-4)
     off = np.abs(a - exact)

@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from _levi_oracle import (_unit_vectors, apply_J, composition_identity_check, d_c,
+from _levi_oracle import (_unit_vectors, apply_J, composition_identity_check, d_c, exp_jet,
                           find_lambda, grad4, jet_d_c, jet_neg_ddc, neg_ddc)
 from concavia import family, levi
 from concavia.atlas import default_params
 from concavia.errors import ConcaviaError, DomainError, Exhausted, NotContact, NotRegular
 from concavia.levi import (
     ScalarField,
-    exp_jet,
     hartogs_boundary_test,
     is_strictly_psh,
     jet,
