@@ -236,7 +236,8 @@ def crossing(F, lo, hi, f_lo, f_hi):
     end, dropping the points that got there, and returns as soon as no
     point is left.  Where ``F`` is monotone in floating point this is the
     pair a bisection of ``[lo, hi]`` reaches.  It serves the dish levels of
-    ``family._Foliation.gamma``, whose wall levels are closed forms.
+    ``family._Foliation.gamma``, whose wall levels are closed forms, for
+    the bench's probes and the tests: ``verify`` solves no level.
     """
     def straddles(a, b, i):
         f_a, f_b = np.split(F(np.concatenate([a, b]), np.concatenate([i, i])), 2)

@@ -171,13 +171,12 @@ class SphereModel:
                 for tag, (xs, w, ends) in curves.items()}
 
     def summary(self) -> dict:
-        s = {
+        return {
             "window": list(self.window),
             "depth": self.depth,
             "y_star": self.y_star,
             "certificates": {k: c.to_dict() for k, c in sorted(self.certificates.items())},
         }
-        return s
 
 
 def _seam_residuals(htilde: SplineC2, h1: Profile, h2: Profile) -> dict:
@@ -560,7 +559,8 @@ class FamilySpec:
     ``model`` is the top slice; ``taus`` the verified slice grid;
     ``fol`` the closed-form interpolation whose level function the
     collar checks use.  Certificates: per-slice validity, parameter-curve
-    monotonicity, ray nesting, top-slice equality, and level consistency.
+    monotonicity, ray nesting, top-slice equality, and the foliation's
+    speed on the lambda lattice.
     """
 
     model: SphereModel
@@ -574,6 +574,12 @@ class FamilySpec:
         """The closed forms of the 3-form certificates (:func:`_top_slice`),
         computed once for both sweeps."""
         return _top_slice(self)
+
+    @cached_property
+    def lambda_jets(self) -> tuple[np.ndarray, LogJet]:
+        """``_lambda_jets(self, 2)``, computed once for the ``foliation``
+        certificate and :func:`find_collar_lambda`."""
+        return _lambda_jets(self, 2)
 
 
 def _nesting_rays(fol: _Foliation, taus) -> tuple[list[str], np.ndarray]:
@@ -653,23 +659,6 @@ def _slice_shape_cert(fol: _Foliation, taus, params: Params) -> Certificate:
         margin=margin, passed=margin > 0, details=gaps)
 
 
-def _level_points(fol: _Foliation, slices) -> tuple[np.ndarray, ...]:
-    """Levels and points of the level-consistency check: 9 per slice, both
-    walls at three heights and then the dish at three abscissae."""
-    ts = np.array(slices)[:, None]
-    yc, xl, xr = fol.cap(ts)
-    q2 = np.concatenate([np.full(ts.shape, -1.5), np.full(ts.shape, -0.2), yc - 0.004],
-                        axis=1)
-    r2 = _libm(math.exp, q2)
-    q1 = xl + np.array([0.1, 0.5, 0.9]) * (xr - xl)
-    walls = np.stack([fol.wall1(ts, r2) * np.exp(0.9j),
-                      fol.wall2(ts, q2) * np.exp(-1.7j)], axis=2)
-    z1 = np.concatenate([walls.reshape(ts.size, 6), np.exp(q1 + 0.3j)], axis=1)
-    z2 = np.concatenate([np.repeat(r2 + 0j, 2, axis=1),
-                         np.exp(fol.dish(ts, q1) - 1.1j)], axis=1)
-    return np.repeat(ts, 9), z1.ravel(), z2.ravel()
-
-
 def _build_family(params: Params, n_tau: int, knobs: Knobs,
                   model: SphereModel | None) -> FamilySpec:
     """:func:`build_family` on ``model``, built here if it is ``None``."""
@@ -714,16 +703,7 @@ def _build_family(params: Params, n_tau: int, knobs: Knobs,
         margin=1e-10 - res, passed=res < 1e-10,
         details={"wall1": e_w1, "wall2": e_w2, "dome": e_dome})
 
-    # gamma returns each level on every (n_tau // 8)-th slice and the top one
-    slices = taus[:: max(1, n_tau // 8)]
-    if 1.0 not in slices:
-        slices += (1.0,)
-    t, z1, z2 = _level_points(fol, slices)
-    _, worst_dev = Certificate.sup_error(np.abs(fol.gamma(z1, z2) - t))
-    certs["level_consistency"] = Certificate(
-        name="level_consistency", grid=f"{len(slices)} slices x 9 points",
-        margin=1e-8 - worst_dev, passed=worst_dev < 1e-8,
-        details={"max_deviation": worst_dev})
+    certs["foliation"] = _foliation_cert(fam)
 
     bad = [k for k, c in certs.items() if not c.passed]
     if bad:
@@ -739,20 +719,17 @@ def build_family(params: Params, n_tau: int, knobs: Knobs | None = None) -> Fami
     slices raises :class:`FoliationError` naming the pair and the first such
     ray.  Slice validity is certified in closed form (graph ranges, wall
     separation, cap window, band avoidance); the top slice reproduces
-    ``build_M1`` exactly; ``gamma`` returns ``tau`` on 9 points of every
-    ``(n_tau // 8)``-th slice and the top one, read in one call.  A failing
-    certificate raises :class:`VerificationError`.  The slices interpolate
-    along the linear parameter curves of :class:`_Foliation`.
+    ``build_M1`` exactly; the slices cross the lambda lattice at positive
+    speed in ``tau`` (:func:`_foliation_cert`).  A failing certificate
+    raises :class:`VerificationError`.  The slices interpolate along the
+    linear parameter curves of :class:`_Foliation`.
     """
     return _build_family(params, n_tau, knobs or default_knobs(), None)
 
 
 def normalized_potential(fam: FamilySpec, lam: float) -> ScalarField:
-    """``exp(lam * (gamma - 1))``: the collar's potential scaled into (0, 1].
-
-    A positive multiple of ``exp(lam * gamma)``, so it inherits strict
-    plurisubharmonicity; it equals 1 exactly on the top slice.
-    """
+    """``exp(lam * (gamma - 1))``, the collar's potential (module docstring),
+    for the bench's probes and the tests."""
     fol = fam.fol
 
     def fn(z1, z2):
@@ -785,10 +762,9 @@ def verification_grid(fam: FamilySpec, density: int = 1) -> list[tuple]:
     Covers both walls at several depths and levels, the dome cap away from
     its corners, and points adjacent to the binding plane.  ``density``
     scales the per-sector counts (:func:`_lattice`).  Points lie on the real
-    slice: a torus-invariant ``gamma`` needs one point per orbit.  The
-    commands do not read this list: :func:`find_collar_lambda` and
-    :func:`levi_field` take ``gamma``'s exact jets on the same lattice
-    (:func:`_lambda_jets`), at density 2 and at the export's density.
+    slice: a torus-invariant ``gamma`` needs one point per orbit.  Only the
+    bench's probes and the tests read this list; the commands take
+    ``gamma``'s exact jets on its lattice (:func:`_lambda_jets`).
     """
     fol = fam.fol
     t, q2, q1 = _lattice(fol, density)
@@ -910,12 +886,35 @@ def _lambda_jets(fam: FamilySpec, density: int) -> tuple[np.ndarray, LogJet]:
     return np.concatenate([t1, t, t]), LogJet(*(np.concatenate(a) for a in zip(*jets)))
 
 
+def _foliation_cert(fam: FamilySpec) -> Certificate:
+    """The slices' speed in ``tau`` at the lambda lattice's points, in log
+    radius per unit tau: ``-1/g1 = (rho2 - f1c)/r1`` on the left wall,
+    ``1/g1 = (F - 1)/r1`` on the right one, ``1/g2 = dish_tau`` on the
+    dish.  Positive speeds make ``gamma`` C^2 there (implicit function
+    theorem); a NaN fails."""
+    t, j = fam.lambda_jets
+    n = (t.size - len(AXIS_LEVELS)) // 3
+    ends = [t.size - 2 * n, t.size - n]
+    speed = np.concatenate([-1.0 / j.g1[:ends[0]], 1.0 / j.g1[ends[0]:ends[1]],
+                            1.0 / j.g2[ends[1]:]])
+    i = int(np.argmin(speed))   # a NaN speed wins
+    pieces = {"wall1": "log|z1|", "wall2": "log|z1|", "dish": "log|z2|"}
+    details = {k: {"min": float(np.min(v)), "unit": f"{u} per tau"}
+               for (k, u), v in zip(pieces.items(), np.split(speed, ends))}
+    return Certificate(
+        name="foliation", grid=f"{t.size} points: verification_grid(fam, 2)",
+        margin=float(speed[i]), passed=bool(speed[i] > 0),
+        worst_point=(list(pieces)[np.searchsorted(ends, i, "right")], float(t[i]),
+                     complex(j.r1[i]), complex(j.r2[i])),
+        details={**details, "method": "closed_form"})
+
+
 def find_collar_lambda(fam: FamilySpec, lambda_max: float) -> tuple[float, Certificate]:
     """Closed-form ``lam`` making ``exp(lam * gamma)`` strictly psh on the
     lambda grid: :func:`~concavia.levi.log_lambda` on ``gamma``'s exact jets
     at the levels of ``verification_grid(fam, 2)`` (:func:`_lambda_jets`),
     so no ``gamma`` is read."""
-    return log_lambda(_lambda_jets(fam, 2)[1], lambda_max, "verification_grid(fam, 2)")
+    return log_lambda(fam.lambda_jets[1], lambda_max, "verification_grid(fam, 2)")
 
 
 def levi_field(fam: FamilySpec, lam: float, density: int) -> tuple[np.ndarray, ...]:
@@ -1122,10 +1121,10 @@ def run_verification(params: Params, knobs: Knobs | None = None,
     runs serialize identically.  ``model``, if given, is
     ``build_M1(params, knobs)`` built by the caller.
 
-    ``gamma`` is read in one call, on the family's level-consistency
-    points: :func:`find_collar_lambda` reads ``gamma``'s exact jets, and
-    :func:`pseudoconcavity_check` and :func:`compatibility_check` the closed
-    forms of the top slice.  A failing family certificate is raised before
+    No ``gamma`` is read and no level is solved for: the ``foliation``
+    certificate and :func:`find_collar_lambda` share ``gamma``'s exact jets
+    on the lambda lattice, and the 3-form checks read the closed forms of
+    the top slice.  A failing family certificate is raised before
     :func:`find_collar_lambda`'s errors.
     """
     knobs = knobs or default_knobs()

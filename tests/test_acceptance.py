@@ -501,8 +501,8 @@ def test_perturbed_parameter_set_passes_full_suite():
 def test_contact_sign_is_independent_of_lambda():
     # alpha = -d^C exp(lam (gamma - 1)) = lam u beta with beta = -d^C gamma,
     # so alpha ^ d alpha = (lam u)^2 beta ^ d beta: per-point signs cannot
-    # depend on lam, and on M1 (gamma = 1 to the family's level-consistency
-    # bound 1e-8) the values scale as lam^2.  The certificate reads the
+    # depend on lam, and on M1 (gamma = 1 to the level readback's bound
+    # 1e-8) the values scale as lam^2.  The certificate reads the
     # lam-free closed form of beta ^ d beta; the 4-D oracle composes alpha
     # at each lam from Cartesian jets of gamma, at h_rel = 3e-5, whose 2h
     # stencil stays inside this set's thin collar at the left wall's top.

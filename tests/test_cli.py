@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import concavia
-from concavia import atlas, certs, cli, commands, family, levi, openbook, profiles
+from concavia import _numerics, atlas, certs, cli, commands, family, levi, openbook, profiles
 from concavia._numerics import GOLD, SILVER, kronecker
 from concavia.atlas import default_params, phi
 from concavia.cli import main
@@ -276,16 +276,24 @@ def test_verify_all_carries_the_model_error_of_the_single_suites(tmp_path, capsy
             assert code == 0 and "certificates" in alone
 
 
-def test_verify_all_makes_23_dish_calls(tmp_path, capsys, calls):
-    # 20 for the one gamma call's lock-step root solve on its 27 dish points
-    # (30 on 1,098 while gamma also took find_lambda's stencil), and one for
-    # each of three sweeps: the nesting rays, the top slice and the
-    # level-consistency points; the lambda grid's exact jets and the top
-    # slice's closed forms make none
+def test_verify_all_makes_2_dish_calls(tmp_path, capsys, calls):
+    # one for each of two sweeps, the nesting rays and the top slice; the
+    # lambda grid's exact jets and the top slice's closed forms make none
     dish = calls(family._Foliation, "dish")
     code, _ = _run(capsys, ["verify", "--suite", "all", "--outputs", str(tmp_path)])
     assert code == 0
-    assert len(dish) == 23 and 0 not in dish
+    assert len(dish) == 2 and 0 not in dish
+
+
+def test_verify_all_solves_no_level(tmp_path, capsys, monkeypatch):
+    # the foliation certificate and the lambda search read exact jets at
+    # known levels: neither gamma nor its root solve is reached
+    monkeypatch.setattr(family._Foliation, "gamma", _fail("gamma"))
+    monkeypatch.setattr(_numerics, "crossing", _fail("crossing"))
+    monkeypatch.setattr(family, "crossing", _fail("crossing"))
+    code, _ = _run(capsys, ["verify", "--suite", "all", "--outputs", str(tmp_path)])
+    assert code == 0
+    assert json.loads((tmp_path / "report_all.json").read_text())["passed"] is True
 
 
 def test_verify_all_reports_lambda(tmp_path, capsys):
@@ -306,7 +314,7 @@ _DEFAULT_CERTIFICATES = {
     *(f"suites.family.checks.{k}" for k in (
         "compatibility", "find_lambda", "pseudoconcavity")),
     *(f"suites.family.family.{k}" for k in (
-        "curve_monotone", "level_consistency", "nesting", "slice_validity",
+        "curve_monotone", "foliation", "nesting", "slice_validity",
         "top_slice_equality")),
     *(f"suites.family.model.certificates.{k}" for k in (
         "clearances", "membership", "seam_C1", "seam_contact")),
@@ -528,18 +536,12 @@ def _fail(name):
 
 
 def _levi_field_export(tmp_path, capsys, monkeypatch, extra):
-    """``export --what levi_field`` with ``extra`` flags, run with the
-    finite-difference jet patched to fail, and ``gamma`` too once the family
-    is built (its ``level_consistency`` certificate reads ``gamma`` on 81
-    points): the CSV's ``(r1, r2, min_eig)`` columns, and the family,
-    lambda, lambda certificate and levels of its rows."""
-    build = family.build_family
+    """``export --what levi_field`` with ``extra`` flags, run with
+    ``gamma`` and the finite-difference jet patched to fail: the CSV's
+    ``(r1, r2, min_eig)`` columns, and the family, lambda, lambda
+    certificate and levels of its rows."""
     with monkeypatch.context() as m:
-        def build_then_fail(*args, **kwargs):
-            fam = build(*args, **kwargs)
-            m.setattr(family._Foliation, "gamma", _fail("gamma"))
-            return fam
-        m.setattr(family, "build_family", build_then_fail)
+        m.setattr(family._Foliation, "gamma", _fail("gamma"))
         m.setattr(levi, "jet", _fail("levi.jet"))
         code, _ = _run(capsys, ["export", "--what", "levi_field", *extra,
                                 "--outputs", str(tmp_path)])

@@ -16,6 +16,7 @@ from _levi_oracle import (clear_of_knots, find_lambda, lambda_stencil, sphere_fo
 from concavia import family, levi
 from concavia._numerics import GOLD, SILVER, kronecker
 from concavia.atlas import Chart, ChartPoint, default_params, in_complement_C, validate_params
+from concavia.certs import Certificate
 from concavia.errors import (
     ConcaviaError,
     DomainError,
@@ -332,11 +333,48 @@ def test_family_certificates_pass():
     fam = _family16()
     certs = fam.certificates
     for name in ("nesting", "curve_monotone", "slice_validity",
-                 "top_slice_equality", "level_consistency"):
+                 "top_slice_equality", "foliation"):
         assert certs[name].passed, name
     assert certs["nesting"].margin >= 1e-6
     assert len(fam.taus) == 16
     assert fam.taus[-1] == 1.0
+
+
+def _level_points(fol, slices):
+    """Levels and points of the level-consistency check: 9 per slice, both
+    walls at three heights and then the dish at three abscissae."""
+    ts = np.array(slices)[:, None]
+    yc, xl, xr = fol.cap(ts)
+    q2 = np.concatenate([np.full(ts.shape, -1.5), np.full(ts.shape, -0.2), yc - 0.004],
+                        axis=1)
+    r2 = family._libm(math.exp, q2)
+    q1 = xl + np.array([0.1, 0.5, 0.9]) * (xr - xl)
+    walls = np.stack([fol.wall1(ts, r2) * np.exp(0.9j),
+                      fol.wall2(ts, q2) * np.exp(-1.7j)], axis=2)
+    z1 = np.concatenate([walls.reshape(ts.size, 6), np.exp(q1 + 0.3j)], axis=1)
+    z2 = np.concatenate([np.repeat(r2 + 0j, 2, axis=1),
+                         np.exp(fol.dish(ts, q1) - 1.1j)], axis=1)
+    return np.repeat(ts, 9), z1.ravel(), z2.ravel()
+
+
+def _level_consistency(fam):
+    """``gamma`` read back on the :func:`_level_points` of every ``(n_tau //
+    8)``-th slice and the top one, in one call: the slices, the points and
+    ``gamma``'s largest deviation from the level (``inf`` for a NaN)."""
+    slices = fam.taus[:: max(1, fam.n_tau // 8)]
+    if 1.0 not in slices:
+        slices += (1.0,)
+    t, z1, z2 = _level_points(fam.fol, slices)
+    return slices, (z1, z2), Certificate.sup_error(np.abs(fam.fol.gamma(z1, z2) - t))[1]
+
+
+# the root solve inverts the slices' parameterisation; the pipeline reads
+# no gamma, its foliation certificate the slices' speed
+@pytest.mark.parametrize("which", ["default", "0.003", "0.004"])
+def test_gamma_reads_back_the_level_of_each_slice(which):
+    slices, (z1, _), dev = _level_consistency(_family_for(which))
+    assert len(slices) == 9 and z1.size == 81
+    assert dev < 1e-8
 
 
 def test_level_consistency_fails_on_a_nan_level(monkeypatch):
@@ -348,31 +386,90 @@ def test_level_consistency_fails_on_a_nan_level(monkeypatch):
         return out
 
     monkeypatch.setattr(family._Foliation, "gamma", one_nan)
-    with pytest.raises(VerificationError) as err:
-        family.build_family(default_params(), 16)
-    cert = err.value.certificate
-    assert cert.name == "level_consistency" and not cert.passed
-    assert cert.margin == -math.inf
-    assert cert.details["max_deviation"] == math.inf
+    assert _level_consistency(_family16())[2] == math.inf
 
 
 @pytest.mark.parametrize("n_tau, n_slices", [(8, 8), (12, 12), (16, 9)])
-def test_level_consistency_checks_each_slice_once(monkeypatch, n_tau, n_slices):
-    gamma = family._Foliation.gamma
-    taus = []
+def test_level_consistency_checks_each_slice_once(calls, n_tau, n_slices):
+    fam = family.build_family(default_params(), n_tau)
+    gamma = calls(family._Foliation, "gamma")
+    slices, _, dev = _level_consistency(fam)
+    assert dev < 1e-8 and gamma == [9 * n_slices]
+    assert len(set(slices)) == n_slices and max(slices) == 1.0
 
-    def recording(self, z1, z2):
-        out = gamma(self, z1, z2)
-        taus.extend(np.round(out, 6).tolist())
+
+# ---------------------------------------------------------------------------
+# foliation: the slices' speed in tau on the lambda lattice
+# ---------------------------------------------------------------------------
+
+def test_foliation_reads_the_speeds_of_the_lambda_jets(monkeypatch):
+    # the three pieces' least speeds, each at its own level; the lattice's
+    # jets are taken once, for the certificate and the lambda search
+    fam = family.build_family(default_params(), 16)
+    cert = fam.certificates["foliation"]
+    d = cert.details
+    assert cert.passed and cert.margin == d["wall1"]["min"]
+    assert cert.worst_point[:2] == ("wall1", 0.1)
+    assert d["wall1"]["min"] == pytest.approx(4.868e-3, rel=1e-3)
+    assert d["wall2"]["min"] == pytest.approx(1.0126e-2, rel=1e-4)
+    assert d["dish"]["min"] == pytest.approx(5.960e-3, rel=1e-3)
+    assert d["dish"]["unit"] == "log|z2| per tau" and d["method"] == "closed_form"
+    # the left wall's speed is (rho2 - f1c)/r1 at its 63 lattice points and
+    # two axis points
+    _, j = fam.lambda_jets
+    fol = fam.fol
+    wall1 = (fol.rho2 - fol.f1c(j.r2[:65])) / j.r1[:65]
+    assert d["wall1"]["min"] == pytest.approx(wall1.min(), rel=1e-14)
+    want = _lambda()
+
+    def fail(*args):
+        raise AssertionError("_lambda_jets called")
+
+    monkeypatch.setattr(family, "_lambda_jets", fail)
+    assert family.find_collar_lambda(fam, 1e4) == want
+
+
+@pytest.mark.parametrize("d_floor", [1.3, 2.0])
+def test_foliation_fails_where_the_dish_stalls(monkeypatch, d_floor):
+    # a dome whose depth shrinks faster than its attachment rises: the dish
+    # falls in tau at the top slice's lattice points (nesting meets it first
+    # in build_family, on its coarser dome rays, so the certificate is read
+    # on a new copy of a built family)
+    fam = _family16()
+    monkeypatch.setattr(family._Foliation, "D_FLOOR", d_floor)
+    cert = family._foliation_cert(dataclasses.replace(fam))
+    assert not cert.passed and cert.margin < 0
+    assert cert.worst_point[:2] == ("dish", 1.0)
+    assert cert.details["dish"]["min"] == cert.margin
+    assert cert.details["wall1"]["min"] > 0 and cert.details["wall2"]["min"] > 0
+    with pytest.raises(FoliationError, match="ray 'dome"):
+        family.build_family(default_params(), 16)
+
+
+def _nan_speed(piece, k=5):
+    """A patch: ``piece``'s jet reads a NaN speed at its lambda-lattice point ``k``."""
+    name, attr = {"wall1": ("_wall1_jet", "g1"), "wall2": ("_wall2_jet", "g1"),
+                  "dish": ("_dish_jet", "g2")}[piece]
+    jet = getattr(family, name)
+
+    def one_nan(fol, t, q):
+        out = jet(fol, t, q)
+        if np.ndim(t):   # the lambda grid's levels, not the top slice
+            getattr(out, attr)[k] = np.nan
         return out
 
-    monkeypatch.setattr(family._Foliation, "gamma", recording)
-    fam = family.build_family(default_params(), n_tau)
-    cert = fam.certificates["level_consistency"]
-    assert cert.passed
-    assert cert.grid == f"{n_slices} slices x 9 points"
-    assert len(taus) == 9 * n_slices
-    assert len(set(taus)) == n_slices and max(taus) == 1.0
+    return lambda monkeypatch: monkeypatch.setattr(family, name, one_nan)
+
+
+@pytest.mark.parametrize("piece", ["wall1", "wall2", "dish"])
+def test_foliation_fails_on_a_nan_jet(monkeypatch, piece):
+    _nan_speed(piece)(monkeypatch)
+    with pytest.raises(VerificationError) as ei:
+        family.build_family(default_params(), 16)
+    cert = ei.value.certificate
+    assert str(ei.value) == "family certificates failed: ['foliation']"
+    assert cert.name == "foliation" and not cert.passed and math.isnan(cert.margin)
+    assert cert.worst_point[0] == piece and math.isnan(cert.details[piece]["min"])
 
 
 def test_top_slice_reproduces_model():
@@ -415,8 +512,11 @@ def test_constant_curves_break_nesting(monkeypatch):
 
 def test_a_dipping_curve_fails_curve_monotone(monkeypatch):
     # c2 dips between the slices 0.25 and 0.375 and is the linear curve at
-    # every slice level, so the rays nest and gamma reads the levels back
+    # every slice level, so the rays nest; the foliation's wall speeds, like
+    # gamma's wall levels, are closed forms of linear curves, so they pass
+    # even at the lattice level 0.325, inside the dip
     par = default_params()
+    fam = _family16()
     c2 = family._Foliation.c2
 
     def dipping(self, t):
@@ -430,6 +530,7 @@ def test_a_dipping_curve_fails_curve_monotone(monkeypatch):
     assert str(ei.value) == "family certificates failed: ['curve_monotone']"
     assert ei.value.certificate.name == "curve_monotone"
     assert ei.value.certificate.margin < 0
+    assert family._foliation_cert(dataclasses.replace(fam)).passed
 
 
 def _in_adjacent_bracket(f, root, target):
@@ -515,36 +616,19 @@ def _gamma_by_bisection(fol, z1, z2):
 
 @functools.lru_cache(maxsize=None)
 def _gamma_point_sets(which):
-    """Two point sets of ``gamma``, as ``(fol, z1, z2, out)``: the one
-    ``gamma`` call of a pipeline run, on the 81 level-consistency points,
-    and the finite-difference oracle's polar stencil of the lambda grid's
-    191 distinct points (17 x 191), which the pipeline read until it took
-    exact jets.
+    """Two point sets of ``gamma``, as ``(fol, z1, z2, out)``: the 81
+    level-consistency points (:func:`_level_consistency`) and the
+    finite-difference oracle's polar stencil of the lambda grid's 191
+    distinct points (17 x 191).
 
     ``perturbed`` is the ``_PERTURBED`` set at ``eps1=0.003``.
     """
-    knobs = family.default_knobs()
-    if which == "default":
-        par = default_params()
-    else:
-        par = validate_params(_PERTURBED)
-        knobs = dataclasses.replace(knobs, eps1=0.003)
-    gamma = family._Foliation.gamma
-    calls = []
-
-    def recording(self, z1, z2):
-        out = gamma(self, z1, z2)
-        calls.append((self, np.ravel(z1), np.ravel(z2), np.ravel(out)))
-        return out
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(family._Foliation, "gamma", recording)
-        ok, _ = family.run_verification(par, knobs)
-    assert ok and len(calls) == 1 and calls[0][1].size == 81
-    fam = family.build_family(par, 16, knobs)
+    fam = _family_for("default" if which == "default" else "0.003")
+    _, (z1, z2), _ = _level_consistency(fam)
     R1, R2 = lambda_stencil(family.verification_grid(fam, 1) + family.verification_grid(fam, 2))
-    assert R1.size == 17 * 191
-    return calls[0], (fam.fol, R1 + 0j, R2 + 0j, fam.fol.gamma(R1 + 0j, R2 + 0j))
+    assert z1.size == 81 and R1.size == 17 * 191
+    return ((fam.fol, z1, z2, fam.fol.gamma(z1, z2)),
+            (fam.fol, R1 + 0j, R2 + 0j, fam.fol.gamma(R1 + 0j, R2 + 0j)))
 
 
 # level_consistency and the lambda grid's polar stencil (h and 2h rings)
@@ -571,7 +655,7 @@ def test_gamma_agrees_with_the_bisection_oracle(which):
         np.testing.assert_allclose(out[dish], ref[dish], rtol=0, atol=1e-12)
         n_dish.append(int(dish.sum()))
         n_same += int(np.sum(out[dish] == ref[dish]))
-    # the pipeline's one call has 27 dish points, 3 on each of 9 slices
+    # the level points hold 27 dish points, 3 on each of 9 slices
     assert n_dish == [27, 1071]
     assert n_same >= 0.995 * sum(n_dish)
 
@@ -1073,7 +1157,7 @@ def _level_points_by_loop(fol, slices):
 def test_level_points_match_the_loop_bit_for_bit(which):
     fam = _family_for(which)
     for slices in (fam.taus[::2], fam.taus, (0.1, 0.7, 1.0)):
-        got = family._level_points(fam.fol, slices)
+        got = _level_points(fam.fol, slices)
         ref = _level_points_by_loop(fam.fol, slices)
         for a, b in zip(got, ref):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -1334,12 +1418,12 @@ def test_run_verification_is_deterministic():
 
 
 def test_pipeline_evaluates_gamma_once_per_point_set(calls):
-    # one call, on the 81 level-consistency points: the lambda search and
-    # the 3-form sweeps read closed forms
+    # no call: the foliation certificate, the lambda search and the 3-form
+    # sweeps read closed forms
     gamma = calls(family._Foliation, "gamma")
     ok, _ = family.run_verification(default_params())
     assert ok
-    assert gamma == [81]
+    assert gamma == []
 
 
 def _standalone(par, knobs, n_tau=16, lambda_max=1e4):
@@ -1371,16 +1455,9 @@ def test_run_verification_matches_the_standalone_calls(which):
         {k: c.to_dict() for k, c in sorted(certs.items())})
 
 
-def _nan_level(monkeypatch):
-    """Level-consistency point 40 reads NaN: the family certificate fails."""
-    gamma = family._Foliation.gamma
-
-    def one_nan(self, z1, z2):
-        out = gamma(self, z1, z2)
-        out[40] = np.nan
-        return out
-
-    monkeypatch.setattr(family._Foliation, "gamma", one_nan)
+#: the dish's speed reads NaN at lambda-lattice point 5: the family's
+#: foliation certificate fails
+_nan_level = _nan_speed("dish")
 
 
 def _axis_point(monkeypatch):
@@ -1428,12 +1505,14 @@ def test_run_verification_raises_what_the_standalone_calls_raise(
     assert type(got.value) is type(want.value) is error
     assert str(got.value) == str(want.value)
     if isinstance(want.value, VerificationError):
-        assert got.value.certificate.to_dict() == want.value.certificate.to_dict()
+        # as JSON, where a NaN margin equals itself
+        assert json.dumps(got.value.certificate.to_dict()) == json.dumps(
+            want.value.certificate.to_dict())
 
 
 def test_run_verification_checks_its_arguments_before_the_family(monkeypatch):
-    # the slice count is checked before the one gamma call, and so before
-    # the family's certificates are read
+    # the slice count is checked before the lattice's jets are taken, and
+    # so before the family's certificates are read
     _nan_level(monkeypatch)
     with pytest.raises(VerificationError):
         family.build_family(default_params(), 16)
